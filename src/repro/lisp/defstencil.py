@@ -222,6 +222,7 @@ def _pattern_from_body(
 
     taps: List[Tap] = []
     boundary = {}
+    fill_value: Optional[float] = None
     all_dims: List[int] = []
     parsed = [_parse_term(term, source) for term in terms]
     if source is None:
@@ -266,6 +267,14 @@ def _pattern_from_body(
                     boundary[dim] = mode
             except MixedBoundaryError as exc:
                 raise DefstencilError(str(exc)) from exc
+            for shift in shifts:
+                if shift.kind is ShiftKind.EOSHIFT:
+                    if fill_value is not None and fill_value != shift.boundary:
+                        raise DefstencilError(
+                            "EOSHIFT terms disagree on the boundary fill "
+                            f"value ({fill_value} vs {shift.boundary})"
+                        )
+                    fill_value = shift.boundary
         elif coeff_name is not None:
             taps.append(
                 Tap(
@@ -290,6 +299,7 @@ def _pattern_from_body(
         source=source,
         plane_dims=plane,
         boundary=boundary,
+        fill_value=fill_value if fill_value is not None else 0.0,
         name=name,
     )
 

@@ -569,9 +569,6 @@ def _run_unblocked(
     pass_cycles = [schedule.compute_cycles(params) for schedule in schedules]
     pass_strips = [schedule.num_half_strips for schedule in schedules]
 
-    acc = machine.scratch_stacked("__batch_acc__", subgrid_shape, (batch,))
-    prod = machine.scratch_stacked("__batch_prod__", subgrid_shape, (batch,))
-
     # ABFT per filter: each filter's result slab gets its own seal
     # (sealed after the pass, SDC window opened, verified before the
     # next gather reads it and once more at run end).  The checksum
@@ -683,8 +680,6 @@ def _run_unblocked(
                         coeff_stacks=coeff_stacks,
                         halo=width,
                         out=out,
-                        acc=acc,
-                        scratch=prod,
                     )
                     counters["host_half_strips"] += pass_strips[fi]
                     if guard is None:
@@ -818,9 +813,6 @@ def _run_blocked(
             pong = machine.scratch_stacked(
                 f"__batch_blk_pong_{gi}_{fi}__", padded_shape, (batch,)
             )
-            prod = machine.scratch_stacked(
-                f"__batch_blk_prod_{gi}_{fi}__", padded_shape, (batch,)
-            )
             deep_coeffs: Dict[str, np.ndarray] = {}
             for name in array_coefficient_names(pattern):
                 buf = coeff_done.get((name, deep))
@@ -894,7 +886,6 @@ def _run_blocked(
                     subgrid_shape=subgrid_shape,
                     pad=pad,
                     steps=steps,
-                    scratch=prod,
                 )
                 result6[:, fi] = final[
                     ..., deep_b : deep_b + rows, deep_b : deep_b + cols

@@ -14,8 +14,12 @@ Two execution modes with identical semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from ..machine.sequencer import Sequencer
 from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
 from ..machine.memory import parity_word
+from ..verify import lockdep
 from .cm_array import CMArray
 from .faults import FaultGuard, NonFiniteInputError
 from .halo import halo_buffer_name
@@ -216,6 +221,250 @@ def node_execute_exact(
     return fpu.stats.cycles
 
 
+# ---------------------------------------------------------------------------
+# the tap kernel
+
+#: Elements per kernel block: 64K float32 words, 256 KiB per block
+#: buffer.  A block's accumulator and product buffers, its source window
+#: and the current tap's coefficient slice stay in one core's L2 for the
+#: whole tap chain, where a whole-stack pass per tap streams every
+#: operand through memory once per tap.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _affinity_workers() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: Threads that share one kernel call's blocks, the calling thread
+#: included: the CPUs this process may run on.
+WORKERS = _affinity_workers()
+
+_ONE = np.float32(1.0)
+_ZERO = np.float32(0.0)
+
+_TAP_POOL_LOCK = lockdep.lock("_TAP_POOL_LOCK")
+#: The ``WORKERS - 1`` helper threads, created by the first call that
+#: has more than one block.
+_TAP_POOL = None  # guarded-by: _TAP_POOL_LOCK
+
+#: Each thread's ``(acc, prod)`` block buffers, grown on demand.
+_BUFFERS = threading.local()
+
+
+def _tap_pool() -> ThreadPoolExecutor:
+    global _TAP_POOL
+    with _TAP_POOL_LOCK:
+        if _TAP_POOL is None:
+            _TAP_POOL = ThreadPoolExecutor(
+                max_workers=WORKERS - 1, thread_name_prefix="tap-kernel"
+            )
+        return _TAP_POOL
+
+
+def _forget_tap_pool() -> None:
+    """A forked child inherits the pool object but none of its threads,
+    and possibly a lock some other parent thread held: start over."""
+    global _TAP_POOL, _TAP_POOL_LOCK
+    _TAP_POOL_LOCK = lockdep.lock("_TAP_POOL_LOCK")
+    with _TAP_POOL_LOCK:
+        _TAP_POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_tap_pool)
+
+
+def tap_steps(
+    pattern: StencilPattern,
+    padded: np.ndarray,
+    origin: int,
+    shape: Tuple[int, int],
+    arrays: Dict[str, np.ndarray],
+) -> List[Tuple[object, object]]:
+    """The kernel's factor pairs for ``pattern``, in statement order.
+
+    Taps read ``shape``-sized windows of ``padded`` whose unshifted
+    window starts at ``origin`` on both subgrid axes; fused extra terms
+    follow the taps.  ``arrays`` maps coefficient and extra-source names
+    to arrays already aligned with the output.  Each pair keeps the
+    operand order of the WTL3164 chain: coefficient times datum, and
+    ``1.0`` times the coefficient of a constant term.  Scalar and unit
+    coefficients stay float32 scalars; numpy's scalar-times-array
+    float32 multiply rounds exactly like the per-node full-page one.
+    """
+    rows, cols = shape
+    steps: List[Tuple[object, object]] = []
+    for tap in pattern.taps:
+        coeff = _factor(tap.coeff, arrays)
+        if tap.is_constant_term:
+            steps.append((_ONE, coeff))
+        else:
+            row, col = origin + tap.dy, origin + tap.dx
+            steps.append(
+                (coeff, padded[..., row : row + rows, col : col + cols])
+            )
+    for term in getattr(pattern, "extra_terms", ()):
+        steps.append((_factor(term.coeff, arrays), arrays[term.source]))
+    return steps
+
+
+def tap_kernel(steps: Sequence[Tuple[object, object]], out: np.ndarray) -> None:
+    """Write ``sum(a * b for a, b in steps)`` into ``out``, block by block.
+
+    Every element gets the chained multiply-add of the WTL3164 model --
+    ``0.0 + a0 * b0``, then ``+ a1 * b1`` and so on, in step order, with
+    float32 rounding after every multiply and every add -- so the result
+    is bit-identical to one whole-stack pass per step.  Only the loop
+    order changes: every step runs on one block (see :func:`_blocks`)
+    before the next block starts, so the block's running sum never
+    leaves cache, and the blocks are shared among :data:`WORKERS`
+    threads.  A call with a single block runs inline and never creates
+    the pool.
+
+    ``out`` has the node-row axis at ``-4``, with any leading axes ahead
+    of it.  An array factor has ``out``'s shape or a trailing part of it
+    (numpy broadcasting).  A block reads exactly its own index range of
+    every factor shaped like ``out`` and reads it before writing its
+    range of ``out``, so such a factor may alias ``out`` (the in-place
+    fused extra term); blocks never share rows.
+    """
+    blocks = _blocks(out.shape)
+    threads = min(WORKERS, len(blocks))
+    if threads <= 1:
+        _run_blocks(steps, out, blocks)
+        return
+    # Threads claim blocks from one queue, so a helper still busy with
+    # another call's blocks leaves its share to the threads that are
+    # free.  One stop mark per thread follows the blocks; a thread stops
+    # at the first mark it takes, so every queue read finds an entry.
+    claim = queue.SimpleQueue()
+    for index in blocks + [None] * threads:
+        claim.put(index)
+    pool = _tap_pool()
+    helpers = [
+        pool.submit(_run_blocks, steps, out, iter(claim.get, None))
+        for _ in range(threads - 1)
+    ]
+    try:
+        _run_blocks(steps, out, iter(claim.get, None))
+    finally:
+        # A helper that never started has nothing left to claim; one
+        # that did must finish before ``out`` is handed back.
+        started = [future for future in helpers if not future.cancel()]
+        wait(started)
+    for future in started:
+        future.result()
+
+
+def _blocks(shape: Tuple[int, ...]) -> List[tuple]:
+    """Index tuples splitting an array of ``shape`` into kernel blocks.
+
+    The split axis is the node-row axis (``-4``), or the outermost
+    leading axis one of whose indices still fits in
+    :data:`BLOCK_ELEMENTS`.  A block fixes every axis ahead of the split
+    axis and takes a range of indices along it: a run of node rows of
+    one batch entry and filter, or a run of whole batch entries when
+    each is small.
+    """
+    axis = len(shape) - 4
+    size = math.prod(shape[axis + 1 :])
+    while axis > 0 and size * shape[axis] <= BLOCK_ELEMENTS:
+        size *= shape[axis]
+        axis -= 1
+    step = max(1, BLOCK_ELEMENTS // size)
+    return [
+        prefix + (slice(start, start + step),)
+        for prefix in np.ndindex(*shape[:axis])
+        for start in range(0, shape[axis], step)
+    ]
+
+
+def _run_blocks(steps, out: np.ndarray, claim: Iterable[tuple]) -> None:
+    """Run the blocks ``claim`` hands out."""
+    ndim = out.ndim
+    last = len(steps) - 1
+    # The FPU saturates silently; overflow to inf is a data property,
+    # not an execution error.  Error state is per thread, so every
+    # thread enters its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in claim:
+            target = out[index]
+            acc, prod = _block_buffers(target.shape)
+            for i, (a, b) in enumerate(steps):
+                np.multiply(
+                    _slab(a, index, ndim), _slab(b, index, ndim), out=prod
+                )
+                # 0.0 + first product, as from a zeroed accumulator; the
+                # last add lands in ``out`` after every read of the block.
+                np.add(
+                    acc if i else _ZERO,
+                    prod,
+                    out=target if i == last else acc,
+                )
+
+
+def _slab(factor, index: tuple, ndim: int):
+    """``factor``'s part of the block at ``index`` (scalars pass through)."""
+    if isinstance(factor, np.ndarray):
+        return factor[index[ndim - factor.ndim :]]
+    return factor
+
+
+def _block_buffers(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """This thread's accumulator and product buffers, shaped for a block."""
+    n = math.prod(shape)
+    pair = getattr(_BUFFERS, "pair", None)
+    if pair is None or pair[0].size < n:
+        size = max(n, BLOCK_ELEMENTS)
+        pair = (np.empty(size, np.float32), np.empty(size, np.float32))
+        _BUFFERS.pair = pair
+    return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
+
+
+def _array_names(pattern: StencilPattern) -> Set[str]:
+    """Coefficient and fused extra-source arrays the taps read."""
+    names = {
+        tap.coeff.name
+        for tap in pattern.taps
+        if tap.coeff.kind is CoeffKind.ARRAY
+    }
+    for term in getattr(pattern, "extra_terms", ()):
+        names.add(term.source)
+        if term.coeff.kind is CoeffKind.ARRAY:
+            names.add(term.coeff.name)
+    return names
+
+
+def _factor(coeff, arrays: Dict[str, np.ndarray]):
+    """A coefficient as a kernel factor: its array or a float32 scalar."""
+    if coeff.kind is CoeffKind.ARRAY:
+        return arrays[coeff.name]
+    if coeff.kind is CoeffKind.SCALAR:
+        return np.float32(coeff.value)
+    return _ONE
+
+
+def values_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal`` of two stacks, one node row at a time.
+
+    Returns at the first node row (axis ``-4``) that differs, so the
+    common not-yet-converged case costs one row, not the whole stack.
+    NaNs compare unequal, so a diverging run never reads as converged.
+    """
+    return all(
+        np.array_equal(a[..., row, :, :, :], b[..., row, :, :, :])
+        for row in range(a.shape[-4])
+    )
+
+
+# ---------------------------------------------------------------------------
+# the tap loops, as kernel callers
+
+
 def node_execute_fast(
     pattern: StencilPattern,
     node: Node,
@@ -224,39 +473,23 @@ def node_execute_fast(
     result_name: str,
     halo: int,
 ) -> None:
-    """Compute one node's subgrid vectorized, in schedule order.
+    """Compute one node's subgrid with the tap kernel, in schedule order.
 
     Accumulates taps in statement order with float32 rounding after every
     multiply and every add -- exactly the chained multiply-add semantics
     of the WTL3164 model, so the result is bit-identical to exact mode.
+    The node's buffers enter the kernel as a 1x1 node grid.
     """
-    padded = node.memory.buffer(halo_buffer_name(source_name))
-    result = node.memory.buffer(result_name)
-    rows, cols = result.shape
-    acc = np.zeros((rows, cols), dtype=np.float32)
-    # The FPU saturates silently; overflow to inf is a data property,
-    # not an execution error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tap in pattern.taps:
-            coeff = _coefficient_subgrid(tap, node, rows, cols)
-            if tap.is_constant_term:
-                product = np.float32(1.0) * coeff
-            else:
-                window = padded[
-                    halo + tap.dy : halo + tap.dy + rows,
-                    halo + tap.dx : halo + tap.dx + cols,
-                ]
-                if tap.coeff.kind is CoeffKind.UNIT:
-                    product = np.float32(1.0) * window
-                else:
-                    product = coeff * window
-            acc = acc + product.astype(np.float32)
-        # Fused extra terms join the chain after the base taps, in order.
-        for term in getattr(pattern, "extra_terms", ()):
-            data = node.memory.buffer(term.source)
-            coeff = _term_coefficient_subgrid(term.coeff, node, rows, cols)
-            acc = acc + (coeff * data).astype(np.float32)
-    result[:] = acc
+    memory = node.memory
+    arrays = {
+        name: memory.buffer(name)[None, None] for name in _array_names(pattern)
+    }
+    padded = memory.buffer(halo_buffer_name(source_name))[None, None]
+    result = memory.buffer(result_name)
+    tap_kernel(
+        tap_steps(pattern, padded, halo, result.shape, arrays),
+        result[None, None],
+    )
 
 
 def machine_execute_fast(
@@ -268,71 +501,30 @@ def machine_execute_fast(
     halo: int,
     guard: Optional[FaultGuard] = None,
 ) -> bool:
-    """Compute every node's subgrid in one batched tap-accumulation loop.
+    """Compute every node's subgrid in one machine-wide kernel call.
 
-    The machine-wide analogue of :func:`node_execute_fast`: one slice of
-    the stacked padded source per tap, one chained multiply-add per tap,
-    accumulated in statement order with float32 rounding after every
-    multiply and every add.  Because float32 arithmetic is elementwise
-    deterministic, the result is bit-identical to the per-node loop (and
-    therefore to exact mode) -- only the interpreter overhead changes:
-    O(taps) array operations total instead of O(taps) per node.
+    The machine-wide analogue of :func:`node_execute_fast`: the taps
+    read windows of the stacked padded source, and the coefficient and
+    extra-source stacks, across the whole node grid.  Because float32
+    arithmetic is elementwise deterministic, the result is bit-identical
+    to the per-node loop (and therefore to exact mode).
 
     Returns True when the batched path ran; False (having written
     nothing) when any involved buffer is not backed by intact machine
     storage, in which case the caller must run the per-node loop.
     """
     halo_name = halo_buffer_name(source_name)
-    extra_terms = getattr(pattern, "extra_terms", ())
-    names = {halo_name, result_name}
-    for tap in pattern.taps:
-        if tap.coeff.kind is CoeffKind.ARRAY:
-            names.add(tap.coeff.name)
-    for term in extra_terms:
-        names.add(term.source)
-        if term.coeff.kind is CoeffKind.ARRAY:
-            names.add(term.coeff.name)
     stacks = {}
-    for name in names:
+    for name in {halo_name, result_name} | _array_names(pattern):
         stack = machine.stacked(name)
         if stack is None:
             return False
         stacks[name] = stack
-
-    padded = stacks[halo_name]
     result = stacks[result_name]
-    rows, cols = result.shape[2:]
-    # One accumulator and one product buffer for the whole machine; the
-    # in-place ufunc calls perform the same float32 multiply and add as
-    # the per-node temporaries, so the rounding chain is unchanged --
-    # they just skip the intermediate allocations.
-    acc = np.zeros(result.shape, dtype=np.float32)
-    scratch = np.empty(result.shape, dtype=np.float32)
-    # The FPU saturates silently; overflow to inf is a data property,
-    # not an execution error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tap in pattern.taps:
-            coeff = _stacked_coefficient(tap.coeff, stacks)
-            if tap.is_constant_term:
-                np.multiply(np.float32(1.0), coeff, out=scratch)
-            else:
-                window = padded[
-                    :,
-                    :,
-                    halo + tap.dy : halo + tap.dy + rows,
-                    halo + tap.dx : halo + tap.dx + cols,
-                ]
-                if tap.coeff.kind is CoeffKind.UNIT:
-                    np.multiply(np.float32(1.0), window, out=scratch)
-                else:
-                    np.multiply(coeff, window, out=scratch)
-            np.add(acc, scratch, out=acc)
-        # Fused extra terms join the chain after the base taps, in order.
-        for term in extra_terms:
-            coeff = _stacked_coefficient(term.coeff, stacks)
-            np.multiply(coeff, stacks[term.source], out=scratch)
-            np.add(acc, scratch, out=acc)
-    result[...] = acc
+    tap_kernel(
+        tap_steps(pattern, stacks[halo_name], halo, result.shape[2:], stacks),
+        result,
+    )
     if guard is not None:
         guard.inject_poison(result)
         guard.verify_finite(result, f"fast executor result {result_name!r}")
@@ -346,50 +538,22 @@ def machine_execute_fast_stack(
     coeff_stacks: Dict[str, np.ndarray],
     halo: int,
     out: np.ndarray,
-    acc: np.ndarray,
-    scratch: np.ndarray,
 ) -> None:
-    """The fast tap-accumulation loop on raw stacks (batched runs).
+    """The tap kernel on raw stacks (batched runs).
 
-    Exactly :func:`machine_execute_fast`'s rounding chain -- taps in
-    statement order, float32 rounding after every multiply and every add
-    -- but operating on explicit arrays instead of named machine
-    buffers.  ``padded`` carries any leading batch axes ahead of the
-    node grid (subgrid axes at ``-2``/``-1``); 4-d coefficient stacks
-    broadcast across them, so one ufunc call per tap serves the whole
-    batch and every element's float32 chain matches the per-grid run
-    bit for bit.
-
-    ``out``, ``acc``, and ``scratch`` share ``padded``'s leading axes
-    with unpadded subgrid extents; ``acc`` is zeroed here.  Patterns
-    with fused extra terms are not supported on this path (the batch
-    entry point rejects them up front).
+    ``padded`` carries any leading batch axes ahead of the node grid
+    (subgrid axes at ``-2``/``-1``), and ``out`` shares them with
+    unpadded subgrid extents; 4-d coefficient stacks broadcast across
+    them, so one kernel call serves the whole batch and every element's
+    float32 chain matches the per-grid run bit for bit.  Patterns with
+    fused extra terms are not supported on this path (the batch entry
+    point rejects them up front).
     """
     if getattr(pattern, "extra_terms", ()):
         raise ExecutionSetupError(
             "the stacked batch executor does not support fused extra terms"
         )
-    rows, cols = out.shape[-2:]
-    acc[...] = np.float32(0.0)
-    # The FPU saturates silently; overflow to inf is a data property,
-    # not an execution error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tap in pattern.taps:
-            coeff = _stacked_coefficient(tap.coeff, coeff_stacks)
-            if tap.is_constant_term:
-                np.multiply(np.float32(1.0), coeff, out=scratch)
-            else:
-                window = padded[
-                    ...,
-                    halo + tap.dy : halo + tap.dy + rows,
-                    halo + tap.dx : halo + tap.dx + cols,
-                ]
-                if tap.coeff.kind is CoeffKind.UNIT:
-                    np.multiply(np.float32(1.0), window, out=scratch)
-                else:
-                    np.multiply(coeff, window, out=scratch)
-            np.add(acc, scratch, out=acc)
-    out[...] = acc
+    tap_kernel(tap_steps(pattern, padded, halo, out.shape[-2:], coeff_stacks), out)
 
 
 def machine_execute_blocked(
@@ -401,7 +565,6 @@ def machine_execute_blocked(
     subgrid_shape,
     pad: int,
     steps: int,
-    scratch: np.ndarray,
     check_fixed_point: bool = True,
     guard: Optional[FaultGuard] = None,
 ):
@@ -412,15 +575,15 @@ def machine_execute_blocked(
     ``pong`` is its ping-pong partner, and ``deep_coeffs`` the
     deep-padded coefficient stacks.  Sub-iteration ``t`` applies the
     stencil over the whole still-valid region -- the subgrid plus a
-    ``(steps - 1 - t) * pad``-deep ghost ring -- accumulating taps in
-    statement order with float32 rounding after every multiply and add,
-    exactly :func:`machine_execute_fast` over an enlarged subgrid.  The
-    ghost ring reproduces, bit for bit, what the neighbors compute in
-    their own interiors (same data via the deep exchange, same
-    coefficients via ``deep_coeffs``, same rounding chain), so consuming
-    it instead of re-exchanging changes no result bits.  FILL boundary
-    semantics are re-applied to the out-of-bounds bands after every
-    sub-iteration, exactly the state a fresh exchange would restore.
+    ``(steps - 1 - t) * pad``-deep ghost ring -- with one
+    :func:`tap_kernel` call, exactly :func:`machine_execute_fast` over
+    an enlarged subgrid.  The ghost ring reproduces, bit for bit, what
+    the neighbors compute in their own interiors (same data via the deep
+    exchange, same coefficients via ``deep_coeffs``, same rounding
+    chain), so consuming it instead of re-exchanging changes no result
+    bits.  FILL boundary semantics are re-applied to the out-of-bounds
+    bands after every sub-iteration, exactly the state a fresh exchange
+    would restore.
 
     Returns ``(final, fixed)``: the buffer holding the last iterate
     (its subgrid at ``[deep : deep + rows, deep : deep + cols]``) and
@@ -439,6 +602,7 @@ def machine_execute_blocked(
     """
     rows, cols = subgrid_shape
     deep = steps * pad
+    interior = (..., slice(deep, deep + rows), slice(deep, deep + cols))
     dim_row, dim_col = pattern.plane_dims
     row_fills = (
         pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR)
@@ -453,114 +617,58 @@ def machine_execute_blocked(
     src, dst = ping, pong
     sealed: Optional[int] = None
     sealed_view: Optional[np.ndarray] = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            ghost = (steps - 1 - t) * pad
-            out_rows = rows + 2 * ghost
-            out_cols = cols + 2 * ghost
-            base = deep - ghost
-            if guard is not None and sealed is not None:
-                # sealed_view (the previous sub-iteration's valid output
-                # region) is exactly the window this sub-iteration reads.
-                guard.verify_parity(
-                    sealed_view,
-                    sealed,
-                    f"block sub-iteration {t} input",
-                )
-            # Accumulate straight into the destination region; the
-            # rounding chain is the per-tap multiply and add of
-            # machine_execute_fast, only the final buffer copy is gone.
-            # Leading batch axes (if any) ride along: the subgrid axes
-            # sit at -2/-1 and 4-d coefficient stacks broadcast across
-            # the batch, so the per-element float32 chain is unchanged.
-            acc = dst[..., base : base + out_rows, base : base + out_cols]
-            prod = scratch[..., :out_rows, :out_cols]
-            acc[...] = np.float32(0.0)
-            for tap in pattern.taps:
-                if tap.coeff.kind is CoeffKind.ARRAY:
-                    coeff = deep_coeffs[tap.coeff.name][
-                        ..., base : base + out_rows, base : base + out_cols
-                    ]
-                elif tap.coeff.kind is CoeffKind.SCALAR:
-                    coeff = np.float32(tap.coeff.value)
-                else:
-                    coeff = np.float32(1.0)
-                if tap.is_constant_term:
-                    np.multiply(np.float32(1.0), coeff, out=prod)
-                else:
-                    window = src[
-                        ...,
-                        base + tap.dy : base + tap.dy + out_rows,
-                        base + tap.dx : base + tap.dx + out_cols,
-                    ]
-                    if tap.coeff.kind is CoeffKind.UNIT:
-                        np.multiply(np.float32(1.0), window, out=prod)
-                    else:
-                        np.multiply(coeff, window, out=prod)
-                np.add(acc, prod, out=acc)
-            if row_fills:
-                dst[..., 0, :, :deep, :] = fill
-                dst[..., -1, :, deep + rows :, :] = fill
-            if col_fills:
-                dst[..., :, 0, :, :deep] = fill
-                dst[..., :, -1, :, deep + cols :] = fill
-            if guard is not None:
-                sealed_view = dst[
-                    ..., base : base + out_rows, base : base + out_cols
-                ]
-                sealed = parity_word(sealed_view)
-            if t == 0 and steps > 1 and check_fixed_point:
-                # The subgrids alone tile the global array, so
-                # machine-wide interior equality means a true fixed
-                # point: every later iterate reproduces this one.
-                if np.array_equal(
-                    dst[..., deep : deep + rows, deep : deep + cols],
-                    src[..., deep : deep + rows, deep : deep + cols],
-                ):
-                    if guard is not None:
-                        guard.verify_finite(
-                            dst[..., deep : deep + rows, deep : deep + cols],
-                            "temporal block fixed-point output",
-                        )
-                    return dst, True
-            if guard is not None:
-                guard.inject_scratch([("ping stack", ping), ("pong stack", pong)])
-            src, dst = dst, src
+    for t in range(steps):
+        ghost = (steps - 1 - t) * pad
+        out_rows = rows + 2 * ghost
+        out_cols = cols + 2 * ghost
+        base = deep - ghost
+        region = (
+            ...,
+            slice(base, base + out_rows),
+            slice(base, base + out_cols),
+        )
+        if guard is not None and sealed is not None:
+            # sealed_view (the previous sub-iteration's valid output
+            # region) is exactly the window this sub-iteration reads.
+            guard.verify_parity(
+                sealed_view,
+                sealed,
+                f"block sub-iteration {t} input",
+            )
+        # Leading batch axes (if any) ride along: the subgrid axes sit
+        # at -2/-1 and 4-d coefficient stacks broadcast across the
+        # batch, so the per-element float32 chain is unchanged.
+        coeffs = {name: buf[region] for name, buf in deep_coeffs.items()}
+        tap_kernel(
+            tap_steps(pattern, src, base, (out_rows, out_cols), coeffs),
+            dst[region],
+        )
+        if row_fills:
+            dst[..., 0, :, :deep, :] = fill
+            dst[..., -1, :, deep + rows :, :] = fill
+        if col_fills:
+            dst[..., :, 0, :, :deep] = fill
+            dst[..., :, -1, :, deep + cols :] = fill
+        if guard is not None:
+            sealed_view = dst[region]
+            sealed = parity_word(sealed_view)
+        if t == 0 and steps > 1 and check_fixed_point:
+            # The subgrids alone tile the global array, so
+            # machine-wide interior equality means a true fixed
+            # point: every later iterate reproduces this one.
+            if values_equal(dst[interior], src[interior]):
+                if guard is not None:
+                    guard.verify_finite(
+                        dst[interior], "temporal block fixed-point output"
+                    )
+                return dst, True
+        if guard is not None:
+            guard.inject_scratch([("ping stack", ping), ("pong stack", pong)])
+        src, dst = dst, src
     if guard is not None:
         # The last seal covers exactly the final subgrid region; verify
         # it so a flip injected after the last sub-iteration (or a NaN
         # produced inside the block) cannot escape the block.
         guard.verify_parity(sealed_view, sealed, "temporal block output")
-        guard.verify_finite(
-            src[..., deep : deep + rows, deep : deep + cols],
-            "temporal block output",
-        )
+        guard.verify_finite(src[interior], "temporal block output")
     return src, False
-
-
-def _stacked_coefficient(coeff, stacks: Dict[str, np.ndarray]):
-    """The machine-wide coefficient operand: a stacked array or a scalar.
-
-    Scalar and unit coefficients multiply as float32 *scalars*; numpy's
-    scalar-times-array float32 arithmetic rounds identically to the
-    per-node full-page multiply, so the chain stays bit-exact.
-    """
-    if coeff.kind is CoeffKind.ARRAY:
-        return stacks[coeff.name]
-    if coeff.kind is CoeffKind.SCALAR:
-        return np.float32(coeff.value)
-    return np.float32(1.0)
-
-
-def _coefficient_subgrid(tap, node: Node, rows: int, cols: int) -> np.ndarray:
-    return _term_coefficient_subgrid(tap.coeff, node, rows, cols)
-
-
-def _term_coefficient_subgrid(
-    coeff, node: Node, rows: int, cols: int
-) -> np.ndarray:
-    if coeff.kind is CoeffKind.ARRAY:
-        return node.memory.buffer(coeff.name)
-    if coeff.kind is CoeffKind.SCALAR:
-        return np.full((rows, cols), np.float32(coeff.value), dtype=np.float32)
-    return np.ones((rows, cols), dtype=np.float32)

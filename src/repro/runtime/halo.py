@@ -267,20 +267,22 @@ def _fill_padded_deep(
     if deep == 0:
         return
     # Pass 1: north/south bands (interior width).
-    padded[..., :deep, deep : deep + cols] = np.roll(
-        source_stack[..., rows - deep :, :], 1, axis=-4
+    _torus_shift(
+        padded[..., :deep, deep : deep + cols],
+        source_stack[..., rows - deep :, :],
+        1, 0,
     )
-    padded[..., deep + rows :, deep : deep + cols] = np.roll(
-        source_stack[..., :deep, :], -1, axis=-4
+    _torus_shift(
+        padded[..., deep + rows :, deep : deep + cols],
+        source_stack[..., :deep, :],
+        -1, 0,
     )
-    # Pass 2: east/west bands over the full padded height.  The rolled
+    # Pass 2: east/west bands over the full padded height.  The shifted
     # columns include the neighbors' pass-1 bands, so the corner blocks
     # arrive as the composed row+column shift -- no separate step.
-    padded[..., :deep] = np.roll(
-        padded[..., cols : cols + deep], 1, axis=-3
-    )
-    padded[..., deep + cols :] = np.roll(
-        padded[..., deep : 2 * deep], -1, axis=-3
+    _torus_shift(padded[..., :deep], padded[..., cols : cols + deep], 0, 1)
+    _torus_shift(
+        padded[..., deep + cols :], padded[..., deep : 2 * deep], 0, -1
     )
     _apply_fill_deep(padded, pattern, subgrid_shape, deep)
 
@@ -1047,21 +1049,21 @@ def _fill_padded_shallow(
     if pad == 0:
         return
 
-    # Step 2: edges, exchanged with all four neighbors at once.  A roll
+    # Step 2: edges, exchanged with all four neighbors at once.  A shift
     # of +1 along a grid axis delivers each node the data of the
     # neighbor at the smaller index (its North/West neighbor), wrapping
     # at the torus seam.
-    padded[..., :pad, pad : pad + cols] = np.roll(
-        stack[..., rows - pad :, :], 1, axis=-4
+    _torus_shift(
+        padded[..., :pad, pad : pad + cols], stack[..., rows - pad :, :], 1, 0
     )
-    padded[..., pad + rows :, pad : pad + cols] = np.roll(
-        stack[..., :pad, :], -1, axis=-4
+    _torus_shift(
+        padded[..., pad + rows :, pad : pad + cols], stack[..., :pad, :], -1, 0
     )
-    padded[..., pad : pad + rows, :pad] = np.roll(
-        stack[..., cols - pad :], 1, axis=-3
+    _torus_shift(
+        padded[..., pad : pad + rows, :pad], stack[..., cols - pad :], 0, 1
     )
-    padded[..., pad : pad + rows, pad + cols :] = np.roll(
-        stack[..., :pad], -1, axis=-3
+    _torus_shift(
+        padded[..., pad : pad + rows, pad + cols :], stack[..., :pad], 0, -1
     )
 
     # Step 3: corners, unless the pattern has no diagonal reach.  When
@@ -1073,19 +1075,44 @@ def _fill_padded_shallow(
         padded[..., pad + rows :, :pad] = 0.0
         padded[..., pad + rows :, pad + cols :] = 0.0
     else:
-        padded[..., :pad, :pad] = np.roll(
-            stack[..., rows - pad :, cols - pad :], (1, 1), axis=(-4, -3)
+        _torus_shift(
+            padded[..., :pad, :pad], stack[..., rows - pad :, cols - pad :],
+            1, 1,
         )
-        padded[..., :pad, pad + cols :] = np.roll(
-            stack[..., rows - pad :, :pad], (1, -1), axis=(-4, -3)
+        _torus_shift(
+            padded[..., :pad, pad + cols :], stack[..., rows - pad :, :pad],
+            1, -1,
         )
-        padded[..., pad + rows :, :pad] = np.roll(
-            stack[..., :pad, cols - pad :], (-1, 1), axis=(-4, -3)
+        _torus_shift(
+            padded[..., pad + rows :, :pad], stack[..., :pad, cols - pad :],
+            -1, 1,
         )
-        padded[..., pad + rows :, pad + cols :] = np.roll(
-            stack[..., :pad, :pad], (-1, -1), axis=(-4, -3)
+        _torus_shift(
+            padded[..., pad + rows :, pad + cols :], stack[..., :pad, :pad],
+            -1, -1,
         )
     _apply_fill_shallow(padded, pattern, stats, subgrid_shape)
+
+
+def _torus_shift(
+    dst: np.ndarray, src: np.ndarray, down: int, right: int
+) -> None:
+    """``dst[...] = np.roll(src, (down, right), axis=(-4, -3))`` for
+    shifts of -1, 0 or +1 node, without the rolled temporary: each band
+    is assigned straight from its neighbor, plus one slice per shifted
+    axis for the torus seam."""
+    for dst_rows, src_rows in _seam(down):
+        for dst_cols, src_cols in _seam(right):
+            dst[..., dst_rows, dst_cols, :, :] = src[..., src_rows, src_cols, :, :]
+
+
+def _seam(shift: int) -> Tuple[Tuple[slice, slice], ...]:
+    """``(destination, source)`` slice pairs of a one-axis torus shift."""
+    if shift == 0:
+        return ((slice(None), slice(None)),)
+    if shift == 1:
+        return ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
+    return ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(0, 1)))
 
 
 def _apply_fill_shallow(

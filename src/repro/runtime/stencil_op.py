@@ -46,6 +46,7 @@ from .executor import (
     machine_execute_fast,
     node_execute_exact,
     node_execute_fast,
+    values_equal,
 )
 from .faults import (
     DegradationExhaustedError,
@@ -305,8 +306,9 @@ def _at_fixed_point(
     if padded is None or result is None:
         return False
     rows, cols = result.shape[2:]
-    interior = padded[:, :, pad : pad + rows, pad : pad + cols]
-    return np.array_equal(result, interior)
+    return values_equal(
+        result, padded[:, :, pad : pad + rows, pad : pad + cols]
+    )
 
 
 def _at_fixed_point_per_node(
@@ -417,7 +419,6 @@ def _apply_blocked(
     padded_shape = (rows + 2 * deep, cols + 2 * deep)
     halo_name = halo_buffer_name(source.name)
     ping, pong = machine.pingpong_stacked(halo_name, padded_shape)
-    scratch = machine.scratch_stacked(f"{halo_name}__prod__", padded_shape)
 
     costs = blocked_costs(compiled, source.subgrid_shape, iterations, depth)
     blocks = list(block_steps(iterations, depth))
@@ -501,7 +502,6 @@ def _apply_blocked(
                             subgrid_shape=(rows, cols),
                             pad=pad,
                             steps=steps,
-                            scratch=scratch,
                             guard=guard,
                         )
                     except FaultError:

@@ -152,3 +152,86 @@ class TestDefstencilErrors:
     def test_missing_body(self):
         with pytest.raises(DefstencilError):
             parse_defstencil("(defstencil s (r x) (single-float))")
+
+
+class TestEoshiftBoundary:
+    """The EOSHIFT boundary value becomes the pattern's ``fill_value``,
+    as in the Fortran recognizer."""
+
+    def test_boundary_becomes_fill_value(self):
+        pattern = parse_defstencil(
+            "(defstencil k (r x c1) (:= r (* c1 (eoshift x 1 +1 2.0))))"
+        )
+        assert pattern.fill_value == 2.0
+
+    def test_default_boundary_is_zero(self):
+        pattern = parse_defstencil(
+            "(defstencil k (r x c1) (:= r (* c1 (eoshift x 1 +1))))"
+        )
+        assert pattern.fill_value == 0.0
+
+    def test_agreeing_terms_share_the_boundary(self):
+        pattern = parse_defstencil(
+            "(defstencil k (r x c1 c2) (:= r (+ (* c1 (eoshift x 1 -1 -0.5))"
+            " (* c2 (eoshift (eoshift x 2 1 -0.5) 1 1 -0.5)))))"
+        )
+        assert pattern.fill_value == -0.5
+
+    def test_disagreeing_boundaries_rejected(self):
+        with pytest.raises(DefstencilError, match="boundary fill value"):
+            parse_defstencil(
+                "(defstencil k (r x c1 c2) (:= r (+ (* c1 (eoshift x 1 -1 2.0))"
+                " (* c2 (eoshift x 2 1 3.0)))))"
+            )
+
+    def test_matches_fortran_front_end(self):
+        from repro.fortran.parser import parse_assignment
+        from repro.fortran.recognizer import recognize_assignment
+
+        lisp = parse_defstencil(
+            "(defstencil k (r x c1 c2) (:= r (+ (* c1 (eoshift x 1 +1 2.5))"
+            " (* c2 (cshift x 2 -1)))))"
+        )
+        fortran = recognize_assignment(
+            parse_assignment(
+                "R = C1 * EOSHIFT(X, 1, +1, 2.5) + C2 * CSHIFT(X, 2, -1)"
+            )
+        )
+        assert lisp.fill_value == fortran.fill_value == 2.5
+        assert lisp.boundary == fortran.boundary
+
+    def test_compiled_run_uses_the_boundary(self):
+        import numpy as np
+
+        from repro.baseline.reference import reference_stencil
+        from repro.compiler.driver import compile_stencil
+        from repro.machine.machine import CM2
+        from repro.machine.params import MachineParams
+        from repro.runtime.cm_array import CMArray
+        from repro.runtime.stencil_op import apply_stencil
+
+        pattern = parse_defstencil(
+            "(defstencil k (r x c1 c2) (:= r (+ (* c1 (eoshift x 1 +1 2.0))"
+            " (* c2 (eoshift x 2 -1 2.0)))))"
+        )
+        params = MachineParams(num_nodes=4)
+        machine = CM2(params)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 8)).astype(np.float32)
+        coeffs = {
+            name: rng.standard_normal((8, 8)).astype(np.float32)
+            for name in ("C1", "C2")
+        }
+        run = apply_stencil(
+            compile_stencil(pattern, params),
+            CMArray.from_numpy("X", machine, x),
+            {n: CMArray.from_numpy(n, machine, c) for n, c in coeffs.items()},
+            "R",
+        )
+        np.testing.assert_array_equal(
+            run.result.to_numpy(), reference_stencil(pattern, x, coeffs)
+        )
+        # The bottom-left corner reads past both edges: 2.0, not 0.0.
+        two = np.float32(2.0)
+        c1, c2 = coeffs["C1"][-1, 0], coeffs["C2"][-1, 0]
+        assert run.result.to_numpy()[-1, 0] == two * c1 + two * c2

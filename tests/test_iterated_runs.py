@@ -241,3 +241,83 @@ class TestExtraTermValidation:
         )
         run = apply_stencil(fused, x, coeffs, "R")
         assert run.batched
+
+
+class TestFixedPointCheck:
+    """The fixed-point check compares node row by node row and stops at
+    the first row that differs; only an iterate equal to its input in
+    every row short-circuits the run."""
+
+    @staticmethod
+    def _identity_run(c1_host, monkeypatch, iterations=4):
+        from repro.runtime import stencil_op
+
+        pattern = pattern_from_offsets([(0, 0)], name="identity")
+        params = MachineParams(num_nodes=16)
+        machine = CM2(params)
+        compiled = compile_stencil(pattern, params)
+        x_host = (
+            np.random.default_rng(8).uniform(1.0, 2.0, SHAPE).astype(np.float32)
+        )
+        x = CMArray.from_numpy("X", machine, x_host)
+        c1 = CMArray.from_numpy("C1", machine, c1_host)
+        passes = []
+        real = stencil_op.machine_execute_fast
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stencil_op, "machine_execute_fast", counted)
+        run = apply_stencil(
+            compiled, x, {"C1": c1}, "R", iterations=iterations
+        )
+        expected = x_host
+        for _ in range(iterations):
+            expected = reference_stencil(pattern, expected, {"C1": c1_host})
+        np.testing.assert_array_equal(run.result.to_numpy(), expected)
+        return run, len(passes)
+
+    @staticmethod
+    def _totals(run):
+        return (
+            run.elapsed_seconds,
+            run.num_exchanges,
+            run.total_comm_cycles,
+            run.total_compute_cycles,
+            run.total_half_strips,
+        )
+
+    def test_difference_in_last_node_row_is_not_a_fixed_point(
+        self, monkeypatch
+    ):
+        # 16 nodes in a 4x4 grid: global rows 12-15 are the last node
+        # row, and only its last point changes from one iterate to the
+        # next.
+        c1 = np.ones(SHAPE, dtype=np.float32)
+        c1[-1, -1] = 0.5
+        _, passes = self._identity_run(c1, monkeypatch)
+        assert passes == 4
+
+    def test_fixed_point_short_circuits_with_same_totals(self, monkeypatch):
+        moving = np.ones(SHAPE, dtype=np.float32)
+        moving[-1, -1] = 0.5
+        full, _ = self._identity_run(moving, monkeypatch)
+        fixed, passes = self._identity_run(
+            np.ones(SHAPE, dtype=np.float32), monkeypatch
+        )
+        assert passes == 1
+        assert self._totals(fixed) == self._totals(full)
+
+    def test_values_equal_row_by_row(self):
+        from repro.runtime.executor import values_equal
+
+        rng = np.random.default_rng(9)
+        for lead in ((), (3,)):
+            a = rng.standard_normal(lead + (4, 2, 3, 5)).astype(np.float32)
+            b = a.copy()
+            assert values_equal(a, b)
+            b[..., -1, -1, -1, -1] += 1.0
+            assert not values_equal(a, b)
+            a[..., 0, 0, 0, 0] = np.nan
+            assert not values_equal(a, a.copy())

@@ -317,6 +317,120 @@ class TestDegenerateGrids:
 
         np.testing.assert_array_equal(run(1), run(2))
 
+    @staticmethod
+    def _rolled_shallow(stack, padded, pattern, stats, subgrid_shape):
+        """The band construction through ``np.roll`` temporaries: the
+        reference the direct slice assignments must reproduce."""
+        from repro.runtime.halo import _apply_fill_shallow
+
+        rows, cols = subgrid_shape
+        pad = stats.pad
+        padded[..., pad : pad + rows, pad : pad + cols] = stack
+        padded[..., :pad, pad : pad + cols] = np.roll(
+            stack[..., rows - pad :, :], 1, axis=-4
+        )
+        padded[..., pad + rows :, pad : pad + cols] = np.roll(
+            stack[..., :pad, :], -1, axis=-4
+        )
+        padded[..., pad : pad + rows, :pad] = np.roll(
+            stack[..., cols - pad :], 1, axis=-3
+        )
+        padded[..., pad : pad + rows, pad + cols :] = np.roll(
+            stack[..., :pad], -1, axis=-3
+        )
+        if stats.corner_step_skipped:
+            for corner in (
+                (slice(None, pad), slice(None, pad)),
+                (slice(None, pad), slice(pad + cols, None)),
+                (slice(pad + rows, None), slice(None, pad)),
+                (slice(pad + rows, None), slice(pad + cols, None)),
+            ):
+                padded[(Ellipsis,) + corner] = 0.0
+        else:
+            for (r, c), shift in (
+                ((slice(None, pad), slice(None, pad)), (1, 1)),
+                ((slice(None, pad), slice(pad + cols, None)), (1, -1)),
+                ((slice(pad + rows, None), slice(None, pad)), (-1, 1)),
+                ((slice(pad + rows, None), slice(pad + cols, None)), (-1, -1)),
+            ):
+                src_r = slice(rows - pad, None) if shift[0] == 1 else slice(None, pad)
+                src_c = slice(cols - pad, None) if shift[1] == 1 else slice(None, pad)
+                padded[..., r, c] = np.roll(
+                    stack[..., src_r, src_c], shift, axis=(-4, -3)
+                )
+        _apply_fill_shallow(padded, pattern, stats, subgrid_shape)
+
+    @staticmethod
+    def _rolled_deep(stack, padded, pattern, subgrid_shape, deep):
+        from repro.runtime.halo import _apply_fill_deep
+
+        rows, cols = subgrid_shape
+        padded[..., deep : deep + rows, deep : deep + cols] = stack
+        padded[..., :deep, deep : deep + cols] = np.roll(
+            stack[..., rows - deep :, :], 1, axis=-4
+        )
+        padded[..., deep + rows :, deep : deep + cols] = np.roll(
+            stack[..., :deep, :], -1, axis=-4
+        )
+        padded[..., :deep] = np.roll(
+            padded[..., cols : cols + deep], 1, axis=-3
+        )
+        padded[..., deep + cols :] = np.roll(
+            padded[..., deep : 2 * deep], -1, axis=-3
+        )
+        _apply_fill_deep(padded, pattern, subgrid_shape, deep)
+
+    @pytest.mark.parametrize("grid", [(16, 16), (1, 16), (16, 1)])
+    @pytest.mark.parametrize("lead", [(), (8,), (8, 4)])
+    @pytest.mark.parametrize("mode", ["torus", "fill"])
+    @pytest.mark.parametrize("corners", [False, True])
+    def test_bands_match_rolled_bands(self, grid, lead, mode, corners):
+        """The stack-level band fills, shallow and deep, bit for bit
+        against the rolled construction, leading axes included."""
+        from repro.runtime.halo import _fill_padded_deep, _fill_padded_shallow
+
+        if corners:
+            pattern = self._pattern(mode)
+        else:
+            pattern = pattern_from_offsets(
+                [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)],
+                boundary=self.MODES[mode],
+                fill_value=2.5,
+            )
+        subgrid = (4, 6)
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal(lead + grid + subgrid).astype(np.float32)
+        stats = exchange_cost(pattern, subgrid, MachineParams(num_nodes=16))
+        pad = stats.pad
+        for fill, reference, depth in (
+            (
+                lambda out: _fill_padded_shallow(
+                    stack, out, pattern, stats, subgrid
+                ),
+                lambda out: self._rolled_shallow(
+                    stack, out, pattern, stats, subgrid
+                ),
+                pad,
+            ),
+            (
+                lambda out: _fill_padded_deep(
+                    stack, out, pattern, subgrid, 3 * pad
+                ),
+                lambda out: self._rolled_deep(
+                    stack, out, pattern, subgrid, 3 * pad
+                ),
+                3 * pad,
+            ),
+        ):
+            shape = lead + grid + (4 + 2 * depth, 6 + 2 * depth)
+            got = np.full(shape, np.nan, dtype=np.float32)
+            want = np.full(shape, np.nan, dtype=np.float32)
+            fill(got)
+            reference(want)
+            np.testing.assert_array_equal(
+                got.view(np.uint32), want.view(np.uint32)
+            )
+
     def test_shape_must_hold_all_nodes(self):
         with pytest.raises(ValueError, match="does not hold"):
             CM2(MachineParams(num_nodes=4), shape=(1, 2))
