@@ -268,8 +268,9 @@ class CM2:
 
         Returns None when the name has no stack or any node's buffer has
         been detached from it (e.g. replaced through
-        :meth:`~repro.machine.memory.NodeMemory.install`) -- callers
-        then fall back to the per-node path, which is always correct.
+        :meth:`~repro.machine.memory.NodeMemory.install`); the run-time
+        library then refuses the buffer with a typed error (see
+        :func:`~repro.runtime.cm_array.intact_stack`).
         """
         stack = self.storage.get(name)
         if stack is None:

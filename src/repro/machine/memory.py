@@ -95,10 +95,10 @@ class NodeMemory:
 
         Used by the machine-wide stacked storage: each node's subgrid of
         a distributed array is a view into one (grid_rows, grid_cols,
-        rows, cols) stack, so the batched executor can process every
-        node with single whole-machine array operations while the
-        per-node paths (exact mode, the sequencer) keep reading and
-        writing through node memory unchanged.
+        rows, cols) stack, so the fast executor can process every node
+        with single whole-machine array operations while the per-node
+        paths (exact mode, the sequencer) keep reading and writing
+        through node memory unchanged.
         """
         if view.ndim != 2:
             raise MemoryError_(f"buffer {name!r} must be 2-D, got {view.ndim}-D")
@@ -209,8 +209,10 @@ class MachineStorage:
     contiguously.  Node memories hold views into the stack (see
     :meth:`NodeMemory.install_view`), so per-node access -- the
     cycle-stepped sequencer, the exact executor, host gather/scatter --
-    is unchanged, while the batched fast executor and the batched halo
-    exchange operate on the stack as one array.
+    is unchanged, while the fast executor and the halo exchange operate
+    on the stack as one array.  They read nothing else: a node buffer
+    detached from its stack is refused with a typed error, never read
+    node by node.
 
     Aliases (:meth:`bind`) share the target's stack under a second name,
     the machine-wide analogue of :meth:`NodeMemory.alias`.

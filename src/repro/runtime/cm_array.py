@@ -21,6 +21,29 @@ from ..machine.machine import CM2
 from .decomposition import Decomposition
 
 
+class ExecutionSetupError(ValueError):
+    """Arrays handed to the executor do not match the compiled stencil."""
+
+
+def intact_stack(machine: CM2, name: str) -> np.ndarray:
+    """The machine-wide stack behind distributed buffer ``name``.
+
+    The run-time library reads every distributed buffer as one stack,
+    so a buffer without one -- or with a node's buffer detached from it,
+    e.g. replaced through
+    :meth:`~repro.machine.memory.NodeMemory.install` -- raises
+    :class:`ExecutionSetupError` naming it.
+    """
+    stack = machine.stacked(name)
+    if stack is None:
+        raise ExecutionSetupError(
+            f"buffer {name!r} is not backed by an intact machine-wide "
+            "stack (a node's copy was replaced outside machine storage); "
+            "refill it through its CMArray instead"
+        )
+    return stack
+
+
 class CMArray:
     """A named distributed array."""
 

@@ -6,10 +6,10 @@ Two execution modes with identical semantics:
   sequencer + WTL3164 model: real register contents, ring-buffer
   rotation, writeback timing, and exact cycle counts.  Used by the
   correctness tests (and usable anywhere, just slow).
-* **fast** -- numerics computed vectorized per node in the *same
-  accumulation order* the schedules use (so results are bit-identical in
-  float32), with cycles from the closed-form cost model that the exact
-  mode validates.  Used by the benchmarks.
+* **fast** -- numerics computed vectorized across the whole node grid
+  in the *same accumulation order* the schedules use (so results are
+  bit-identical in float32), with cycles from the closed-form cost model
+  that the exact mode validates.  Used by the benchmarks.
 """
 
 from __future__ import annotations
@@ -31,14 +31,10 @@ from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
 from ..machine.memory import parity_word
 from ..verify import lockdep
-from .cm_array import CMArray
+from .cm_array import CMArray, ExecutionSetupError, intact_stack
 from .faults import FaultGuard, NonFiniteInputError
 from .halo import halo_buffer_name
 from .strips import StripSchedule
-
-
-class ExecutionSetupError(ValueError):
-    """Arrays handed to the executor do not match the compiled stencil."""
 
 
 def shape_mismatch(label: str, got, want) -> str:
@@ -157,27 +153,21 @@ def check_finite_arrays(
     it, a single NaN in the source silently propagates through every
     iteration (the FPU saturates, it does not trap).
     """
-    machine = source.machine
-
-    def all_finite(name: str) -> bool:
-        stack = machine.stacked(name)
-        if stack is not None:
-            return bool(np.isfinite(stack).all())
-        return all(
-            bool(np.isfinite(node.memory.buffer(name)).all())
-            for node in machine.nodes()
-        )
-
-    names = [source.name]
-    names += list(coefficients)
+    # Coefficients by their own buffer names: the statement names are
+    # bound to them only once the run starts.
+    names = [source.name] + [array.name for array in coefficients.values()]
     for term in getattr(compiled.pattern, "extra_terms", ()):
         if term.source not in names:
             names.append(term.source)
         coeff = term.coeff
-        if coeff.kind is CoeffKind.ARRAY and coeff.name not in names:
+        if (
+            coeff.kind is CoeffKind.ARRAY
+            and coeff.name not in coefficients
+            and coeff.name not in names
+        ):
             names.append(coeff.name)
     for name in names:
-        if not all_finite(name):
+        if not np.isfinite(intact_stack(source.machine, name)).all():
             raise NonFiniteInputError(
                 f"input array {name!r} contains NaN/Inf "
                 "(apply_stencil was called with check_finite=True)"
@@ -500,26 +490,22 @@ def machine_execute_fast(
     result_name: str,
     halo: int,
     guard: Optional[FaultGuard] = None,
-) -> bool:
+) -> None:
     """Compute every node's subgrid in one machine-wide kernel call.
 
-    The machine-wide analogue of :func:`node_execute_fast`: the taps
-    read windows of the stacked padded source, and the coefficient and
-    extra-source stacks, across the whole node grid.  Because float32
-    arithmetic is elementwise deterministic, the result is bit-identical
-    to the per-node loop (and therefore to exact mode).
-
-    Returns True when the batched path ran; False (having written
-    nothing) when any involved buffer is not backed by intact machine
-    storage, in which case the caller must run the per-node loop.
+    The taps read windows of the stacked padded source, and the
+    coefficient and extra-source stacks, across the whole node grid.
+    Because float32 arithmetic is elementwise deterministic, the result
+    is bit-identical to one node at a time (and therefore to exact
+    mode).  Raises :class:`ExecutionSetupError` naming any buffer that
+    is not backed by an intact machine-wide stack, having written
+    nothing.
     """
     halo_name = halo_buffer_name(source_name)
-    stacks = {}
-    for name in {halo_name, result_name} | _array_names(pattern):
-        stack = machine.stacked(name)
-        if stack is None:
-            return False
-        stacks[name] = stack
+    stacks = {
+        name: intact_stack(machine, name)
+        for name in {halo_name, result_name} | _array_names(pattern)
+    }
     result = stacks[result_name]
     tap_kernel(
         tap_steps(pattern, stacks[halo_name], halo, result.shape[2:], stacks),
@@ -528,7 +514,6 @@ def machine_execute_fast(
     if guard is not None:
         guard.inject_poison(result)
         guard.verify_finite(result, f"fast executor result {result_name!r}")
-    return True
 
 
 def machine_execute_fast_stack(

@@ -1114,22 +1114,6 @@ class HealthMonitor:
             rerouted = True
         return rerouted
 
-    def probe_node_links(self, coord, site: str) -> bool:
-        """Per-node fallback diagnosis: a node whose whole received
-        halo failed verification probes all four of its grid links.
-        Returns True when any reroute was established."""
-        row, col = coord
-        machine = self.machine
-        rows, cols = machine.shape
-        routes = []
-        if rows >= 2:
-            routes.append(((row, col), ((row - 1) % rows, col)))
-            routes.append(((row, col), ((row + 1) % rows, col)))
-        if cols >= 2:
-            routes.append(((row, col), (row, (col - 1) % cols)))
-            routes.append(((row, col), (row, (col + 1) % cols)))
-        return self.observe_route_failures(routes, site)
-
     # ------------------------------------------------------------------
     # Detour accounting (successful exchanges over rerouted links)
     # ------------------------------------------------------------------

@@ -18,6 +18,14 @@ EOSHIFT dimensions fill out-of-bounds halo regions with the statement's
 boundary value at the global array edges (interior node boundaries still
 receive neighbor data).
 
+Every public exchange -- the solo engine's shallow one, the
+temporal-blocking deep one, and the batched engine's shared ones -- is
+a thin caller of one primitive, :func:`_exchange`: it fills a padded
+stack at a given width in one of three message shapes (edges; edges
+plus the corner step; composed bands) and, under a fault guard, owns
+the hard-fault window, dead-link garbling, per-message parity checks,
+route localization, retry and backoff.
+
 Axis convention: every stack-level helper in this module indexes the
 node-grid axes at ``-4``/``-3`` and the subgrid axes at ``-2``/``-1``,
 so the same data movement serves the classic 4-d
@@ -29,7 +37,7 @@ machine pass exchanges the halos of every leading-axis copy at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +46,7 @@ from ..machine.memory import parity_word
 from ..machine.params import MachineParams
 from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import StencilPattern
-from .cm_array import CMArray
+from .cm_array import CMArray, intact_stack
 from .faults import FaultGuard, RetryExhaustedError
 
 
@@ -164,377 +172,6 @@ def deep_width_cost(
     )
 
 
-def exchange_halo_deep(
-    source_stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-    depth: int,
-    *,
-    guard: Optional[FaultGuard] = None,
-) -> CommStats:
-    """Fill a ``depth * pad``-deep padded stack by neighbor exchange.
-
-    The batched-only exchange behind temporal blocking: ``source_stack``
-    is a ``(grid_rows, grid_cols, rows, cols)`` stack and ``padded`` a
-    preallocated ``(grid_rows, grid_cols, rows + 2*deep, cols +
-    2*deep)`` destination (typically one of the ping-pong pair).  The
-    exchange runs in two passes -- north/south bands first, then
-    east/west bands over the *full padded height*, reading the
-    just-filled bands -- so the four corner blocks arrive composed, with
-    no separate diagonal step.  FILL dimensions then overwrite the
-    entire out-of-bounds band of the global-edge nodes, exactly the
-    state ``depth`` sequential exchanges would maintain.
-
-    Under ``guard`` (chaos runs), the injector may corrupt or drop
-    received bands, every message is checksummed against the senders'
-    data, and failed exchanges are retried with capped backoff -- every
-    attempt charged to the guard's tallies.
-
-    Returns the deep-exchange cost statistics.
-    """
-    rows, cols = subgrid_shape
-    pad = pattern.border_widths().max_width
-    deep = depth * pad
-    if deep > min(rows, cols):
-        raise ValueError(
-            f"deep halo width {deep} exceeds the subgrid extent "
-            f"{subgrid_shape}; the exchange primitive reaches only "
-            "immediate neighbors"
-        )
-    stats = deep_exchange_cost(pattern, subgrid_shape, params, depth)
-    if guard is None:
-        _fill_padded_deep(source_stack, padded, pattern, subgrid_shape, deep)
-        return stats
-
-    site = f"deep exchange (depth {depth})"
-    # Hard-fault window (see _exchange_halo_guarded).  The machine is
-    # known only when the guard is armed for hard faults.
-    machine = guard.machine
-    guard.begin_exchange(site)
-    attempt = 0
-    while True:
-        attempt += 1
-        _fill_padded_deep(source_stack, padded, pattern, subgrid_shape, deep)
-        guard.charge_exchange(stats, retry=attempt > 1)
-        if machine is not None and _corrupt_dead_links(
-            machine, padded, subgrid_shape, deep, full_height_ew=True
-        ):
-            _apply_fill_deep(padded, pattern, subgrid_shape, deep)
-        guard.inject_halo(_deep_regions(padded, deep, subgrid_shape))
-        bad = _verify_deep(source_stack, padded, pattern, subgrid_shape, deep)
-        if not bad:
-            if guard.monitor is not None:
-                guard.monitor.charge_detours(
-                    deep, subgrid_shape, params, full_height_ew=True
-                )
-            return stats
-        guard.note_detected("halo_checksum", site, ", ".join(bad))
-        if guard.monitor is not None:
-            expected = np.zeros_like(padded)
-            _fill_padded_deep(
-                source_stack, expected, pattern, subgrid_shape, deep
-            )
-            routes = _localize_bad_routes(
-                machine, padded, expected, subgrid_shape, deep,
-                full_height_ew=True,
-            )
-            guard.monitor.observe_route_failures(routes, site)
-        if attempt > guard.policy.max_retries:
-            raise RetryExhaustedError(
-                f"deep halo exchange failed checksum verification on "
-                f"{attempt} attempts (bad messages: {', '.join(bad)})"
-            )
-        guard.charge_backoff(attempt)
-
-
-def _fill_padded_deep(
-    source_stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    deep: int,
-) -> None:
-    """The deep exchange's pure data movement (no costing, no guard).
-
-    Leading-axes aware: any axes ahead of the node-grid pair are
-    carried through untouched, so a batched stack's every copy is
-    exchanged in the same pass.
-    """
-    rows, cols = subgrid_shape
-    padded[..., deep : deep + rows, deep : deep + cols] = source_stack
-    if deep == 0:
-        return
-    # Pass 1: north/south bands (interior width).
-    _torus_shift(
-        padded[..., :deep, deep : deep + cols],
-        source_stack[..., rows - deep :, :],
-        1, 0,
-    )
-    _torus_shift(
-        padded[..., deep + rows :, deep : deep + cols],
-        source_stack[..., :deep, :],
-        -1, 0,
-    )
-    # Pass 2: east/west bands over the full padded height.  The shifted
-    # columns include the neighbors' pass-1 bands, so the corner blocks
-    # arrive as the composed row+column shift -- no separate step.
-    _torus_shift(padded[..., :deep], padded[..., cols : cols + deep], 0, 1)
-    _torus_shift(
-        padded[..., deep + cols :], padded[..., deep : 2 * deep], 0, -1
-    )
-    _apply_fill_deep(padded, pattern, subgrid_shape, deep)
-
-
-def _apply_fill_deep(
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    deep: int,
-) -> None:
-    """(Re-)apply the FILL boundary overwrites to a deep buffer (see
-    :func:`_apply_fill_shallow` for why this is separable)."""
-    rows, cols = subgrid_shape
-    dim_row, dim_col = pattern.plane_dims
-    fill = np.float32(pattern.fill_value)
-    if pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR) is BoundaryMode.FILL:
-        padded[..., 0, :, :deep, :] = fill
-        padded[..., -1, :, deep + rows :, :] = fill
-    if pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR) is BoundaryMode.FILL:
-        padded[..., :, 0, :, :deep] = fill
-        padded[..., :, -1, :, deep + cols :] = fill
-
-
-def _deep_regions(
-    padded: np.ndarray, deep: int, subgrid_shape: Tuple[int, int]
-) -> List[Tuple[str, np.ndarray]]:
-    """The deep exchange's received message bands, as (label, view)."""
-    rows, cols = subgrid_shape
-    if deep == 0:
-        return []
-    return [
-        ("north band", padded[..., :deep, deep : deep + cols]),
-        ("south band", padded[..., deep + rows :, deep : deep + cols]),
-        ("west band", padded[..., :deep]),
-        ("east band", padded[..., deep + cols :]),
-    ]
-
-
-def _verify_deep(
-    source_stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    deep: int,
-) -> List[str]:
-    """Checksum each received band against the senders' data.
-
-    Recomputes the exchange into a scratch destination (the model of
-    the sender-side checksum) and compares the parity word of every
-    message band.  Returns the labels of mismatched bands.
-    """
-    expected = np.zeros_like(padded)
-    _fill_padded_deep(source_stack, expected, pattern, subgrid_shape, deep)
-    got = _deep_regions(padded, deep, subgrid_shape)
-    want = _deep_regions(expected, deep, subgrid_shape)
-    return [
-        label
-        for (label, region), (_, reference) in zip(got, want)
-        if parity_word(region) != parity_word(reference)
-    ]
-
-
-def exchange_halo_batch(
-    stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-    *,
-    copies: int = 1,
-    guard: Optional[FaultGuard] = None,
-    site: str = "batch exchange",
-) -> CommStats:
-    """One machine pass filling the shallow halos of ``copies`` stacked
-    grids at once.
-
-    ``stack`` is a ``(..., grid_rows, grid_cols, rows, cols)`` stack
-    whose leading axes enumerate independent grids (batch entries,
-    filter states); ``padded`` is the preallocated destination with the
-    same leading axes and ``2 * pad`` larger subgrid extents.  The data
-    of every copy moves in the same four slice assignments -- this is
-    the batched multi-convolution's amortization primitive -- but each
-    copy's halo is a real message, so the caller charges ``copies``
-    exchanges at the returned per-copy :class:`CommStats`.
-
-    Under ``guard`` the exchange is checksummed and retried exactly
-    like :func:`exchange_halo`'s batched path, with every attempt
-    charged ``copies`` times.
-
-    Returns the per-copy cost statistics.
-    """
-    rows, cols = subgrid_shape
-    pad = pattern.border_widths().max_width
-    if pad > min(rows, cols):
-        raise ValueError(
-            f"halo width {pad} exceeds the subgrid extent {subgrid_shape}; "
-            "the exchange primitive reaches only immediate neighbors"
-        )
-    stats = exchange_cost(pattern, subgrid_shape, params)
-    if guard is None:
-        _fill_padded_shallow(stack, padded, pattern, stats, subgrid_shape)
-        return stats
-
-    machine = guard.machine
-    guard.begin_exchange(site)
-    attempt = 0
-    while True:
-        attempt += 1
-        _fill_padded_shallow(stack, padded, pattern, stats, subgrid_shape)
-        for _ in range(max(1, copies)):
-            guard.charge_exchange(stats, retry=attempt > 1)
-        if machine is not None and _corrupt_dead_links(
-            machine, padded, subgrid_shape, stats.pad, full_height_ew=False
-        ):
-            _apply_fill_shallow(padded, pattern, stats, subgrid_shape)
-        guard.inject_halo(_shallow_regions(padded, stats, subgrid_shape))
-        bad = _verify_shallow_batched(
-            stack, padded, pattern, stats, subgrid_shape
-        )
-        if not bad:
-            if guard.monitor is not None:
-                for _ in range(max(1, copies)):
-                    guard.monitor.charge_detours(
-                        stats.pad, subgrid_shape, params
-                    )
-            return stats
-        guard.note_detected("halo_checksum", site, ", ".join(bad))
-        if guard.monitor is not None:
-            expected = np.zeros_like(padded)
-            _fill_padded_shallow(
-                stack, expected, pattern, stats, subgrid_shape
-            )
-            routes = _localize_bad_routes(
-                machine, padded, expected, subgrid_shape, stats.pad,
-                full_height_ew=False,
-            )
-            guard.monitor.observe_route_failures(routes, site)
-        if attempt > guard.policy.max_retries:
-            raise RetryExhaustedError(
-                f"{site} failed checksum verification on {attempt} "
-                f"attempts (bad messages: {', '.join(bad)})"
-            )
-        guard.charge_backoff(attempt)
-
-
-def exchange_halo_deep_width(
-    stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-    deep: int,
-) -> CommStats:
-    """A composed-corner deep exchange at an explicit halo width.
-
-    The batched blocked path exchanges the whole batch's source once at
-    the largest deep width any filter in the group needs; each filter
-    then copies its centered window out locally (no further messages).
-    Leading axes carry through like :func:`exchange_halo_batch`.
-    """
-    rows, cols = subgrid_shape
-    if deep > min(rows, cols):
-        raise ValueError(
-            f"deep halo width {deep} exceeds the subgrid extent "
-            f"{subgrid_shape}; the exchange primitive reaches only "
-            "immediate neighbors"
-        )
-    stats = deep_width_cost(subgrid_shape, params, deep)
-    _fill_padded_deep(stack, padded, pattern, subgrid_shape, deep)
-    return stats
-
-
-def exchange_halo_group(
-    stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-    deep: int,
-    *,
-    copies: int = 1,
-    guard: Optional[FaultGuard] = None,
-    site: str = "group exchange",
-) -> CommStats:
-    """One machine pass filling a width-``deep`` composed-corner halo
-    for ``copies`` stacked grids at once.
-
-    The mixed-footprint variant of :func:`exchange_halo_batch`: when the
-    filters sharing an exchange have *different* pads, the group
-    exchanges once at the widest pad and every filter reads its own
-    centered window of the result (a centered sub-window of a wider
-    exchange is bit-identical to that filter's own exchange).  Corners
-    arrive composed -- the wider halo must serve filters with diagonal
-    reach -- so the per-copy cost is :func:`deep_width_cost`.
-
-    ``pattern`` supplies only the boundary modes and fill value, which
-    grouping guarantees are uniform across the group's filters.
-
-    Under ``guard`` the exchange is checksummed and retried exactly like
-    :func:`exchange_halo_deep`, with every attempt charged ``copies``
-    times.  Returns the per-copy cost statistics.
-    """
-    rows, cols = subgrid_shape
-    if deep > min(rows, cols):
-        raise ValueError(
-            f"group halo width {deep} exceeds the subgrid extent "
-            f"{subgrid_shape}; the exchange primitive reaches only "
-            "immediate neighbors"
-        )
-    stats = deep_width_cost(subgrid_shape, params, deep)
-    if guard is None:
-        _fill_padded_deep(stack, padded, pattern, subgrid_shape, deep)
-        return stats
-
-    machine = guard.machine
-    guard.begin_exchange(site)
-    attempt = 0
-    while True:
-        attempt += 1
-        _fill_padded_deep(stack, padded, pattern, subgrid_shape, deep)
-        for _ in range(max(1, copies)):
-            guard.charge_exchange(stats, retry=attempt > 1)
-        if machine is not None and _corrupt_dead_links(
-            machine, padded, subgrid_shape, deep, full_height_ew=True
-        ):
-            _apply_fill_deep(padded, pattern, subgrid_shape, deep)
-        guard.inject_halo(_deep_regions(padded, deep, subgrid_shape))
-        bad = _verify_deep(stack, padded, pattern, subgrid_shape, deep)
-        if not bad:
-            if guard.monitor is not None:
-                for _ in range(max(1, copies)):
-                    guard.monitor.charge_detours(
-                        deep, subgrid_shape, params, full_height_ew=True
-                    )
-            return stats
-        guard.note_detected("halo_checksum", site, ", ".join(bad))
-        if guard.monitor is not None:
-            expected = np.zeros_like(padded)
-            _fill_padded_deep(stack, expected, pattern, subgrid_shape, deep)
-            routes = _localize_bad_routes(
-                machine, padded, expected, subgrid_shape, deep,
-                full_height_ew=True,
-            )
-            guard.monitor.observe_route_failures(routes, site)
-        if attempt > guard.policy.max_retries:
-            raise RetryExhaustedError(
-                f"{site} failed checksum verification on {attempt} "
-                f"attempts (bad messages: {', '.join(bad)})"
-            )
-        guard.charge_backoff(attempt)
-
-
 def legacy_exchange_cost(
     pattern: StencilPattern,
     subgrid_shape: Tuple[int, int],
@@ -591,15 +228,14 @@ def exchange_halo(
     params: MachineParams,
     *,
     into: Optional[str] = None,
-    batched: bool = True,
     guard: Optional[FaultGuard] = None,
 ) -> CommStats:
     """Build every node's padded source buffer by neighbor exchange.
 
-    Allocates (or refreshes) the ``<name>__halo__`` buffer on each node
-    and fills its interior from the node's own subgrid and its halo from
-    the four edge neighbors plus, when the pattern reaches diagonally,
-    the four corner neighbors.
+    Allocates (or refreshes) the ``<name>__halo__`` stack and fills
+    every node's interior from its own subgrid and its halo from the
+    four edge neighbors plus, when the pattern reaches diagonally, the
+    four corner neighbors.
 
     Args:
         source: the distributed array whose data is exchanged.
@@ -611,230 +247,439 @@ def exchange_halo(
             previous iteration's *result* array as ``source`` with
             ``into`` still naming the original source's halo buffer, so
             the compiled plans keep reading the same buffer name.
-        batched: perform the exchange as whole-machine slice assignments
-            on the stacked storage (one operation per direction, exactly
-            like the four-neighbor primitive) instead of a per-node
-            Python loop.  Falls back to the per-node loop automatically
-            when the source is not stack-backed.
-        guard: resilience guard for chaos runs.  When given, the
-            injector may corrupt or drop received messages, every
-            message is checksummed against the sender's data, and
-            failed exchanges are retried with capped backoff -- every
-            attempt charged to the guard's tallies.
+        guard: resilience guard for chaos runs (see :func:`_exchange`).
 
+    Raises :class:`~repro.runtime.cm_array.ExecutionSetupError` when a
+    node's ``source`` buffer is detached from its machine-wide stack.
     Returns the per-node cost statistics.
     """
-    rows, cols = source.subgrid_shape
-    pad = pattern.border_widths().max_width
-    if pad > min(rows, cols):
-        raise ValueError(
-            f"halo width {pad} exceeds the subgrid extent {source.subgrid_shape}; "
-            "the exchange primitive reaches only immediate neighbors"
-        )
-    stats = exchange_cost(pattern, source.subgrid_shape, params)
-    name = into if into is not None else halo_buffer_name(source.name)
-    if guard is not None:
-        return _exchange_halo_guarded(
-            source, pattern, stats, name, batched, guard, params
-        )
-    if batched and _exchange_halo_batched(source, pattern, stats, name):
-        return stats
-    _exchange_halo_per_node(source, pattern, stats, name)
-    return stats
-
-
-def _exchange_halo_guarded(
-    source: CMArray,
-    pattern: StencilPattern,
-    stats: CommStats,
-    name: str,
-    batched: bool,
-    guard: FaultGuard,
-    params: MachineParams,
-) -> CommStats:
-    """The checksummed, retried shallow exchange (chaos runs only)."""
     machine = source.machine
-    subgrid_shape = source.subgrid_shape
-    site = f"exchange into {name!r}"
-    # Hard-fault window: the injector may break hardware now, and a
-    # dead participant misses the deadline here -- before any data
-    # moves and before any exchange is charged.
+    name = into if into is not None else halo_buffer_name(source.name)
+    stats = exchange_cost(pattern, source.subgrid_shape, params)
+    rows, cols = source.subgrid_shape
+    shape = (rows + 2 * stats.pad, cols + 2 * stats.pad)
+
+    def destination() -> np.ndarray:
+        padded = machine.stacked(name)
+        if padded is None or padded.shape[2:] != shape:
+            padded = machine.alloc_stacked(name, shape)
+        return padded
+
+    return _exchange(
+        intact_stack(machine, source.name),
+        destination,
+        pattern,
+        source.subgrid_shape,
+        params,
+        stats,
+        guard=guard,
+        site=f"exchange into {name!r}",
+    )
+
+
+def exchange_halo_deep(
+    source_stack: np.ndarray,
+    padded: np.ndarray,
+    pattern: StencilPattern,
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+    depth: int,
+    *,
+    guard: Optional[FaultGuard] = None,
+) -> CommStats:
+    """Fill a ``depth * pad``-deep padded stack by neighbor exchange.
+
+    The exchange behind temporal blocking: ``padded`` is a preallocated
+    destination (typically one of the ping-pong pair) with
+    ``source_stack``'s leading axes and ``2 * depth * pad`` larger
+    subgrid extents.  The bands arrive composed (see :data:`BANDS`), and
+    FILL dimensions overwrite the entire out-of-bounds band of the
+    global-edge nodes -- exactly the state ``depth`` sequential
+    exchanges would maintain.  ``guard`` as in :func:`_exchange`.
+
+    Returns the deep-exchange cost statistics.
+    """
+    return _exchange(
+        source_stack,
+        padded,
+        pattern,
+        subgrid_shape,
+        params,
+        deep_exchange_cost(pattern, subgrid_shape, params, depth),
+        composed=True,
+        guard=guard,
+        site=f"deep exchange (depth {depth})",
+    )
+
+
+def exchange_halo_batch(
+    stack: np.ndarray,
+    padded: np.ndarray,
+    pattern: StencilPattern,
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+    *,
+    copies: int = 1,
+    guard: Optional[FaultGuard] = None,
+    site: str = "batch exchange",
+) -> CommStats:
+    """One machine pass filling the shallow halos of ``copies`` stacked
+    grids at once.
+
+    ``stack`` is a ``(..., grid_rows, grid_cols, rows, cols)`` stack
+    whose leading axes enumerate independent grids (batch entries,
+    filter states); ``padded`` is the preallocated destination with the
+    same leading axes and ``2 * pad`` larger subgrid extents.  The data
+    of every copy moves in the same slice assignments -- this is the
+    batched multi-convolution's amortization primitive -- but each
+    copy's halo is a real message, so the caller charges ``copies``
+    exchanges at the returned per-copy :class:`CommStats` (and so does
+    ``guard``, every attempt).
+    """
+    return _exchange(
+        stack,
+        padded,
+        pattern,
+        subgrid_shape,
+        params,
+        exchange_cost(pattern, subgrid_shape, params),
+        copies=copies,
+        guard=guard,
+        site=site,
+    )
+
+
+def exchange_halo_deep_width(
+    stack: np.ndarray,
+    padded: np.ndarray,
+    pattern: StencilPattern,
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+    deep: int,
+) -> CommStats:
+    """A composed-corner deep exchange at an explicit halo width.
+
+    The batched blocked path exchanges the whole batch's source once at
+    the largest deep width any filter in the group needs; each filter
+    then copies its centered window out locally (no further messages).
+    Leading axes carry through like :func:`exchange_halo_batch`.
+    """
+    return exchange_halo_group(stack, padded, pattern, subgrid_shape, params, deep)
+
+
+def exchange_halo_group(
+    stack: np.ndarray,
+    padded: np.ndarray,
+    pattern: StencilPattern,
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+    deep: int,
+    *,
+    copies: int = 1,
+    guard: Optional[FaultGuard] = None,
+    site: str = "group exchange",
+) -> CommStats:
+    """One machine pass filling a width-``deep`` composed-corner halo
+    for ``copies`` stacked grids at once.
+
+    The mixed-footprint variant of :func:`exchange_halo_batch`: when the
+    filters sharing an exchange have *different* pads, the group
+    exchanges once at the widest pad and every filter reads its own
+    centered window of the result (a centered sub-window of a wider
+    exchange is bit-identical to that filter's own exchange).  Corners
+    arrive composed -- the wider halo must serve filters with diagonal
+    reach -- so the per-copy cost is :func:`deep_width_cost`.
+
+    ``pattern`` supplies only the boundary modes and fill value, which
+    grouping guarantees are uniform across the group's filters.
+    Returns the per-copy cost statistics.
+    """
+    return _exchange(
+        stack,
+        padded,
+        pattern,
+        subgrid_shape,
+        params,
+        deep_width_cost(subgrid_shape, params, deep),
+        composed=True,
+        copies=copies,
+        guard=guard,
+        site=site,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the exchange primitive
+
+#: Message shapes.  ``EDGES``: the four edge messages, corner step
+#: skipped (the corner blocks are scrubbed to zero -- temp storage, never
+#: read).  ``CORNERS``: the edges plus the corner step's four diagonal
+#: messages.  ``BANDS``: north/south bands first, then east/west bands
+#: over the *full padded height*, read from the just-filled north/south
+#: bands, so the corner blocks arrive as the composed row+column shift
+#: with no separate step (deep and group exchanges).
+EDGES, CORNERS, BANDS = "edges", "corners", "bands"
+
+#: ``(label, down, right)`` of the edge and corner messages: a shift of
+#: ``down``/``right`` node rows/columns on the torus delivers each node
+#: the data of the neighbor at the smaller index (+1, its North/West
+#: neighbor) or at the larger one (-1).
+_SIDES = (("north", 1, 0), ("south", -1, 0), ("west", 0, 1), ("east", 0, -1))
+_CORNERS = (("NW", 1, 1), ("NE", 1, -1), ("SW", -1, 1), ("SE", -1, -1))
+
+#: One message: ``(label, (down, right), window)`` (see :func:`_messages`).
+_Message = Tuple[str, Tuple[int, int], Tuple[slice, slice]]
+
+
+def _exchange(
+    stack: np.ndarray,
+    padded: Union[np.ndarray, Callable[[], np.ndarray]],
+    pattern: StencilPattern,
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+    stats: CommStats,
+    *,
+    composed: bool = False,
+    copies: int = 1,
+    guard: Optional[FaultGuard] = None,
+    site: str,
+) -> CommStats:
+    """The one exchange primitive behind every public exchange.
+
+    Fills ``padded`` -- a stack with ``stack``'s leading axes and
+    ``2 * stats.pad`` larger subgrid extents, or a function returning
+    it -- from ``stack`` in one machine pass, every leading-axis copy
+    at once.  The messages are :data:`BANDS` when ``composed``, else
+    :data:`EDGES` or :data:`CORNERS` as ``stats`` skips the corner step
+    or not.  ``copies`` counts the grids the leading axes hold; each
+    one's halo is a real message.
+
+    Under ``guard`` (chaos runs) the exchange opens with the hard-fault
+    window: the injector may break hardware, and a dead participant
+    misses the deadline -- before ``padded`` is produced, any data moves
+    or anything is charged.  Then every attempt is charged ``copies``
+    times, bands that crossed a dead link are garbled, the injector may
+    corrupt any message, and every message is parity-checked against
+    the senders' data.  A failed check is localized to routes for the
+    health monitor and retried with capped backoff, up to
+    ``policy.max_retries`` retries.
+
+    Raises ValueError when the halo is wider than the subgrid.  Returns
+    ``stats``.
+    """
+    width = stats.pad
+    if width > min(subgrid_shape):
+        raise ValueError(
+            f"{site}: halo width {width} exceeds the subgrid extent "
+            f"{tuple(subgrid_shape)}; the exchange primitive reaches only "
+            "immediate neighbors"
+        )
+    shape = BANDS if composed else EDGES if stats.corner_step_skipped else CORNERS
+    if guard is None:
+        if callable(padded):
+            padded = padded()
+        _fill(stack, padded, pattern, subgrid_shape, width, shape)
+        return stats
+
+    # The hard-fault window, before the destination exists.
     guard.begin_exchange(site)
+    if callable(padded):
+        padded = padded()
+    machine, monitor = guard.machine, guard.monitor
+    messages = _messages(width, subgrid_shape, shape)
+    # The senders' data: the model of each message's sender-side checksum.
+    expected = np.zeros_like(padded)
+    _fill(stack, expected, pattern, subgrid_shape, width, shape)
+    charges = max(1, copies)
     attempt = 0
     while True:
         attempt += 1
-        used_batched = batched and _exchange_halo_batched(
-            source, pattern, stats, name
+        _fill(stack, padded, pattern, subgrid_shape, width, shape)
+        for _ in range(charges):
+            guard.charge_exchange(stats, retry=attempt > 1)
+        if machine is not None and _garble_dead_links(machine, padded, messages):
+            _apply_fill(padded, pattern, subgrid_shape, width, shape)
+        guard.inject_halo(
+            [(label, padded[(Ellipsis,) + window]) for label, _, window in messages]
         )
-        if not used_batched:
-            _exchange_halo_per_node(source, pattern, stats, name)
-        guard.charge_exchange(stats, retry=attempt > 1)
-        if used_batched:
-            padded = machine.stacked(name)
-            if _corrupt_dead_links(
-                machine, padded, subgrid_shape, stats.pad,
-                full_height_ew=False,
-            ):
-                _apply_fill_shallow(padded, pattern, stats, subgrid_shape)
-            guard.inject_halo(_shallow_regions(padded, stats, subgrid_shape))
-            bad = _verify_shallow_batched(
-                machine.stacked(source.name),
-                padded,
-                pattern,
-                stats,
-                subgrid_shape,
-            )
-        else:
-            _corrupt_dead_links_per_node(
-                machine, name, pattern, stats, subgrid_shape
-            )
-            guard.inject_halo(
-                _per_node_regions(machine, stats, subgrid_shape, name)
-            )
-            bad_coords = _verify_shallow_per_node(
-                machine, source.name, pattern, stats, subgrid_shape, name
-            )
-            bad = [f"node({r},{c})" for (r, c) in bad_coords]
+        bad = [
+            label
+            for label, _, window in messages
+            if parity_word(padded[(Ellipsis,) + window])
+            != parity_word(expected[(Ellipsis,) + window])
+        ]
         if not bad:
-            if guard.monitor is not None:
-                guard.monitor.charge_detours(
-                    stats.pad, subgrid_shape, params
-                )
+            if monitor is not None:
+                for _ in range(charges):
+                    monitor.charge_detours(
+                        width, subgrid_shape, params, full_height_ew=composed
+                    )
             return stats
         guard.note_detected("halo_checksum", site, ", ".join(bad))
         # Route diagnosis: attribute the failures to physical links so
         # a dead link is confirmed (and routed around) after enough
         # failures on the same route.
-        if guard.monitor is not None:
-            if used_batched:
-                expected = np.zeros_like(padded)
-                _fill_padded_shallow(
-                    machine.stacked(source.name),
-                    expected,
-                    pattern,
-                    stats,
-                    subgrid_shape,
-                )
-                routes = _localize_bad_routes(
-                    machine, padded, expected, subgrid_shape, stats.pad,
-                    full_height_ew=False,
-                )
-                guard.monitor.observe_route_failures(routes, site)
-            else:
-                for coord in bad_coords:
-                    guard.monitor.probe_node_links(coord, site)
+        if monitor is not None:
+            monitor.observe_route_failures(
+                _bad_routes(machine, padded, expected, messages), site
+            )
         if attempt > guard.policy.max_retries:
             raise RetryExhaustedError(
-                f"halo exchange into {name!r} failed checksum verification "
-                f"on {attempt} attempts (bad messages: {', '.join(bad)})"
+                f"{site} failed checksum verification on {attempt} "
+                f"attempts (bad messages: {', '.join(bad)})"
             )
         guard.charge_backoff(attempt)
 
 
-def _shallow_regions(
-    padded: np.ndarray, stats: CommStats, subgrid_shape: Tuple[int, int]
-) -> List[Tuple[str, np.ndarray]]:
-    """The batched exchange's received messages, as (label, view).
+def _messages(
+    width: int, subgrid_shape: Tuple[int, int], shape: str
+) -> List[_Message]:
+    """One exchange's messages, as ``(label, (down, right), window)``.
 
-    Only actual messages are listed: the interior is the node's own
-    data and scrubbed corners are never read, so neither can carry a
-    transmission fault.
+    ``(down, right)`` is the torus shift that delivers the message (see
+    :data:`_SIDES`) and ``window`` the region of each node's padded
+    buffer it fills.  Only actual messages are listed: the interior is
+    the node's own data and scrubbed corners are never read, so neither
+    can carry a transmission fault.
     """
-    rows, cols = subgrid_shape
-    pad = stats.pad
-    if pad == 0:
+    if width == 0:
         return []
-    regions = [
-        ("north edge", padded[..., :pad, pad : pad + cols]),
-        ("south edge", padded[..., pad + rows :, pad : pad + cols]),
-        ("west edge", padded[..., pad : pad + rows, :pad]),
-        ("east edge", padded[..., pad : pad + rows, pad + cols :]),
-    ]
-    if not stats.corner_step_skipped:
-        regions += [
-            ("NW corner", padded[..., :pad, :pad]),
-            ("NE corner", padded[..., :pad, pad + cols :]),
-            ("SW corner", padded[..., pad + rows :, :pad]),
-            ("SE corner", padded[..., pad + rows :, pad + cols :]),
+    rows, cols = subgrid_shape
+    kind = "band" if shape == BANDS else "edge"
+    messages = []
+    for side, down, right in _SIDES:
+        window_rows = _landing(down, width, rows)
+        if shape == BANDS and down == 0:
+            window_rows = slice(None)
+        messages.append(
+            (
+                f"{side} {kind}",
+                (down, right),
+                (window_rows, _landing(right, width, cols)),
+            )
+        )
+    if shape == CORNERS:
+        messages += [
+            (
+                f"{corner} corner",
+                (down, right),
+                (_landing(down, width, rows), _landing(right, width, cols)),
+            )
+            for corner, down, right in _CORNERS
         ]
-    return regions
+    return messages
 
 
-def _verify_shallow_batched(
+def _landing(shift: int, width: int, extent: int) -> slice:
+    """Where a message delivered by ``shift`` lands along one axis of
+    the padded buffer: the low halo (+1), the high halo (-1), or the
+    interior span (0)."""
+    if shift == 1:
+        return slice(None, width)
+    if shift == -1:
+        return slice(width + extent, None)
+    return slice(width, width + extent)
+
+
+def _sending(shift: int, width: int, extent: int) -> slice:
+    """What the sender of a message delivered by ``shift`` sends along
+    one subgrid axis: its high rows/columns (+1), its low ones (-1), or
+    the whole extent (0)."""
+    if shift == 1:
+        return slice(extent - width, None)
+    if shift == -1:
+        return slice(None, width)
+    return slice(None)
+
+
+def _fill(
     stack: np.ndarray,
     padded: np.ndarray,
     pattern: StencilPattern,
-    stats: CommStats,
     subgrid_shape: Tuple[int, int],
-) -> List[str]:
-    """Checksum each received message against the senders' data."""
-    expected = np.zeros_like(padded)
-    _fill_padded_shallow(stack, expected, pattern, stats, subgrid_shape)
-    got = _shallow_regions(padded, stats, subgrid_shape)
-    want = _shallow_regions(expected, stats, subgrid_shape)
-    return [
-        label
-        for (label, region), (_, reference) in zip(got, want)
-        if parity_word(region) != parity_word(reference)
-    ]
+    width: int,
+    shape: str,
+) -> None:
+    """One exchange's pure data movement (no costing, no guard).
 
-
-def _per_node_regions(
-    machine: CM2,
-    stats: CommStats,
-    subgrid_shape: Tuple[int, int],
-    name: str,
-) -> List[Tuple[str, np.ndarray]]:
-    """Every node's received messages on the per-node fallback path."""
-    rows, cols = subgrid_shape
-    pad = stats.pad
-    if pad == 0:
-        return []
-    regions: List[Tuple[str, np.ndarray]] = []
-    for node in machine.nodes():
-        padded = node.memory.buffer(name)
-        at = f"({node.coord.row},{node.coord.col})"
-        regions += [
-            (f"north edge@{at}", padded[:pad, pad : pad + cols]),
-            (f"south edge@{at}", padded[pad + rows :, pad : pad + cols]),
-            (f"west edge@{at}", padded[pad : pad + rows, :pad]),
-            (f"east edge@{at}", padded[pad : pad + rows, pad + cols :]),
-        ]
-        if not stats.corner_step_skipped:
-            regions += [
-                (f"NW corner@{at}", padded[:pad, :pad]),
-                (f"NE corner@{at}", padded[:pad, pad + cols :]),
-                (f"SW corner@{at}", padded[pad + rows :, :pad]),
-                (f"SE corner@{at}", padded[pad + rows :, pad + cols :]),
-            ]
-    return regions
-
-
-def _verify_shallow_per_node(
-    machine: CM2,
-    source_name: str,
-    pattern: StencilPattern,
-    stats: CommStats,
-    subgrid_shape: Tuple[int, int],
-    name: str,
-) -> List[Tuple[int, int]]:
-    """Checksum every node's whole padded buffer against a recompute.
-
-    Returns the grid coordinates of nodes whose buffers mismatch (the
-    caller formats labels and, under a monitor, probes their links).
+    Leading-axes aware (see the module docstring): ``stack`` and
+    ``padded`` may carry any number of axes ahead of the node-grid
+    pair, and every leading-axis copy is exchanged in the same pass.
     """
     rows, cols = subgrid_shape
-    pad = stats.pad
-    bad: List[Tuple[int, int]] = []
-    expected = np.zeros((rows + 2 * pad, cols + 2 * pad), dtype=np.float32)
-    for node in machine.nodes():
-        expected[...] = 0.0
-        _fill_node_padded(
-            machine, node, source_name, pattern, stats, subgrid_shape, expected
-        )
-        if parity_word(node.memory.buffer(name)) != parity_word(expected):
-            bad.append((node.coord.row, node.coord.col))
-    return bad
+    # Every node's interior is its own subgrid.
+    padded[..., width : width + rows, width : width + cols] = stack
+    # The messages, exchanged with all neighbors at once.
+    for _, (down, right), window in _messages(width, subgrid_shape, shape):
+        if shape == BANDS and down == 0:
+            # The sender's padded columns, north/south bands included.
+            sent = padded[..., width : width + cols][
+                ..., _sending(right, width, cols)
+            ]
+        else:
+            sent = stack[
+                ..., _sending(down, width, rows), _sending(right, width, cols)
+            ]
+        _torus_shift(padded[(Ellipsis,) + window], sent, down, right)
+    if shape == EDGES:
+        # Corner step skipped: scrub the corner blocks so a reused
+        # buffer matches a freshly allocated one.
+        for _, down, right in _CORNERS:
+            padded[
+                ..., _landing(down, width, rows), _landing(right, width, cols)
+            ] = 0.0
+    _apply_fill(padded, pattern, subgrid_shape, width, shape)
+
+
+def _torus_shift(
+    dst: np.ndarray, src: np.ndarray, down: int, right: int
+) -> None:
+    """``dst[...] = np.roll(src, (down, right), axis=(-4, -3))`` for
+    shifts of -1, 0 or +1 node, without the rolled temporary: each band
+    is assigned straight from its neighbor, plus one slice per shifted
+    axis for the torus seam."""
+    for dst_rows, src_rows in _seam(down):
+        for dst_cols, src_cols in _seam(right):
+            dst[..., dst_rows, dst_cols, :, :] = src[..., src_rows, src_cols, :, :]
+
+
+def _seam(shift: int) -> Tuple[Tuple[slice, slice], ...]:
+    """``(destination, source)`` slice pairs of a one-axis torus shift."""
+    if shift == 0:
+        return ((slice(None), slice(None)),)
+    if shift == 1:
+        return ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
+    return ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(0, 1)))
+
+
+def _apply_fill(
+    padded: np.ndarray,
+    pattern: StencilPattern,
+    subgrid_shape: Tuple[int, int],
+    width: int,
+    shape: str,
+) -> None:
+    """(Re-)apply the FILL boundary overwrites: the global-edge nodes'
+    out-of-bounds bands of every EOSHIFT dimension hold the statement's
+    boundary value, corner blocks included unless the corner step is
+    skipped.
+
+    Kept separate from the data movement so the guarded path can garble
+    the bands a dead link carried and then restore the FILL bands -- no
+    message ever crossed a link there, so a dead link cannot corrupt
+    them.
+    """
+    rows, cols = subgrid_shape
+    dim_row, dim_col = pattern.plane_dims
+    fill = np.float32(pattern.fill_value)
+    if pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR) is BoundaryMode.FILL:
+        span = slice(width, width + cols) if shape == EDGES else slice(None)
+        padded[..., 0, :, :width, span] = fill
+        padded[..., -1, :, width + rows :, span] = fill
+    if pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR) is BoundaryMode.FILL:
+        span = slice(width, width + rows) if shape == EDGES else slice(None)
+        padded[..., :, 0, span, :width] = fill
+        padded[..., :, -1, span, width + cols :] = fill
 
 
 def _dead_link_pairs(
@@ -878,376 +723,53 @@ def _dead_link_pairs(
     return pairs
 
 
-def _corrupt_dead_links(
+def _garble_dead_links(
     machine: CM2,
     padded: np.ndarray,
-    subgrid_shape: Tuple[int, int],
-    depth: int,
-    *,
-    full_height_ew: bool,
+    messages: List[_Message],
 ) -> bool:
-    """Corrupt every band that crossed a dead, un-rerouted link.
+    """Garble every band that crossed a dead, un-rerouted link.
 
     Models the hardware truth: a severed wire garbles everything it
     carries, every time, until the runtime routes around it.  Corner
     blocks travel the diagonal hypercube channels and are unaffected.
     The caller re-applies the FILL overwrites afterwards (a FILL band
-    carries no message).  Returns True when anything was corrupted.
+    carries no message).  Returns True when anything was garbled.
     """
     pairs = _dead_link_pairs(machine)
-    if not pairs or depth == 0:
+    if not pairs or not messages:
         return False
-    rows, cols = subgrid_shape
-    d = depth
+    window = {shift: window for _, shift, window in messages}
     nan = np.float32(np.nan)
     for orientation, first, second in pairs:
-        if orientation == "v":
-            north, south = first, second
-            padded[..., south[0], south[1], :d, d : d + cols] = nan
-            padded[..., north[0], north[1], d + rows :, d : d + cols] = nan
-        else:
-            west, east = first, second
-            if full_height_ew:
-                padded[..., east[0], east[1], :, :d] = nan
-                padded[..., west[0], west[1], :, d + cols :] = nan
-            else:
-                padded[..., east[0], east[1], d : d + rows, :d] = nan
-                padded[..., west[0], west[1], d : d + rows, d + cols :] = nan
+        # ``first`` is the North (or West) end: ``second`` receives its
+        # data through the +1 shift, and it receives ``second``'s
+        # through the -1 shift.
+        down, right = (1, 0) if orientation == "v" else (0, 1)
+        padded[(Ellipsis,) + second + window[down, right]] = nan
+        padded[(Ellipsis,) + first + window[-down, -right]] = nan
     return True
 
 
-def _corrupt_dead_links_per_node(
-    machine: CM2,
-    name: str,
-    pattern: StencilPattern,
-    stats: CommStats,
-    subgrid_shape: Tuple[int, int],
-) -> bool:
-    """Per-node variant of :func:`_corrupt_dead_links`: skips FILL
-    bands directly instead of re-applying the overwrites."""
-    pairs = _dead_link_pairs(machine)
-    pad = stats.pad
-    if not pairs or pad == 0:
-        return False
-    rows, cols = subgrid_shape
-    grid_rows, grid_cols = machine.shape
-    dim_row, dim_col = pattern.plane_dims
-    row_fills = (
-        pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR)
-        is BoundaryMode.FILL
-    )
-    col_fills = (
-        pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR)
-        is BoundaryMode.FILL
-    )
-    nan = np.float32(np.nan)
-    for orientation, first, second in pairs:
-        if orientation == "v":
-            north, south = first, second
-            if not (south[0] == 0 and row_fills):
-                buffer = machine.node(*south).memory.buffer(name)
-                buffer[:pad, pad : pad + cols] = nan
-            if not (north[0] == grid_rows - 1 and row_fills):
-                buffer = machine.node(*north).memory.buffer(name)
-                buffer[pad + rows :, pad : pad + cols] = nan
-        else:
-            west, east = first, second
-            if not (east[1] == 0 and col_fills):
-                buffer = machine.node(*east).memory.buffer(name)
-                buffer[pad : pad + rows, :pad] = nan
-            if not (west[1] == grid_cols - 1 and col_fills):
-                buffer = machine.node(*west).memory.buffer(name)
-                buffer[pad : pad + rows, pad + cols :] = nan
-    return True
-
-
-def _localize_bad_routes(
+def _bad_routes(
     machine: CM2,
     padded: np.ndarray,
     expected: np.ndarray,
-    subgrid_shape: Tuple[int, int],
-    depth: int,
-    *,
-    full_height_ew: bool,
+    messages: List[_Message],
 ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
     """Per-node, per-band parity comparison: which (receiver, sender)
     routes carried a bad message.  Corner blocks are not attributed --
     they travel the diagonal channels, which the link model leaves
     healthy."""
-    rows, cols = subgrid_shape
-    d = depth
-    if d == 0:
-        return []
     grid_rows, grid_cols = machine.shape
-    if full_height_ew:
-        west_slice = np.s_[:, :d]
-        east_slice = np.s_[:, d + cols :]
-    else:
-        west_slice = np.s_[d : d + rows, :d]
-        east_slice = np.s_[d : d + rows, d + cols :]
-    bands = [
-        (np.s_[:d, d : d + cols], lambda r, c: ((r - 1) % grid_rows, c)),
-        (np.s_[d + rows :, d : d + cols], lambda r, c: ((r + 1) % grid_rows, c)),
-        (west_slice, lambda r, c: (r, (c - 1) % grid_cols)),
-        (east_slice, lambda r, c: (r, (c + 1) % grid_cols)),
-    ]
+    bands = [(shift, window) for _, shift, window in messages if 0 in shift]
     routes: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
     for r in range(grid_rows):
         for c in range(grid_cols):
-            for band_slice, sender in bands:
-                got = padded[..., r, c, :, :][(Ellipsis,) + band_slice]
-                want = expected[..., r, c, :, :][(Ellipsis,) + band_slice]
-                if parity_word(got) != parity_word(want):
-                    routes.append(((r, c), sender(r, c)))
+            for (down, right), window in bands:
+                at = (Ellipsis, r, c) + window
+                if parity_word(padded[at]) != parity_word(expected[at]):
+                    routes.append(
+                        ((r, c), ((r - down) % grid_rows, (c - right) % grid_cols))
+                    )
     return routes
-
-
-def _exchange_halo_batched(
-    source: CMArray,
-    pattern: StencilPattern,
-    stats: CommStats,
-    name: str,
-) -> bool:
-    """The whole-machine exchange: one slice assignment per direction.
-
-    The torus wrap is a roll along the node-grid axes of the stacked
-    storage; FILL dimensions then overwrite the halo rows/columns of the
-    global-edge nodes with the statement's boundary value.  Returns
-    False (having moved nothing) when the source or destination cannot
-    be stack-backed, in which case the caller runs the per-node loop.
-    """
-    machine = source.machine
-    rows, cols = source.subgrid_shape
-    pad = stats.pad
-    stack = machine.stacked(source.name)
-    if stack is None:
-        return False
-    padded = machine.stacked(name)
-    if padded is None or padded.shape[2:] != (rows + 2 * pad, cols + 2 * pad):
-        padded = machine.alloc_stacked(name, (rows + 2 * pad, cols + 2 * pad))
-    _fill_padded_shallow(stack, padded, pattern, stats, (rows, cols))
-    return True
-
-
-def _fill_padded_shallow(
-    stack: np.ndarray,
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    stats: CommStats,
-    subgrid_shape: Tuple[int, int],
-) -> None:
-    """The batched exchange's pure data movement (no allocation).
-
-    Leading-axes aware (see the module docstring): ``stack`` and
-    ``padded`` may carry any number of axes ahead of the node-grid
-    pair, and every leading-axis copy is exchanged in the same pass.
-    """
-    rows, cols = subgrid_shape
-    pad = stats.pad
-    # Step 1: every node's interior is its own subgrid.
-    padded[..., pad : pad + rows, pad : pad + cols] = stack
-    if pad == 0:
-        return
-
-    # Step 2: edges, exchanged with all four neighbors at once.  A shift
-    # of +1 along a grid axis delivers each node the data of the
-    # neighbor at the smaller index (its North/West neighbor), wrapping
-    # at the torus seam.
-    _torus_shift(
-        padded[..., :pad, pad : pad + cols], stack[..., rows - pad :, :], 1, 0
-    )
-    _torus_shift(
-        padded[..., pad + rows :, pad : pad + cols], stack[..., :pad, :], -1, 0
-    )
-    _torus_shift(
-        padded[..., pad : pad + rows, :pad], stack[..., cols - pad :], 0, 1
-    )
-    _torus_shift(
-        padded[..., pad : pad + rows, pad + cols :], stack[..., :pad], 0, -1
-    )
-
-    # Step 3: corners, unless the pattern has no diagonal reach.  When
-    # skipped, the corner blocks are scrubbed to zero so a reused buffer
-    # matches a freshly allocated one (temp storage, never read).
-    if stats.corner_step_skipped:
-        padded[..., :pad, :pad] = 0.0
-        padded[..., :pad, pad + cols :] = 0.0
-        padded[..., pad + rows :, :pad] = 0.0
-        padded[..., pad + rows :, pad + cols :] = 0.0
-    else:
-        _torus_shift(
-            padded[..., :pad, :pad], stack[..., rows - pad :, cols - pad :],
-            1, 1,
-        )
-        _torus_shift(
-            padded[..., :pad, pad + cols :], stack[..., rows - pad :, :pad],
-            1, -1,
-        )
-        _torus_shift(
-            padded[..., pad + rows :, :pad], stack[..., :pad, cols - pad :],
-            -1, 1,
-        )
-        _torus_shift(
-            padded[..., pad + rows :, pad + cols :], stack[..., :pad, :pad],
-            -1, -1,
-        )
-    _apply_fill_shallow(padded, pattern, stats, subgrid_shape)
-
-
-def _torus_shift(
-    dst: np.ndarray, src: np.ndarray, down: int, right: int
-) -> None:
-    """``dst[...] = np.roll(src, (down, right), axis=(-4, -3))`` for
-    shifts of -1, 0 or +1 node, without the rolled temporary: each band
-    is assigned straight from its neighbor, plus one slice per shifted
-    axis for the torus seam."""
-    for dst_rows, src_rows in _seam(down):
-        for dst_cols, src_cols in _seam(right):
-            dst[..., dst_rows, dst_cols, :, :] = src[..., src_rows, src_cols, :, :]
-
-
-def _seam(shift: int) -> Tuple[Tuple[slice, slice], ...]:
-    """``(destination, source)`` slice pairs of a one-axis torus shift."""
-    if shift == 0:
-        return ((slice(None), slice(None)),)
-    if shift == 1:
-        return ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
-    return ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(0, 1)))
-
-
-def _apply_fill_shallow(
-    padded: np.ndarray,
-    pattern: StencilPattern,
-    stats: CommStats,
-    subgrid_shape: Tuple[int, int],
-) -> None:
-    """(Re-)apply the FILL boundary overwrites to a shallow buffer.
-
-    Kept separate from the data movement so the guarded path can apply
-    link corruption to the exchanged bands and then restore the FILL
-    bands -- no message ever crossed a link there, so a dead link
-    cannot corrupt them.
-    """
-    rows, cols = subgrid_shape
-    pad = stats.pad
-    if pad == 0:
-        return
-    dim_row, dim_col = pattern.plane_dims
-    fill = np.float32(pattern.fill_value)
-    row_fills = (
-        pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR)
-        is BoundaryMode.FILL
-    )
-    col_fills = (
-        pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR)
-        is BoundaryMode.FILL
-    )
-    if row_fills:
-        padded[..., 0, :, :pad, pad : pad + cols] = fill
-        padded[..., -1, :, pad + rows :, pad : pad + cols] = fill
-    if col_fills:
-        padded[..., :, 0, pad : pad + rows, :pad] = fill
-        padded[..., :, -1, pad : pad + rows, pad + cols :] = fill
-    if stats.corner_step_skipped:
-        return
-    if row_fills:
-        padded[..., 0, :, :pad, :pad] = fill
-        padded[..., 0, :, :pad, pad + cols :] = fill
-        padded[..., -1, :, pad + rows :, :pad] = fill
-        padded[..., -1, :, pad + rows :, pad + cols :] = fill
-    if col_fills:
-        padded[..., :, 0, :pad, :pad] = fill
-        padded[..., :, 0, pad + rows :, :pad] = fill
-        padded[..., :, -1, :pad, pad + cols :] = fill
-        padded[..., :, -1, pad + rows :, pad + cols :] = fill
-
-
-def _exchange_halo_per_node(
-    source: CMArray,
-    pattern: StencilPattern,
-    stats: CommStats,
-    name: str,
-) -> None:
-    """The node-by-node exchange (the original implementation); the
-    reference the batched path is tested bit-identical against."""
-    machine = source.machine
-    rows, cols = source.subgrid_shape
-    pad = stats.pad
-    # The per-node buffers about to be allocated detach from any stale
-    # machine-wide stack; drop it so nothing reads the dead copy.
-    machine.storage.free(name)
-
-    for node in machine.nodes():
-        padded = node.memory.allocate(name, (rows + 2 * pad, cols + 2 * pad))
-        _fill_node_padded(
-            machine, node, source.name, pattern, stats, (rows, cols), padded
-        )
-
-
-def _fill_node_padded(
-    machine: CM2,
-    node,
-    source_name: str,
-    pattern: StencilPattern,
-    stats: CommStats,
-    subgrid_shape: Tuple[int, int],
-    padded: np.ndarray,
-) -> None:
-    """Fill one node's padded buffer (the per-node pure data movement)."""
-    rows, cols = subgrid_shape
-    pad = stats.pad
-    dim_row, dim_col = pattern.plane_dims
-    row_wraps = pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR)
-    col_wraps = pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR)
-    fill = np.float32(pattern.fill_value)
-    grid_rows, grid_cols = machine.shape
-
-    padded[pad : pad + rows, pad : pad + cols] = node.memory.buffer(source_name)
-    if pad == 0:
-        return
-    r, c = node.coord.row, node.coord.col
-    at_north = r == 0 and row_wraps is BoundaryMode.FILL
-    at_south = r == grid_rows - 1 and row_wraps is BoundaryMode.FILL
-    at_west = c == 0 and col_wraps is BoundaryMode.FILL
-    at_east = c == grid_cols - 1 and col_wraps is BoundaryMode.FILL
-
-    def subgrid(row: int, col: int) -> np.ndarray:
-        return machine.node(row, col).memory.buffer(source_name)
-
-    # Step 2: edges, exchanged with all four neighbors at once.
-    padded[:pad, pad : pad + cols] = (
-        fill if at_north else subgrid(r - 1, c)[rows - pad :, :]
-    )
-    padded[pad + rows :, pad : pad + cols] = (
-        fill if at_south else subgrid(r + 1, c)[:pad, :]
-    )
-    padded[pad : pad + rows, :pad] = (
-        fill if at_west else subgrid(r, c - 1)[:, cols - pad :]
-    )
-    padded[pad : pad + rows, pad + cols :] = (
-        fill if at_east else subgrid(r, c + 1)[:, :pad]
-    )
-
-    # Step 3: corners, unless the pattern has no diagonal reach.
-    if stats.corner_step_skipped:
-        return
-    padded[:pad, :pad] = (
-        fill
-        if (at_north or at_west)
-        else subgrid(r - 1, c - 1)[rows - pad :, cols - pad :]
-    )
-    padded[:pad, pad + cols :] = (
-        fill
-        if (at_north or at_east)
-        else subgrid(r - 1, c + 1)[rows - pad :, :pad]
-    )
-    padded[pad + rows :, :pad] = (
-        fill
-        if (at_south or at_west)
-        else subgrid(r + 1, c - 1)[:pad, cols - pad :]
-    )
-    padded[pad + rows :, pad + cols :] = (
-        fill
-        if (at_south or at_east)
-        else subgrid(r + 1, c + 1)[:pad, :pad]
-    )

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Optional, Union
 
 from ..compiler.driver import select_block_depth
 from ..compiler.plan import CompiledStencil
@@ -37,7 +35,7 @@ from .blocking import (
     depth_cap,
 )
 from .abft import seal_checksums, verify_and_correct
-from .cm_array import CMArray
+from .cm_array import CMArray, intact_stack
 from .executor import (
     ExecutionSetupError,
     check_arrays,
@@ -45,6 +43,8 @@ from .executor import (
     machine_execute_blocked,
     machine_execute_fast,
     node_execute_exact,
+    # Not called here: perfbench's tracer wraps the solo engine's entry
+    # points by this module's attributes and still looks this one up.
     node_execute_fast,
     values_equal,
 )
@@ -93,8 +93,6 @@ class StencilRun:
             (drives the front-end overhead).
         exact: whether the cycle count came from the cycle-stepped
             datapath (True) or the closed-form model (False).
-        batched: whether fast mode ran the batched whole-machine
-            executor (False in exact mode or after a per-node fallback).
         block_depth: temporal block depth ``T`` (1 = unblocked).
         num_exchanges: source halo exchanges charged over the whole run
             (``ceil(iterations / T)`` when blocked, ``iterations``
@@ -119,7 +117,6 @@ class StencilRun:
     comm: CommStats
     half_strips: int
     exact: bool
-    batched: bool = False
     block_depth: int = 1
     num_exchanges: Optional[int] = None
     coeff_exchanges: int = 0
@@ -311,38 +308,17 @@ def _at_fixed_point(
     )
 
 
-def _at_fixed_point_per_node(
-    machine: CM2, halo_name: str, result_name: str, pad: int
-) -> bool:
-    """Per-node fallback of :func:`_at_fixed_point`, for runs whose
-    buffers are not (or no longer) stack-backed.  The node interiors
-    tile the global array, so every node agreeing is exactly the
-    machine-wide fixed point."""
-    for node in machine.nodes():
-        padded = node.memory.view(halo_name)
-        result = node.memory.view(result_name)
-        if padded is None or result is None:
-            return False
-        rows, cols = result.shape
-        if not np.array_equal(
-            result, padded[pad : pad + rows, pad : pad + cols]
-        ):
-            return False
-    return True
-
-
 def _resolve_block_depth(
     compiled: CompiledStencil,
     source: CMArray,
     iterations: int,
     exact: bool,
-    batched: bool,
     block_depth: Union[int, str],
     tenant: Optional[str] = None,
 ) -> int:
     """Validate the caller's ``block_depth`` and clamp it to what the
-    run can actually support.  Exact mode, per-node mode, single calls,
-    and unblockable patterns always resolve to 1."""
+    run can actually support.  Exact mode, single calls, and
+    unblockable patterns always resolve to 1."""
     if block_depth == "auto":
         requested = None
     elif isinstance(block_depth, int) and not isinstance(block_depth, bool):
@@ -356,7 +332,7 @@ def _resolve_block_depth(
         raise ValueError(
             f"block_depth must be a positive int or 'auto', got {block_depth!r}"
         )
-    if exact or not batched or iterations < 2:
+    if exact or iterations < 2:
         return 1
     if not blockable(compiled.pattern):
         return 1
@@ -382,12 +358,8 @@ def _apply_blocked(
     depth: int,
     iterations: int,
     guard: Optional[FaultGuard] = None,
-) -> Optional[StencilRun]:
+) -> StencilRun:
     """Run an iterated call temporally blocked at ``depth``.
-
-    Returns None when any needed buffer is not stack-backed -- the
-    caller then falls through to the unblocked loop, which is always
-    correct.
 
     Under ``guard``, every deep exchange is checksummed and retried, the
     blocked executor runs parity-sealed, and a block whose corruption
@@ -403,17 +375,10 @@ def _apply_blocked(
     rows, cols = source.subgrid_shape
     pad = pattern.border_widths().max_width
 
-    source_stack = machine.stacked(source.name)
-    result_stack = machine.stacked(result.name)
-    if source_stack is None or result_stack is None:
-        return None
+    source_stack = intact_stack(machine, source.name)
+    result_stack = intact_stack(machine, result.name)
     coeff_names = array_coefficient_names(pattern)
-    coeff_stacks = {}
-    for name in coeff_names:
-        stack = machine.stacked(name)
-        if stack is None:
-            return None
-        coeff_stacks[name] = stack
+    coeff_stacks = {name: intact_stack(machine, name) for name in coeff_names}
 
     deep = depth * pad
     padded_shape = (rows + 2 * deep, cols + 2 * deep)
@@ -607,7 +572,6 @@ def _apply_blocked(
             comm=exchange_cost(pattern, source.subgrid_shape, params),
             half_strips=schedule.num_half_strips,
             exact=False,
-            batched=True,
             block_depth=depth,
             num_exchanges=guard.exchanges,
             coeff_exchanges=guard.coeff_exchanges,
@@ -626,7 +590,6 @@ def _apply_blocked(
         comm=exchange_cost(pattern, source.subgrid_shape, params),
         half_strips=schedule.num_half_strips,
         exact=False,
-        batched=True,
         block_depth=depth,
         num_exchanges=costs.num_exchanges,
         coeff_exchanges=costs.coeff_exchanges,
@@ -644,7 +607,6 @@ def _apply_resilient(
     schedule: StripSchedule,
     iterations: int,
     exact: bool,
-    batched: bool,
     depth: int,
     guard: FaultGuard,
 ) -> StencilRun:
@@ -690,18 +652,13 @@ def _apply_resilient(
     for index, rung in enumerate(rungs):
         try:
             if rung == "blocked":
-                run = _apply_blocked(
+                return _apply_blocked(
                     compiled, source, result, schedule, depth, iterations,
                     guard=guard,
                 )
-                if run is not None:
-                    return run
-                # Not stack-backed: the unblocked rung is the real
-                # starting point, not a degradation.
-                continue
             return _iterate_resilient(
                 compiled, source, result, schedule, iterations,
-                exact=rung == "exact", batched=batched, guard=guard,
+                exact=rung == "exact", guard=guard,
             )
         except (NoSpareError, LinkDownError):
             # Hardware is gone and no spare capacity remains: stepping
@@ -724,7 +681,6 @@ def _iterate_resilient(
     iterations: int,
     *,
     exact: bool,
-    batched: bool,
     guard: FaultGuard,
 ) -> StencilRun:
     """One rung's iterated loop with retry, checkpoint, and rollback.
@@ -754,16 +710,15 @@ def _iterate_resilient(
     replays = 0
     replay_high = 0
     exact_cycles: Optional[int] = None
-    ran_batched = False
-    # ABFT protocol (policy.abft, stack-backed, non-exact rungs only --
-    # the exact rung's datapath is modeled ECC-protected): seal the
+    # ABFT protocol (policy.abft, non-exact rungs only -- the exact
+    # rung's datapath is modeled ECC-protected): seal the
     # result stack's row/column checksums after every pass, give the
     # injector its SDC window once the periodic checkpoint is safely
     # taken, and verify+forward-correct as the iteration's last act, so
     # neither the next exchange nor the caller ever reads unverified
     # bits.  Multi-cell damage rolls back like an executor fault.
-    result_stack = machine.stacked(result.name)
-    abft_on = policy.abft and not exact and result_stack is not None
+    result_stack = intact_stack(machine, result.name)
+    abft_on = policy.abft and not exact
     k = 0
     while k < iterations:
         # Iterations below the replay high-water mark were already
@@ -778,7 +733,6 @@ def _iterate_resilient(
                 pattern,
                 params,
                 into=halo_name,
-                batched=batched,
                 guard=guard,
             )
         except NodeDeadError as dead:
@@ -804,10 +758,10 @@ def _iterate_resilient(
         while True:
             attempt += 1
             try:
-                exact_cycles, ran_batched = _execute_pass_resilient(
+                exact_cycles = _execute_pass_resilient(
                     compiled, machine, schedule, source.name, result.name,
-                    pad, exact=exact, batched=batched,
-                    expected_cycles=exact_cycles, guard=guard,
+                    pad, exact=exact, expected_cycles=exact_cycles,
+                    guard=guard,
                 )
             except FaultError:
                 guard.charge_compute(
@@ -855,10 +809,8 @@ def _iterate_resilient(
                 result.name, seal_checksums(result_stack)
             )
             guard.charge_abft(rows * cols, seals=1)
-        if k < iterations and (
-            _at_fixed_point(machine, halo_name, result.name, pad)
-            if ran_batched
-            else _at_fixed_point_per_node(machine, halo_name, result.name, pad)
+        if k < iterations and _at_fixed_point(
+            machine, halo_name, result.name, pad
         ):
             # The iterate equals its own input; every later iteration
             # reproduces it bit for bit.  Charge the skipped iterations'
@@ -875,7 +827,6 @@ def _iterate_resilient(
             policy.checkpoint_interval > 0
             and k < iterations
             and k % policy.checkpoint_interval == 0
-            and machine.stacked(result.name) is not None
         ):
             checkpoint = machine.storage.checkpoint([result.name])
             checkpoint_iteration = k
@@ -929,7 +880,6 @@ def _iterate_resilient(
         comm=comm,
         half_strips=pass_half_strips,
         exact=exact,
-        batched=ran_batched,
         num_exchanges=guard.exchanges,
         total_comm_cycles=guard.comm_cycles,
         total_compute_cycles=guard.compute_cycles,
@@ -947,17 +897,15 @@ def _execute_pass_resilient(
     pad: int,
     *,
     exact: bool,
-    batched: bool,
     expected_cycles: Optional[int],
     guard: FaultGuard,
-) -> Tuple[Optional[int], bool]:
-    """One executor pass under guard; ``(exact_cycles, ran_batched)``.
+) -> Optional[int]:
+    """One executor pass under guard; returns the exact cycle count.
 
     The exact rung's cycle-stepped datapath is modeled as ECC-protected:
     no faults are injected there and its output is trusted verbatim --
     the floor of the degradation ladder.
     """
-    pattern = compiled.pattern
     if exact:
         cycles = expected_cycles
         for node in machine.nodes():
@@ -974,31 +922,16 @@ def _execute_pass_resilient(
                     "SIMD invariant violated: nodes disagree on cycles"
                 )
             cycles = node_cycles
-        return cycles, False
-    ran_batched = batched and machine_execute_fast(
-        pattern,
+        return cycles
+    machine_execute_fast(
+        compiled.pattern,
         machine,
         source_name=source_name,
         result_name=result_name,
         halo=pad,
         guard=guard,
     )
-    if not ran_batched:
-        for node in machine.nodes():
-            node_execute_fast(
-                pattern,
-                node,
-                source_name=source_name,
-                result_name=result_name,
-                halo=pad,
-            )
-        for node in machine.nodes():
-            guard.verify_finite(
-                node.memory.buffer(result_name),
-                f"fast executor result {result_name!r} on "
-                f"node({node.coord.row},{node.coord.col})",
-            )
-    return expected_cycles, ran_batched
+    return expected_cycles
 
 
 def apply_stencil(
@@ -1009,7 +942,6 @@ def apply_stencil(
     *,
     iterations: int = 1,
     exact: bool = False,
-    batched: bool = True,
     block_depth: Union[int, str] = 1,
     check_finite: bool = False,
     faults: Optional[FaultInjector] = None,
@@ -1033,11 +965,9 @@ def apply_stencil(
             single calls would.  The source array itself is never
             modified; after the run, ``result`` holds the final iterate.
         exact: run the cycle-stepped datapath instead of the vectorized
-            fast path.
-        batched: let fast mode run the whole node grid as one stacked
-            array operation per tap (the batched executor); per-node
-            execution is used when False or when a buffer is not backed
-            by machine storage.  Numerics are bit-identical either way.
+            fast path, which runs the whole node grid as one stacked
+            array operation per tap.  Numerics are bit-identical either
+            way.
         block_depth: temporal block depth ``T``.  ``1`` (the default)
             exchanges once per iteration; an int > 1 exchanges a
             ``T * pad``-deep halo once per block of ``T`` iterations and
@@ -1045,7 +975,7 @@ def apply_stencil(
             picks the depth with the lowest modeled elapsed time (see
             :func:`repro.compiler.driver.select_block_depth`).  Depths
             are clamped to what the subgrid supports; blocking requires
-            the batched fast path and silently resolves to 1 otherwise.
+            the fast path and silently resolves to 1 in exact mode.
             Results are bit-identical at every depth.
         check_finite: validate up front that the source, coefficient,
             and fused extra-term arrays contain no NaN/Inf, raising
@@ -1079,6 +1009,10 @@ def apply_stencil(
 
     Returns:
         a :class:`StencilRun` with the result and full cost accounting.
+
+    Raises :class:`~repro.runtime.executor.ExecutionSetupError` when an
+    array does not match the statement or a node's buffer has been
+    detached from its array's machine-wide stack.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
@@ -1098,9 +1032,8 @@ def apply_stencil(
     params = compiled.params
     halo_name = halo_buffer_name(source.name)
     depth = _resolve_block_depth(
-        compiled, source, iterations, exact, batched, block_depth, tenant
+        compiled, source, iterations, exact, block_depth, tenant
     )
-    ran_batched = False
 
     if abft:
         if resilience is None:
@@ -1113,17 +1046,15 @@ def apply_stencil(
         with _coefficient_bindings(machine, coefficients):
             return _apply_resilient(
                 compiled, source, result, schedule, iterations,
-                exact, batched, depth, guard,
+                exact, depth, guard,
             )
 
     with _coefficient_bindings(machine, coefficients):
         if depth > 1:
-            blocked = _apply_blocked(
+            return _apply_blocked(
                 compiled, source, result, schedule, depth, iterations
             )
-            if blocked is not None:
-                return blocked
-        comm = exchange_halo(source, pattern, params, batched=batched)
+        comm = exchange_halo(source, pattern, params)
         pad = comm.pad
         exchanges = 1
         comm_cycles = comm.cycles
@@ -1133,9 +1064,7 @@ def apply_stencil(
                 # Feed the previous iterate back: the result becomes the
                 # source by re-exchanging its halo into the same padded
                 # buffer the compiled plans read.
-                repeat = exchange_halo(
-                    result, pattern, params, into=halo_name, batched=batched
-                )
+                repeat = exchange_halo(result, pattern, params, into=halo_name)
                 exchanges += 1
                 comm_cycles += repeat.cycles
             if exact:
@@ -1154,28 +1083,15 @@ def apply_stencil(
                         )
                     cycles = node_cycles
             else:
-                ran_batched = batched and machine_execute_fast(
+                machine_execute_fast(
                     pattern,
                     machine,
                     source_name=source.name,
                     result_name=result.name,
                     halo=pad,
                 )
-                if not ran_batched:
-                    for node in machine.nodes():
-                        node_execute_fast(
-                            pattern,
-                            node,
-                            source_name=source.name,
-                            result_name=result.name,
-                            halo=pad,
-                        )
-                if iteration < iterations - 1 and (
-                    _at_fixed_point(machine, halo_name, result.name, pad)
-                    if ran_batched
-                    else _at_fixed_point_per_node(
-                        machine, halo_name, result.name, pad
-                    )
+                if iteration < iterations - 1 and _at_fixed_point(
+                    machine, halo_name, result.name, pad
                 ):
                     # The iterate equals its own input, so every later
                     # iteration reproduces it bit for bit; stop computing.
@@ -1196,7 +1112,6 @@ def apply_stencil(
         comm=comm,
         half_strips=schedule.num_half_strips,
         exact=exact,
-        batched=ran_batched,
         num_exchanges=exchanges,
         total_comm_cycles=comm_cycles,
     )

@@ -346,11 +346,18 @@ def _harvest_module(path: str, source: str) -> Optional[_ModuleInfo]:
             _harvest_class(info, stmt)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions.append((None, stmt))
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            )
+            for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
-                ctor = _is_lock_factory_call(stmt.value)
+                ctor = (
+                    _is_lock_factory_call(stmt.value)
+                    if stmt.value is not None
+                    else None
+                )
                 if ctor is not None:
                     info.module_locks.add(target.id)
                     if ctor in _COND_CTORS:
@@ -659,13 +666,15 @@ class _Analyzer:
             if lid in held:
                 return
             lock_expr = lid.split(".")[-1]
+            # Class lock ids are ``Class.attr``; module locks are bare.
+            holder = f"self.{lock_expr}" if "." in lid else lid
             self.diag(
                 module,
                 where,
                 "RS701",
                 f"{what} is declared `guarded-by: {lock_expr}` but is "
                 f"mutated without holding {lid}",
-                f"wrap the mutation in `with self.{lock_expr}:` (or move it "
+                f"wrap the mutation in `with {holder}:` (or move it "
                 f"into a `# guarded-by: {lock_expr}` helper)",
             )
 

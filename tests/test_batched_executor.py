@@ -1,12 +1,10 @@
-"""The batched whole-machine fast executor is bit-identical to both
-other execution semantics.
+"""The whole-machine fast executor is bit-identical to exact mode.
 
 Property-style sweep: for patterns spanning pad widths 0 through 3
 (corner-reaching included), both boundary modes (FILL with a nonzero
 fill), and square and non-square node grids, the exact cycle-stepped
-datapath, the per-node fast path, and the batched whole-machine fast
-path must produce the same float32 bits -- and all three must match the
-numpy reference oracle.
+datapath and the whole-machine fast path must produce the same float32
+bits -- and both must match the numpy reference oracle.
 """
 
 import numpy as np
@@ -17,6 +15,7 @@ from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
 from repro.runtime.cm_array import CMArray
+from repro.runtime.executor import ExecutionSetupError
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import box, cross, diamond, square
 from repro.stencil.offsets import BoundaryMode
@@ -88,18 +87,12 @@ def test_three_semantics_bit_identical(factory, num_nodes, shape):
     )
 
     exact = apply_stencil(compiled, x, coeffs, "R_EXACT", exact=True)
-    per_node = apply_stencil(compiled, x, coeffs, "R_NODE", batched=False)
-    batched = apply_stencil(compiled, x, coeffs, "R_BATCH", batched=True)
-
-    assert not exact.batched
-    assert not per_node.batched
-    assert batched.batched
+    fast = apply_stencil(compiled, x, coeffs, "R_FAST")
 
     exact_bits = exact.result.to_numpy()
     expected = reference_stencil(pattern, x_host, coeff_host)
     np.testing.assert_array_equal(exact_bits, expected)
-    np.testing.assert_array_equal(per_node.result.to_numpy(), exact_bits)
-    np.testing.assert_array_equal(batched.result.to_numpy(), exact_bits)
+    np.testing.assert_array_equal(fast.result.to_numpy(), exact_bits)
 
 
 def test_eight_nodes_make_a_non_square_grid():
@@ -113,37 +106,47 @@ def test_iterated_three_semantics_bit_identical():
         pattern, 8, (16, 24), seed=7
     )
     exact = apply_stencil(compiled, x, coeffs, "R_EXACT", iterations=3, exact=True)
-    per_node = apply_stencil(
-        compiled, x, coeffs, "R_NODE", iterations=3, batched=False
-    )
-    batched = apply_stencil(compiled, x, coeffs, "R_BATCH", iterations=3)
+    fast = apply_stencil(compiled, x, coeffs, "R_FAST", iterations=3)
 
     expected = x_host
     for _ in range(3):
         expected = reference_stencil(pattern, expected, coeff_host)
     exact_bits = exact.result.to_numpy()
     np.testing.assert_array_equal(exact_bits, expected)
-    np.testing.assert_array_equal(per_node.result.to_numpy(), exact_bits)
-    np.testing.assert_array_equal(batched.result.to_numpy(), exact_bits)
+    np.testing.assert_array_equal(fast.result.to_numpy(), exact_bits)
 
 
-def test_detached_buffer_falls_back_to_per_node_path():
-    """A node buffer no longer backed by machine storage silently routes
-    the run through the per-node executor, with identical results."""
+@pytest.mark.parametrize(
+    "detach,kwargs",
+    [
+        ("X", {}),
+        ("C1", {}),
+        ("R", {}),
+        ("X", {"iterations": 4, "block_depth": 2}),
+        ("C1", {"iterations": 4, "block_depth": 2}),
+        ("X", {"abft": True}),
+        ("R", {"abft": True}),
+    ],
+    ids=[
+        "source", "coefficient", "result",
+        "blocked-source", "blocked-coefficient",
+        "guarded-source", "guarded-result",
+    ],
+)
+def test_detached_buffer_is_a_typed_error(detach, kwargs):
+    """A node buffer no longer backed by its array's machine-wide stack
+    fails the run with a typed error naming the buffer -- on the fast,
+    blocked and guarded paths alike -- never a silently different
+    result."""
     pattern = cross(1)
     machine, compiled, x, coeffs, x_host, coeff_host = make_problem(
         pattern, 8, (16, 24), seed=3
     )
-    reference_run = apply_stencil(compiled, x, coeffs, "R_REF")
-    assert reference_run.batched
-
-    # Replace one node's view of X with a private copy of the same data.
+    result = CMArray("R", machine, x.global_shape)
+    # Replace one node's view with a private copy of the same data.
     node = next(iter(machine.nodes()))
-    node.memory.install(x.name, node.memory.buffer(x.name))
-    assert machine.stacked(x.name) is None
+    node.memory.install(detach, node.memory.buffer(detach))
+    assert machine.stacked(detach) is None
 
-    run = apply_stencil(compiled, x, coeffs, "R_FALLBACK")
-    assert not run.batched
-    np.testing.assert_array_equal(
-        run.result.to_numpy(), reference_run.result.to_numpy()
-    )
+    with pytest.raises(ExecutionSetupError, match=repr(detach)):
+        apply_stencil(compiled, x, coeffs, result, **kwargs)

@@ -127,6 +127,28 @@ class TestCheckFinite:
         with pytest.raises(NonFiniteInputError, match=repr(name)):
             apply_stencil(compiled, x, coeffs, check_finite=True)
 
+    def test_coefficients_checked_under_their_own_names(self):
+        """Coefficient arrays passed under another name than the
+        statement's are checked as the caller's arrays (the statement
+        names are bound to them only once the run starts)."""
+        pattern = boundary_variant(cross(1), "torus")
+        machine, compiled, x, coeffs = make_problem(pattern)
+        renamed = {
+            name: CMArray.from_numpy(f"W_{name}", machine, array.to_numpy())
+            for name, array in coeffs.items()
+        }
+        run = apply_stencil(compiled, x, renamed, "R", check_finite=True)
+        expected = apply_stencil(compiled, x, coeffs, "R_REF")
+        np.testing.assert_array_equal(
+            run.result.to_numpy(), expected.result.to_numpy()
+        )
+        first = pattern.coefficient_names()[0]
+        data = renamed[first].to_numpy()
+        data[0, 0] = np.nan
+        renamed[first].set(data)
+        with pytest.raises(NonFiniteInputError, match=f"'W_{first}'"):
+            apply_stencil(compiled, x, renamed, "R", check_finite=True)
+
     def test_clean_inputs_pass(self):
         pattern = boundary_variant(square(1), "fill")
         _, compiled, x, coeffs = make_problem(pattern)

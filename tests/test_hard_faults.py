@@ -37,7 +37,7 @@ from repro.runtime.faults import (
     ResiliencePolicy,
 )
 from repro.runtime.stencil_op import apply_stencil
-from repro.stencil.gallery import cross, square
+from repro.stencil.gallery import cross, cross5, square, square9
 from repro.stencil.offsets import BoundaryMode
 from repro.stencil.pattern import pattern_from_offsets
 
@@ -285,6 +285,33 @@ class TestKillAnyNode:
         np.testing.assert_array_equal(x.to_numpy(), before["X"])
         for name, coeff in coeffs.items():
             np.testing.assert_array_equal(coeff.to_numpy(), before[name])
+
+    @pytest.mark.parametrize(
+        "pattern,migrated",
+        [(cross5, (448, 548)), (square9, (704, 804))],
+        ids=["cross5", "square9"],
+    )
+    def test_hard_fault_window_opens_before_the_halo_stack_exists(
+        self, pattern, migrated
+    ):
+        """A node killed at exchange 0 migrates the source, result and
+        coefficient tiles (64 words each on 8x8 subgrids); killed at
+        exchange 1 it also migrates the halo stack (10x10), which the
+        first exchange allocates *after* its hard-fault window.  An
+        exchange that allocated the halo stack before the window would
+        migrate 100 more words at exchange 0."""
+        for at, words in zip((0, 1), migrated):
+            _, compiled, x, coeffs = make_problem(
+                pattern(), spares=2, num_nodes=16, shape=(32, 32)
+            )
+            injector = FaultInjector(
+                seed=1, schedule=[HardFaultSpec("node_dead", at, 1, 2)]
+            )
+            run = apply_stencil(
+                compiled, x, coeffs, "R", iterations=3, faults=injector
+            )
+            assert run.fault_stats.remaps == 1
+            assert run.fault_stats.migrated_words == words, f"killed at {at}"
 
 
 class TestKillAnyLink:

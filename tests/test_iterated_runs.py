@@ -239,8 +239,7 @@ class TestExtraTermValidation:
         CMArray.from_numpy(
             "Y", machine, rng.standard_normal(SHAPE).astype(np.float32)
         )
-        run = apply_stencil(fused, x, coeffs, "R")
-        assert run.batched
+        apply_stencil(fused, x, coeffs, "R")
 
 
 class TestFixedPointCheck:

@@ -16,6 +16,8 @@ for RS704).
 
 import pathlib
 
+import pytest
+
 from repro.verify import render_diagnostics
 from repro.verify.concurrency import (
     analyze_sources,
@@ -202,8 +204,52 @@ class Pair:
             pass
 """
 
+MODULE_GLOBAL = """\
+import threading
+from typing import Optional
+
+_L{lock_annotation} = threading.Lock()
+_B{annotation} = None  # guarded-by: _L
+
+
+def good():
+    global _B
+    with _L:
+        _B = 1
+
+
+def bad():
+    global _B
+    _B = 1
+"""
+
 
 class TestSyntheticSnippets:
+    @pytest.mark.parametrize(
+        "annotation", ["", ": Optional[int]"], ids=["plain", "annotated"]
+    )
+    @pytest.mark.parametrize(
+        "lock_annotation",
+        ["", ": threading.Lock"],
+        ids=["plain-lock", "annotated-lock"],
+    )
+    def test_rs701_module_global(self, annotation, lock_annotation):
+        """A guarded module global, plain or annotated, declared next
+        to a plain or annotated module lock: only the unlocked store is
+        flagged, and the fix-it names the module lock itself."""
+        snippet = MODULE_GLOBAL.format(
+            annotation=annotation, lock_annotation=lock_annotation
+        )
+        result = analyze_sources([("m.py", snippet)])
+        flagged = [d for d in result.diagnostics if d.code == "RS701"]
+        assert len(flagged) == 1 and result.diagnostics == flagged, explain(
+            result
+        )
+        assert "_B" in flagged[0].message
+        # The store in bad(), the snippet's last line.
+        assert flagged[0].location.line == len(snippet.splitlines())
+        assert flagged[0].fixit.startswith("wrap the mutation in `with _L:`")
+
     def test_rs702_direct_inversion(self):
         result = analyze_sources([("pair.py", DIRECT_INVERSION)])
         assert "RS702" in codes(result), explain(result)

@@ -6,9 +6,13 @@ import pytest
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
 from repro.runtime.cm_array import CMArray
+from repro.runtime.faults import FaultGuard, ResiliencePolicy
 from repro.runtime.halo import (
     exchange_cost,
     exchange_halo,
+    exchange_halo_batch,
+    exchange_halo_deep,
+    exchange_halo_group,
     halo_buffer_name,
 )
 from repro.stencil.gallery import border_demo, cross5, diamond13, square9
@@ -231,6 +235,93 @@ class TestLegacyPrimitive:
         assert wide_ratio > narrow_ratio
 
 
+def _exchange_solo(pattern):
+    def run(machine, guard, data, stack):
+        x = CMArray.from_numpy("X", machine, data)
+        exchange_halo(x, pattern, machine.params, guard=guard)
+
+    return run
+
+
+def _exchange_deep(machine, guard, data, stack):
+    x = CMArray.from_numpy("X", machine, data)
+    padded = np.zeros((2, 2, 12, 16), dtype=np.float32)
+    exchange_halo_deep(
+        machine.stacked(x.name), padded, cross5(), (8, 12), machine.params,
+        2, guard=guard,
+    )
+
+
+def _exchange_batch(machine, guard, data, stack):
+    padded = np.zeros((2, 2, 2, 10, 14), dtype=np.float32)
+    exchange_halo_batch(
+        stack, padded, square9(), (8, 12), machine.params,
+        copies=2, guard=guard,
+    )
+
+
+def _exchange_group(machine, guard, data, stack):
+    padded = np.zeros((2, 2, 2, 12, 16), dtype=np.float32)
+    exchange_halo_group(
+        stack, padded, cross5(), (8, 12), machine.params, 2,
+        copies=2, guard=guard,
+    )
+
+
+EDGE_MESSAGES = [
+    ("north edge", (1, 12)),
+    ("south edge", (1, 12)),
+    ("west edge", (8, 1)),
+    ("east edge", (8, 1)),
+]
+CORNER_MESSAGES = [
+    ("NW corner", (1, 1)),
+    ("NE corner", (1, 1)),
+    ("SW corner", (1, 1)),
+    ("SE corner", (1, 1)),
+]
+BAND_MESSAGES = [
+    ("north band", (2, 12)),
+    ("south band", (2, 12)),
+    ("west band", (12, 2)),
+    ("east band", (12, 2)),
+]
+
+
+class TestGuardedMessages:
+    """The messages every guarded exchange hands the injector, in
+    order.  The injector picks its victim by index into this list and
+    flips a bit inside the chosen region, so a reordered or reshaped
+    list changes every chaos campaign's draws."""
+
+    @pytest.mark.parametrize(
+        "exchange,lead,expected",
+        [
+            (_exchange_solo(cross5()), (), EDGE_MESSAGES),
+            (_exchange_solo(square9()), (), EDGE_MESSAGES + CORNER_MESSAGES),
+            (_exchange_deep, (), BAND_MESSAGES),
+            (_exchange_batch, (2,), EDGE_MESSAGES + CORNER_MESSAGES),
+            (_exchange_group, (2,), BAND_MESSAGES),
+        ],
+        ids=["solo-cross5", "solo-square9", "deep-2", "batch-2", "group-2"],
+    )
+    def test_message_table(self, exchange, lead, expected):
+        machine = CM2(MachineParams(num_nodes=4))
+        guard = FaultGuard(policy=ResiliencePolicy())
+        guard.attach_machine(machine)
+        seen = []
+        guard.inject_halo = lambda regions: seen.extend(
+            (label, tuple(region.shape)) for label, region in regions
+        )
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((16, 24)).astype(np.float32)
+        stack = rng.standard_normal((2, 2, 2, 8, 12)).astype(np.float32)
+        exchange(machine, guard, data, stack)
+        assert seen == [
+            (label, lead + (2, 2) + shape) for label, shape in expected
+        ]
+
+
 class TestDegenerateGrids:
     """1xN and Nx1 node grids: every neighbor direction along the
     degenerate axis is the node itself (torus) or the global boundary
@@ -262,24 +353,14 @@ class TestDegenerateGrids:
 
     @pytest.mark.parametrize("shape", [(1, 4), (4, 1)])
     @pytest.mark.parametrize("mode", ["torus", "fill"])
-    def test_batched_equals_per_node(self, shape, mode):
+    def test_halo_matches_global_wrap(self, shape, mode):
         pattern = self._pattern(mode)
-        m1, x1, _ = self._scatter(shape)
-        m2, x2, _ = self._scatter(shape)
-        exchange_halo(x1, pattern, m1.params, batched=True)
-        exchange_halo(x2, pattern, m2.params, batched=False)
-        for node in m1.nodes():
-            r, c = node.coord.row, node.coord.col
-            np.testing.assert_array_equal(
-                padded_of(m1, "X", r, c), padded_of(m2, "X", r, c)
-            )
-
-    @pytest.mark.parametrize("shape", [(1, 4), (4, 1)])
-    def test_halo_matches_global_wrap(self, shape):
-        pattern = self._pattern("torus")
         machine, x, data = self._scatter(shape)
         exchange_halo(x, pattern, machine.params)
-        wrapped = np.pad(data, 1, mode="wrap")
+        if mode == "torus":
+            wrapped = np.pad(data, 1, mode="wrap")
+        else:
+            wrapped = np.pad(data, 1, mode="constant", constant_values=2.5)
         sr, sc = x.subgrid_shape
         for node in machine.nodes():
             r, c = node.coord.row, node.coord.col
@@ -321,7 +402,7 @@ class TestDegenerateGrids:
     def _rolled_shallow(stack, padded, pattern, stats, subgrid_shape):
         """The band construction through ``np.roll`` temporaries: the
         reference the direct slice assignments must reproduce."""
-        from repro.runtime.halo import _apply_fill_shallow
+        from repro.runtime.halo import CORNERS, EDGES, _apply_fill
 
         rows, cols = subgrid_shape
         pad = stats.pad
@@ -358,11 +439,14 @@ class TestDegenerateGrids:
                 padded[..., r, c] = np.roll(
                     stack[..., src_r, src_c], shift, axis=(-4, -3)
                 )
-        _apply_fill_shallow(padded, pattern, stats, subgrid_shape)
+        _apply_fill(
+            padded, pattern, subgrid_shape, pad,
+            EDGES if stats.corner_step_skipped else CORNERS,
+        )
 
     @staticmethod
     def _rolled_deep(stack, padded, pattern, subgrid_shape, deep):
-        from repro.runtime.halo import _apply_fill_deep
+        from repro.runtime.halo import BANDS, _apply_fill
 
         rows, cols = subgrid_shape
         padded[..., deep : deep + rows, deep : deep + cols] = stack
@@ -378,7 +462,7 @@ class TestDegenerateGrids:
         padded[..., deep + cols :] = np.roll(
             padded[..., deep : 2 * deep], -1, axis=-3
         )
-        _apply_fill_deep(padded, pattern, subgrid_shape, deep)
+        _apply_fill(padded, pattern, subgrid_shape, deep, BANDS)
 
     @pytest.mark.parametrize("grid", [(16, 16), (1, 16), (16, 1)])
     @pytest.mark.parametrize("lead", [(), (8,), (8, 4)])
@@ -387,7 +471,7 @@ class TestDegenerateGrids:
     def test_bands_match_rolled_bands(self, grid, lead, mode, corners):
         """The stack-level band fills, shallow and deep, bit for bit
         against the rolled construction, leading axes included."""
-        from repro.runtime.halo import _fill_padded_deep, _fill_padded_shallow
+        from repro.runtime.halo import BANDS, CORNERS, EDGES, _fill
 
         if corners:
             pattern = self._pattern(mode)
@@ -404,8 +488,9 @@ class TestDegenerateGrids:
         pad = stats.pad
         for fill, reference, depth in (
             (
-                lambda out: _fill_padded_shallow(
-                    stack, out, pattern, stats, subgrid
+                lambda out: _fill(
+                    stack, out, pattern, subgrid, pad,
+                    EDGES if stats.corner_step_skipped else CORNERS,
                 ),
                 lambda out: self._rolled_shallow(
                     stack, out, pattern, stats, subgrid
@@ -413,9 +498,7 @@ class TestDegenerateGrids:
                 pad,
             ),
             (
-                lambda out: _fill_padded_deep(
-                    stack, out, pattern, subgrid, 3 * pad
-                ),
+                lambda out: _fill(stack, out, pattern, subgrid, 3 * pad, BANDS),
                 lambda out: self._rolled_deep(
                     stack, out, pattern, subgrid, 3 * pad
                 ),

@@ -15,7 +15,6 @@ import pytest
 from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
-from repro.runtime import stencil_op
 from repro.runtime.blocking import blocked_costs, depth_cap
 from repro.runtime.cm_array import CMArray
 from repro.runtime.stencil_op import apply_stencil
@@ -124,25 +123,6 @@ class TestBitIdentity:
             apply_stencil(
                 compiled, x, coeffs, "R", iterations=4, block_depth="deep"
             )
-
-    def test_per_node_mode_resolves_to_unblocked(self):
-        pattern = cross(1)
-        _, compiled, x, coeffs = make_problem(pattern, seed=7)
-        run = apply_stencil(
-            compiled,
-            x,
-            coeffs,
-            "R",
-            iterations=4,
-            batched=False,
-            block_depth=4,
-        )
-        assert run.block_depth == 1
-        _, compiled2, x2, coeffs2 = make_problem(pattern, seed=7)
-        reference = apply_stencil(compiled2, x2, coeffs2, "R2", iterations=4)
-        np.testing.assert_array_equal(
-            run.result.to_numpy(), reference.result.to_numpy()
-        )
 
 
 class TestExchangeAccounting:
@@ -271,40 +251,3 @@ class TestPingPongReuse:
         assert after_d4 > after_d2  # deeper halo -> bigger buffers
         apply_stencil(compiled, x, coeffs, "R", iterations=8, block_depth=4)
         assert machine.storage.scratch_allocations == after_d4
-
-
-class TestPerNodeFixedPoint:
-    def test_per_node_fast_path_short_circuits(self, monkeypatch):
-        """Satellite: the batched=False fast path stops computing at a
-        fixed point too, with identical charging semantics."""
-        pattern = pattern_from_offsets([(0, 0)], name="identity")
-        params = MachineParams(num_nodes=4)
-        machine = CM2(params)
-        compiled = compile_stencil(pattern, params)
-        rng = np.random.default_rng(3)
-        x_host = rng.standard_normal(SHAPE).astype(np.float32)
-        x = CMArray.from_numpy("X", machine, x_host)
-        coeffs = {
-            "C1": CMArray.from_numpy(
-                "C1", machine, np.ones(SHAPE, dtype=np.float32)
-            )
-        }
-        calls = []
-        real = stencil_op.node_execute_fast
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(stencil_op, "node_execute_fast", counting)
-        run = apply_stencil(
-            compiled, x, coeffs, "R", iterations=50, batched=False
-        )
-        np.testing.assert_array_equal(run.result.to_numpy(), x_host)
-        # One iteration's worth of per-node work, not fifty.
-        assert len(calls) == machine.num_nodes
-        # ...while the accounting still charges the full run.
-        assert run.exchanges == 50
-        assert run.comm_cycles_total == 50 * run.comm.cycles
-        one = apply_stencil(compiled, x, coeffs, "R1", batched=False)
-        assert run.elapsed_seconds == pytest.approx(50 * one.elapsed_seconds)
