@@ -106,8 +106,8 @@ def main(argv=None):
     identical = bool(
         np.array_equal(base.result.to_numpy(), abft.result.to_numpy())
     )
-    base_cycles = base.comm_cycles_total + base.compute_cycles_total
-    abft_cycles = abft.comm_cycles_total + abft.compute_cycles_total
+    base_cycles = base.total_comm_cycles + base.total_compute_cycles
+    abft_cycles = abft.total_comm_cycles + abft.total_compute_cycles
     overhead = (abft_cycles - base_cycles) / base_cycles
     stats = abft.fault_stats
     print(

@@ -99,7 +99,7 @@ def bench_size(num_nodes, rng):
         for f, comp in enumerate(compiled):
             solo = apply_stencil(comp, x_solo, coeffs, r_solo)
             loop_elapsed += solo.elapsed_seconds
-            loop_exchanges += solo.exchanges
+            loop_exchanges += solo.num_exchanges
             loop_host_calls += solo.host_calls
             identical = identical and bool(
                 np.array_equal(batched_bits[b, f], solo.result.to_numpy())

@@ -99,9 +99,9 @@ def main(argv=None):
     identical = bool(
         np.array_equal(plain.result.to_numpy(), guarded.result.to_numpy())
     )
-    plain_cycles = plain.comm_cycles_total + plain.compute_cycles_total
+    plain_cycles = plain.total_comm_cycles + plain.total_compute_cycles
     guarded_cycles = (
-        guarded.comm_cycles_total + guarded.compute_cycles_total
+        guarded.total_comm_cycles + guarded.total_compute_cycles
     )
     overhead = (guarded_cycles - plain_cycles) / plain_cycles
     stats = guarded.fault_stats

@@ -110,14 +110,14 @@ def bench_cell(pattern, num_nodes, subgrid, depth, rng):
         "subgrid": list(subgrid),
         "iterations": ITERATIONS,
         "depth_requested": depth,
-        "depth_used": blocked.block_depth,
-        "exchanges_unblocked": unblocked.exchanges,
-        "exchanges_blocked": blocked.exchanges,
+        "depth_used": blocked.block_depths[0],
+        "exchanges_unblocked": unblocked.num_exchanges,
+        "exchanges_blocked": blocked.num_exchanges,
         "coeff_exchanges": blocked.coeff_exchanges,
-        "comm_cycles_unblocked": unblocked.comm_cycles_total,
-        "comm_cycles_blocked": blocked.comm_cycles_total,
+        "comm_cycles_unblocked": unblocked.total_comm_cycles,
+        "comm_cycles_blocked": blocked.total_comm_cycles,
         "comm_speedup": (
-            unblocked.comm_cycles_total / blocked.comm_cycles_total
+            unblocked.total_comm_cycles / blocked.total_comm_cycles
         ),
         "elapsed_unblocked_s": unblocked.elapsed_seconds,
         "elapsed_blocked_s": blocked.elapsed_seconds,

@@ -34,7 +34,6 @@ from .compiler import (
 )
 from .machine import CM2, FULL_CM2, SIXTEEN_NODE, MachineParams
 from .runtime import (
-    BatchStencilRun,
     CMArray,
     CMBatch,
     FaultError,
@@ -54,7 +53,6 @@ from . import testing
 __version__ = "1.0.0"
 
 __all__ = [
-    "BatchStencilRun",
     "CM2",
     "CMArray",
     "CMBatch",

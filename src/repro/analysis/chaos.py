@@ -312,11 +312,11 @@ def run_trial(
         reconciled: Optional[bool] = None
     else:
         reconciled = (
-            run.comm_cycles_total
-            == reference.comm_cycles_total + stats.recovery_comm_cycles()
+            run.total_comm_cycles
+            == reference.total_comm_cycles + stats.recovery_comm_cycles()
         ) and (
-            run.compute_cycles_total
-            == reference.compute_cycles_total
+            run.total_compute_cycles
+            == reference.total_compute_cycles
             + stats.recovery_compute_cycles()
         )
     return ChaosTrial(
@@ -897,7 +897,7 @@ class SdcTrial:
 
     ``kind`` names the scenario: ``solo`` (single-cell strikes on the
     solo executor, forward correction expected), ``batched`` (the same
-    on the batched multi-filter executor), or ``multicell`` (several
+    on a batched multi-filter run), or ``multicell`` (several
     words flipped per strike on a one-node machine, beyond forward
     correction by construction -- the rollback ladder or a typed error
     must take over).  ``forward`` records that the run healed with zero
@@ -1108,10 +1108,10 @@ def run_sdc_trial(
     return _sdc_trial_from_run(
         stencil=stencil, mode=mode, seed=seed, cells=cells, kind=kind,
         identical=identical, stats=stats,
-        run_comm=run.comm_cycles_total,
-        run_compute=run.compute_cycles_total,
-        ref_comm=reference.comm_cycles_total,
-        ref_compute=reference.compute_cycles_total,
+        run_comm=run.total_comm_cycles,
+        run_compute=run.total_compute_cycles,
+        ref_comm=reference.total_comm_cycles,
+        ref_compute=reference.total_compute_cycles,
     )
 
 
@@ -1126,11 +1126,10 @@ def run_sdc_batched_trial(
 ) -> SdcTrial:
     """One batched SDC trial: mixed-pad filters, per-filter seals.
 
-    Strikes land on per-filter result slabs of the shared 6-D stack;
-    the executor verifies each filter's slab before gathering it into
-    the next pass and sweeps all slabs at run end.  Uncorrectable
-    damage surfaces as a typed error (the batched path has no rollback
-    ladder, matching its hard-fault contract).
+    Each iteration's strike lands on one filter's result slab of the
+    shared 6-D stack; every slab is sealed after its pass and verified
+    as the iteration's last act, exactly like a solo run.  Multi-cell
+    damage takes the same rollback ladder.
     """
 
     def build(spares: int):

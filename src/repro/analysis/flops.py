@@ -138,7 +138,7 @@ def account_batch(
     amortized costs of batching (shared halo exchanges, once-per-batch
     coefficient exchanges) are communication, not flops, so they do not
     appear here; see
-    :class:`~repro.runtime.batch.BatchStencilRun` for those.
+    :class:`~repro.runtime.batch.StencilRun` for those.
     """
     rows, cols = subgrid_shape
     if depths is None:

@@ -110,8 +110,8 @@ def report(run: StencilRun, *, extrapolate_to: int = 2048) -> RateReport:
             measured, run.machine.num_nodes, extrapolate_to
         )
         / 1e3,
-        block_depth=run.block_depth,
-        exchanges=run.exchanges,
+        block_depth=max(run.block_depths),
+        exchanges=run.num_exchanges,
         faults_injected=fault_stats.total_injected,
         faults_detected=fault_stats.total_detected,
         retries=fault_stats.retries,
@@ -196,7 +196,7 @@ class BatchRateReport:
 
 
 def batch_report(run, *, extrapolate_to: int = 2048) -> BatchRateReport:
-    """Summarize a :class:`~repro.runtime.batch.BatchStencilRun`.
+    """Summarize a batched :class:`~repro.runtime.batch.StencilRun`.
 
     The aggregate rate is useful flops over elapsed wall clock for the
     whole batch -- the number to compare against a loop of solo runs.

@@ -149,17 +149,19 @@ def select_block_depth(
     subgrid_shape: Tuple[int, int],
     iterations: int,
     *,
+    batch: int = 1,
     max_depth: Optional[int] = None,
     machine=None,
     tenant: Optional[str] = ANONYMOUS,
 ) -> int:
-    """Pick the temporal block depth for an iterated run, memoized.
+    """Pick one filter's temporal block depth for an iterated run over
+    ``batch`` grids, memoized.
 
     Plan-level selection: the choice depends only on the compiled plan
-    (pattern and machine parameters), the subgrid geometry, and the
-    iteration count, so it is resolved once per combination and reused
-    by every call -- the same economics as plan memoization.  Delegates
-    to the deep-halo comm/compute model in
+    (pattern and machine parameters), the subgrid geometry, the
+    iteration count and the batch, so it is resolved once per
+    combination and reused by every call -- the same economics as plan
+    memoization.  Delegates to the deep-halo comm/compute model in
     :mod:`repro.runtime.blocking`; returns 1 when blocking does not pay.
 
     Remap-aware: when the (optional) ``machine`` carries rerouted links,
@@ -170,55 +172,13 @@ def select_block_depth(
     # Imported lazily: the runtime layer imports this module's siblings.
     from ..runtime.blocking import best_block_depth
 
-    try:
-        key = (
-            compiled.pattern,
-            compiled.params,
-            tuple(subgrid_shape),
-            iterations,
-            max_depth,
-            _health_signature(machine),
-        )
-        hash(key)
-    except TypeError:
+    def sweep() -> int:
         return best_block_depth(
-            compiled, subgrid_shape, iterations, max_depth, machine=machine
+            compiled, subgrid_shape, iterations, max_depth, machine, batch
         )
-    return _DEPTH_CACHE.get_or_compute(
-        key,
-        lambda: best_block_depth(
-            compiled, subgrid_shape, iterations, max_depth, machine=machine
-        ),
-        scope=tenant,
-    )
-
-
-def select_batch_block_depth(
-    compiled: CompiledStencil,
-    subgrid_shape: Tuple[int, int],
-    iterations: int,
-    batch: int,
-    *,
-    max_depth: Optional[int] = None,
-    machine=None,
-    tenant: Optional[str] = ANONYMOUS,
-) -> int:
-    """Pick one filter's temporal block depth for a batched run,
-    memoized.
-
-    Like :func:`select_block_depth` but priced through the batch-aware
-    model (:func:`repro.runtime.blocking.best_batch_block_depth`):
-    source exchanges scale with ``batch`` while coefficient deep
-    exchanges amortize over it, so the same filter can block deeper in a
-    batch than solo.  Keyed with a ``"batch"`` discriminator so batched
-    and solo selections for the same geometry never collide.
-    """
-    # Imported lazily: the runtime layer imports this module's siblings.
-    from ..runtime.blocking import best_batch_block_depth
 
     try:
         key = (
-            "batch",
             compiled.pattern,
             compiled.params,
             tuple(subgrid_shape),
@@ -229,26 +189,8 @@ def select_batch_block_depth(
         )
         hash(key)
     except TypeError:
-        return best_batch_block_depth(
-            compiled,
-            subgrid_shape,
-            iterations,
-            batch,
-            max_depth,
-            machine=machine,
-        )
-    return _DEPTH_CACHE.get_or_compute(
-        key,
-        lambda: best_batch_block_depth(
-            compiled,
-            subgrid_shape,
-            iterations,
-            batch,
-            max_depth,
-            machine=machine,
-        ),
-        scope=tenant,
-    )
+        return sweep()
+    return _DEPTH_CACHE.get_or_compute(key, sweep, scope=tenant)
 
 
 def select_batch_block_depths(
@@ -263,8 +205,8 @@ def select_batch_block_depths(
     """Per-filter block depths for a whole batched filter set, memoized
     on the set.
 
-    The batched runtime plans one machine pass for the entire filter
-    set, so the plan cache is keyed on the set too (a ``"batchset"``
+    The engine plans one machine pass for the entire filter set, so
+    the depth cache is keyed on the set too (a ``"batchset"``
     entry over every member's pattern): re-submitting the same workload
     -- the service's steady state -- resolves every depth in one cache
     hit instead of F sweeps.  Unblockable filters resolve to depth 1.
@@ -273,11 +215,11 @@ def select_batch_block_depths(
 
     def sweep() -> Tuple[int, ...]:
         return tuple(
-            select_batch_block_depth(
+            select_block_depth(
                 compiled,
                 subgrid_shape,
                 iterations,
-                batch,
+                batch=batch,
                 machine=machine,
                 tenant=tenant,
             )

@@ -317,10 +317,13 @@ class CM2:
         return self.storage.scratch(name, buffer_shape, lead_shape)
 
     def pingpong_stacked(
-        self, name: str, buffer_shape: Tuple[int, int]
+        self,
+        name: str,
+        buffer_shape: Tuple[int, int],
+        lead_shape: Tuple[int, ...] = (),
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The preallocated ping-pong scratch pair for ``name``."""
-        return self.storage.pingpong(name, buffer_shape)
+        return self.storage.pingpong(name, buffer_shape, lead_shape)
 
     def peak_gflops(self) -> float:
         """Peak chained multiply-add rate of the whole machine."""

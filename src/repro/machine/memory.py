@@ -341,13 +341,16 @@ class MachineStorage:
         return stack
 
     def pingpong(
-        self, name: str, buffer_shape: Tuple[int, int]
+        self,
+        name: str,
+        buffer_shape: Tuple[int, int],
+        lead_shape: Tuple[int, ...] = (),
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The two preallocated ping-pong stacks backing ``name``'s
         temporally blocked iterates (allocated once, reused)."""
         return (
-            self.scratch(f"{name}__ping__", buffer_shape),
-            self.scratch(f"{name}__pong__", buffer_shape),
+            self.scratch(f"{name}__ping__", buffer_shape, lead_shape),
+            self.scratch(f"{name}__pong__", buffer_shape, lead_shape),
         )
 
     # ------------------------------------------------------------------

@@ -1,67 +1,63 @@
-"""Batched multi-convolution: one machine pass for N grids x F filters.
+"""The stencil engine: ``F`` filters over ``B`` grids in one machine pass.
 
-The paper's run-time library amortizes communication *within* one
-stencil application (one padded buffer, all four neighbors at once) and
-temporal blocking amortizes it *across iterations* of one filter.  This
-module amortizes it across an entire workload: ``apply_stencil_batch``
-applies ``F`` compiled filters to ``B`` independent grids in one call,
-and every filter that tolerates the same boundary treatment reads the
-*same* exchanged halo.
+The paper's run-time library is one set of outer loops -- allocate the
+halo, exchange, strip-mine, call the microcode -- for every stencil.
+This module holds that set once.  :func:`apply_stencil_batch` applies
+``F`` compiled filters to ``B`` independent grids in one call, and
+:func:`~repro.runtime.stencil_op.apply_stencil` is its 1x1 case: one
+filter over a source with no leading axes.  Both return one
+:class:`StencilRun`.
 
 Storage extends the classic ``(grid_rows, grid_cols, rows, cols)``
 stacks with leading axes::
 
-    source   (B,    grid_rows, grid_cols, rows,  cols )
-    halo     (B,    grid_rows, grid_cols, rows', cols')   shared per group
-    result   (B, F, grid_rows, grid_cols, rows,  cols )
+    source   (B,    grid_rows, grid_cols, rows,  cols )   () for a solo call
+    halo     (B,    grid_rows, grid_cols, rows', cols')   one per group
+    result   (B, F, grid_rows, grid_cols, rows,  cols )   one filter's slab
+                                                          per F index
 
 Because every halo helper indexes the node grid at ``-4``/``-3`` and the
-subgrid at ``-2``/``-1``, the same four slice assignments that exchange
-one grid's halo exchange all ``B`` at once -- the amortization
-primitive.  Filters are grouped by boundary treatment ``(row mode, col
-mode, fill value)``; each group's first exchange per iteration is ONE
-machine pass of ``B`` messages serving every member filter, instead of
-the ``B x F`` messages a loop of solo calls would send.  Groups whose
-members share a footprint (same pad, same corner reach) exchange at
-exactly that footprint; mixed-footprint groups exchange once at the
-widest member's pad with composed corners, and each filter reads its own
-centered sub-window -- bit-identical to that filter's own exchange.
+subgrid at ``-2``/``-1``, and 4-d coefficient and fused extra-source
+stacks broadcast across the leading axes, the same slice assignments
+and the same tap kernel serve any leading shape.  Filters are grouped
+by boundary treatment ``(row mode, col mode, fill value)``; each
+group's first exchange is ONE machine pass of ``B`` messages serving
+every member filter, instead of the ``B x F`` messages a loop of solo
+calls would send.  Groups whose members share a footprint (same pad,
+same corner reach) exchange at exactly that footprint; mixed-footprint
+groups exchange once at the widest member's pad with composed corners,
+and each filter reads its own centered window -- bit-identical to that
+filter's own exchange.
 
 Front-end accounting draws the same distinction the sequencer hardware
 does.  The address generator iterates the batch axis with a run-time
 base-address stride, so the front end *issues* each filter's half-strip
-schedule once per machine pass regardless of ``B`` (``host_half_strips``),
-while the sequencer *executes* it ``B`` times (``total_half_strips``,
-and the dispatch cycles inside the compute totals).  Host per-call
-overhead is charged once per group machine pass, not once per
-(grid, filter) -- this is where the batch throughput win over a loop of
-solo calls comes from on small subgrids.
+schedule once per machine pass regardless of ``B``
+(``host_half_strips``), while the sequencer *executes* it ``B`` times
+(``total_half_strips``, and the dispatch cycles inside the compute
+totals).  Host per-call overhead is charged once per group machine
+pass, not once per (grid, filter) -- this is where the batch throughput
+win over a loop of solo calls comes from on small subgrids.
 
-Bit-identity contract: ``apply_stencil_batch(...)`` entry ``(b, f)``
-equals the result of ``apply_stencil(filters[f], sources[b], ...)``
-bit for bit in float32, for every boundary mode, block depth, and
-execution mode -- the batched executors replay the exact per-tap
-multiply/add rounding chain of the solo paths, and shared halos are
-provably bit-identical to per-filter halos (centered sub-windows and
-composed corners reproduce the solo exchange's bytes; corner-skipping
-filters never read corner cells).
-
-Hard faults: the batched runtime detects dead nodes and dead links like
-the solo guarded path (deadlines, checksums, reroutes) but does not arm
-spare-node remapping -- a batch's working set has no per-name node
-views to migrate -- so :class:`~repro.runtime.faults.NodeDeadError`
-propagates as a typed error instead of triggering recovery.  The
-stencil service refuses to combine spares with batched jobs for this
-reason.
+Bit-identity contract: entry ``(b, f)`` of ``apply_stencil_batch(...)``
+equals ``apply_stencil(filters[f], sources[b], ...)`` bit for bit in
+float32, for every boundary mode, block depth, execution mode and
+recovery path: both run these loops, and shared halos are provably
+bit-identical to per-filter halos (centered sub-windows and composed
+corners reproduce the solo exchange's bytes; corner-skipping filters
+never read corner cells).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..compiler import driver
 from ..compiler.plan import CompiledStencil
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
@@ -71,34 +67,44 @@ from .blocking import (
     array_coefficient_names,
     block_compute_cycles,
     block_steps,
-    blockable,
     depth_cap,
 )
 from .abft import seal_checksums, verify_and_correct
-from .cm_array import CMArray
+from .cm_array import CMArray, ExecutionSetupError, intact_stack
 from .decomposition import Decomposition
 from .executor import (
-    ExecutionSetupError,
+    kernel_array_names,
     machine_execute_blocked,
     machine_execute_fast_stack,
+    node_execute_exact,
     shape_mismatch,
+    values_equal,
 )
 from .faults import (
     FaultError,
     FaultGuard,
     FaultInjector,
     FaultStats,
+    LinkDownError,
+    NodeDeadError,
     NonFiniteInputError,
+    NoSpareError,
     ResiliencePolicy,
+    SdcUncorrectableError,
 )
 from .halo import (
+    CommStats,
     deep_exchange_cost,
+    deep_width_cost,
+    exchange_cost,
     exchange_halo_batch,
     exchange_halo_deep,
+    # Not called here: perfbench's tracer wraps the engine's exchanges
+    # by this module's attributes and still looks this one up.
     exchange_halo_deep_width,
     exchange_halo_group,
+    halo_buffer_name,
 )
-from .stencil_op import apply_stencil
 from .strips import StripSchedule
 
 
@@ -112,8 +118,7 @@ class CMBatch:
     entry and whole-machine operations (halo exchange, the stacked fast
     executor) serve all of them in one pass.  There are no per-node
     views -- the batch axes are a sequencer-side addressing construct;
-    per-node code paths (exact mode) stage individual entries through
-    ordinary :class:`CMArray` storage.
+    exact mode stages each entry's tiles as node-memory views.
     """
 
     def __init__(
@@ -214,17 +219,22 @@ class CMBatch:
 
 @dataclass(frozen=True)
 class FilterCost:
-    """Per-filter cost attribution inside one batched run.
+    """One filter's share of a run.
 
     Attributes:
         name: the filter's display name.
         index: its position in the run's filter tuple.
         block_depth: temporal block depth this filter ran at.
-        pad: the filter's own halo width.
+        comm: one shallow halo exchange of this filter alone (its pad
+            is ``comm.pad``).
+        pass_cycles: node cycles of one unblocked, subgrid-shaped pass
+            over one grid (counted by the cycle-stepped datapath in
+            exact mode, by the closed-form model otherwise).
+        pass_half_strips: microcode invocations of that pass.
         shared_exchanges: group machine passes this filter shared (each
             one ``batch`` messages split across the group's members).
         own_exchanges: messages charged solely to this filter (iterated
-            re-exchanges of its diverged state; later temporal blocks).
+            re-exchanges of its state; later temporal blocks).
         coeff_exchanges: coefficient deep exchanges this filter caused
             (charged once each, amortized over the whole batch).
         comm_cycles: this filter's exchange cycles -- its own messages
@@ -239,7 +249,9 @@ class FilterCost:
     name: str
     index: int
     block_depth: int
-    pad: int
+    comm: CommStats
+    pass_cycles: int
+    pass_half_strips: int
     shared_exchanges: int
     own_exchanges: int
     coeff_exchanges: int
@@ -250,42 +262,48 @@ class FilterCost:
 
 
 @dataclass(frozen=True)
-class BatchStencilRun:
-    """The outcome and full accounting of one batched multi-convolution.
+class StencilRun:
+    """The outcome and full accounting of one stencil call.
+
+    A call applies ``F`` filters to ``B`` grids; a solo
+    :func:`~repro.runtime.stencil_op.apply_stencil` call is ``F = B =
+    1``.  Cycle counts are node cycles: the CM-2 is synchronous SIMD, so
+    they are identical on every node and independent of machine size.
+    Every total covers the whole run; on a guarded run it is the fault
+    guard's tally, which equals the fault-free closed form plus the
+    :attr:`fault_stats` recovery buckets.
 
     Attributes:
         filters: the compiled filters, in application order.
-        machine: the machine the batch ran on.
-        result: the ``(batch, filter)``-lead result batch; entry
-            ``[b, f]`` is filter ``f`` applied to grid ``b``.
+        machine: the machine the run used.
+        result: the result -- a :class:`~repro.runtime.cm_array.CMArray`
+            for a solo call, else a ``(batch, filter)``-lead
+            :class:`CMBatch` whose entry ``[b, f]`` is filter ``f``
+            applied to grid ``b``.
         batch: number of independent source grids ``B``.
         iterations: iterations applied (every filter, every grid).
-        exact: whether the cycle-stepped oracle path ran.
-        block_depths: per-filter temporal block depth.
+        exact: whether the cycle-stepped datapath ran.
+        block_depths: per-filter temporal block depth (1 = unblocked).
         num_exchanges: source halo messages charged over the whole run
             (a shared group pass counts ``batch`` messages -- the halos
             really move -- but rides on one machine pass).
         coeff_exchanges: coefficient deep exchanges (blocked runs);
             charged once per (coefficient, depth), NOT per batch entry.
-        total_comm_cycles: all exchange cycles over the whole run.
+        total_comm_cycles: all exchange cycles.
         total_compute_cycles: all node compute cycles (scaled by
             ``batch``).
         total_half_strips: microcode invocations *executed* by the
             sequencer (scaled by ``batch``).
-        host_half_strips: half-strip schedules *issued* by the front
-            end -- once per (filter, machine pass), NOT scaled by
-            ``batch``: the sequencer's batch-stride address loop repeats
-            an issued schedule locally.
-        host_calls: run-time-library invocations the host made (one per
-            group machine pass; one per later temporal block).
-        per_filter: per-filter attribution, one :class:`FilterCost`
-            per filter.
-        faults: chaos-run accounting; None on ordinary runs.
+        host_calls: run-time-library invocations the host made: one per
+            group machine pass, one per later temporal block.
+        per_filter: one :class:`FilterCost` per filter.
+        fault_stats: chaos-run fault/retry/recovery accounting; all zero
+            on an unguarded run.
     """
 
     filters: Tuple[CompiledStencil, ...]
     machine: CM2
-    result: CMBatch
+    result: Union[CMArray, CMBatch]
     batch: int
     iterations: int
     exact: bool
@@ -295,29 +313,76 @@ class BatchStencilRun:
     total_comm_cycles: int
     total_compute_cycles: int
     total_half_strips: int
-    host_half_strips: int
     host_calls: int
     per_filter: Tuple[FilterCost, ...]
-    faults: Optional[FaultStats] = None
+    fault_stats: FaultStats
 
     @property
     def params(self) -> MachineParams:
         return self.filters[0].params
 
     @property
-    def fault_stats(self) -> FaultStats:
-        """Fault accounting, all-zero for ordinary (unguarded) runs."""
-        return self.faults if self.faults is not None else FaultStats()
+    def compiled(self) -> CompiledStencil:
+        """The filter of a one-filter run (ValueError otherwise)."""
+        (compiled,) = self.filters
+        return compiled
+
+    @property
+    def compute_cycles(self) -> int:
+        """A one-filter run's node cycles per iteration over one grid,
+        unblocked and subgrid-shaped."""
+        (cost,) = self.per_filter
+        return cost.pass_cycles
+
+    @property
+    def half_strips(self) -> int:
+        """A one-filter run's microcode invocations per iteration over
+        one grid, unblocked."""
+        (cost,) = self.per_filter
+        return cost.pass_half_strips
+
+    @property
+    def comm(self) -> CommStats:
+        """A one-filter run's shallow (depth-1) exchange cost."""
+        (cost,) = self.per_filter
+        return cost.comm
+
+    @property
+    def host_half_strips(self) -> int:
+        """Half-strip schedules *issued* by the front end: once per
+        (filter, machine pass), NOT scaled by ``batch`` -- the
+        sequencer's batch-stride address loop repeats an issued
+        schedule locally."""
+        return self.total_half_strips // self.batch
 
     @property
     def host_seconds_total(self) -> float:
-        """Front-end time: per-call fixed cost for every library
-        invocation plus the issue cost of every *issued* half strip
-        (issued once per machine pass, independent of ``batch``)."""
+        """Front-end time: the per-call fixed cost for every library
+        invocation plus the issue cost of every issued half strip."""
         return (
             self.host_calls * self.params.host_fixed_s
             + self.host_half_strips * self.params.host_halfstrip_s
         )
+
+    @property
+    def machine_seconds_per_iteration(self) -> float:
+        return (
+            self.params.seconds(
+                self.total_compute_cycles + self.total_comm_cycles
+            )
+            / self.iterations
+        )
+
+    @property
+    def host_seconds_per_iteration(self) -> float:
+        return self.host_seconds_total / self.iterations
+
+    @property
+    def seconds_per_iteration(self) -> float:
+        """Elapsed wall-clock per iteration: machine time plus the
+        front-end time to issue the calls (the host and the sequencer do
+        not overlap in this SIMD regime)."""
+        return self.machine_seconds_per_iteration + self.host_seconds_per_iteration
 
     @property
     def elapsed_seconds(self) -> float:
@@ -333,8 +398,15 @@ class BatchStencilRun:
         return sum(cost.useful_flops for cost in self.per_filter)
 
     @property
+    def useful_flops_per_node_per_iteration(self) -> int:
+        return self.useful_flops // (self.machine.num_nodes * self.iterations)
+
+    @property
     def mflops(self) -> float:
-        """Sustained useful Mflops over the whole batched run."""
+        """Sustained useful Mflops over the whole run.  Blocked runs
+        divide the same useful flops by the blocked elapsed time: the
+        halo ring's redundant flops cost time but are never counted as
+        useful."""
         return self.useful_flops / self.elapsed_seconds / 1e6
 
     @property
@@ -343,12 +415,17 @@ class BatchStencilRun:
 
     def describe(self) -> str:
         rows, cols = self.result.subgrid_shape
+        names = "+".join(
+            compiled.pattern.name or "stencil" for compiled in self.filters
+        )
+        grids = f" x {self.batch} grids" if self.batch > 1 else ""
+        depth = max(self.block_depths)
+        blocked = f", block depth {depth}" if depth > 1 else ""
         return (
-            f"{len(self.filters)} filters x {self.batch} grids on "
-            f"{self.machine.num_nodes} nodes, {rows}x{cols} subgrids, "
-            f"{self.iterations} iterations: {self.elapsed_seconds:.4f} s, "
-            f"{self.mflops:.1f} Mflops ({self.num_exchanges} halo "
-            f"messages, {self.host_calls} host calls)"
+            f"{names}{grids} on {self.machine.num_nodes} nodes, "
+            f"{rows}x{cols} subgrids, {self.iterations} iterations"
+            f"{blocked}: {self.elapsed_seconds:.2f} s, "
+            f"{self.mflops:.1f} Mflops"
         )
 
 
@@ -381,108 +458,85 @@ def _boundary_key(pattern: StencilPattern):
     return (row_mode, col_mode, fill)
 
 
-def _filter_groups(patterns: Sequence[StencilPattern]) -> List[_Group]:
-    """Partition filters into halo-sharing groups by boundary treatment."""
+def _filter_groups(
+    patterns: Sequence[StencilPattern], comms: Sequence[CommStats]
+) -> List[_Group]:
+    """Partition filters into halo-sharing groups by boundary treatment
+    (``comms`` holds each filter's own shallow exchange cost)."""
     by_key: Dict[object, List[int]] = {}
-    order: List[object] = []
     for index, pattern in enumerate(patterns):
-        key = _boundary_key(pattern)
-        if key not in by_key:
-            by_key[key] = []
-            order.append(key)
-        by_key[key].append(index)
+        by_key.setdefault(_boundary_key(pattern), []).append(index)
     groups = []
-    for key in order:
-        indices = tuple(by_key[key])
-        pads = [patterns[i].border_widths().max_width for i in indices]
-        corners = [patterns[i].needs_corner_exchange() for i in indices]
-        uniform = len(set(pads)) == 1 and len(set(corners)) == 1
+    for indices in by_key.values():
+        footprints = {
+            (comms[i].pad, comms[i].corner_step_skipped) for i in indices
+        }
         groups.append(
             _Group(
-                indices=indices,
-                uniform=uniform,
-                width=max(pads),
+                indices=tuple(indices),
+                uniform=len(footprints) == 1,
+                width=max(comms[i].pad for i in indices),
                 representative=patterns[indices[0]],
             )
         )
     return groups
 
 
-def _merge_fault_stats(
-    total: Optional[FaultStats], extra: FaultStats
-) -> FaultStats:
-    """Accumulate one staged run's fault accounting into the batch's."""
-    if total is None:
-        total = FaultStats()
-    for kind, count in extra.injected.items():
-        total.injected[kind] = total.injected.get(kind, 0) + count
-    for kind, count in extra.detected.items():
-        total.detected[kind] = total.detected.get(kind, 0) + count
-    for name in FaultStats._COUNTER_FIELDS:
-        setattr(total, name, getattr(total, name) + getattr(extra, name))
-    total.events.extend(extra.events)
-    total.degradations = total.degradations + extra.degradations
-    return total
+@contextmanager
+def _coefficient_bindings(machine: CM2, coefficients: Dict[str, CMArray]):
+    """Point statement coefficient names at the caller's arrays, scoped
+    to one call.
 
-
-def _resolve_coefficient_stacks(
-    machine: CM2,
-    filters: Sequence[CompiledStencil],
-    coefficients: Dict[str, CMArray],
-    global_shape: Tuple[int, int],
-) -> Dict[str, np.ndarray]:
-    """The machine-wide stack behind every coefficient name any filter
-    reads: the caller's array when supplied, otherwise a resident
-    stacked array under the statement name."""
-    stacks: Dict[str, np.ndarray] = {}
-    for compiled in filters:
-        for name in array_coefficient_names(compiled.pattern):
-            if name in stacks:
-                continue
-            array = coefficients.get(name)
-            if array is not None:
-                if array.machine is not machine:
-                    raise ExecutionSetupError(
-                        f"coefficient {name!r} lives on a different machine"
-                    )
-                if array.global_shape != tuple(global_shape):
-                    raise ExecutionSetupError(
-                        shape_mismatch(
-                            f"coefficient {name!r}",
-                            array.global_shape,
-                            tuple(global_shape),
-                        )
-                    )
-                stack = machine.stacked(array.name)
+    The compiled plans stream coefficients by *statement* name; when a
+    caller passes arrays stored under different names (e.g. through the
+    subroutine-call interface), the statement names are aliased to them
+    -- run-time base addresses, as the sequencer would take them.  The
+    previous bindings (if any) are restored on exit, so repeated calls
+    with different arrays never see each other's aliases and node memory
+    does not accumulate stale names.
+    """
+    saved = []
+    for statement_name, array in coefficients.items():
+        if array.name == statement_name:
+            continue
+        previous_stack = machine.storage.get(statement_name)
+        previous_views = [
+            node.memory.view(statement_name) for node in machine.nodes()
+        ]
+        machine.alias_stacked(statement_name, array.name)
+        saved.append((statement_name, previous_stack, previous_views))
+    try:
+        yield
+    finally:
+        for statement_name, previous_stack, previous_views in reversed(saved):
+            if previous_stack is None:
+                machine.storage.free(statement_name)
             else:
-                stack = machine.stacked(name)
-            if stack is None:
-                raise ExecutionSetupError(
-                    f"coefficient {name!r} is neither supplied nor resident "
-                    f"on the machine as a stacked array"
-                )
-            stacks[name] = stack
-    return stacks
+                machine.storage.bind(statement_name, previous_stack)
+            for node, view in zip(machine.nodes(), previous_views):
+                if view is None:
+                    node.memory.free(statement_name)
+                else:
+                    node.memory.install_view(statement_name, view)
 
 
-def _resolve_batch_depths(
+def _resolve_depths(
     filters: Sequence[CompiledStencil],
     subgrid_shape: Tuple[int, int],
     iterations: int,
     exact: bool,
-    guarded: bool,
     block_depth: Union[int, str],
     batch: int,
-    machine: Optional[CM2],
+    machine: CM2,
     tenant: Optional[str],
 ) -> Tuple[int, ...]:
-    """Per-filter temporal block depths for a batched run.
+    """Validate the caller's ``block_depth`` and resolve it per filter.
 
-    Exact mode, single calls, and guarded (chaos) runs resolve every
-    filter to depth 1 -- the guarded batch protocol exchanges and
-    verifies per iteration.  ``"auto"`` prices each filter through the
-    batch-aware cost model (coefficient exchanges amortize over the
-    whole batch, so blocking pays off earlier than solo).
+    Exact mode, single calls, and filter sets with a fused extra term
+    (the deep exchange does not manage extra sources) resolve every
+    filter to depth 1.  An int is clamped per filter to what its pad
+    and the subgrid support (1 for unblockable patterns); ``"auto"``
+    prices each filter through the batch-aware cost model.
     """
     if block_depth == "auto":
         requested = None
@@ -497,504 +551,945 @@ def _resolve_batch_depths(
         raise ValueError(
             f"block_depth must be a positive int or 'auto', got {block_depth!r}"
         )
-    if exact or guarded or iterations < 2:
+    fused = any(getattr(f.pattern, "extra_terms", ()) for f in filters)
+    if exact or iterations < 2 or fused or requested == 1:
         return tuple(1 for _ in filters)
     if requested is not None:
         return tuple(
             min(requested, depth_cap(f.pattern, subgrid_shape, iterations))
-            if blockable(f.pattern)
-            else 1
             for f in filters
         )
-    from ..compiler.driver import select_batch_block_depths
-
-    return select_batch_block_depths(
-        filters,
-        subgrid_shape,
-        iterations,
-        batch,
-        machine=machine,
-        tenant=tenant,
+    return driver.select_batch_block_depths(
+        filters, subgrid_shape, iterations, batch, machine=machine, tenant=tenant
     )
 
 
-def _new_counters(num_filters: int) -> Dict[str, object]:
-    return {
-        "num_exchanges": 0,
-        "coeff_exchanges": 0,
-        "total_comm_cycles": 0,
-        "total_compute_cycles": 0,
-        "total_half_strips": 0,
-        "host_half_strips": 0,
-        "host_calls": 0,
-        "f_shared": [0] * num_filters,
-        "f_own": [0] * num_filters,
-        "f_coeff": [0] * num_filters,
-        "f_comm": [0.0] * num_filters,
-        "f_compute": [0] * num_filters,
-        "f_strips": [0] * num_filters,
-        "faults": None,
-    }
+class _Plan:
+    """What every loop of one call shares: the filters and groups, the
+    source stack and its name, one result slab per filter, and the
+    coefficient and extra-source stacks by statement name."""
+
+    def __init__(
+        self,
+        filters: Tuple[CompiledStencil, ...],
+        source_name: str,
+        source: np.ndarray,
+        result: Union[CMArray, CMBatch],
+        outs: Tuple[np.ndarray, ...],
+        out_names: Tuple[str, ...],
+        iterations: int,
+    ) -> None:
+        self.filters = filters
+        self.machine = result.machine
+        self.params = filters[0].params
+        self.source_name = source_name
+        self.source = source
+        self.result = result
+        self.outs = outs
+        self.out_names = out_names
+        self.iterations = iterations
+        self.lead = tuple(source.shape[:-4])
+        self.batch = math.prod(self.lead)
+        self.subgrid = tuple(source.shape[-2:])
+        self.comms = [
+            exchange_cost(f.pattern, self.subgrid, self.params) for f in filters
+        ]
+        self.groups = _filter_groups([f.pattern for f in filters], self.comms)
+        self.schedules = [StripSchedule.cached(f, self.subgrid) for f in filters]
+        self.arrays: Dict[str, np.ndarray] = {}
+
+    def halo_name(self, gi: int) -> str:
+        """Group ``gi``'s halo stack: the first group's is the source's
+        own halo buffer."""
+        return halo_buffer_name(
+            f"{self.source_name}__group{gi}" if gi else self.source_name
+        )
+
+    def padded(self, width: int) -> Tuple[int, int]:
+        rows, cols = self.subgrid
+        return (rows + 2 * width, cols + 2 * width)
+
+    def group_cost(self, group: _Group) -> CommStats:
+        """One copy's cost of the group's shallow exchange."""
+        if group.uniform:
+            return self.comms[group.indices[0]]
+        return deep_width_cost(self.subgrid, self.params, group.width)
+
+    def slab_words(self) -> int:
+        """Words per node of one filter's result slab."""
+        rows, cols = self.subgrid
+        return self.batch * rows * cols
+
+
+def run_stencil(
+    filters: Tuple[CompiledStencil, ...],
+    source_name: str,
+    source: np.ndarray,
+    result: Union[CMArray, CMBatch],
+    outs: Tuple[np.ndarray, ...],
+    out_names: Tuple[str, ...],
+    coefficients: Dict[str, CMArray],
+    *,
+    iterations: int,
+    exact: bool,
+    block_depth: Union[int, str],
+    faults: Optional[FaultInjector],
+    resilience: Optional[ResiliencePolicy],
+    abft: bool,
+    tenant: Optional[str],
+) -> StencilRun:
+    """The engine behind both entry points, on validated arrays.
+
+    ``source`` is the source stack (``source_name`` names it and its
+    halo buffers), ``outs`` the result slab each filter writes (named
+    ``out_names`` in fault sites and ABFT seals), both with the same
+    leading axes.  Supplying ``faults`` or ``resilience`` (or ``abft``)
+    runs the guarded recovery ladder; otherwise the blocked or
+    unblocked loop runs once and the record is the closed form.
+    """
+    plan = _Plan(filters, source_name, source, result, outs, out_names, iterations)
+    machine = plan.machine
+    depths = _resolve_depths(
+        filters, plan.subgrid, iterations, exact, block_depth, plan.batch,
+        machine, tenant,
+    )
+    if abft:
+        if resilience is None:
+            resilience = ResiliencePolicy(abft=True)
+        elif not resilience.abft:
+            resilience = replace(resilience, abft=True)
+    guard = None
+    if faults is not None or resilience is not None:
+        guard = FaultGuard(policy=resilience, injector=faults)
+    with _coefficient_bindings(machine, coefficients):
+        names = dict.fromkeys(
+            name for f in filters for name in kernel_array_names(f.pattern)
+        )
+        plan.arrays = {name: intact_stack(machine, name) for name in names}
+        return _run_ladder(plan, depths, exact, guard)
+
+
+def _run_ladder(
+    plan: _Plan,
+    depths: Tuple[int, ...],
+    exact: bool,
+    guard: Optional[FaultGuard],
+) -> StencilRun:
+    """Run the loops; under guard, walk the graceful-degradation ladder.
+
+    Rungs, fastest first: blocked fast path -> unblocked fast path ->
+    exact per-node executor.  All three are bit-identical in float32, so
+    stepping down after repeated unrecoverable faults changes the run's
+    cost, never its results.  The exact rung's datapath is modeled as
+    ECC-protected (no executor faults are injected there); the source
+    is never modified, so each rung restarts from pristine input.  Guard
+    tallies accumulate across rungs -- a degraded run's totals include
+    the cycles its failed rungs burned.  An unguarded run takes only
+    the first rung.
+
+    Hard faults add a final implicit rung past "exact": spare-node
+    remapping.  Arming the guard against the machine enables detection
+    (exchange deadlines, route-failure probes); when the machine is
+    configured with spares, a genesis checkpoint of every distributed
+    stack (and of a staged source) is taken up front -- the reference a
+    remap restores the lost tile from.  A dead node is repaired *inside*
+    the current rung (remap + restore + replay), not by stepping down:
+    no rung can outrun a node whose memory is gone.
+    :class:`NoSpareError` and :class:`LinkDownError` are therefore
+    unrecoverable-by-degradation and propagate immediately -- the typed
+    failure the no-spare guarantee demands, never silent corruption.
+    """
+    unblocked = tuple(1 for _ in depths)
+    rungs = ["exact"] if exact else ["fast", "exact"]
+    if depths != unblocked:
+        rungs.insert(0, "blocked")
+    if guard is None:
+        del rungs[1:]
+    else:
+        machine = plan.machine
+        guard.attach_machine(machine)
+        if machine.has_spares and guard.genesis is None:
+            seen = set()
+            names = []
+            for name in machine.storage.names:
+                stack = machine.storage.get(name)
+                if stack is None or id(stack) in seen:
+                    continue
+                seen.add(id(stack))
+                names.append(name)
+            if id(plan.source) not in seen:
+                names.append(plan.source_name)
+            guard.genesis = machine.storage.checkpoint(names)
+            guard.charge_checkpoint(machine.migration_words())
+    for index, rung in enumerate(rungs):
+        try:
+            if rung == "blocked":
+                _run_blocked(plan, depths, guard)
+                return _record(plan, depths, False, [None] * len(depths), guard)
+            measured = _run_unblocked(plan, rung == "exact", guard)
+            return _record(plan, unblocked, rung == "exact", measured, guard)
+        except (NoSpareError, LinkDownError):
+            # Hardware is gone and no spare capacity remains: stepping
+            # down a rung cannot help, and limping on would corrupt.
+            raise
+        except FaultError:
+            if index == len(rungs) - 1:
+                raise
+            guard.note_degradation(f"{rung}->{rungs[index + 1]}")
+    raise AssertionError("unreachable: the last rung returns or raises")
+
+
+class _PassFailed(Exception):
+    """A filter pass still failed verification after every retry."""
+
+    def __init__(self, error: FaultError) -> None:
+        super().__init__(str(error))
+        self.error = error
+
+
+class _Rollback:
+    """One guarded loop's periodic checkpoints and replay high-water mark.
+
+    Iterations below ``high`` were already charged canonically once;
+    their re-runs are routed to the replay buckets so totals keep
+    reconciling as closed form + recovery.
+    """
+
+    def __init__(self, plan: _Plan, guard: FaultGuard) -> None:
+        self.plan = plan
+        self.guard = guard
+        self.checkpoint = None
+        self.iteration = 0
+        self.replays = 0
+        self.high = 0
+
+    def take(self, k: int) -> None:
+        plan = self.plan
+        self.checkpoint = plan.machine.storage.checkpoint([plan.result.name])
+        self.iteration = k
+        self.guard.charge_checkpoint(len(plan.outs) * plan.slab_words())
+
+    def rewind(self, k: int, lost: int) -> int:
+        """Restore the last checkpoint (or fall back to the untouched
+        source), note the rollback of the ``k - resume + lost``
+        iterations it discards, and return the iteration to resume at."""
+        resume = 0
+        if self.checkpoint is not None:
+            self.plan.machine.storage.restore(self.checkpoint)
+            resume = self.iteration
+        self.guard.note_rollback(k - resume + lost)
+        self.high = max(self.high, k)
+        return resume
+
+
+def _named_stack(
+    machine: CM2,
+    name: str,
+    lead: Tuple[int, ...],
+    shape: Tuple[int, int],
+) -> np.ndarray:
+    """The distributed stack ``name``, (re)allocated when missing or
+    reshaped.  Exchanges look it up inside their hard-fault window, so
+    a node that dies there never held it."""
+    stack = machine.storage.get(name)
+    if stack is None or stack.shape != lead + tuple(machine.shape) + shape:
+        if lead:
+            stack = machine.alloc_batch_stacked(name, lead, shape)
+        else:
+            stack = machine.alloc_stacked(name, shape)
+    return stack
+
+
+def _exchange_group(
+    plan: _Plan, gi: int, k: int, guard: Optional[FaultGuard]
+) -> Tuple[List[np.ndarray], int, CommStats]:
+    """Iteration ``k``'s exchange for group ``gi``: one machine pass.
+
+    Iteration 0 exchanges the source, one ``batch``-message pass serving
+    every member.  Later, each filter reads its own previous iterate: a
+    one-member group exchanges its result slab into the same buffer; a
+    larger group gathers its members' slabs (a copy; the exchange reads
+    and verifies against it) into one pass of ``batch * members``
+    messages.  Returns each member's padded input, the messages sent,
+    and the per-message cost.
+    """
+    group = plan.groups[gi]
+    members = group.indices
+    shape = plan.padded(group.width)
+    name = plan.halo_name(gi)
+    if k and len(members) > 1:
+        stack = np.stack([plan.outs[fi] for fi in members], axis=-5)
+        name = f"{name}__gather__"
+        gathered = plan.machine.scratch_stacked(name, shape, stack.shape[:-4])
+        destination = lambda: gathered
+    else:
+        stack = plan.outs[members[0]] if k else plan.source
+        destination = lambda: _named_stack(plan.machine, name, plan.lead, shape)
+    copies = math.prod(stack.shape[:-4])
+    site = f"exchange into {name!r}"
+    if group.uniform:
+        stats = exchange_halo_batch(
+            stack, destination, group.representative, plan.subgrid,
+            plan.params, copies=copies, guard=guard, site=site,
+        )
+    else:
+        stats = exchange_halo_group(
+            stack, destination, group.representative, plan.subgrid,
+            plan.params, group.width, copies=copies, guard=guard, site=site,
+        )
+    padded = destination()
+    if padded.ndim > plan.source.ndim:
+        views = [padded[..., j, :, :, :, :] for j in range(len(members))]
+    else:
+        views = [padded] * len(members)
+    return views, copies, stats
+
+
+#: Node-memory names under which exact mode stages one grid's tiles.
+_EXACT = "__exact__"
+
+
+def _exact_pass(
+    plan: _Plan,
+    fi: int,
+    padded: np.ndarray,
+    width: int,
+    expected: Optional[int],
+) -> int:
+    """Filter ``fi``'s pass through the cycle-stepped datapath, node by
+    node and grid by grid.  Each grid's padded input and result tiles
+    are staged as node-memory views, so the sequencer reads and writes
+    the stacks in place.  Returns the cycle count, which the SIMD
+    machine requires to be identical on every node (and equal to
+    ``expected`` when given)."""
+    compiled = plan.filters[fi]
+    out = plan.outs[fi]
+    halo = halo_buffer_name(_EXACT)
+    nodes = list(plan.machine.nodes())
+    cycles = expected
+    for entry in np.ndindex(*out.shape[:-4]):
+        for node in nodes:
+            tile = entry + (node.coord.row, node.coord.col)
+            node.memory.install_view(halo, padded[tile])
+            node.memory.install_view(_EXACT, out[tile])
+            node_cycles = node_execute_exact(
+                compiled,
+                node,
+                plan.schedules[fi],
+                source_name=_EXACT,
+                result_name=_EXACT,
+                halo=width,
+            )
+            if cycles is not None and node_cycles != cycles:
+                raise AssertionError(
+                    "SIMD invariant violated: nodes disagree on cycles"
+                )
+            cycles = node_cycles
+    for node in nodes:
+        node.memory.free(halo)
+        node.memory.free(_EXACT)
+    return cycles
+
+
+def _pass(
+    plan: _Plan,
+    fi: int,
+    padded: np.ndarray,
+    width: int,
+    exact: bool,
+    guard: Optional[FaultGuard],
+    ledger: list,
+    measured: List[Optional[int]],
+) -> None:
+    """Filter ``fi``'s unblocked pass over every grid.
+
+    Under guard the fast pass may be poisoned and is verified finite; a
+    detected fault is recomputed (the padded input is untouched by the
+    executor, so a recompute is a clean retry) up to
+    ``policy.max_retries`` times, every attempt charged.  The exact
+    rung is modeled ECC-protected: nothing is injected there.  Raises
+    :class:`_PassFailed` when the retries run out.
+    """
+    out = plan.outs[fi]
+    schedule = plan.schedules[fi]
+    strips = plan.batch * schedule.num_half_strips
+    attempt = 0
+    while True:
+        attempt += 1
+        try:
+            if exact:
+                measured[fi] = _exact_pass(plan, fi, padded, width, measured[fi])
+            else:
+                machine_execute_fast_stack(
+                    plan.filters[fi].pattern,
+                    padded=padded,
+                    coeff_stacks=plan.arrays,
+                    halo=width,
+                    out=out,
+                )
+                if guard is not None:
+                    guard.inject_poison(out)
+                    guard.verify_finite(
+                        out, f"fast executor result {plan.out_names[fi]!r}"
+                    )
+        except FaultError as error:
+            # guard is not None here: only its checks raise.
+            cycles = measured[fi] or schedule.compute_cycles(plan.params)
+            guard.charge_compute(plan.batch * cycles, strips, recovery=True)
+            if attempt > guard.policy.max_retries:
+                raise _PassFailed(error) from error
+            guard.note_recompute()
+            continue
+        if guard is not None:
+            cycles = plan.batch * (
+                measured[fi] if exact else schedule.compute_cycles(plan.params)
+            )
+            guard.charge_compute(cycles, strips)
+            if not guard.replaying:
+                ledger.append(lambda: guard.reclaim_compute(cycles))
+        return
 
 
 def _run_unblocked(
-    filters: Sequence[CompiledStencil],
-    source_stack: np.ndarray,
-    result6: np.ndarray,
-    coeff_stacks: Dict[str, np.ndarray],
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-    iterations: int,
-    groups: List[_Group],
-    machine: CM2,
-    guard: Optional[FaultGuard],
-) -> Dict[str, object]:
-    """The per-iteration batched fast path (all block depths 1).
+    plan: _Plan, exact: bool, guard: Optional[FaultGuard]
+) -> List[Optional[int]]:
+    """The per-iteration loop (every block depth 1), fast or exact.
 
-    Iteration 0 of each group is the amortized machine pass: every
-    member filter reads the same exchanged source halo.  From iteration
-    1 on, filter states have diverged, so each group re-exchanges all
-    its members' states in one 6-d machine pass (``batch * members``
-    messages -- the data really differs -- but still one host call and
-    one set of slice assignments per group).
+    Each iteration exchanges every group (see :func:`_exchange_group`)
+    and runs every member's pass.  When every filter's iterate
+    bit-equals the input it was computed from -- a fixed point -- every
+    later iteration would reproduce the same bits, so the loop stops
+    computing; the accounting still charges every iteration.  NaNs
+    compare unequal, so diverging runs are never cut short.
 
-    No fixed-point short-circuit: the solo path charges skipped
-    iterations in full anyway, so computing them keeps bits and totals
-    identical at less bookkeeping.
+    Under guard, every exchange is checksummed and retried by the
+    exchange itself; a pass still failing after its retries rolls the
+    run back to the last periodic checkpoint (or to iteration 0,
+    replaying from the untouched source) and replays, bounded by
+    ``policy.max_replays``; a dead node is remapped onto a spare, its
+    tile restored from the genesis checkpoint, and the run rewound the
+    same way.  With ABFT (fast rung only), every result slab is sealed
+    after its pass, the injector gets its SDC window once the periodic
+    checkpoint is safely taken, and every slab is verified and
+    forward-corrected as the iteration's last act, so neither the next
+    exchange nor the caller reads unverified bits; multi-cell damage
+    rolls back like a failed pass.  Returns the exact cycle count per
+    filter (None in fast mode).
     """
-    rows, cols = subgrid_shape
-    batch = int(source_stack.shape[0])
-    counters = _new_counters(len(filters))
-    schedules = [StripSchedule.cached(f, subgrid_shape) for f in filters]
-    pass_cycles = [schedule.compute_cycles(params) for schedule in schedules]
-    pass_strips = [schedule.num_half_strips for schedule in schedules]
+    machine = plan.machine
+    iterations = plan.iterations
+    rows, cols = plan.subgrid
+    measured: List[Optional[int]] = [None] * len(plan.filters)
+    abft = guard is not None and guard.policy.abft and not exact
+    rollback = _Rollback(plan, guard) if guard is not None else None
+    k = 0
+    while k < iterations:
+        # Canonical charges of this iteration, undone (moved into the
+        # replay buckets) if it rolls back: its re-run charges them.
+        ledger: list = []
+        fixed = k < iterations - 1
+        try:
+            if guard is not None:
+                guard.replaying = k < rollback.high
+            for gi, group in enumerate(plan.groups):
+                views, copies, stats = _exchange_group(plan, gi, k, guard)
+                if guard is not None and not guard.replaying:
+                    ledger += [
+                        lambda c=stats.cycles: guard.reclaim_exchange(c)
+                    ] * copies
+                width = group.width
+                for padded, fi in zip(views, group.indices):
+                    _pass(plan, fi, padded, width, exact, guard, ledger, measured)
+                    fixed = fixed and values_equal(
+                        plan.outs[fi],
+                        padded[..., width : width + rows, width : width + cols],
+                    )
+        except NodeDeadError as dead:
+            # A participant's memory is gone, detected before that
+            # exchange moved or charged anything: remap the logical
+            # coordinate onto a spare, restore the migrated tile from
+            # the genesis checkpoint, rewind the iterate and replay.
+            # Raises NoSpareError when no spare remains.
+            guard.replaying = False
+            for undo in ledger:
+                undo()
+            guard.recover_dead_node(dead.coord)
+            k = rollback.rewind(k, 0)
+            continue
+        except _PassFailed as failed:
+            # Recomputing alone did not clear it: roll back to the last
+            # checkpoint (or the untouched source) and replay the
+            # iterations since, this one included.
+            if rollback.replays >= guard.policy.max_replays:
+                raise failed.error
+            rollback.replays += 1
+            for undo in ledger:
+                undo()
+            k = rollback.rewind(k, 1)
+            guard.replaying = False
+            continue
+        if guard is not None:
+            guard.replaying = False
+        k += 1
+        if abft:
+            for name, out in zip(plan.out_names, plan.outs):
+                machine.storage.seal_abft(name, seal_checksums(out))
+                guard.charge_abft(plan.slab_words(), seals=1)
+        if fixed:
+            if guard is not None:
+                _charge_skipped(plan, guard, iterations - k, measured)
+            break
+        if guard is None:
+            continue
+        interval = guard.policy.checkpoint_interval
+        if interval > 0 and k < iterations and k % interval == 0:
+            rollback.take(k)
+        if abft:
+            # The SDC window: the checkpoint (if due) is already taken,
+            # so rollback state is always clean; the strike lands in the
+            # resident result tiles where no message checksum looks.
+            guard.inject_sdc(
+                [
+                    (f"result stack {name!r}", out)
+                    for name, out in zip(plan.out_names, plan.outs)
+                ]
+            )
+            try:
+                for name, out in zip(plan.out_names, plan.outs):
+                    guard.charge_abft(plan.slab_words(), verifies=1)
+                    corrected = verify_and_correct(
+                        out,
+                        machine.storage.get_abft(name),
+                        site=f"abft iteration {k - 1} result",
+                        guard=guard,
+                    )
+                    if corrected:
+                        guard.charge_sdc_correction(corrected)
+            except SdcUncorrectableError:
+                # Forward correction is out; fall back to the rollback a
+                # failed pass uses.  This iteration's charges stand;
+                # every re-run below the new high-water mark lands in
+                # the replay buckets.
+                if rollback.replays >= guard.policy.max_replays:
+                    raise
+                rollback.replays += 1
+                k = rollback.rewind(k, 0)
+    if abft:
+        for name in plan.out_names:
+            machine.storage.clear_abft(name)
+    return measured
 
-    # ABFT per filter: each filter's result slab gets its own seal
-    # (sealed after the pass, SDC window opened, verified before the
-    # next gather reads it and once more at run end).  The checksum
-    # vectors ride the same leading (batch,) axis as the data, so mixed
-    # pads and shared k==0 halos need no special casing.  Uncorrectable
-    # damage raises the typed SdcUncorrectableError straight out of the
-    # batched run -- like a dead node, batched runs do not arm the
-    # rollback ladder.
-    abft_on = guard is not None and guard.policy.abft
-    abft_words = batch * rows * cols
 
-    def abft_key(fi: int) -> str:
-        return f"__abft_batch_f{fi}__"
-
-    def abft_verify(fi: int, site: str) -> None:
-        guard.charge_abft(abft_words, verifies=1)
-        corrected = verify_and_correct(
-            result6[:, fi],
-            machine.storage.get_abft(abft_key(fi)),
-            site=site,
-            guard=guard,
+def _charge_skipped(
+    plan: _Plan,
+    guard: FaultGuard,
+    skipped: int,
+    measured: List[Optional[int]],
+) -> None:
+    """Fixed-point short-circuit under guard: charge the skipped
+    iterations' exchanges and passes exactly like the closed form."""
+    for group in plan.groups:
+        guard.charge_skipped_exchanges(
+            skipped * plan.batch * len(group.indices),
+            plan.group_cost(group).cycles,
         )
-        if corrected:
-            guard.charge_sdc_correction(corrected)
-
-    for k in range(iterations):
-        for gi, group in enumerate(groups):
-            members = group.indices
-            width = group.width
-            padded_shape = (rows + 2 * width, cols + 2 * width)
-            if k == 0:
-                # Every filter reads the same source: one machine pass
-                # of `batch` messages serves the whole group.
-                padded = machine.scratch_stacked(
-                    f"__batch_halo_g{gi}__", padded_shape, (batch,)
-                )
-                copies = batch
-                stack = source_stack
-                views = {fi: padded for fi in members}
-            else:
-                # Diverged filter states: one machine pass still, but
-                # every (entry, filter) halo is its own message.  The
-                # advanced-indexed gather is a copy; the exchange reads
-                # and verifies against that copy, and results are
-                # written straight back into the result stack.
-                padded = machine.scratch_stacked(
-                    f"__batch_halo6_g{gi}__",
-                    padded_shape,
-                    (batch, len(members)),
-                )
-                copies = batch * len(members)
-                if abft_on:
-                    # Verify every member's slab before the gather
-                    # copies it into the exchange: corrupted bits must
-                    # never leave the resident tile.
-                    for fi in members:
-                        abft_verify(
-                            fi,
-                            f"abft batched gather "
-                            f"(filter {fi}, iteration {k})",
-                        )
-                stack = result6[:, list(members)]
-                views = {fi: padded[:, j] for j, fi in enumerate(members)}
-            if group.uniform:
-                stats = exchange_halo_batch(
-                    stack,
-                    padded,
-                    group.representative,
-                    subgrid_shape,
-                    params,
-                    copies=copies,
-                    guard=guard,
-                    site=f"batch exchange (group {gi}, iteration {k})",
-                )
-            else:
-                stats = exchange_halo_group(
-                    stack,
-                    padded,
-                    group.representative,
-                    subgrid_shape,
-                    params,
-                    width,
-                    copies=copies,
-                    guard=guard,
-                    site=f"group exchange (group {gi}, iteration {k})",
-                )
-            counters["host_calls"] += 1
-            counters["num_exchanges"] += copies
-            counters["total_comm_cycles"] += copies * stats.cycles
-            for fi in members:
-                if k == 0:
-                    counters["f_shared"][fi] += 1
-                    counters["f_comm"][fi] += (
-                        batch * stats.cycles / len(members)
-                    )
-                else:
-                    counters["f_own"][fi] += batch
-                    counters["f_comm"][fi] += batch * stats.cycles
-
-            for fi in members:
-                compiled = filters[fi]
-                out = result6[:, fi]
-                attempt = 0
-                while True:
-                    attempt += 1
-                    machine_execute_fast_stack(
-                        compiled.pattern,
-                        padded=views[fi],
-                        coeff_stacks=coeff_stacks,
-                        halo=width,
-                        out=out,
-                    )
-                    counters["host_half_strips"] += pass_strips[fi]
-                    if guard is None:
-                        break
-                    guard.inject_poison(out)
-                    try:
-                        guard.verify_finite(
-                            out,
-                            f"batched fast executor result "
-                            f"(filter {fi}, iteration {k})",
-                        )
-                    except FaultError:
-                        # The failed pass still burned its cycles; the
-                        # padded input is untouched by the executor, so
-                        # a recompute is a clean retry.
-                        guard.charge_compute(
-                            batch * pass_cycles[fi],
-                            batch * pass_strips[fi],
-                            recovery=True,
-                        )
-                        if attempt > guard.policy.max_retries:
-                            raise
-                        guard.note_recompute()
-                        continue
-                    guard.charge_compute(
-                        batch * pass_cycles[fi], batch * pass_strips[fi]
-                    )
-                    break
-                counters["total_compute_cycles"] += batch * pass_cycles[fi]
-                counters["total_half_strips"] += batch * pass_strips[fi]
-                counters["f_compute"][fi] += batch * pass_cycles[fi]
-                counters["f_strips"][fi] += batch * pass_strips[fi]
-                if abft_on:
-                    machine.storage.seal_abft(
-                        abft_key(fi), seal_checksums(result6[:, fi])
-                    )
-                    guard.charge_abft(abft_words, seals=1)
-                    guard.inject_sdc(
-                        [(
-                            f"batched result stack (filter {fi})",
-                            result6[:, fi],
-                        )]
-                    )
-
-    if abft_on:
-        # Run-end sweep: the last iteration's SDC windows have not been
-        # verified yet; nothing unverified may reach the caller.
-        for fi in range(len(filters)):
-            abft_verify(fi, f"abft batched run end (filter {fi})")
-            machine.storage.clear_abft(abft_key(fi))
-
-    if guard is not None:
-        counters["num_exchanges"] = guard.exchanges
-        counters["coeff_exchanges"] = guard.coeff_exchanges
-        counters["total_comm_cycles"] = guard.comm_cycles
-        counters["total_compute_cycles"] = guard.compute_cycles
-        counters["total_half_strips"] = guard.half_strips
-        counters["faults"] = guard.stats
-    return counters
+    for fi, schedule in enumerate(plan.schedules):
+        cycles = measured[fi] or schedule.compute_cycles(plan.params)
+        guard.charge_compute(
+            skipped * plan.batch * cycles,
+            skipped * plan.batch * schedule.num_half_strips,
+        )
 
 
 def _run_blocked(
-    filters: Sequence[CompiledStencil],
-    source_stack: np.ndarray,
-    result6: np.ndarray,
-    coeff_stacks: Dict[str, np.ndarray],
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-    iterations: int,
-    depths: Tuple[int, ...],
-    groups: List[_Group],
-    machine: CM2,
-) -> Dict[str, object]:
-    """The temporally blocked batched path (any filter's depth > 1).
+    plan: _Plan, depths: Tuple[int, ...], guard: Optional[FaultGuard]
+) -> None:
+    """The temporally blocked loop (some filter's depth > 1).
 
-    Every filter runs blocked at its own depth (depth-1 filters run
-    one-step blocks, which are bit- and cost-identical to per-iteration
-    exchanges with composed-corner halos).  Per group, the *first*
-    block's input is one shared machine pass at the largest deep width
-    any member needs; each filter copies its centered window out
-    locally.  Coefficient deep exchanges are charged once per
-    (coefficient, deep width) -- amortized over the whole batch, where a
-    loop of solo blocked calls would pay them ``batch`` times.  Later
-    blocks re-exchange each filter's own diverged state.
+    Every filter runs blocks of its own depth on its own ping-pong pair
+    (a depth-1 filter runs one-step blocks: the bits of per-iteration
+    exchanges).  Per group, the coefficient deep halos go first --
+    exchanged once per (coefficient, depth), for the whole batch, and
+    reused by every block, since the halo ring's locally recomputed
+    points need the neighbors' coefficients to reproduce their bits.
+    Then ONE machine pass exchanges the source at the widest member's
+    deep width into that member's ping buffer, and every other member
+    copies its centered window out locally -- bit-identical to its own
+    deep exchange, no messages.  Later blocks re-exchange each filter's
+    own state.
+
+    Under guard, every deep exchange is checksummed and retried, the
+    blocked executor runs parity-sealed, and a block whose corruption
+    survives the exchange retries is replayed from a fresh exchange
+    (bounded by ``policy.max_replays``; the block input lives in the
+    source or the result slab, which no failed attempt modifies).  With
+    ABFT, every block's result is verified before anything reads it
+    (:func:`_verify_block`).  A dead
+    node is remapped onto a spare, the lost tile restored from the
+    genesis checkpoint, and the whole blocked run restarted from the
+    pristine source; exchanges and blocks below the high-water marks
+    replay into the replay buckets.
     """
-    rows, cols = subgrid_shape
-    batch = int(source_stack.shape[0])
-    counters = _new_counters(len(filters))
-
-    for gi, group in enumerate(groups):
-        members = group.indices
-        pads = {
-            fi: filters[fi].pattern.border_widths().max_width
-            for fi in members
-        }
-        deeps = {fi: depths[fi] * pads[fi] for fi in members}
-        wide = max(deeps.values())
-        shared = machine.scratch_stacked(
-            f"__batch_deep_g{gi}__",
-            (rows + 2 * wide, cols + 2 * wide),
-            (batch,),
-        )
-        shared_stats = exchange_halo_deep_width(
-            source_stack,
-            shared,
-            group.representative,
-            subgrid_shape,
-            params,
-            wide,
-        )
-        counters["host_calls"] += 1
-        counters["num_exchanges"] += batch
-        counters["total_comm_cycles"] += batch * shared_stats.cycles
-        for fi in members:
-            counters["f_shared"][fi] += 1
-            counters["f_comm"][fi] += (
-                batch * shared_stats.cycles / len(members)
-            )
-
-        coeff_done: Dict[Tuple[str, int], np.ndarray] = {}
-        for fi in members:
-            compiled = filters[fi]
-            pattern = compiled.pattern
-            pad = pads[fi]
-            deep = deeps[fi]
-            blocks = list(block_steps(iterations, depths[fi]))
-            padded_shape = (rows + 2 * deep, cols + 2 * deep)
-            ping = machine.scratch_stacked(
-                f"__batch_blk_ping_{gi}_{fi}__", padded_shape, (batch,)
-            )
-            pong = machine.scratch_stacked(
-                f"__batch_blk_pong_{gi}_{fi}__", padded_shape, (batch,)
-            )
-            deep_coeffs: Dict[str, np.ndarray] = {}
-            for name in array_coefficient_names(pattern):
-                buf = coeff_done.get((name, deep))
-                if buf is None:
-                    # One 4-d exchange serves every batch entry -- the
-                    # coefficients are shared across the batch, so this
-                    # is charged ONCE, not `batch` times.
-                    buf = machine.scratch_stacked(
-                        f"{name}__deep{deep}_g{gi}__", padded_shape
+    machine = plan.machine
+    params = plan.params
+    subgrid = plan.subgrid
+    rows, cols = subgrid
+    batch = plan.batch
+    abft = guard is not None and guard.policy.abft
+    # Steps of every block completed so far, in run order: a restart
+    # replays exactly these (the run is deterministic).
+    done_steps: List[int] = []
+    coeff_high = block_high = 0
+    while True:
+        coeff_seq = block_seq = 0
+        try:
+            for gi, group in enumerate(plan.groups):
+                members = group.indices
+                pads = {fi: plan.comms[fi].pad for fi in members}
+                deeps = {fi: depths[fi] * pads[fi] for fi in members}
+                wide = max(deeps.values())
+                owner = next(fi for fi in members if deeps[fi] == wide)
+                halo = plan.halo_name(gi)
+                pairs = {
+                    fi: machine.pingpong_stacked(
+                        f"{halo}{fi}", plan.padded(deeps[fi]), plan.lead
                     )
-                    coeff_stats = exchange_halo_deep(
-                        coeff_stacks[name],
-                        buf,
-                        pattern,
-                        subgrid_shape,
-                        params,
-                        depths[fi],
-                    )
-                    coeff_done[(name, deep)] = buf
-                    counters["coeff_exchanges"] += 1
-                    counters["total_comm_cycles"] += coeff_stats.cycles
-                    counters["f_coeff"][fi] += 1
-                    counters["f_comm"][fi] += coeff_stats.cycles
-                deep_coeffs[name] = buf
+                    for fi in members
+                }
 
-            for index, steps in enumerate(blocks):
-                deep_b = steps * pad
-                if deep_b < deep:
-                    delta = deep - deep_b
-                    window = (
-                        Ellipsis,
-                        slice(delta, delta + rows + 2 * deep_b),
-                        slice(delta, delta + cols + 2 * deep_b),
+                coeff_bufs: Dict[Tuple[str, int], np.ndarray] = {}
+                if guard is not None:
+                    guard.role = "coeff"
+                try:
+                    for fi in members:
+                        pattern = plan.filters[fi].pattern
+                        for name in array_coefficient_names(pattern):
+                            if (name, deeps[fi]) in coeff_bufs:
+                                continue
+                            if guard is not None:
+                                guard.replaying = coeff_seq < coeff_high
+                            buf = machine.scratch_stacked(
+                                f"{name}__deep{deeps[fi]}__",
+                                plan.padded(deeps[fi]),
+                            )
+                            exchange_halo_deep(
+                                plan.arrays[name], buf, pattern, subgrid,
+                                params, depths[fi], guard=guard,
+                            )
+                            coeff_bufs[(name, deeps[fi])] = buf
+                            coeff_seq += 1
+                            coeff_high = max(coeff_high, coeff_seq)
+                finally:
+                    if guard is not None:
+                        guard.role = "source"
+                        guard.replaying = False
+
+                first_steps = min(depths[owner], plan.iterations)
+                first_cost = deep_width_cost(subgrid, params, wide)
+
+                def exchange_source(targets) -> None:
+                    """The group's block-0 input: one machine pass into
+                    the owner's ping, then each target's centered window
+                    of it."""
+                    exchange_halo_group(
+                        plan.source, pairs[owner][0], group.representative,
+                        subgrid, params, wide, copies=batch, guard=guard,
+                        site=f"deep exchange (depth {first_steps})",
                     )
-                    ping_v, pong_v = ping[window], pong[window]
-                    coeffs_v = {
-                        name: buf[window] for name, buf in deep_coeffs.items()
+                    for target in targets:
+                        if target == owner:
+                            continue
+                        offset = wide - deeps[target]
+                        pairs[target][0][...] = pairs[owner][0][
+                            ...,
+                            offset : offset + rows + 2 * deeps[target],
+                            offset : offset + cols + 2 * deeps[target],
+                        ]
+
+                if guard is not None:
+                    guard.replaying = block_seq < block_high
+                exchange_source(members)
+                for fi in members:
+                    compiled = plan.filters[fi]
+                    pattern = compiled.pattern
+                    pad, deep = pads[fi], deeps[fi]
+                    out = plan.outs[fi]
+                    ping, pong = pairs[fi]
+                    deep_coeffs = {
+                        name: coeff_bufs[(name, deep)]
+                        for name in array_coefficient_names(pattern)
                     }
-                else:
-                    ping_v, pong_v, coeffs_v = ping, pong, deep_coeffs
-                if index == 0:
-                    # The shared group exchange already holds this
-                    # filter's deep halo: its centered sub-window is
-                    # bit-identical to the filter's own deep exchange.
-                    # A local copy, no messages.
-                    offset = wide - deep_b
-                    ping_v[...] = shared[
-                        ...,
-                        offset : offset + rows + 2 * deep_b,
-                        offset : offset + cols + 2 * deep_b,
-                    ]
-                else:
-                    block_stats = exchange_halo_deep(
-                        result6[:, fi],
-                        ping_v,
-                        pattern,
-                        subgrid_shape,
-                        params,
-                        steps,
-                    )
-                    counters["host_calls"] += 1
-                    counters["num_exchanges"] += batch
-                    counters["total_comm_cycles"] += batch * block_stats.cycles
-                    counters["f_own"][fi] += batch
-                    counters["f_comm"][fi] += batch * block_stats.cycles
-                final, fixed = machine_execute_blocked(
-                    pattern,
-                    ping=ping_v,
-                    pong=pong_v,
-                    deep_coeffs=coeffs_v,
-                    subgrid_shape=subgrid_shape,
-                    pad=pad,
-                    steps=steps,
-                )
-                result6[:, fi] = final[
-                    ..., deep_b : deep_b + rows, deep_b : deep_b + cols
-                ]
-                cycles, strips = block_compute_cycles(
-                    compiled, subgrid_shape, steps
-                )
-                counters["total_compute_cycles"] += batch * cycles
-                counters["total_half_strips"] += batch * strips
-                counters["host_half_strips"] += strips
-                counters["f_compute"][fi] += batch * cycles
-                counters["f_strips"][fi] += batch * strips
-                if fixed:
-                    # Every batch entry hit the fixed point at once (the
-                    # blocked executor compares the whole stack); charge
-                    # the skipped blocks in full, like the solo path.
-                    for later_steps in blocks[index + 1 :]:
-                        later_stats = deep_exchange_cost(
-                            pattern, subgrid_shape, params, later_steps
+                    blocks = list(block_steps(plan.iterations, depths[fi]))
+                    for index, steps in enumerate(blocks):
+                        if guard is not None:
+                            guard.replaying = block_seq < block_high
+                        deep_b = steps * pad
+                        # A tail block centers a shallower window inside
+                        # the full-depth buffers so the interior stays
+                        # aligned.
+                        delta = deep - deep_b
+                        window = (
+                            Ellipsis,
+                            slice(delta, delta + rows + 2 * deep_b),
+                            slice(delta, delta + cols + 2 * deep_b),
                         )
-                        counters["host_calls"] += 1
-                        counters["num_exchanges"] += batch
-                        counters["total_comm_cycles"] += (
-                            batch * later_stats.cycles
-                        )
-                        counters["f_own"][fi] += batch
-                        counters["f_comm"][fi] += batch * later_stats.cycles
-                        later_cycles, later_strips = block_compute_cycles(
-                            compiled, subgrid_shape, later_steps
-                        )
-                        counters["total_compute_cycles"] += (
-                            batch * later_cycles
-                        )
-                        counters["total_half_strips"] += batch * later_strips
-                        counters["host_half_strips"] += later_strips
-                        counters["f_compute"][fi] += batch * later_cycles
-                        counters["f_strips"][fi] += batch * later_strips
-                    break
-    return counters
+                        coeffs_v = {n: b[window] for n, b in deep_coeffs.items()}
+                        replays = 0
+                        fresh = index == 0
+                        while True:
+                            if index:
+                                exchange_halo_deep(
+                                    out, ping[window], pattern, subgrid,
+                                    params, steps, copies=batch, guard=guard,
+                                )
+                            elif not fresh:
+                                exchange_source((fi,))
+                            fresh = False
+                            try:
+                                final, fixed = machine_execute_blocked(
+                                    pattern,
+                                    ping=ping[window],
+                                    pong=pong[window],
+                                    deep_coeffs=coeffs_v,
+                                    subgrid_shape=subgrid,
+                                    pad=pad,
+                                    steps=steps,
+                                    guard=guard,
+                                )
+                            except FaultError:
+                                # guard is not None here: only the
+                                # guarded executor raises.  The failed
+                                # attempt still cost its compute; the
+                                # wasted exchange moves to the replay
+                                # bucket so the retry's exchange charges
+                                # canonically exactly once.
+                                guard.charge_compute(
+                                    *_block_charge(plan, compiled, steps),
+                                    recovery=True,
+                                )
+                                if replays >= guard.policy.max_replays:
+                                    raise
+                                replays += 1
+                                if not guard.replaying:
+                                    wasted = first_cost if index == 0 else (
+                                        deep_exchange_cost(
+                                            pattern, subgrid, params, steps
+                                        )
+                                    )
+                                    for _ in range(batch):
+                                        guard.reclaim_exchange(wasted.cycles)
+                                guard.note_rollback(steps)
+                                continue
+                            if guard is not None:
+                                guard.charge_compute(
+                                    *_block_charge(plan, compiled, steps)
+                                )
+                            break
+                        out[...] = final[
+                            ..., deep_b : deep_b + rows, deep_b : deep_b + cols
+                        ]
+                        if block_seq == len(done_steps):
+                            done_steps.append(steps)
+                        block_seq += 1
+                        block_high = max(block_high, block_seq)
+                        if guard is not None:
+                            guard.replaying = False
+                        if abft:
+                            _verify_block(plan, fi, index, guard)
+                        if fixed:
+                            # Every remaining iterate reproduces this one
+                            # bit for bit; stop computing.  The closed
+                            # form (and, under guard, explicit charges)
+                            # still bills the whole run.
+                            if guard is not None:
+                                for later in blocks[index + 1 :]:
+                                    guard.charge_skipped_exchanges(
+                                        batch,
+                                        deep_exchange_cost(
+                                            pattern, subgrid, params, later
+                                        ).cycles,
+                                    )
+                                    guard.charge_compute(
+                                        *_block_charge(plan, compiled, later)
+                                    )
+                            break
+            break
+        except NodeDeadError as dead:
+            # guard is not None here: only guarded exchanges raise.
+            guard.replaying = False
+            guard.recover_dead_node(dead.coord)
+            guard.note_rollback(sum(done_steps[:block_high]))
+    if abft:
+        for name in plan.out_names:
+            machine.storage.clear_abft(name)
 
 
-def _run_exact(
-    filters: Sequence[CompiledStencil],
-    source_stack: np.ndarray,
-    result6: np.ndarray,
-    coefficients: Dict[str, CMArray],
-    subgrid_shape: Tuple[int, int],
-    global_shape: Tuple[int, int],
-    iterations: int,
-    machine: CM2,
-    faults: Optional[FaultInjector],
-    resilience: Optional[ResiliencePolicy],
-) -> Dict[str, object]:
-    """The staged exact oracle: one cycle-stepped solo run per
-    ``(grid, filter)`` pair through :func:`apply_stencil`.
+def _block_charge(
+    plan: _Plan, compiled: CompiledStencil, steps: int
+) -> Tuple[int, int]:
+    """``(cycles, half_strips)`` of one ``steps``-deep block over every
+    grid."""
+    cycles, strips = block_compute_cycles(compiled, plan.subgrid, steps)
+    return plan.batch * cycles, plan.batch * strips
 
-    Exact mode exercises the per-node datapath, which addresses named
-    node buffers -- there is nothing to amortize, so the accounting is
-    the plain sum of the staged runs (``host_half_strips`` equals the
-    executed total).  This is the verification oracle the batched fast
-    paths are measured against, not a performance path.
-    """
-    batch = int(source_stack.shape[0])
-    counters = _new_counters(len(filters))
-    grid_rows, grid_cols = machine.shape
-    rows, cols = subgrid_shape
-    merged: Optional[FaultStats] = None
-    try:
-        for b in range(batch):
-            host_entry = (
-                source_stack[b]
-                .swapaxes(-3, -2)
-                .reshape(grid_rows * rows, grid_cols * cols)
-            )
-            staged = CMArray.from_numpy(
-                "__batch_exact_src__", machine, host_entry
-            )
-            for fi, compiled in enumerate(filters):
-                staged_result = CMArray(
-                    "__batch_exact_res__", machine, tuple(global_shape)
+
+def _verify_block(
+    plan: _Plan, fi: int, index: int, guard: FaultGuard
+) -> None:
+    """ABFT per temporal block: seal filter ``fi``'s freshly written
+    result slab, give the injector its SDC window, and verify before the
+    next block's deep exchange (or the caller) reads it.  A single
+    corrupted word is forward-corrected in place; multi-cell damage
+    cannot replay here (the block input was just overwritten), so the
+    raised error degrades blocked->fast."""
+    storage = plan.machine.storage
+    name, out = plan.out_names[fi], plan.outs[fi]
+    storage.seal_abft(name, seal_checksums(out))
+    guard.charge_abft(plan.slab_words(), seals=1)
+    guard.inject_sdc([(f"blocked result stack {name!r}", out)])
+    guard.charge_abft(plan.slab_words(), verifies=1)
+    corrected = verify_and_correct(
+        out,
+        storage.get_abft(name),
+        site=f"abft block {index} result",
+        guard=guard,
+    )
+    if corrected:
+        guard.charge_sdc_correction(corrected)
+
+
+def _record(
+    plan: _Plan,
+    depths: Tuple[int, ...],
+    exact: bool,
+    measured: List[Optional[int]],
+    guard: Optional[FaultGuard],
+) -> StencilRun:
+    """The run record: per-filter attribution and host calls in closed
+    form; totals in closed form too, unless a guard tallied them."""
+    params = plan.params
+    subgrid = plan.subgrid
+    rows, cols = subgrid
+    batch, iterations = plan.batch, plan.iterations
+    count = len(plan.filters)
+    shared, own, coeff = [0] * count, [0] * count, [0] * count
+    comm = [0.0] * count
+    compute, strips = [0] * count, [0] * count
+    cycles = [
+        measured[fi] or schedule.compute_cycles(params)
+        for fi, schedule in enumerate(plan.schedules)
+    ]
+    num_exchanges = coeff_exchanges = comm_cycles = host_calls = 0
+    blocked = any(depth > 1 for depth in depths)
+    for group in plan.groups:
+        members = group.indices
+        if not blocked:
+            # Per iteration one machine pass: `batch` messages at
+            # iteration 0, `batch * members` after.
+            cost = plan.group_cost(group).cycles
+            messages = batch * (1 + (iterations - 1) * len(members))
+            num_exchanges += messages
+            comm_cycles += messages * cost
+            host_calls += iterations
+            for fi in members:
+                shared[fi] += 1
+                own[fi] += batch * (iterations - 1)
+                comm[fi] += batch * cost / len(members)
+                comm[fi] += batch * (iterations - 1) * cost
+                compute[fi] += batch * iterations * cycles[fi]
+                strips[fi] += (
+                    batch * iterations * plan.schedules[fi].num_half_strips
                 )
-                run = apply_stencil(
-                    compiled,
-                    staged,
-                    coefficients,
-                    staged_result,
-                    iterations=iterations,
-                    exact=True,
-                    faults=faults,
-                    resilience=resilience,
+            continue
+        # Blocked: one shared machine pass at the widest deep width,
+        # coefficients once per (name, depth), then each filter's later
+        # blocks.
+        deeps = {fi: depths[fi] * plan.comms[fi].pad for fi in members}
+        first = deep_width_cost(subgrid, params, max(deeps.values())).cycles
+        num_exchanges += batch
+        comm_cycles += batch * first
+        host_calls += 1
+        coeff_done = set()
+        for fi in members:
+            compiled = plan.filters[fi]
+            pattern = compiled.pattern
+            shared[fi] += 1
+            comm[fi] += batch * first / len(members)
+            for name in array_coefficient_names(pattern):
+                if (name, deeps[fi]) in coeff_done:
+                    continue
+                coeff_done.add((name, deeps[fi]))
+                cost = deep_exchange_cost(pattern, subgrid, params, depths[fi])
+                coeff[fi] += 1
+                coeff_exchanges += 1
+                comm[fi] += cost.cycles
+                comm_cycles += cost.cycles
+            for index, steps in enumerate(block_steps(iterations, depths[fi])):
+                if index:
+                    cost = deep_exchange_cost(pattern, subgrid, params, steps)
+                    own[fi] += batch
+                    comm[fi] += batch * cost.cycles
+                    num_exchanges += batch
+                    comm_cycles += batch * cost.cycles
+                    host_calls += 1
+                block_cycles, block_strips = block_compute_cycles(
+                    compiled, subgrid, steps
                 )
-                result6[b, fi] = staged_result.stacked
-                counters["num_exchanges"] += run.exchanges
-                counters["total_comm_cycles"] += run.comm_cycles_total
-                counters["total_compute_cycles"] += run.compute_cycles_total
-                counters["total_half_strips"] += run.half_strips_total
-                counters["host_half_strips"] += run.half_strips_total
-                counters["host_calls"] += run.host_calls
-                counters["f_own"][fi] += run.exchanges
-                counters["f_comm"][fi] += run.comm_cycles_total
-                counters["f_compute"][fi] += run.compute_cycles_total
-                counters["f_strips"][fi] += run.half_strips_total
-                if run.faults is not None:
-                    merged = _merge_fault_stats(merged, run.faults)
-    finally:
-        machine.free_stacked("__batch_exact_src__")
-        machine.free_stacked("__batch_exact_res__")
-    counters["faults"] = merged
-    return counters
+                compute[fi] += batch * block_cycles
+                strips[fi] += batch * block_strips
+    totals = dict(
+        num_exchanges=num_exchanges,
+        coeff_exchanges=coeff_exchanges,
+        total_comm_cycles=comm_cycles,
+        total_compute_cycles=sum(compute),
+        total_half_strips=sum(strips),
+    )
+    if guard is not None:
+        totals = dict(
+            num_exchanges=guard.exchanges,
+            coeff_exchanges=guard.coeff_exchanges,
+            total_comm_cycles=guard.comm_cycles,
+            total_compute_cycles=guard.compute_cycles,
+            total_half_strips=guard.half_strips,
+        )
+    per_filter = tuple(
+        FilterCost(
+            name=compiled.pattern.name or f"filter{fi}",
+            index=fi,
+            block_depth=depths[fi],
+            comm=plan.comms[fi],
+            pass_cycles=cycles[fi],
+            pass_half_strips=plan.schedules[fi].num_half_strips,
+            shared_exchanges=shared[fi],
+            own_exchanges=own[fi],
+            coeff_exchanges=coeff[fi],
+            comm_cycles=comm[fi],
+            compute_cycles=compute[fi],
+            half_strips=strips[fi],
+            useful_flops=(
+                batch
+                * iterations
+                * rows
+                * cols
+                * plan.machine.num_nodes
+                * compiled.pattern.useful_flops_per_point()
+            ),
+        )
+        for fi, compiled in enumerate(plan.filters)
+    )
+    return StencilRun(
+        filters=plan.filters,
+        machine=plan.machine,
+        result=plan.result,
+        batch=batch,
+        iterations=iterations,
+        exact=exact,
+        block_depths=tuple(depths),
+        host_calls=host_calls,
+        per_filter=per_filter,
+        fault_stats=guard.stats if guard is not None else FaultStats(),
+        **totals,
+    )
 
 
 def apply_stencil_batch(
@@ -1011,56 +1506,40 @@ def apply_stencil_batch(
     resilience: Optional[ResiliencePolicy] = None,
     abft: bool = False,
     tenant: Optional[str] = None,
-) -> BatchStencilRun:
+) -> StencilRun:
     """Apply ``F`` compiled filters to ``B`` grids in one machine-wide
     batched call.
 
     Args:
         filters: the compiled stencils to apply, all sharing machine
-            parameters.  Fused extra terms are not supported on the
-            batched path.
+            parameters.  Fused extra sources are read by name, as 4-d
+            arrays broadcast across the batch.
         sources: a ``(B,)``-lead :class:`CMBatch`, or a sequence of
             :class:`~repro.runtime.cm_array.CMArray` on the same machine
             and global shape (staged into a batched scratch stack).
         coefficients: coefficient arrays by statement name, shared by
             every filter and batch entry (unsupplied names fall back to
-            resident machine arrays, like solo calls).
+            resident machine arrays).
         result: a ``(B, F)``-lead :class:`CMBatch`, its name, or None
             to create one named ``<result>__batch__``.
-        iterations: iterations per (grid, filter), each feeding its own
-            previous iterate back, exactly like ``iterations`` solo
-            calls.
-        exact: run the staged cycle-stepped oracle instead of the
-            batched fast path.
-        block_depth: temporal block depth: ``1`` per-iteration
-            exchanges, an int > 1 a requested depth (clamped per filter
-            to what its pad and the subgrid support), ``"auto"`` the
-            per-filter batch-aware modeled optimum.  Bit-identical at
-            every depth.
-        check_finite: validate source and coefficients up front,
-            raising :class:`~repro.runtime.faults.NonFiniteInputError`
-            naming the offending array.
-        faults: a seeded :class:`~repro.runtime.faults.FaultInjector`
-            for chaos runs; switches onto the guarded batch path
-            (checksummed retried group exchanges, poison/finiteness
-            verification and bounded recompute per filter pass).  Block
-            depths are forced to 1.  Dead nodes raise
-            :class:`~repro.runtime.faults.NodeDeadError` -- batched runs
-            do not arm spare-node remapping.
-        resilience: detection/recovery knobs for the guarded path.
-        abft: switch onto the guarded path with
-            :attr:`ResiliencePolicy.abft` enabled: every filter's
-            result slab is checksum-sealed after its pass and verified
-            before the next gather (and at run end), single corrupted
-            words forward-corrected in place, multi-cell damage raised
-            as the typed
-            :class:`~repro.runtime.faults.SdcUncorrectableError` (see
-            :mod:`repro.runtime.abft`).
-        tenant: tenant id scoping compile/depth cache telemetry.
+        iterations, exact, block_depth, faults, resilience, abft,
+            tenant: as for :func:`~repro.runtime.stencil_op.apply_stencil`;
+            an int ``block_depth`` is clamped per filter, ``"auto"``
+            picks each filter's batch-aware modeled optimum, and a guarded
+            batch walks the same recovery ladder (spare remaps included)
+            as a solo call.
+        check_finite: validate every source entry and every coefficient
+            and fused extra-source array up front, raising
+            :class:`~repro.runtime.faults.NonFiniteInputError` naming
+            the offender.
 
     Returns:
-        a :class:`BatchStencilRun`; entry ``[b, f]`` of its result is
+        a :class:`StencilRun`; entry ``[b, f]`` of its result is
         bit-identical to ``apply_stencil(filters[f], sources[b], ...)``.
+
+    Raises :class:`~repro.runtime.executor.ExecutionSetupError` when an
+    array does not match the filters or a node's buffer has been
+    detached from its array's machine-wide stack.
     """
     filters = tuple(filters)
     if not filters:
@@ -1087,18 +1566,16 @@ def apply_stencil_batch(
                 f"(the batch), got lead shape {sources.lead_shape}"
             )
         machine = sources.machine
-        batch = sources.lead_shape[0]
         global_shape = sources.global_shape
-        subgrid_shape = sources.subgrid_shape
+        source_name = sources.name
         source_stack = sources.stacked
-        source_names = {sources.name}
+        labels = [f"{sources.name}[{b}]" for b in range(sources.lead_shape[0])]
     else:
         entries = list(sources)
         if not entries:
             raise ValueError("sources must not be empty")
         machine = entries[0].machine
         global_shape = entries[0].global_shape
-        subgrid_shape = entries[0].subgrid_shape
         for i, array in enumerate(entries):
             if array.machine is not machine:
                 raise ExecutionSetupError(
@@ -1113,33 +1590,25 @@ def apply_stencil_batch(
                         global_shape,
                     )
                 )
-        batch = len(entries)
+        stacks = [intact_stack(machine, array.name) for array in entries]
+        source_name = "__batch_source__"
         source_stack = machine.scratch_stacked(
-            "__batch_source__", subgrid_shape, (batch,)
+            source_name, stacks[0].shape[-2:], (len(stacks),)
         )
-        for b, array in enumerate(entries):
-            stack = machine.stacked(array.name)
-            if stack is not None:
-                source_stack[b] = stack
-            else:
-                for node in machine.nodes():
-                    source_stack[b, node.coord.row, node.coord.col] = (
-                        node.memory.buffer(array.name)
-                    )
-        source_names = {array.name for array in entries}
+        for b, stack in enumerate(stacks):
+            source_stack[b] = stack
+        labels = [array.name for array in entries]
+    batch = len(labels)
+    subgrid_shape = tuple(source_stack.shape[-2:])
 
     # ------------------------------------------------------------------
-    # Filter validation
+    # Filter and input validation
     # ------------------------------------------------------------------
     rows, cols = subgrid_shape
+    inputs: Dict[str, str] = {}
     for fi, compiled in enumerate(filters):
         pattern = compiled.pattern
         label = pattern.name or f"filter {fi}"
-        if getattr(pattern, "extra_terms", ()):
-            raise ExecutionSetupError(
-                f"the batched runtime does not support fused extra terms "
-                f"({label})"
-            )
         pad = pattern.border_widths().max_width
         if pad > min(rows, cols):
             raise ExecutionSetupError(
@@ -1147,15 +1616,44 @@ def apply_stencil_batch(
                 f"{subgrid_shape}; the exchange primitive reaches only "
                 f"immediate neighbors"
             )
-
-    coeff_stacks = _resolve_coefficient_stacks(
-        machine, filters, coefficients, global_shape
-    )
+        for name in kernel_array_names(pattern):
+            array = coefficients.get(name)
+            if array is not None:
+                if array.machine is not machine:
+                    raise ExecutionSetupError(
+                        f"coefficient {name!r} lives on a different machine"
+                    )
+                if array.global_shape != tuple(global_shape):
+                    raise ExecutionSetupError(
+                        shape_mismatch(
+                            f"coefficient {name!r}",
+                            array.global_shape,
+                            tuple(global_shape),
+                        )
+                    )
+                inputs[name] = array.name
+                continue
+            stack = machine.storage.get(name)
+            if stack is None:
+                raise ExecutionSetupError(
+                    f"array {name!r} read by {label} is neither supplied "
+                    f"nor resident on the machine as a stacked array"
+                )
+            if tuple(stack.shape[-2:]) != subgrid_shape:
+                raise ExecutionSetupError(
+                    shape_mismatch(
+                        f"resident array {name!r} subgrid",
+                        stack.shape[-2:],
+                        subgrid_shape,
+                    )
+                )
+            inputs[name] = name
 
     # ------------------------------------------------------------------
     # Result resolution (alias checks BEFORE any allocation can clobber
     # a same-named source)
     # ------------------------------------------------------------------
+    source_names = {sources.name} if isinstance(sources, CMBatch) else set(labels)
     if result is None:
         result = f"{filters[0].pattern.result}__batch__"
     if isinstance(result, str):
@@ -1183,132 +1681,32 @@ def apply_stencil_batch(
             )
 
     if check_finite:
-        if not np.isfinite(source_stack).all():
-            raise NonFiniteInputError(
-                "batch source contains non-finite values"
-            )
-        for name, stack in coeff_stacks.items():
-            if not np.isfinite(stack).all():
+        for b, label in enumerate(labels):
+            if not np.isfinite(source_stack[b]).all():
                 raise NonFiniteInputError(
-                    f"coefficient array {name!r} contains non-finite values"
+                    f"batch source entry {b} ({label!r}) contains NaN/Inf "
+                    "(apply_stencil_batch was called with check_finite=True)"
+                )
+        for name in dict.fromkeys(inputs.values()):
+            if not np.isfinite(intact_stack(machine, name)).all():
+                raise NonFiniteInputError(
+                    f"input array {name!r} contains NaN/Inf "
+                    "(apply_stencil_batch was called with check_finite=True)"
                 )
 
-    if abft:
-        if resilience is None:
-            resilience = ResiliencePolicy(abft=True)
-        elif not resilience.abft:
-            resilience = replace(resilience, abft=True)
-    guarded = faults is not None or resilience is not None
-    depths = _resolve_batch_depths(
+    return run_stencil(
         filters,
-        subgrid_shape,
-        iterations,
-        exact,
-        guarded,
-        block_depth,
-        batch,
-        machine,
-        tenant,
-    )
-    groups = _filter_groups([compiled.pattern for compiled in filters])
-    result6 = result.stacked
-
-    if exact:
-        counters = _run_exact(
-            filters,
-            source_stack,
-            result6,
-            coefficients,
-            subgrid_shape,
-            global_shape,
-            iterations,
-            machine,
-            faults,
-            resilience,
-        )
-    elif any(depth > 1 for depth in depths):
-        counters = _run_blocked(
-            filters,
-            source_stack,
-            result6,
-            coeff_stacks,
-            subgrid_shape,
-            params,
-            iterations,
-            depths,
-            groups,
-            machine,
-        )
-    elif guarded:
-        guard = FaultGuard(policy=resilience, injector=faults)
-        guard.attach_machine(machine)
-        counters = _run_unblocked(
-            filters,
-            source_stack,
-            result6,
-            coeff_stacks,
-            subgrid_shape,
-            params,
-            iterations,
-            groups,
-            machine,
-            guard,
-        )
-    else:
-        counters = _run_unblocked(
-            filters,
-            source_stack,
-            result6,
-            coeff_stacks,
-            subgrid_shape,
-            params,
-            iterations,
-            groups,
-            machine,
-            None,
-        )
-
-    per_filter = []
-    for fi, compiled in enumerate(filters):
-        pattern = compiled.pattern
-        per_filter.append(
-            FilterCost(
-                name=pattern.name or f"filter{fi}",
-                index=fi,
-                block_depth=depths[fi],
-                pad=pattern.border_widths().max_width,
-                shared_exchanges=counters["f_shared"][fi],
-                own_exchanges=counters["f_own"][fi],
-                coeff_exchanges=counters["f_coeff"][fi],
-                comm_cycles=counters["f_comm"][fi],
-                compute_cycles=counters["f_compute"][fi],
-                half_strips=counters["f_strips"][fi],
-                useful_flops=(
-                    batch
-                    * iterations
-                    * rows
-                    * cols
-                    * machine.num_nodes
-                    * pattern.useful_flops_per_point()
-                ),
-            )
-        )
-
-    return BatchStencilRun(
-        filters=filters,
-        machine=machine,
-        result=result,
-        batch=batch,
+        source_name,
+        source_stack,
+        result,
+        tuple(result.stacked[:, fi] for fi in range(len(filters))),
+        tuple(f"{result.name}[:, {fi}]" for fi in range(len(filters))),
+        coefficients,
         iterations=iterations,
         exact=exact,
-        block_depths=depths,
-        num_exchanges=counters["num_exchanges"],
-        coeff_exchanges=counters["coeff_exchanges"],
-        total_comm_cycles=counters["total_comm_cycles"],
-        total_compute_cycles=counters["total_compute_cycles"],
-        total_half_strips=counters["total_half_strips"],
-        host_half_strips=counters["host_half_strips"],
-        host_calls=counters["host_calls"],
-        per_filter=tuple(per_filter),
-        faults=counters["faults"],
+        block_depth=block_depth,
+        faults=faults,
+        resilience=resilience,
+        abft=abft,
+        tenant=tenant,
     )

@@ -127,42 +127,58 @@ def block_compute_cycles(
 
 @dataclass(frozen=True)
 class BlockedCosts:
-    """The full modeled cost of one temporally blocked iterated run.
+    """The modeled cost of one filter's iterated run over ``batch`` grids
+    at block depth ``T`` (a solo run is ``batch == 1``).
+
+    Exchanges and compute scale with ``batch`` -- every grid's halo
+    really moves, every grid's block really runs -- but coefficient deep
+    exchanges are charged once: the coefficients are shared by every
+    grid, so blocking's fixed cost amortizes over the batch.  The front
+    end issues each block's half-strip schedule once
+    (``host_half_strips``); the sequencer's batch-stride loop executes it
+    ``batch`` times (``total_half_strips``).  The depth selector prices
+    each filter alone: sharing a group exchange only ever removes cost,
+    so the per-filter optimum is conservative.
 
     Attributes:
         depth: the block depth ``T``.
-        num_exchanges: source deep exchanges, ``ceil(iterations / T)``.
+        batch: the number of grids ``B``.
+        num_blocks: machine passes, ``ceil(iterations / T)``.
+        num_exchanges: source halo messages, ``num_blocks * batch``.
         coeff_exchanges: coefficient deep exchanges (once per array
-            coefficient, reused by every block).
-        block_comm: cost of one full-depth deep exchange.
+            coefficient, reused by every block; zero at depth 1).
+        block_comm: cost of one grid's full-depth deep exchange.
         total_comm_cycles: all exchange cycles, source and coefficient.
-        total_compute_cycles: node cycles over every sub-iteration's
-            (halo-enlarged) strip schedule.
-        total_half_strips: microcode invocations over the whole run.
+        total_compute_cycles: node cycles over every grid's every
+            (halo-enlarged) sub-iteration.
+        total_half_strips: microcode invocations executed.
+        host_half_strips: half-strip schedules issued.
     """
 
     depth: int
+    batch: int
+    num_blocks: int
     num_exchanges: int
     coeff_exchanges: int
     block_comm: CommStats
     total_comm_cycles: int
     total_compute_cycles: int
     total_half_strips: int
+    host_half_strips: int
 
     def modeled_seconds(self, params, iterations: int) -> float:
         """Modeled elapsed wall clock: machine cycles plus the front
         end's overhead.  The host issues ONE run-time-library call per
         block (the deep exchange and the whole local sub-iteration loop
         ride on it), so the per-call fixed cost is charged per block --
-        that amortization is half the point of fusing.  Every
-        sub-iteration's half strips still pass through the
-        microcode-issue path and are charged in full."""
+        that amortization is half the point of fusing -- and every
+        issued half strip pays the microcode-issue cost."""
         machine = params.seconds(
             self.total_comm_cycles + self.total_compute_cycles
         )
         host = (
-            self.num_exchanges * params.host_fixed_s
-            + self.total_half_strips * params.host_halfstrip_s
+            self.num_blocks * params.host_fixed_s
+            + self.host_half_strips * params.host_halfstrip_s
         )
         return machine + host
 
@@ -172,12 +188,14 @@ def blocked_costs(
     subgrid_shape: Tuple[int, int],
     iterations: int,
     depth: int,
+    batch: int = 1,
 ) -> BlockedCosts:
-    """Price an iterated run at block depth ``depth``.
+    """Price an iterated run over ``batch`` grids at block depth
+    ``depth``.
 
     ``depth == 1`` reproduces the unblocked accounting exactly: one
-    shallow exchange and one subgrid-shaped schedule per iteration, no
-    coefficient exchanges.
+    shallow exchange per grid and one subgrid-shaped schedule per
+    iteration, no coefficient exchanges.
     """
     pattern = compiled.pattern
     params = compiled.params
@@ -188,23 +206,26 @@ def blocked_costs(
     comm_cycles = coeff_exchanges * full_stats.cycles
     compute_cycles = 0
     half_strips = 0
-    num_exchanges = 0
+    num_blocks = 0
     for steps in block_steps(iterations, depth):
-        num_exchanges += 1
-        comm_cycles += deep_exchange_cost(
+        num_blocks += 1
+        comm_cycles += batch * deep_exchange_cost(
             pattern, subgrid_shape, params, steps
         ).cycles
         cycles, strips = block_compute_cycles(compiled, subgrid_shape, steps)
-        compute_cycles += cycles
+        compute_cycles += batch * cycles
         half_strips += strips
     return BlockedCosts(
         depth=depth,
-        num_exchanges=num_exchanges,
+        batch=batch,
+        num_blocks=num_blocks,
+        num_exchanges=num_blocks * batch,
         coeff_exchanges=coeff_exchanges,
         block_comm=full_stats,
         total_comm_cycles=comm_cycles,
         total_compute_cycles=compute_cycles,
-        total_half_strips=half_strips,
+        total_half_strips=batch * half_strips,
+        host_half_strips=half_strips,
     )
 
 
@@ -249,8 +270,10 @@ def best_block_depth(
     iterations: int,
     max_depth: Optional[int] = None,
     machine=None,
+    batch: int = 1,
 ) -> int:
-    """The block depth with the lowest modeled elapsed time.
+    """The block depth with the lowest modeled elapsed time for one
+    filter over ``batch`` grids.
 
     Sweeps every feasible depth through :func:`blocked_costs` and keeps
     the cheapest; ties go to the shallower depth (less temporary
@@ -259,6 +282,9 @@ def best_block_depth(
     compute, which on this machine model is the common regime: grid
     communication is cheap per element, so blocking wins only where the
     per-exchange startup dominates (small subgrids, many iterations).
+    Source exchanges scale with ``batch`` while coefficient deep
+    exchanges do not, so the break-even point moves earlier as the
+    batch grows.
 
     When ``machine`` carries rerouted links (hard link faults routed
     around), every candidate's exchanges are surcharged with the
@@ -272,155 +298,7 @@ def best_block_depth(
     best = 1
     best_seconds = None
     for depth in range(1, cap + 1):
-        costs = blocked_costs(compiled, subgrid_shape, iterations, depth)
-        seconds = costs.modeled_seconds(compiled.params, iterations)
-        penalty = reroute_penalty_cycles(
-            machine, subgrid_shape, compiled.params, depth, pad
-        )
-        if penalty:
-            total_exchanges = costs.num_exchanges + costs.coeff_exchanges
-            seconds += compiled.params.seconds(penalty * total_exchanges)
-        if best_seconds is None or seconds < best_seconds:
-            best = depth
-            best_seconds = seconds
-    return best
-
-
-@dataclass(frozen=True)
-class BatchBlockedCosts:
-    """The modeled cost of one filter of a batched run at a given depth.
-
-    The batch-aware counterpart of :class:`BlockedCosts`, pricing a
-    *solo-filter* batch (no cross-filter sharing -- the depth selector
-    prices each filter independently; sharing only ever removes cost, so
-    the per-filter optimum is conservative).  Two quantities scale
-    differently from the solo model:
-
-    * exchanges and compute scale with ``batch`` (every entry's halo
-      really moves, every entry's block really runs), but
-    * coefficient deep exchanges are charged ONCE -- the coefficients
-      are shared across the batch, so blocking's fixed cost amortizes
-      over all ``batch`` entries, and
-
-    ``host_half_strips`` counts schedules *issued* by the front end
-    (once per block, independent of ``batch``) while
-    ``total_half_strips`` counts schedules *executed* by the sequencer's
-    batch-stride address loop.
-
-    Attributes:
-        depth: the block depth ``T``.
-        batch: batch size ``B``.
-        num_blocks: machine passes, ``ceil(iterations / T)``.
-        num_exchanges: source halo messages, ``num_blocks * batch``.
-        coeff_exchanges: coefficient deep exchanges (once per array
-            coefficient; zero at depth 1).
-        block_comm: cost of one entry's full-depth deep exchange.
-        total_comm_cycles: all exchange cycles over the whole batch.
-        total_compute_cycles: node cycles over every entry's every
-            sub-iteration.
-        total_half_strips: microcode invocations executed (x ``batch``).
-        host_half_strips: half-strip schedules issued (NOT x ``batch``).
-    """
-
-    depth: int
-    batch: int
-    num_blocks: int
-    num_exchanges: int
-    coeff_exchanges: int
-    block_comm: CommStats
-    total_comm_cycles: int
-    total_compute_cycles: int
-    total_half_strips: int
-    host_half_strips: int
-
-    def modeled_seconds(self, params, iterations: int) -> float:
-        """Modeled elapsed wall clock of the whole batched filter run:
-        machine cycles plus the front end's per-block fixed cost and
-        per-*issued*-half-strip cost."""
-        machine = params.seconds(
-            self.total_comm_cycles + self.total_compute_cycles
-        )
-        host = (
-            self.num_blocks * params.host_fixed_s
-            + self.host_half_strips * params.host_halfstrip_s
-        )
-        return machine + host
-
-
-def batch_blocked_costs(
-    compiled: CompiledStencil,
-    subgrid_shape: Tuple[int, int],
-    iterations: int,
-    depth: int,
-    batch: int,
-) -> BatchBlockedCosts:
-    """Price one filter of a ``batch``-entry batched run at block depth
-    ``depth``.
-
-    ``depth == 1`` reproduces the unblocked batched accounting exactly:
-    ``iterations`` machine passes of ``batch`` shallow exchanges each,
-    one issued schedule per pass, no coefficient exchanges.
-    """
-    pattern = compiled.pattern
-    params = compiled.params
-    coeff_exchanges = (
-        len(array_coefficient_names(pattern)) if depth > 1 else 0
-    )
-    full_stats = deep_exchange_cost(pattern, subgrid_shape, params, depth)
-    comm_cycles = coeff_exchanges * full_stats.cycles
-    compute_cycles = 0
-    half_strips = 0
-    num_blocks = 0
-    for steps in block_steps(iterations, depth):
-        num_blocks += 1
-        comm_cycles += batch * deep_exchange_cost(
-            pattern, subgrid_shape, params, steps
-        ).cycles
-        cycles, strips = block_compute_cycles(compiled, subgrid_shape, steps)
-        compute_cycles += batch * cycles
-        half_strips += strips
-    return BatchBlockedCosts(
-        depth=depth,
-        batch=batch,
-        num_blocks=num_blocks,
-        num_exchanges=num_blocks * batch,
-        coeff_exchanges=coeff_exchanges,
-        block_comm=full_stats,
-        total_comm_cycles=comm_cycles,
-        total_compute_cycles=compute_cycles,
-        total_half_strips=batch * half_strips,
-        host_half_strips=half_strips,
-    )
-
-
-def best_batch_block_depth(
-    compiled: CompiledStencil,
-    subgrid_shape: Tuple[int, int],
-    iterations: int,
-    batch: int,
-    max_depth: Optional[int] = None,
-    machine=None,
-) -> int:
-    """The block depth with the lowest modeled elapsed time for one
-    filter of a ``batch``-entry batched run.
-
-    Same sweep-and-keep-cheapest shape as :func:`best_block_depth`
-    (ties to the shallower depth; rerouted links surcharge every
-    exchange), but priced through :func:`batch_blocked_costs`: source
-    exchanges scale with ``batch`` while coefficient deep exchanges do
-    not, so blocking's break-even point moves earlier as the batch
-    grows -- its fixed cost amortizes over every entry.
-    """
-    cap = depth_cap(compiled.pattern, subgrid_shape, iterations)
-    if max_depth is not None:
-        cap = min(cap, max_depth)
-    pad = compiled.pattern.border_widths().max_width
-    best = 1
-    best_seconds = None
-    for depth in range(1, cap + 1):
-        costs = batch_blocked_costs(
-            compiled, subgrid_shape, iterations, depth, batch
-        )
+        costs = blocked_costs(compiled, subgrid_shape, iterations, depth, batch)
         seconds = costs.modeled_seconds(compiled.params, iterations)
         penalty = reroute_penalty_cycles(
             machine, subgrid_shape, compiled.params, depth, pad

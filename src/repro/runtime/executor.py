@@ -19,7 +19,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -415,18 +415,19 @@ def _block_buffers(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
 
 
-def _array_names(pattern: StencilPattern) -> Set[str]:
-    """Coefficient and fused extra-source arrays the taps read."""
-    names = {
+def kernel_array_names(pattern: StencilPattern) -> Tuple[str, ...]:
+    """Coefficient and fused extra-source arrays the taps read, in
+    statement order."""
+    names = [
         tap.coeff.name
         for tap in pattern.taps
         if tap.coeff.kind is CoeffKind.ARRAY
-    }
+    ]
     for term in getattr(pattern, "extra_terms", ()):
-        names.add(term.source)
+        names.append(term.source)
         if term.coeff.kind is CoeffKind.ARRAY:
-            names.add(term.coeff.name)
-    return names
+            names.append(term.coeff.name)
+    return tuple(dict.fromkeys(names))
 
 
 def _factor(coeff, arrays: Dict[str, np.ndarray]):
@@ -472,7 +473,8 @@ def node_execute_fast(
     """
     memory = node.memory
     arrays = {
-        name: memory.buffer(name)[None, None] for name in _array_names(pattern)
+        name: memory.buffer(name)[None, None]
+        for name in kernel_array_names(pattern)
     }
     padded = memory.buffer(halo_buffer_name(source_name))[None, None]
     result = memory.buffer(result_name)
@@ -504,7 +506,7 @@ def machine_execute_fast(
     halo_name = halo_buffer_name(source_name)
     stacks = {
         name: intact_stack(machine, name)
-        for name in {halo_name, result_name} | _array_names(pattern)
+        for name in {halo_name, result_name, *kernel_array_names(pattern)}
     }
     result = stacks[result_name]
     tap_kernel(
@@ -524,20 +526,15 @@ def machine_execute_fast_stack(
     halo: int,
     out: np.ndarray,
 ) -> None:
-    """The tap kernel on raw stacks (batched runs).
+    """The tap kernel on raw stacks: the engine's unblocked pass.
 
     ``padded`` carries any leading batch axes ahead of the node grid
     (subgrid axes at ``-2``/``-1``), and ``out`` shares them with
-    unpadded subgrid extents; 4-d coefficient stacks broadcast across
-    them, so one kernel call serves the whole batch and every element's
-    float32 chain matches the per-grid run bit for bit.  Patterns with
-    fused extra terms are not supported on this path (the batch entry
-    point rejects them up front).
+    unpadded subgrid extents; ``coeff_stacks`` maps coefficient and
+    fused extra-source names to 4-d stacks, which broadcast across the
+    leading axes, so one kernel call serves the whole batch and every
+    element's float32 chain matches the per-grid run bit for bit.
     """
-    if getattr(pattern, "extra_terms", ()):
-        raise ExecutionSetupError(
-            "the stacked batch executor does not support fused extra terms"
-        )
     tap_kernel(tap_steps(pattern, padded, halo, out.shape[-2:], coeff_stacks), out)
 
 

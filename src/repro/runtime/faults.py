@@ -1377,6 +1377,12 @@ class FaultGuard:
             self.exchanges -= 1
         self.stats.replay_comm_cycles += int(cycles)
 
+    def reclaim_compute(self, cycles: int) -> None:
+        """The compute counterpart of :meth:`reclaim_exchange`: a pass
+        completed in the iteration being rolled back moves into the
+        replay bucket, since its re-run charges canonically."""
+        self.stats.replay_compute_cycles += int(cycles)
+
     def remap_budget_left(self) -> bool:
         return self._remaps_used < self.policy.max_remaps
 

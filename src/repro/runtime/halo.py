@@ -18,9 +18,9 @@ EOSHIFT dimensions fill out-of-bounds halo regions with the statement's
 boundary value at the global array edges (interior node boundaries still
 receive neighbor data).
 
-Every public exchange -- the solo engine's shallow one, the
-temporal-blocking deep one, and the batched engine's shared ones -- is
-a thin caller of one primitive, :func:`_exchange`: it fills a padded
+Every public exchange -- the shallow one, the temporal-blocking deep
+one, and the group ones the engine shares among filters -- is a thin
+caller of one primitive, :func:`_exchange`: it fills a padded
 stack at a given width in one of three message shapes (edges; edges
 plus the corner step; composed bands) and, under a fault guard, owns
 the hard-fault window, dead-link garbling, per-message parity checks,
@@ -285,6 +285,7 @@ def exchange_halo_deep(
     params: MachineParams,
     depth: int,
     *,
+    copies: int = 1,
     guard: Optional[FaultGuard] = None,
 ) -> CommStats:
     """Fill a ``depth * pad``-deep padded stack by neighbor exchange.
@@ -295,9 +296,10 @@ def exchange_halo_deep(
     subgrid extents.  The bands arrive composed (see :data:`BANDS`), and
     FILL dimensions overwrite the entire out-of-bounds band of the
     global-edge nodes -- exactly the state ``depth`` sequential
-    exchanges would maintain.  ``guard`` as in :func:`_exchange`.
+    exchanges would maintain.  ``copies`` and ``guard`` as in
+    :func:`_exchange`.
 
-    Returns the deep-exchange cost statistics.
+    Returns the per-copy deep-exchange cost statistics.
     """
     return _exchange(
         source_stack,
@@ -307,6 +309,7 @@ def exchange_halo_deep(
         params,
         deep_exchange_cost(pattern, subgrid_shape, params, depth),
         composed=True,
+        copies=copies,
         guard=guard,
         site=f"deep exchange (depth {depth})",
     )
@@ -357,12 +360,9 @@ def exchange_halo_deep_width(
     params: MachineParams,
     deep: int,
 ) -> CommStats:
-    """A composed-corner deep exchange at an explicit halo width.
-
-    The batched blocked path exchanges the whole batch's source once at
-    the largest deep width any filter in the group needs; each filter
-    then copies its centered window out locally (no further messages).
-    Leading axes carry through like :func:`exchange_halo_batch`.
+    """A composed-corner deep exchange at an explicit halo width:
+    :func:`exchange_halo_group` for one copy, unguarded.  Leading axes
+    carry through like :func:`exchange_halo_batch`.
     """
     return exchange_halo_group(stack, padded, pattern, subgrid_shape, params, deep)
 

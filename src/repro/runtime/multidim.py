@@ -366,7 +366,7 @@ def apply_laplacian27(
     bit-identical.
 
     Returns ``(result, run)`` where ``run`` is the underlying
-    :class:`~repro.runtime.batch.BatchStencilRun`.
+    :class:`~repro.runtime.batch.StencilRun`.
     """
     from .batch import CMBatch, apply_stencil_batch
 

@@ -14,6 +14,7 @@ test suite and ``repro serve`` both enforce exactly that.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field, fields
@@ -26,6 +27,7 @@ from ..compiler.driver import compile_stencil
 from ..machine.geometry import Partition
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
+from ..runtime.batch import CMBatch, apply_stencil_batch
 from ..runtime.cm_array import CMArray
 from ..runtime.faults import (
     FaultError,
@@ -143,11 +145,6 @@ class StencilJob:
                         f"(try `python -m repro gallery`)"
                     )
             object.__setattr__(self, "filters", names)
-        if self.batched and self.spares > 0:
-            raise JobSpecError(
-                "batched jobs cannot arm spare nodes: the batched "
-                "working set has no per-node views to migrate"
-            )
         if isinstance(self.fault_rates, Mapping):
             object.__setattr__(
                 self,
@@ -446,24 +443,6 @@ def execute_job(
             f"job grid {job.grid_shape} does not divide evenly over the "
             f"{grid_rows}x{grid_cols} partition node grid"
         )
-    if job.batched:
-        return _execute_batched_job(
-            job, machine, queue_seconds=queue_seconds
-        )
-    pattern = job.build_pattern()
-    compiled = compile_stencil(pattern, machine.params, tenant=job.tenant)
-    rng = np.random.default_rng(job.seed)
-    source = CMArray.from_numpy(
-        "X", machine, rng.standard_normal(job.grid_shape).astype(np.float32)
-    )
-    coefficients = {
-        name: CMArray.from_numpy(
-            name,
-            machine,
-            rng.standard_normal(job.grid_shape).astype(np.float32),
-        )
-        for name in pattern.coefficient_names()
-    }
     injector = None
     resilience = None
     if job.guarded:
@@ -473,97 +452,10 @@ def execute_job(
         resilience = ResiliencePolicy(
             max_remaps=max(1, job.spares), abft=job.abft
         )
+    call = _batched_call(job, machine) if job.batched else _solo_call(job, machine)
     started = time.perf_counter()
     try:
-        run: StencilRun = apply_stencil(
-            compiled,
-            source,
-            coefficients,
-            "R",
-            iterations=job.iterations,
-            exact=job.exact,
-            block_depth=job.block_depth,
-            faults=injector,
-            resilience=resilience,
-            tenant=job.tenant,
-        )
-    except FaultError as error:
-        raise JobFaultError(job.tenant, job.label, error) from error
-    wall = time.perf_counter() - started
-    return JobResult(
-        job=job,
-        partition=machine.partition,
-        output=run.result.to_numpy(),
-        comm_cycles=run.comm_cycles_total,
-        compute_cycles=run.compute_cycles_total,
-        half_strips=run.half_strips_total,
-        exchanges=run.exchanges,
-        block_depth=run.block_depth,
-        machine_seconds=run.params.seconds(
-            run.comm_cycles_total + run.compute_cycles_total
-        ),
-        host_seconds=run.host_seconds_total,
-        elapsed_seconds=run.elapsed_seconds,
-        useful_flops=run.useful_flops,
-        mflops=run.mflops,
-        fault_stats=run.fault_stats,
-        queue_seconds=queue_seconds,
-        wall_seconds=wall,
-    )
-
-
-def _execute_batched_job(
-    job: StencilJob,
-    machine: CM2,
-    *,
-    queue_seconds: float = 0.0,
-) -> JobResult:
-    """The batched-job branch of :func:`execute_job`.
-
-    Same determinism contract: the batch of inputs and the (shared)
-    coefficient arrays derive from ``job.seed`` -- the batch first, then
-    each coefficient in sorted-name order -- so re-running the job
-    anywhere reproduces the bits.  The result array is the full
-    ``(batch, filters, rows, cols)`` stack.
-    """
-    from ..runtime.batch import BatchStencilRun, CMBatch, apply_stencil_batch
-
-    patterns = job.build_filters()
-    filters = tuple(
-        compile_stencil(pattern, machine.params, tenant=job.tenant)
-        for pattern in patterns
-    )
-    rng = np.random.default_rng(job.seed)
-    source = CMBatch.from_numpy(
-        "X",
-        machine,
-        rng.standard_normal((job.batch,) + job.grid_shape).astype(np.float32),
-    )
-    coeff_names = sorted(
-        {name for pattern in patterns for name in pattern.coefficient_names()}
-    )
-    coefficients = {
-        name: CMArray.from_numpy(
-            name,
-            machine,
-            rng.standard_normal(job.grid_shape).astype(np.float32),
-        )
-        for name in coeff_names
-    }
-    injector = None
-    resilience = None
-    if job.guarded:
-        injector = FaultInjector(
-            seed=job.fault_seed, rates=dict(job.fault_rates or ())
-        )
-        resilience = ResiliencePolicy(abft=job.abft)
-    started = time.perf_counter()
-    try:
-        run: BatchStencilRun = apply_stencil_batch(
-            filters,
-            source,
-            coefficients,
-            "R",
+        run: StencilRun = call(
             iterations=job.iterations,
             exact=job.exact,
             block_depth=job.block_depth,
@@ -593,6 +485,59 @@ def _execute_batched_job(
         fault_stats=run.fault_stats,
         queue_seconds=queue_seconds,
         wall_seconds=wall,
+    )
+
+
+def _solo_call(job: StencilJob, machine: CM2):
+    """A solo job's inputs on ``machine`` -- the source, then each
+    coefficient, derived from ``job.seed`` -- bound into the call that
+    runs it."""
+    pattern = job.build_pattern()
+    compiled = compile_stencil(pattern, machine.params, tenant=job.tenant)
+    rng = np.random.default_rng(job.seed)
+    source = CMArray.from_numpy(
+        "X", machine, rng.standard_normal(job.grid_shape).astype(np.float32)
+    )
+    coefficients = {
+        name: CMArray.from_numpy(
+            name,
+            machine,
+            rng.standard_normal(job.grid_shape).astype(np.float32),
+        )
+        for name in pattern.coefficient_names()
+    }
+    return functools.partial(apply_stencil, compiled, source, coefficients, "R")
+
+
+def _batched_call(job: StencilJob, machine: CM2):
+    """A batched job's inputs on ``machine`` -- the batch of inputs,
+    then the (shared) coefficients in sorted-name order, derived from
+    ``job.seed`` -- bound into the call that runs it.  Its result is the
+    full ``(batch, filters, rows, cols)`` stack."""
+    patterns = job.build_filters()
+    filters = tuple(
+        compile_stencil(pattern, machine.params, tenant=job.tenant)
+        for pattern in patterns
+    )
+    rng = np.random.default_rng(job.seed)
+    source = CMBatch.from_numpy(
+        "X",
+        machine,
+        rng.standard_normal((job.batch,) + job.grid_shape).astype(np.float32),
+    )
+    coeff_names = sorted(
+        {name for pattern in patterns for name in pattern.coefficient_names()}
+    )
+    coefficients = {
+        name: CMArray.from_numpy(
+            name,
+            machine,
+            rng.standard_normal(job.grid_shape).astype(np.float32),
+        )
+        for name in coeff_names
+    }
+    return functools.partial(
+        apply_stencil_batch, filters, source, coefficients, "R"
     )
 
 

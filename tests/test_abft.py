@@ -215,11 +215,11 @@ def test_solo_fast_forward_corrects_every_strike(seed):
     assert stats.abft_verifies == ITERATIONS
     assert stats.abft_cycles > 0
     assert (
-        run.comm_cycles_total
-        == reference.comm_cycles_total + stats.recovery_comm_cycles()
+        run.total_comm_cycles
+        == reference.total_comm_cycles + stats.recovery_comm_cycles()
     )
-    assert run.compute_cycles_total == (
-        reference.compute_cycles_total
+    assert run.total_compute_cycles == (
+        reference.total_compute_cycles
         + stats.recovery_compute_cycles()
         + stats.abft_cycles
     )
@@ -244,8 +244,8 @@ def test_solo_blocked_forward_corrects_between_blocks():
     )
     assert stats.sdc_corrections == stats.total_injected > 0
     assert stats.rollbacks == 0 and stats.replayed_iterations == 0
-    assert run.compute_cycles_total == (
-        reference.compute_cycles_total
+    assert run.total_compute_cycles == (
+        reference.total_compute_cycles
         + stats.recovery_compute_cycles()
         + stats.abft_cycles
     )
@@ -329,8 +329,8 @@ def test_abft_knob_alone_is_bit_identical_with_charged_overhead():
     assert stats.sdc_corrections == 0
     # Periodic checkpoints still charge their copies into the recovery
     # bucket; the abft overhead stays separate.
-    assert run.compute_cycles_total == (
-        reference.compute_cycles_total
+    assert run.total_compute_cycles == (
+        reference.total_compute_cycles
         + stats.recovery_compute_cycles()
         + stats.abft_cycles
     )
@@ -416,10 +416,10 @@ def test_disabled_verifier_lets_corruption_through(monkeypatch):
     """Neuter verify_and_correct and the single-cell suite MUST fail:
     proof the bit-identity above is earned by the verifier, not by
     accident."""
-    import repro.runtime.stencil_op as stencil_op
+    import repro.runtime.batch as engine
 
     monkeypatch.setattr(
-        stencil_op, "verify_and_correct",
+        engine, "verify_and_correct",
         lambda stack, sealed, *, site, guard=None: 0,
     )
     pattern = cross5()

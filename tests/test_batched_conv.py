@@ -8,29 +8,26 @@ mode -- while the whole batch shares halo exchanges (one machine pass of
 ``batch * filters`` solo exchanges).
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.analysis.chaos import boundary_variant
 from repro.analysis.flops import account_batch
 from repro.analysis.timing import batch_report
+from repro.compiler.codegen import ExtraTerm
 from repro.compiler.driver import compile_stencil
+from repro.compiler.fusion import fuse
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
-from repro.runtime.batch import (
-    BatchStencilRun,
-    CMBatch,
-    apply_stencil_batch,
-)
-from repro.runtime.blocking import (
-    batch_blocked_costs,
-    best_batch_block_depth,
-    blocked_costs,
-)
+from repro.runtime.batch import CMBatch, apply_stencil_batch
+from repro.runtime.blocking import best_block_depth, blocked_costs
 from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import ExecutionSetupError
 from repro.runtime.faults import (
     FaultInjector,
+    HardFaultSpec,
     NonFiniteInputError,
     ResiliencePolicy,
 )
@@ -40,15 +37,20 @@ from repro.runtime.multidim import (
     apply_laplacian27_reference,
 )
 from repro.runtime.stencil_op import apply_stencil
+from repro.service import jobs
 from repro.service.jobs import JobSpecError, StencilJob, solo_run
 from repro.stencil import gallery
+from repro.stencil.pattern import Coefficient
 
 GRID = (16, 16)
 
+#: The injector seed of the guarded cases; CI sweeps it.
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "11"))
 
-def make_machine(shape=(2, 2)):
+
+def make_machine(shape=(2, 2), spares=0):
     params = MachineParams(num_nodes=shape[0] * shape[1])
-    return CM2(params, shape=shape)
+    return CM2(params, shape=shape, spares=spares)
 
 
 def make_batch(machine, batch, grid=GRID, seed=0):
@@ -84,6 +86,111 @@ def solo_results(machine, filters, coeffs, data, grid, **kwargs):
             apply_stencil(compiled, src, coeffs, res, **kwargs)
             out[b, fi] = res.to_numpy()
     return out
+
+
+def _fused(params):
+    return fuse(
+        gallery.cross5(),
+        [ExtraTerm(source="U", coeff=Coefficient.array("CU"))],
+        params,
+    )
+
+
+#: Mode -> (pattern factory, machine spares, run keyword factory).
+ONE_BY_ONE = {
+    "fast": (lambda p: compile_stencil(gallery.diamond13(), p), 0,
+             lambda: dict(iterations=3)),
+    "blocked-2": (lambda p: compile_stencil(gallery.cross5(), p), 0,
+                  lambda: dict(iterations=5, block_depth=2)),
+    "blocked-auto": (lambda p: compile_stencil(gallery.cross5(), p), 0,
+                     lambda: dict(iterations=8, block_depth="auto")),
+    "exact": (lambda p: compile_stencil(gallery.square9(), p), 0,
+              lambda: dict(iterations=2, exact=True)),
+    "fused": (_fused, 0, lambda: dict(iterations=3)),
+    "soft-faults": (
+        lambda p: compile_stencil(gallery.diamond13(), p), 0,
+        lambda: dict(
+            iterations=3,
+            faults=FaultInjector(
+                seed=CHAOS_SEED,
+                rates={"node_poison": 0.25, "halo_corrupt": 0.2},
+            ),
+            resilience=ResiliencePolicy(max_retries=6),
+        ),
+    ),
+    "abft-sdc": (
+        lambda p: compile_stencil(gallery.cross5(), p), 0,
+        lambda: dict(
+            iterations=3,
+            faults=FaultInjector(seed=CHAOS_SEED, rates={"sdc": 1.0}),
+            abft=True,
+        ),
+    ),
+    "guarded-5": (lambda p: compile_stencil(gallery.cross5(), p), 0,
+                  lambda: dict(iterations=5, resilience=ResiliencePolicy())),
+    "guarded-blocked": (
+        lambda p: compile_stencil(gallery.cross5(), p), 0,
+        lambda: dict(
+            iterations=4, block_depth=2, resilience=ResiliencePolicy()
+        ),
+    ),
+    "node-kill-spare": (
+        lambda p: compile_stencil(gallery.square9(), p), 1,
+        lambda: dict(
+            iterations=3,
+            faults=FaultInjector(
+                seed=1, schedule=[HardFaultSpec("node_dead", 1, 1, 0)]
+            ),
+            resilience=ResiliencePolicy(max_remaps=1),
+        ),
+    ),
+}
+
+
+def one_by_one_run(mode, *, batched):
+    """One ``mode`` run on a fresh machine: solo, or as a 1x1 batch."""
+    factory, spares, kwargs = ONE_BY_ONE[mode]
+    machine = make_machine(spares=spares)
+    compiled = factory(machine.params)
+    rng = np.random.default_rng(3)
+    source = CMArray.from_numpy(
+        "X", machine, rng.uniform(0.5, 1.5, GRID).astype(np.float32)
+    )
+    coeffs = {
+        name: CMArray.from_numpy(
+            name, machine, rng.uniform(0.0, 0.25, GRID).astype(np.float32)
+        )
+        for name in compiled.pattern.coefficient_names()
+    }
+    CMArray.from_numpy(
+        "U", machine, rng.uniform(0.5, 1.5, GRID).astype(np.float32)
+    )
+    if batched:
+        run = apply_stencil_batch([compiled], [source], coeffs, **kwargs())
+        return run, run.result.to_numpy()[0, 0]
+    run = apply_stencil(compiled, source, coeffs, "R", **kwargs())
+    return run, run.result.to_numpy()
+
+
+def record_figures(run):
+    """Every figure of a run record but its result and fault-site
+    strings (the buffer names differ between the two entry points)."""
+    stats = run.fault_stats.to_dict()
+    del stats["events"]
+    return dict(
+        iterations=run.iterations,
+        exact=run.exact,
+        block_depths=run.block_depths,
+        num_exchanges=run.num_exchanges,
+        coeff_exchanges=run.coeff_exchanges,
+        total_comm_cycles=run.total_comm_cycles,
+        total_compute_cycles=run.total_compute_cycles,
+        total_half_strips=run.total_half_strips,
+        host_calls=run.host_calls,
+        host_half_strips=run.host_half_strips,
+        elapsed_seconds=run.elapsed_seconds,
+        fault_stats=stats,
+    )
 
 
 class TestBitIdentity:
@@ -217,20 +324,17 @@ class TestBitIdentity:
             run.result.to_numpy(), fast.result.to_numpy()
         )
 
-    def test_single_filter_single_grid(self):
-        """B=1, F=1 degenerates to exactly one solo call's bits and
-        exchange count."""
-        machine = make_machine()
-        pattern = gallery.diamond13()
-        compiled = compile_stencil(pattern, machine.params)
-        coeffs = make_coeffs(machine, [pattern])
-        source, data = make_batch(machine, 1)
-        run = apply_stencil_batch([compiled], source, coeffs, iterations=3)
-        src = CMArray.from_numpy("__one__", machine, data[0])
-        res = CMArray("__oneres__", machine, GRID)
-        solo = apply_stencil(compiled, src, coeffs, res, iterations=3)
-        assert np.array_equal(run.result.to_numpy()[0, 0], res.to_numpy())
-        assert run.num_exchanges == solo.exchanges
+    @pytest.mark.parametrize("mode", sorted(ONE_BY_ONE))
+    def test_single_filter_single_grid(self, mode):
+        """B=1, F=1 is exactly one solo call: the same result bits,
+        totals, block depths, host calls, host half-strips and fault
+        counters, in every execution mode and recovery path."""
+        solo, solo_bits = one_by_one_run(mode, batched=False)
+        run, bits = one_by_one_run(mode, batched=True)
+        assert np.array_equal(
+            bits.view(np.uint32), solo_bits.view(np.uint32)
+        )
+        assert record_figures(run) == record_figures(solo)
 
 
 class TestAmortization:
@@ -320,11 +424,11 @@ class TestAmortization:
         ) == pytest.approx(run.total_comm_cycles)
 
     def test_batch_cost_model_depth1_matches_unblocked(self):
-        """batch_blocked_costs(depth=1) reproduces the unblocked
+        """blocked_costs(depth=1) over a batch reproduces the unblocked
         batched accounting."""
         machine = make_machine()
         compiled = compile_stencil(gallery.cross5(), machine.params)
-        costs = batch_blocked_costs(compiled, (8, 8), 3, 1, batch=4)
+        costs = blocked_costs(compiled, (8, 8), 3, 1, batch=4)
         assert costs.num_blocks == 3
         assert costs.num_exchanges == 12
         assert costs.coeff_exchanges == 0
@@ -333,13 +437,13 @@ class TestAmortization:
     def test_best_batch_depth_never_worse_than_forced(self):
         params = MachineParams(num_nodes=4)
         compiled = compile_stencil(gallery.cross5(), params)
-        best = best_batch_block_depth(compiled, (8, 8), 16, batch=8)
-        best_cost = batch_blocked_costs(
-            compiled, (8, 8), 16, best, 8
+        best = best_block_depth(compiled, (8, 8), 16, batch=8)
+        best_cost = blocked_costs(
+            compiled, (8, 8), 16, best, batch=8
         ).modeled_seconds(params, 16)
         for depth in (1, 2, 4):
-            other = batch_blocked_costs(
-                compiled, (8, 8), 16, depth, 8
+            other = blocked_costs(
+                compiled, (8, 8), 16, depth, batch=8
             ).modeled_seconds(params, 16)
             assert best_cost <= other + 1e-12
 
@@ -437,11 +541,36 @@ class TestValidationAndStorage:
         bad = coeffs["C1"].to_numpy()
         bad[0, 0] = np.nan
         coeffs["C1"].set(bad)
-        source, _ = make_batch(machine, 2)
+        source, data = make_batch(machine, 2)
         with pytest.raises(NonFiniteInputError, match="C1"):
             apply_stencil_batch(
                 [compiled], source, coeffs, check_finite=True
             )
+        coeffs["C1"].set(np.ones(GRID, dtype=np.float32))
+        data[1, 3, 4] = np.inf
+        source.set(data)
+        with pytest.raises(NonFiniteInputError, match=r"entry 1 \('Xb\[1\]'\)"):
+            apply_stencil_batch(
+                [compiled], source, coeffs, check_finite=True
+            )
+        entries = [
+            CMArray.from_numpy(f"S{b}", machine, data[b]) for b in range(2)
+        ]
+        with pytest.raises(NonFiniteInputError, match="entry 1 \\('S1'\\)"):
+            apply_stencil_batch(
+                [compiled], entries, coeffs, check_finite=True
+            )
+
+    def test_check_finite_names_fused_extra_source(self):
+        machine = make_machine()
+        fused = _fused(machine.params)
+        coeffs = make_coeffs(machine, [fused.pattern])
+        bad = np.ones(GRID, dtype=np.float32)
+        bad[2, 2] = np.nan
+        CMArray.from_numpy("U", machine, bad)
+        source, _ = make_batch(machine, 2)
+        with pytest.raises(NonFiniteInputError, match="'U'"):
+            apply_stencil_batch([fused], source, coeffs, check_finite=True)
 
     def test_batched_shape_validation_names_axis(self):
         """Satellite: batched result-shape mismatches report the
@@ -469,7 +598,7 @@ class TestFaults:
             filters, source, coeffs, result="Rclean", iterations=3
         )
         injector = FaultInjector(
-            seed=11,
+            seed=CHAOS_SEED,
             rates={"node_poison": 0.25, "halo_corrupt": 0.2},
         )
         guarded = apply_stencil_batch(
@@ -488,22 +617,114 @@ class TestFaults:
         assert stats.total_injected > 0
         assert stats.total_detected > 0
         assert guarded.num_exchanges == clean.num_exchanges
-        assert guarded.total_compute_cycles > clean.total_compute_cycles
+        assert guarded.total_comm_cycles == (
+            clean.total_comm_cycles + stats.recovery_comm_cycles()
+        )
+        assert guarded.total_compute_cycles == (
+            clean.total_compute_cycles + stats.recovery_compute_cycles()
+        )
 
-    def test_guarded_forces_depth_one(self):
+    @pytest.mark.parametrize(
+        "spares,kwargs",
+        [
+            (0, lambda: dict(
+                faults=FaultInjector(
+                    seed=CHAOS_SEED, rates={"node_poison": 0.12}
+                ),
+                resilience=ResiliencePolicy(max_retries=0, max_replays=60),
+            )),
+            (1, lambda: dict(
+                faults=FaultInjector(
+                    seed=CHAOS_SEED,
+                    schedule=[HardFaultSpec("node_dead", 3, 1, 0)],
+                ),
+                resilience=ResiliencePolicy(max_remaps=1),
+            )),
+            (0, lambda: dict(
+                block_depth=2,
+                faults=FaultInjector(
+                    seed=CHAOS_SEED,
+                    rates={"scratch_bitflip": 0.3, "halo_corrupt": 0.2},
+                ),
+                resilience=ResiliencePolicy(max_retries=6, max_replays=20),
+            )),
+            (1, lambda: dict(
+                block_depth=2,
+                faults=FaultInjector(
+                    seed=CHAOS_SEED,
+                    schedule=[HardFaultSpec("node_dead", 6, 1, 1)],
+                ),
+                resilience=ResiliencePolicy(max_remaps=1),
+            )),
+            (0, lambda: dict(
+                faults=FaultInjector(seed=CHAOS_SEED, rates={"sdc": 1.0}),
+                abft=True,
+            )),
+        ],
+        ids=[
+            "rollback", "node-kill", "blocked-replay", "blocked-node-kill",
+            "abft",
+        ],
+    )
+    def test_guarded_batch_recovers_and_reconciles(self, spares, kwargs):
+        """Two boundary groups of mixed pads walk the recovery ladder:
+        the bits equal the clean run's, and every total equals the
+        clean closed form plus the recovery buckets."""
+        patterns = [
+            boundary_variant(gallery.cross5(), "torus"),
+            boundary_variant(gallery.diamond13(), "torus"),
+            boundary_variant(gallery.square9(), "fill"),
+        ]
+
+        def run(**extra):
+            machine = make_machine(spares=spares)
+            filters = [compile_stencil(p, machine.params) for p in patterns]
+            coeffs = make_coeffs(machine, patterns)
+            source, _ = make_batch(machine, 2)
+            return apply_stencil_batch(
+                filters, source, coeffs, iterations=4, **extra
+            )
+
+        guarded = run(**kwargs())
+        clean = run(block_depth=guarded.block_depths[0])
+        stats = guarded.fault_stats
+        assert stats.total_injected > 0
+        assert np.array_equal(
+            guarded.result.to_numpy(), clean.result.to_numpy()
+        )
+        assert guarded.num_exchanges == clean.num_exchanges
+        assert guarded.total_comm_cycles == (
+            clean.total_comm_cycles + stats.recovery_comm_cycles()
+        )
+        assert guarded.total_compute_cycles == (
+            clean.total_compute_cycles
+            + stats.recovery_compute_cycles()
+            + stats.abft_cycles
+        )
+
+    def test_guarded_batch_blocks_like_solo(self):
+        """A guarded batch runs temporally blocked at the requested
+        depth, as a guarded solo call does, and lands on the clean
+        bits."""
         machine = make_machine()
         compiled = compile_stencil(gallery.cross5(), machine.params)
         coeffs = make_coeffs(machine, [gallery.cross5()])
         source, _ = make_batch(machine, 2)
+        clean = apply_stencil_batch(
+            [compiled], source, coeffs, result="Rclean", iterations=4
+        )
         run = apply_stencil_batch(
             [compiled],
             source,
             coeffs,
+            result="Rchaos",
             iterations=4,
             block_depth=4,
-            faults=FaultInjector(seed=1),
+            faults=FaultInjector(seed=CHAOS_SEED),
         )
-        assert run.block_depths == (1,)
+        assert run.block_depths == (4,)
+        assert run.fault_stats.degradations == ()
+        assert np.array_equal(run.result.to_numpy(), clean.result.to_numpy())
 
 
 class TestLaplacian27:
@@ -639,10 +860,29 @@ class TestService:
             StencilJob(tenant="t", filters=("no_such_pattern",))
         with pytest.raises(JobSpecError, match="at least one"):
             StencilJob(tenant="t", filters=())
-        with pytest.raises(JobSpecError, match="spare"):
-            StencilJob(tenant="t", batch=2, spares=1)
-        with pytest.raises(JobSpecError, match="spare"):
-            StencilJob(tenant="t", filters=("cross5", "cross9"), spares=2)
+
+    def test_batched_job_with_a_spare_survives_a_node_death(self, monkeypatch):
+        """A batched job arms its spare like a solo job: a node killed
+        mid-run is remapped, and the output equals the fault-free
+        run's bits."""
+        spec = dict(
+            tenant="t",
+            filters=("cross5", "square9"),
+            batch=2,
+            grid_shape=(16, 16),
+            iterations=3,
+            seed=12,
+            partition_shape=(2, 2),
+        )
+        scripted = lambda seed, rates: FaultInjector(  # noqa: E731
+            seed=seed,
+            rates=rates,
+            schedule=[HardFaultSpec("node_dead", 2, 1, 0)],
+        )
+        monkeypatch.setattr(jobs, "FaultInjector", scripted)
+        survived = solo_run(StencilJob(spares=1, **spec))
+        assert survived.fault_stats.remaps == 1
+        assert survived.identical_to(solo_run(StencilJob(**spec)))
 
     def test_from_dict_filters(self):
         job = StencilJob.from_dict(

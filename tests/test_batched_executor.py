@@ -14,6 +14,7 @@ from repro.baseline.reference import reference_stencil
 from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
+from repro.runtime.batch import apply_stencil_batch
 from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import ExecutionSetupError
 from repro.runtime.stencil_op import apply_stencil
@@ -126,18 +127,21 @@ def test_iterated_three_semantics_bit_identical():
         ("C1", {"iterations": 4, "block_depth": 2}),
         ("X", {"abft": True}),
         ("R", {"abft": True}),
+        ("X", {"batched": True}),
+        ("C1", {"batched": True}),
     ],
     ids=[
         "source", "coefficient", "result",
         "blocked-source", "blocked-coefficient",
         "guarded-source", "guarded-result",
+        "batched-source", "batched-coefficient",
     ],
 )
 def test_detached_buffer_is_a_typed_error(detach, kwargs):
     """A node buffer no longer backed by its array's machine-wide stack
     fails the run with a typed error naming the buffer -- on the fast,
-    blocked and guarded paths alike -- never a silently different
-    result."""
+    blocked, guarded and batched paths alike -- never a silently
+    different result."""
     pattern = cross(1)
     machine, compiled, x, coeffs, x_host, coeff_host = make_problem(
         pattern, 8, (16, 24), seed=3
@@ -148,5 +152,10 @@ def test_detached_buffer_is_a_typed_error(detach, kwargs):
     node.memory.install(detach, node.memory.buffer(detach))
     assert machine.stacked(detach) is None
 
-    with pytest.raises(ExecutionSetupError, match=repr(detach)):
-        apply_stencil(compiled, x, coeffs, result, **kwargs)
+    with pytest.raises(
+        ExecutionSetupError, match=f"{detach!r} is not backed by an intact"
+    ):
+        if kwargs.pop("batched", False):
+            apply_stencil_batch([compiled], [x], coeffs, **kwargs)
+        else:
+            apply_stencil(compiled, x, coeffs, result, **kwargs)

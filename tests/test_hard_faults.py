@@ -435,16 +435,16 @@ class TestRecoveryAccounting:
         assert np.array_equal(run.result.to_numpy(), expected)
         stats = run.fault_stats
         assert (
-            run.comm_cycles_total
-            == reference.comm_cycles_total + stats.recovery_comm_cycles()
+            run.total_comm_cycles
+            == reference.total_comm_cycles + stats.recovery_comm_cycles()
         )
         assert (
-            run.compute_cycles_total
-            == reference.compute_cycles_total
+            run.total_compute_cycles
+            == reference.total_compute_cycles
             + stats.recovery_compute_cycles()
         )
         # The canonical exchange count survives rollback and replay.
-        assert run.exchanges == reference.exchanges
+        assert run.num_exchanges == reference.num_exchanges
         assert run.coeff_exchanges == reference.coeff_exchanges
 
     def test_no_fault_guarded_run_with_spares_reconciles(self):
@@ -457,12 +457,12 @@ class TestRecoveryAccounting:
         stats = run.fault_stats
         assert stats.checkpoints >= 1  # genesis
         assert (
-            run.comm_cycles_total
-            == reference.comm_cycles_total + stats.recovery_comm_cycles()
+            run.total_comm_cycles
+            == reference.total_comm_cycles + stats.recovery_comm_cycles()
         )
         assert (
-            run.compute_cycles_total
-            == reference.compute_cycles_total
+            run.total_compute_cycles
+            == reference.total_compute_cycles
             + stats.recovery_compute_cycles()
         )
 
@@ -501,7 +501,7 @@ class TestCheckpointAutoBlocking:
         np.testing.assert_array_equal(
             chaos.result.to_numpy(), reference.result.to_numpy()
         )
-        assert chaos.block_depth == reference.block_depth
+        assert chaos.block_depths[0] == reference.block_depths[0]
 
     def test_checkpoint_bounds_the_replay_distance(self):
         pattern = boundary_variant(cross(1), "torus")

@@ -249,7 +249,7 @@ class TestFixedPointCheck:
 
     @staticmethod
     def _identity_run(c1_host, monkeypatch, iterations=4):
-        from repro.runtime import stencil_op
+        from repro.runtime import batch
 
         pattern = pattern_from_offsets([(0, 0)], name="identity")
         params = MachineParams(num_nodes=16)
@@ -261,13 +261,13 @@ class TestFixedPointCheck:
         x = CMArray.from_numpy("X", machine, x_host)
         c1 = CMArray.from_numpy("C1", machine, c1_host)
         passes = []
-        real = stencil_op.machine_execute_fast
+        real = batch.machine_execute_fast_stack
 
         def counted(*args, **kwargs):
             passes.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(stencil_op, "machine_execute_fast", counted)
+        monkeypatch.setattr(batch, "machine_execute_fast_stack", counted)
         run = apply_stencil(
             compiled, x, {"C1": c1}, "R", iterations=iterations
         )

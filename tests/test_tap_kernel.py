@@ -250,7 +250,7 @@ class TestRunsThroughTheKernel:
             iterations=7,
             block_depth=3,
         )
-        assert run.block_depth == 3
+        assert run.block_depths[0] == 3
         want = x
         for _ in range(7):
             want = reference_stencil(pattern, want, coeffs)

@@ -92,7 +92,7 @@ class TestBitIdentity:
             blocked.result.to_numpy(), reference.result.to_numpy()
         )
         cap = depth_cap(pattern, x.subgrid_shape, ITERATIONS)
-        assert blocked.block_depth == min(depth, cap)
+        assert blocked.block_depths[0] == min(depth, cap)
 
     def test_auto_depth_is_feasible_and_bit_identical(self):
         pattern = cross(1)
@@ -105,7 +105,7 @@ class TestBitIdentity:
         np.testing.assert_array_equal(
             auto.result.to_numpy(), reference.result.to_numpy()
         )
-        assert 1 <= auto.block_depth <= depth_cap(pattern, x.subgrid_shape, 12)
+        assert 1 <= auto.block_depths[0] <= depth_cap(pattern, x.subgrid_shape, 12)
 
     def test_source_array_is_never_modified(self):
         pattern = square(1)
@@ -133,8 +133,8 @@ class TestExchangeAccounting:
         run = apply_stencil(
             compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=depth
         )
-        assert run.block_depth == depth
-        assert run.exchanges == math.ceil(ITERATIONS / depth)
+        assert run.block_depths[0] == depth
+        assert run.num_exchanges == math.ceil(ITERATIONS / depth)
         assert run.coeff_exchanges == len(pattern.coefficient_names())
 
     def test_blocked_totals_match_the_cost_model(self):
@@ -144,10 +144,15 @@ class TestExchangeAccounting:
             compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=3
         )
         costs = blocked_costs(compiled, x.subgrid_shape, ITERATIONS, 3)
-        assert run.comm_cycles_total == costs.total_comm_cycles
-        assert run.compute_cycles_total == costs.total_compute_cycles
-        assert run.half_strips_total == costs.total_half_strips
-        assert run.block_comm == costs.block_comm
+        assert run.total_comm_cycles == costs.total_comm_cycles
+        assert run.total_compute_cycles == costs.total_compute_cycles
+        assert run.total_half_strips == costs.total_half_strips
+        assert run.num_exchanges == costs.num_exchanges
+        assert run.coeff_exchanges == costs.coeff_exchanges
+        assert run.host_calls == costs.num_blocks
+        assert run.elapsed_seconds == pytest.approx(
+            costs.modeled_seconds(compiled.params, ITERATIONS)
+        )
 
     def test_unblocked_run_aggregates_per_iteration_comm(self):
         """Satellite: every iteration's exchange is charged, not just
@@ -155,11 +160,11 @@ class TestExchangeAccounting:
         pattern = cross(2)
         _, compiled, x, coeffs = make_problem(pattern)
         run = apply_stencil(compiled, x, coeffs, "R", iterations=5)
-        assert run.exchanges == 5
-        assert run.comm_cycles_total == 5 * run.comm.cycles
+        assert run.num_exchanges == 5
+        assert run.total_comm_cycles == 5 * run.comm.cycles
         single = apply_stencil(compiled, x, coeffs, "R1")
-        assert single.exchanges == 1
-        assert single.comm_cycles_total == single.comm.cycles
+        assert single.num_exchanges == 1
+        assert single.total_comm_cycles == single.comm.cycles
 
     def test_blocked_exchange_cycles_beat_unblocked(self):
         """The point of the whole exercise: fewer, deeper exchanges cost
@@ -183,8 +188,8 @@ class TestExchangeAccounting:
         blocked = apply_stencil(
             compiled, x, coeffs, "RB", iterations=32, block_depth=4
         )
-        assert blocked.exchanges == 8
-        assert blocked.comm_cycles_total < unblocked.comm_cycles_total
+        assert blocked.num_exchanges == 8
+        assert blocked.total_comm_cycles < unblocked.total_comm_cycles
 
     def test_blocked_fixed_point_still_charges_whole_run(self):
         """An all-zero iterate is a fixed point; the blocked loop stops
@@ -209,9 +214,9 @@ class TestExchangeAccounting:
         np.testing.assert_array_equal(
             run.result.to_numpy(), np.zeros(SHAPE, dtype=np.float32)
         )
-        assert run.exchanges == 4
+        assert run.num_exchanges == 4
         costs = blocked_costs(compiled, x.subgrid_shape, 8, 2)
-        assert run.comm_cycles_total == costs.total_comm_cycles
+        assert run.total_comm_cycles == costs.total_comm_cycles
 
 
 class TestPingPongReuse:
