@@ -18,9 +18,9 @@ with spare nodes, and scores each trial against three properties:
     ``fault-free closed form + recovery buckets``
     (:meth:`~repro.runtime.faults.FaultStats.recovery_comm_cycles` /
     :meth:`~repro.runtime.faults.FaultStats.recovery_compute_cycles`).
-    Skipped (None) when the run degraded to a different execution rung
-    mid-flight, because the closed form of the original rung no longer
-    describes the canonical work performed.
+    Degraded runs too: a step down the recovery ladder moves the failed
+    rung's canonical charges into the replay buckets.  None only for a
+    trial that raised.
 
 ``typed_error``
     When the run raised, the error was a typed ``FaultError`` subclass
@@ -174,7 +174,10 @@ class ChaosReport:
 
     @property
     def unreconciled(self) -> int:
-        return sum(1 for t in self.trials if t.reconciled is False)
+        """Surviving trials whose totals did not reconcile."""
+        return sum(
+            1 for t in self.trials if t.survived and t.reconciled is not True
+        )
 
     @property
     def total_remaps(self) -> int:
@@ -182,8 +185,8 @@ class ChaosReport:
 
     @property
     def ok(self) -> bool:
-        """The acceptance predicate: every trial survived bit-identically,
-        every non-degraded trial reconciled, nothing silently corrupted."""
+        """The acceptance predicate: every trial survived bit-identically
+        and reconciled, nothing silently corrupted."""
         return (
             self.num_survived == self.num_trials
             and self.silent_corruptions == 0
@@ -307,18 +310,13 @@ def run_trial(
         )
     stats = run.fault_stats
     identical = bool(np.array_equal(run.result.to_numpy(), expected))
-    degraded_rung = any("->" in step for step in stats.degradations)
-    if degraded_rung:
-        reconciled: Optional[bool] = None
-    else:
-        reconciled = (
-            run.total_comm_cycles
-            == reference.total_comm_cycles + stats.recovery_comm_cycles()
-        ) and (
-            run.total_compute_cycles
-            == reference.total_compute_cycles
-            + stats.recovery_compute_cycles()
-        )
+    reconciled = (
+        run.total_comm_cycles
+        == reference.total_comm_cycles + stats.recovery_comm_cycles()
+    ) and (
+        run.total_compute_cycles
+        == reference.total_compute_cycles + stats.recovery_compute_cycles()
+    )
     return ChaosTrial(
         stencil=stencil,
         boundary=boundary,
@@ -990,22 +988,14 @@ def _sdc_trial_from_run(
     recovery, so the decomposition is
     ``run = reference + recovery + abft``.
     """
-    degraded = any("->" in step for step in stats.degradations)
-    if degraded:
-        reconciled: Optional[bool] = None
-    else:
-        reconciled = (
-            run_comm == ref_comm + stats.recovery_comm_cycles()
-        ) and (
-            run_compute
-            == ref_compute
-            + stats.recovery_compute_cycles()
-            + stats.abft_cycles
-        )
+    reconciled = (run_comm == ref_comm + stats.recovery_comm_cycles()) and (
+        run_compute
+        == ref_compute + stats.recovery_compute_cycles() + stats.abft_cycles
+    )
     forward = (
         stats.rollbacks == 0
         and stats.replayed_iterations == 0
-        and not degraded
+        and not stats.degradations
     )
     return SdcTrial(
         stencil=stencil,
@@ -1212,7 +1202,10 @@ class SdcReport:
 
     @property
     def unreconciled(self) -> int:
-        return sum(1 for t in self.trials if t.reconciled is False)
+        """Surviving trials whose totals did not reconcile."""
+        return sum(
+            1 for t in self.trials if t.survived and t.reconciled is not True
+        )
 
     @property
     def total_injected(self) -> int:
@@ -1239,8 +1232,8 @@ class SdcReport:
         correction (no rollbacks, no replays, no rung degradation) with
         every injected strike detected; every multi-cell trial must be
         bit-identical via the ladder *or* end in a typed error; nothing
-        may silently corrupt and no reconcilable trial may fail to
-        reconcile exactly.
+        may silently corrupt and every surviving trial must reconcile
+        exactly.
         """
         single_ok = all(
             t.survived

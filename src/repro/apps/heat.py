@@ -108,10 +108,7 @@ class HeatSolver:
             # Swap the role of the two buffers by copying back; a real
             # application would ping-pong names, but the stencil source
             # names the arrays, so we keep U canonical.
-            for node in self.machine.nodes():
-                node.memory.buffer(self.u.name)[:] = node.memory.buffer(
-                    self.scratch.name
-                )
+            self.u.stacked[...] = self.scratch.stacked
             self.timing.steps += 1
             self.timing.elapsed_seconds += run.seconds_per_iteration
             self.timing.useful_flops += run.useful_flops

@@ -105,11 +105,9 @@ class WaveSolver:
         for _ in range(steps):
             # The stencil statement names its source P, so the current
             # field must live in the P buffer: rotate data through it.
-            for node in self.machine.nodes():
-                cur = node.memory.buffer(self.p_cur.name).copy()
-                prev = node.memory.buffer(self.p_prev.name).copy()
-                node.memory.buffer(self.p_prev.name)[:] = cur
-                node.memory.buffer(self.p_cur.name)[:] = prev
+            cur = self.p_cur.stacked.copy()
+            self.p_cur.stacked[...] = self.p_prev.stacked
+            self.p_prev.stacked[...] = cur
             # Now p_prev holds current, p_cur holds previous.
             run = apply_stencil(self.compiled, self.p_prev, {}, self.scratch)
             term = add_scaled(

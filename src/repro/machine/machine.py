@@ -26,7 +26,7 @@ from .geometry import (
     spare_count,
 )
 from .health import MachineHealth
-from .memory import MachineStorage
+from .memory import MachineStorage, MemoryError_, NodeMemory
 from .node import Node
 from .params import MachineParams
 
@@ -36,9 +36,10 @@ class CM2:
 
     Distributed arrays are backed by one stacked ``(grid_rows,
     grid_cols, rows, cols)`` float32 array per name (see
-    :class:`~repro.machine.memory.MachineStorage`); each node's memory
-    holds a view of its own ``[row, col]`` slice, so per-node and
-    whole-machine access observe the same data.
+    :class:`~repro.machine.memory.MachineStorage`), the only copy of the
+    name-to-data map; each node's memory reads its own ``[row, col]``
+    tile of it, so per-node and whole-machine access observe the same
+    data.
     """
 
     def __init__(
@@ -85,6 +86,7 @@ class CM2:
                 coord=coord,
                 address=node_address(coord.row, coord.col, self.shape),
                 params=self.params,
+                memory=NodeMemory(self.storage, (coord.row, coord.col)),
             )
             for coord in all_coords(self.shape)
         }
@@ -101,18 +103,11 @@ class CM2:
                 coord=NodeCoord(-1, first_spare + i),
                 address=first_spare + i,
                 params=self.params,
+                memory=NodeMemory(self.storage),
             )
             for i in range(self.coord_map.num_spares)
         }
         self.health = MachineHealth()
-        # Shared counter bumped whenever any node's buffer mapping
-        # changes; lets stacked() cache its every-node integrity check.
-        self._memory_epoch = [0]
-        self._stack_checks: Dict[str, Tuple[np.ndarray, int]] = {}
-        for node in self._nodes.values():
-            node.memory.track_epoch(self._memory_epoch)
-        for node in self._spare_nodes.values():
-            node.memory.track_epoch(self._memory_epoch)
 
     @property
     def num_nodes(self) -> int:
@@ -186,12 +181,12 @@ class CM2:
     def remap_node(self, row: int, col: int) -> Node:
         """Migrate logical ``(row, col)`` onto the next spare node.
 
-        Rewrites the logical->physical coordinate map, deploys the spare
-        ``Node`` at the logical coordinate, and re-installs that
-        coordinate's slice of every distributed stack as views in the
-        spare's memory -- the state-migration step; the data itself is
-        whatever the stacks currently hold (the caller restores the lost
-        tile from a checkpoint before or after remapping).  The retired
+        Rewrites the logical->physical coordinate map and deploys the
+        spare ``Node`` at the logical coordinate, whose memory then
+        serves that coordinate's tile of every distributed stack -- the
+        state-migration step; the data itself is whatever the stacks
+        currently hold (the caller restores the lost tile from a
+        checkpoint before or after remapping).  The retired
         physical node's health conditions stop applying to the logical
         grid (its links are retired with it).
 
@@ -203,16 +198,9 @@ class CM2:
         new_phys = self.coord_map.remap(coord.row, coord.col)
         spare = self._spare_nodes.pop(new_phys)
         spare.coord = coord
+        spare.memory.tile = (coord.row, coord.col)
         self._nodes[coord] = spare
         self.health.retire_node(old_phys)
-        for name in self.storage.names:
-            stack = self.storage.get(name)
-            if (
-                stack is not None
-                and stack.ndim == 4
-                and stack.shape[:2] == self.shape
-            ):
-                spare.memory.install_view(name, stack[coord.row, coord.col])
         return spare
 
     def migration_words(self) -> int:
@@ -220,75 +208,34 @@ class CM2:
         distributed stack (the state a spare must receive).  Batched
         stacks count every leading-axis copy of the tile -- the spare
         receives the whole batch's slice."""
-        total = 0
-        seen = set()
-        grid_rows, grid_cols = self.shape
-        for name in self.storage.names:
-            stack = self.storage.get(name)
-            if (
-                stack is not None
-                and stack.ndim >= 4
-                and stack.shape[-4:-2] == self.shape
-                and id(stack) not in seen
-            ):
-                seen.add(id(stack))
-                total += int(stack.size // (grid_rows * grid_cols))
-        return total
+        stacks = self.storage.distinct()
+        return sum(stack.size // self.num_nodes for _, stack in stacks)
 
     # ------------------------------------------------------------------
     # Stacked distributed buffers
     # ------------------------------------------------------------------
 
     def alloc_stacked(self, name: str, subgrid_shape: Tuple[int, int]) -> np.ndarray:
-        """Allocate a distributed buffer: one machine-wide stack, with
-        each node's memory holding a view of its own slice."""
-        stack = self.storage.allocate(name, subgrid_shape)
-        for node in self.nodes():
-            node.memory.install_view(name, stack[node.coord.row, node.coord.col])
-        return stack
+        """Allocate a distributed buffer: one machine-wide stack, whose
+        ``[row, col]`` tile every node's memory reads."""
+        return self.storage.allocate(name, subgrid_shape)
 
     def alias_stacked(self, name: str, target: str) -> None:
-        """Point ``name`` at ``target``'s storage on every node and, when
-        the target is stack-backed, in the machine storage as well."""
+        """Point ``name`` at ``target``'s stack."""
         stack = self.storage.get(target)
-        if stack is not None:
-            self.storage.bind(name, stack)
-        else:
-            self.storage.free(name)
-        for node in self.nodes():
-            node.memory.alias(name, target)
+        if stack is None:
+            raise MemoryError_(
+                f"cannot alias {name!r}: no array named {target!r}"
+            )
+        self.storage.bind(name, stack)
 
     def free_stacked(self, name: str) -> None:
         self.storage.free(name)
-        for node in self.nodes():
-            node.memory.free(name)
 
     def stacked(self, name: str) -> Optional[np.ndarray]:
-        """The intact machine-wide stack backing buffer ``name``.
-
-        Returns None when the name has no stack or any node's buffer has
-        been detached from it (e.g. replaced through
-        :meth:`~repro.machine.memory.NodeMemory.install`); the run-time
-        library then refuses the buffer with a typed error (see
-        :func:`~repro.runtime.cm_array.intact_stack`).
-        """
-        stack = self.storage.get(name)
-        if stack is None:
-            return None
-        cached = self._stack_checks.get(name)
-        if (
-            cached is not None
-            and cached[0] is stack
-            and cached[1] == self._memory_epoch[0]
-        ):
-            return stack
-        for node in self.nodes():
-            view = node.memory.view(name)
-            if view is None or view.base is not stack:
-                self._stack_checks.pop(name, None)
-                return None
-        self._stack_checks[name] = (stack, self._memory_epoch[0])
-        return stack
+        """The machine-wide stack behind distributed buffer ``name``,
+        or None when the storage holds no such name."""
+        return self.storage.get(name)
 
     def alloc_batch_stacked(
         self,
@@ -297,9 +244,10 @@ class CM2:
         subgrid_shape: Tuple[int, int],
     ) -> np.ndarray:
         """Allocate a batched distributed buffer (leading batch/filter
-        axes ahead of the node grid).  No node views -- see
-        :meth:`~repro.machine.memory.MachineStorage.allocate_batched`."""
-        return self.storage.allocate_batched(name, lead_shape, subgrid_shape)
+        axes ahead of the node grid), which node memory does not
+        resolve -- see
+        :meth:`~repro.machine.memory.MachineStorage.allocate`."""
+        return self.storage.allocate(name, subgrid_shape, lead_shape)
 
     def scratch_stacked(
         self,
@@ -307,7 +255,7 @@ class CM2:
         buffer_shape: Tuple[int, int],
         lead_shape: Tuple[int, ...] = (),
     ) -> np.ndarray:
-        """A reusable machine-wide scratch stack (no node views).
+        """A reusable machine-wide scratch stack (not in node memory).
 
         Used by the temporal-blocking executor for deep-padded iterate
         and coefficient buffers, and (with ``lead_shape``) by the

@@ -53,22 +53,35 @@ class AccessCounts:
 
 
 class NodeMemory:
-    """Named 2-D float32 buffers with bounds-checked, counted access."""
+    """Named 2-D float32 buffers with bounds-checked, counted access.
 
-    def __init__(self) -> None:
+    A machine node's memory *is* its ``tile`` of every distributed
+    array: a name ``storage`` holds resolves, on each access, to this
+    node's ``[row, col]`` tile of the stack held now.  Only node-private
+    buffers (constant pages, sequencer scratch) live in the node's own
+    dict; a distributed name cannot be installed, allocated, aliased or
+    freed here.  A standalone ``NodeMemory()`` holds private buffers.
+    """
+
+    def __init__(
+        self,
+        storage: Optional["MachineStorage"] = None,
+        tile: Optional[Tuple[int, int]] = None,
+    ) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
         self.counts = AccessCounts()
-        self._epoch_ref = None
+        self.storage = storage
+        #: ``(row, col)`` in the node grid; None on an undeployed spare.
+        self.tile = tile
 
-    def track_epoch(self, epoch_ref) -> None:
-        """Register a shared one-element counter bumped whenever the
-        name-to-buffer mapping changes.  The machine uses it to cache the
-        (otherwise every-node) stacked-view integrity check."""
-        self._epoch_ref = epoch_ref
-
-    def _touch(self) -> None:
-        if self._epoch_ref is not None:
-            self._epoch_ref[0] += 1
+    def _private(self, name: str, action: str) -> None:
+        """Refuse ``action`` on a name the machine storage holds."""
+        if self.storage is not None and self.storage.get(name) is not None:
+            raise MemoryError_(
+                f"cannot {action} {name!r} in node memory: it is a "
+                "distributed array held by machine storage; change it "
+                "through its CMArray instead"
+            )
 
     # ------------------------------------------------------------------
     # Allocation
@@ -76,40 +89,26 @@ class NodeMemory:
 
     def allocate(self, name: str, shape: Tuple[int, int]) -> np.ndarray:
         """Allocate (or replace) a zero-filled buffer."""
+        self._private(name, "allocate")
         buffer = np.zeros(shape, dtype=np.float32)
         self._buffers[name] = buffer
-        self._touch()
         return buffer
 
     def install(self, name: str, data: np.ndarray) -> np.ndarray:
         """Install an existing array as a buffer (copied to float32)."""
+        self._private(name, "install")
         if data.ndim != 2:
             raise MemoryError_(f"buffer {name!r} must be 2-D, got {data.ndim}-D")
         buffer = np.array(data, dtype=np.float32)
         self._buffers[name] = buffer
-        self._touch()
         return buffer
 
-    def install_view(self, name: str, view: np.ndarray) -> np.ndarray:
-        """Install an array as a buffer *without copying*.
-
-        Used by the machine-wide stacked storage: each node's subgrid of
-        a distributed array is a view into one (grid_rows, grid_cols,
-        rows, cols) stack, so the fast executor can process every node
-        with single whole-machine array operations while the per-node
-        paths (exact mode, the sequencer) keep reading and writing
-        through node memory unchanged.
-        """
-        if view.ndim != 2:
-            raise MemoryError_(f"buffer {name!r} must be 2-D, got {view.ndim}-D")
-        if view.dtype != np.float32:
-            raise MemoryError_(f"buffer {name!r} must be float32, got {view.dtype}")
-        self._buffers[name] = view
-        self._touch()
-        return view
-
     def view(self, name: str) -> Optional[np.ndarray]:
-        """The buffer registered under ``name``, or None (no counting)."""
+        """The buffer named ``name``, or None (no counting).  Batched
+        stacks are whole-machine only: no node memory resolves them."""
+        stack = None if self.storage is None else self.storage.get(name)
+        if stack is not None and stack.ndim == 4 and self.tile is not None:
+            return stack[self.tile]
         return self._buffers.get(name)
 
     def ensure_constant_pages(self, values=()) -> None:
@@ -127,33 +126,34 @@ class NodeMemory:
                 self.install(name, np.array([[value]], dtype=np.float32))
 
     def alias(self, name: str, target: str) -> None:
-        """Make ``name`` refer to the same storage as ``target``.
+        """Make private ``name`` refer to the same storage as ``target``.
 
-        Used by the multidimensional outer loop: compiled register access
-        patterns bake buffer names, so the runtime re-points stable alias
-        names (e.g. the slab-above/slab-below sources) at the right slab
-        before each plane is processed -- the software analogue of the
-        sequencer's run-time base-address parameters.
+        Compiled register access patterns bake buffer names, so a stable
+        name is re-pointed at the right buffer before it is read -- the
+        software analogue of the sequencer's run-time base-address
+        parameters.  Distributed names are aliased machine-wide instead
+        (:meth:`~repro.machine.machine.CM2.alias_stacked`).
         """
+        self._private(name, "alias")
+        self._private(target, "alias to")
         self._buffers[name] = self.buffer(target)
-        self._touch()
 
     def free(self, name: str) -> None:
+        self._private(name, "free")
         self._buffers.pop(name, None)
-        self._touch()
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
 
     def buffer(self, name: str) -> np.ndarray:
-        try:
-            return self._buffers[name]
-        except KeyError:
-            raise MemoryError_(f"no buffer named {name!r}") from None
+        buffer = self.view(name)
+        if buffer is None:
+            raise MemoryError_(f"no buffer named {name!r}")
+        return buffer
 
     def has_buffer(self, name: str) -> bool:
-        return name in self._buffers
+        return self.view(name) is not None
 
     def read(self, ref: MemRef) -> np.float32:
         buffer = self.buffer(ref.buffer)
@@ -177,10 +177,12 @@ class NodeMemory:
 
     @property
     def buffer_names(self) -> Tuple[str, ...]:
+        """The node-private buffers."""
         return tuple(self._buffers)
 
     def total_words(self) -> int:
-        """Total words allocated (for temporary-storage accounting)."""
+        """Total private words allocated (for temporary-storage
+        accounting)."""
         return sum(buf.size for buf in self._buffers.values())
 
 
@@ -190,7 +192,7 @@ class StorageCheckpoint:
 
     Produced by :meth:`MachineStorage.checkpoint`; applied back with
     :meth:`MachineStorage.restore`.  Restoring writes *into* the live
-    stacks in place, so every node-memory view of them stays valid.
+    stacks in place, so every array naming them sees the restored data.
     """
 
     stacks: Dict[str, np.ndarray]
@@ -204,21 +206,20 @@ class StorageCheckpoint:
 class MachineStorage:
     """Whole-machine stacked backing store for distributed buffers.
 
-    One entry per distributed array name: a ``(grid_rows, grid_cols,
-    rows, cols)`` float32 stack holding every node's subgrid
-    contiguously.  Node memories hold views into the stack (see
-    :meth:`NodeMemory.install_view`), so per-node access -- the
-    cycle-stepped sequencer, the exact executor, host gather/scatter --
-    is unchanged, while the fast executor and the halo exchange operate
-    on the stack as one array.  They read nothing else: a node buffer
-    detached from its stack is refused with a typed error, never read
-    node by node.
+    The only map from a distributed array name to its data: one
+    ``(grid_rows, grid_cols, rows, cols)`` float32 stack per name,
+    holding every node's subgrid contiguously.  A node's
+    :class:`NodeMemory` resolves the name to its ``[row, col]`` tile of
+    that stack on each access, so per-node access -- the cycle-stepped
+    sequencer, the exact executor -- and the whole-machine fast
+    executor and halo exchange read the same storage, and a name
+    re-allocated or re-bound here is seen by every node at once.
 
     Aliases (:meth:`bind`) share the target's stack under a second name,
     the machine-wide analogue of :meth:`NodeMemory.alias`.
 
     Scratch stacks (:meth:`scratch`, :meth:`pingpong`) are machine-wide
-    work buffers that no node memory views -- the temporal-blocking
+    work buffers that no node memory resolves -- the temporal-blocking
     executor's deep-padded iterates and coefficient halos.  They are
     allocated once per (name, shape) and reused across calls;
     :attr:`scratch_allocations` counts actual allocations so tests can
@@ -239,31 +240,22 @@ class MachineStorage:
         #: layer derives and verifies them).
         self._abft: Dict[str, object] = {}
 
-    def allocate(self, name: str, subgrid_shape: Tuple[int, int]) -> np.ndarray:
-        """Allocate (or replace) a zero-filled stack for ``name``."""
-        rows, cols = subgrid_shape
-        stack = np.zeros(
-            (self.grid_shape[0], self.grid_shape[1], rows, cols),
-            dtype=np.float32,
-        )
-        self._stacks[name] = stack
-        return stack
-
-    def allocate_batched(
+    def allocate(
         self,
         name: str,
-        lead_shape: Tuple[int, ...],
         subgrid_shape: Tuple[int, int],
+        lead_shape: Tuple[int, ...] = (),
     ) -> np.ndarray:
-        """Allocate (or replace) a batched stack: ``lead_shape`` axes
-        (batch, filter, ...) ahead of the node-grid pair.
+        """Allocate (or replace) a zero-filled stack for ``name``, with
+        any ``lead_shape`` axes (batch, filter, ...) ahead of the
+        node-grid pair.
 
         Batched stacks live in the distributed-array namespace -- they
         checkpoint, seal parity, and NaN out with their node tile on a
-        node death like any 4-d stack -- but no node memory views them:
-        :meth:`NodeMemory.install_view` requires 2-D views, so per-node
-        paths (exact mode, the sequencer) stage one ``(batch, filter)``
-        slice at a time instead.
+        node death like any 4-d stack -- but node memory does not
+        resolve them: per-node paths (exact mode, the sequencer) bind
+        one ``(batch, filter)`` entry at a time under a 4-d name
+        instead.
         """
         rows, cols = subgrid_shape
         stack = np.zeros(
@@ -284,25 +276,17 @@ class MachineStorage:
     def free(self, name: str) -> None:
         self._stacks.pop(name, None)
 
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._stacks)
-
-    def tile_stacks(self):
-        """Every distinct node-tiled stack, from both namespaces:
-        ``(name, stack)`` pairs whose ``-4/-3`` dims are the node grid
-        (4-d classic stacks and batched stacks with leading axes alike).
-        Aliased names yield the underlying stack once (the view a dead
-        node loses is the storage, not the name)."""
+    def distinct(self, *, scratch: bool = False):
+        """Every distinct stack as ``(name, stack)`` pairs, an aliased
+        one once: the distributed arrays, then with ``scratch`` the work
+        stacks.  Their tiles are a node's state -- what a dead node
+        loses, a spare receives, a genesis checkpoint saves."""
         seen = set()
-        for name, stack in list(self._stacks.items()) + list(
-            self._scratch.items()
-        ):
-            if (
-                stack.ndim >= 4
-                and stack.shape[-4:-2] == self.grid_shape
-                and id(stack) not in seen
-            ):
+        items = list(self._stacks.items())
+        if scratch:
+            items += list(self._scratch.items())
+        for name, stack in items:
+            if id(stack) not in seen:
                 seen.add(id(stack))
                 yield name, stack
 
@@ -321,7 +305,8 @@ class MachineStorage:
         node grid).
 
         Unlike :meth:`allocate`, the returned stack is kept in a
-        separate namespace (it never shadows a distributed array) and is
+        separate namespace (it never shadows a distributed array, and no
+        node memory resolves it) and is
         reused verbatim when the shape matches the previous request, so
         steady-state iterated runs perform no allocation.  Contents are
         *not* cleared between calls; callers overwrite what they read.

@@ -70,7 +70,7 @@ from .blocking import (
     depth_cap,
 )
 from .abft import seal_checksums, verify_and_correct
-from .cm_array import CMArray, ExecutionSetupError, intact_stack
+from .cm_array import CMArray, ExecutionSetupError, stack_of
 from .decomposition import Decomposition
 from .executor import (
     kernel_array_names,
@@ -116,9 +116,11 @@ class CMBatch:
     sit ahead of the node grid, so one stacked buffer of shape
     ``lead_shape + (grid_rows, grid_cols, rows, cols)`` holds every
     entry and whole-machine operations (halo exchange, the stacked fast
-    executor) serve all of them in one pass.  There are no per-node
-    views -- the batch axes are a sequencer-side addressing construct;
-    exact mode stages each entry's tiles as node-memory views.
+    executor) serve all of them in one pass.  Like a ``CMArray`` it
+    keeps only its name; the machine storage holds the stack.  Node
+    memory does not resolve it -- the batch axes are a sequencer-side
+    addressing construct; exact mode binds one entry at a time under a
+    4-d name.
     """
 
     def __init__(
@@ -138,7 +140,7 @@ class CMBatch:
         self.machine = machine
         self.lead_shape = lead_shape
         self.decomposition = Decomposition(tuple(global_shape), machine)
-        self._stacked = machine.alloc_batch_stacked(
+        machine.alloc_batch_stacked(
             name, lead_shape, self.decomposition.subgrid_shape
         )
 
@@ -153,8 +155,14 @@ class CMBatch:
     @property
     def stacked(self) -> np.ndarray:
         """The whole-machine ``lead_shape + (grid_rows, grid_cols,
-        rows, cols)`` stack."""
-        return self._stacked
+        rows, cols)`` stack the machine storage holds under this
+        batch's name now."""
+        stack = self.machine.storage.get(self.name)
+        if stack is None:
+            raise ExecutionSetupError(
+                f"batch {self.name!r} has been freed from machine storage"
+            )
+        return stack
 
     @classmethod
     def from_numpy(cls, name: str, machine: CM2, array: np.ndarray) -> "CMBatch":
@@ -184,19 +192,18 @@ class CMBatch:
             )
         grid_rows, grid_cols = self.machine.shape
         rows, cols = self.subgrid_shape
-        self._stacked[...] = array.reshape(
+        self.stacked[...] = array.reshape(
             self.lead_shape + (grid_rows, rows, grid_cols, cols)
         ).swapaxes(-3, -2)
 
     def fill(self, value: float) -> None:
-        self._stacked[...] = np.float32(value)
+        self.stacked[...] = np.float32(value)
 
     def to_numpy(self) -> np.ndarray:
         """Gather every entry into one host array of shape
         ``lead_shape + global_shape``."""
-        return self._stacked.swapaxes(-3, -2).reshape(
-            self.lead_shape + self.global_shape
-        )
+        tiles = np.array(self.stacked.swapaxes(-3, -2), order="C")
+        return tiles.reshape(self.lead_shape + self.global_shape)
 
     def like(self, name: str, lead_shape: Optional[Tuple[int, ...]] = None) -> "CMBatch":
         """A new zero-filled batch on the same machine and global shape."""
@@ -492,32 +499,23 @@ def _coefficient_bindings(machine: CM2, coefficients: Dict[str, CMArray]):
     subroutine-call interface), the statement names are aliased to them
     -- run-time base addresses, as the sequencer would take them.  The
     previous bindings (if any) are restored on exit, so repeated calls
-    with different arrays never see each other's aliases and node memory
-    does not accumulate stale names.
+    with different arrays never see each other's aliases and the
+    machine storage does not accumulate stale names.
     """
     saved = []
     for statement_name, array in coefficients.items():
         if array.name == statement_name:
             continue
-        previous_stack = machine.storage.get(statement_name)
-        previous_views = [
-            node.memory.view(statement_name) for node in machine.nodes()
-        ]
+        saved.append((statement_name, machine.storage.get(statement_name)))
         machine.alias_stacked(statement_name, array.name)
-        saved.append((statement_name, previous_stack, previous_views))
     try:
         yield
     finally:
-        for statement_name, previous_stack, previous_views in reversed(saved):
-            if previous_stack is None:
+        for statement_name, previous in reversed(saved):
+            if previous is None:
                 machine.storage.free(statement_name)
             else:
-                machine.storage.bind(statement_name, previous_stack)
-            for node, view in zip(machine.nodes(), previous_views):
-                if view is None:
-                    node.memory.free(statement_name)
-                else:
-                    node.memory.install_view(statement_name, view)
+                machine.storage.bind(statement_name, previous)
 
 
 def _resolve_depths(
@@ -665,7 +663,7 @@ def run_stencil(
         names = dict.fromkeys(
             name for f in filters for name in kernel_array_names(f.pattern)
         )
-        plan.arrays = {name: intact_stack(machine, name) for name in names}
+        plan.arrays = {name: stack_of(machine, name) for name in names}
         return _run_ladder(plan, depths, exact, guard)
 
 
@@ -684,8 +682,9 @@ def _run_ladder(
     ECC-protected (no executor faults are injected there); the source
     is never modified, so each rung restarts from pristine input.  Guard
     tallies accumulate across rungs -- a degraded run's totals include
-    the cycles its failed rungs burned.  An unguarded run takes only
-    the first rung.
+    the cycles its failed rungs burned, moved into the replay buckets
+    on the step down, so the totals stay closed form + recovery
+    buckets.  An unguarded run takes only the first rung.
 
     Hard faults add a final implicit rung past "exact": spare-node
     remapping.  Arming the guard against the machine enables detection
@@ -709,15 +708,9 @@ def _run_ladder(
         machine = plan.machine
         guard.attach_machine(machine)
         if machine.has_spares and guard.genesis is None:
-            seen = set()
-            names = []
-            for name in machine.storage.names:
-                stack = machine.storage.get(name)
-                if stack is None or id(stack) in seen:
-                    continue
-                seen.add(id(stack))
-                names.append(name)
-            if id(plan.source) not in seen:
+            stacks = dict(machine.storage.distinct())
+            names = list(stacks)
+            if not any(stack is plan.source for stack in stacks.values()):
                 names.append(plan.source_name)
             guard.genesis = machine.storage.checkpoint(names)
             guard.charge_checkpoint(machine.migration_words())
@@ -735,6 +728,7 @@ def _run_ladder(
         except FaultError:
             if index == len(rungs) - 1:
                 raise
+            guard.reclaim_rung()
             guard.note_degradation(f"{rung}->{rungs[index + 1]}")
     raise AssertionError("unreachable: the last rung returns or raises")
 
@@ -793,10 +787,7 @@ def _named_stack(
     a node that dies there never held it."""
     stack = machine.storage.get(name)
     if stack is None or stack.shape != lead + tuple(machine.shape) + shape:
-        if lead:
-            stack = machine.alloc_batch_stacked(name, lead, shape)
-        else:
-            stack = machine.alloc_stacked(name, shape)
+        stack = machine.alloc_batch_stacked(name, lead, shape)
     return stack
 
 
@@ -845,7 +836,7 @@ def _exchange_group(
     return views, copies, stats
 
 
-#: Node-memory names under which exact mode stages one grid's tiles.
+#: Storage names under which exact mode binds one grid's stacks.
 _EXACT = "__exact__"
 
 
@@ -857,37 +848,38 @@ def _exact_pass(
     expected: Optional[int],
 ) -> int:
     """Filter ``fi``'s pass through the cycle-stepped datapath, node by
-    node and grid by grid.  Each grid's padded input and result tiles
-    are staged as node-memory views, so the sequencer reads and writes
-    the stacks in place.  Returns the cycle count, which the SIMD
-    machine requires to be identical on every node (and equal to
-    ``expected`` when given)."""
+    node and grid by grid.  Each grid's padded input and result stacks
+    are bound in machine storage under 4-d names, so every node's
+    sequencer reads and writes its tiles of them in place.  Returns the
+    cycle count, which the SIMD machine requires to be identical on
+    every node (and equal to ``expected`` when given)."""
     compiled = plan.filters[fi]
     out = plan.outs[fi]
+    storage = plan.machine.storage
     halo = halo_buffer_name(_EXACT)
     nodes = list(plan.machine.nodes())
     cycles = expected
-    for entry in np.ndindex(*out.shape[:-4]):
-        for node in nodes:
-            tile = entry + (node.coord.row, node.coord.col)
-            node.memory.install_view(halo, padded[tile])
-            node.memory.install_view(_EXACT, out[tile])
-            node_cycles = node_execute_exact(
-                compiled,
-                node,
-                plan.schedules[fi],
-                source_name=_EXACT,
-                result_name=_EXACT,
-                halo=width,
-            )
-            if cycles is not None and node_cycles != cycles:
-                raise AssertionError(
-                    "SIMD invariant violated: nodes disagree on cycles"
+    try:
+        for entry in np.ndindex(*out.shape[:-4]):
+            storage.bind(halo, padded[entry])
+            storage.bind(_EXACT, out[entry])
+            for node in nodes:
+                node_cycles = node_execute_exact(
+                    compiled,
+                    node,
+                    plan.schedules[fi],
+                    source_name=_EXACT,
+                    result_name=_EXACT,
+                    halo=width,
                 )
-            cycles = node_cycles
-    for node in nodes:
-        node.memory.free(halo)
-        node.memory.free(_EXACT)
+                if cycles is not None and node_cycles != cycles:
+                    raise AssertionError(
+                        "SIMD invariant violated: nodes disagree on cycles"
+                    )
+                cycles = node_cycles
+    finally:
+        storage.free(halo)
+        storage.free(_EXACT)
     return cycles
 
 
@@ -1538,8 +1530,8 @@ def apply_stencil_batch(
         bit-identical to ``apply_stencil(filters[f], sources[b], ...)``.
 
     Raises :class:`~repro.runtime.executor.ExecutionSetupError` when an
-    array does not match the filters or a node's buffer has been
-    detached from its array's machine-wide stack.
+    array does not match the filters or is not held by the machine
+    storage.
     """
     filters = tuple(filters)
     if not filters:
@@ -1590,7 +1582,7 @@ def apply_stencil_batch(
                         global_shape,
                     )
                 )
-        stacks = [intact_stack(machine, array.name) for array in entries]
+        stacks = [array.stacked for array in entries]
         source_name = "__batch_source__"
         source_stack = machine.scratch_stacked(
             source_name, stacks[0].shape[-2:], (len(stacks),)
@@ -1688,7 +1680,7 @@ def apply_stencil_batch(
                     "(apply_stencil_batch was called with check_finite=True)"
                 )
         for name in dict.fromkeys(inputs.values()):
-            if not np.isfinite(intact_stack(machine, name)).all():
+            if not np.isfinite(stack_of(machine, name)).all():
                 raise NonFiniteInputError(
                     f"input array {name!r} contains NaN/Inf "
                     "(apply_stencil_batch was called with check_finite=True)"

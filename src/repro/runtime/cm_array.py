@@ -1,14 +1,15 @@
 """Distributed Connection Machine arrays.
 
 A :class:`CMArray` is a named, 2-D, single-precision array block-divided
-over the machine's node grid.  The whole array is backed by one stacked
-``(grid_rows, grid_cols, rows, cols)`` float32 machine buffer; each
-node's subgrid lives in that node's
-:class:`~repro.machine.memory.NodeMemory` as a *view* of the stack under
-the array's name, which is how the sequencer's address generation finds
-it.  Per-node access (exact mode, host scatter/gather) and batched
-whole-machine access (the fast executor, the batched halo exchange)
-therefore observe the same storage.
+over the machine's node grid.  The machine storage holds the whole
+array under its name as one stacked ``(grid_rows, grid_cols, rows,
+cols)`` float32 buffer, and the :class:`CMArray` keeps only the name:
+every access looks the stack up, and each node's
+:class:`~repro.machine.memory.NodeMemory` resolves the name to its own
+``[row, col]`` tile, which is how the sequencer's address generation
+finds it.  Per-node access (exact mode) and whole-machine access (host
+scatter/gather, the fast executor, the halo exchange) therefore observe
+the same storage, and two arrays created under one name are one array.
 """
 
 from __future__ import annotations
@@ -25,21 +26,15 @@ class ExecutionSetupError(ValueError):
     """Arrays handed to the executor do not match the compiled stencil."""
 
 
-def intact_stack(machine: CM2, name: str) -> np.ndarray:
-    """The machine-wide stack behind distributed buffer ``name``.
-
-    The run-time library reads every distributed buffer as one stack,
-    so a buffer without one -- or with a node's buffer detached from it,
-    e.g. replaced through
-    :meth:`~repro.machine.memory.NodeMemory.install` -- raises
-    :class:`ExecutionSetupError` naming it.
-    """
+def stack_of(machine: CM2, name: str) -> np.ndarray:
+    """The machine-wide stack behind distributed buffer ``name``;
+    raises :class:`ExecutionSetupError` naming a buffer the machine
+    storage does not hold."""
     stack = machine.stacked(name)
     if stack is None:
         raise ExecutionSetupError(
-            f"buffer {name!r} is not backed by an intact machine-wide "
-            "stack (a node's copy was replaced outside machine storage); "
-            "refill it through its CMArray instead"
+            f"no distributed array named {name!r} on this machine; "
+            "create it as a CMArray first"
         )
     return stack
 
@@ -56,9 +51,7 @@ class CMArray:
         self.name = name
         self.machine = machine
         self.decomposition = Decomposition(global_shape, machine)
-        self._stacked = machine.alloc_stacked(
-            name, self.decomposition.subgrid_shape
-        )
+        machine.alloc_stacked(name, self.decomposition.subgrid_shape)
 
     @property
     def global_shape(self) -> Tuple[int, int]:
@@ -70,8 +63,14 @@ class CMArray:
 
     @property
     def stacked(self) -> np.ndarray:
-        """The whole-machine ``(grid_rows, grid_cols, rows, cols)`` stack."""
-        return self._stacked
+        """The whole-machine ``(grid_rows, grid_cols, rows, cols)`` stack
+        the machine storage holds under this array's name now."""
+        stack = self.machine.storage.get(self.name)
+        if stack is None:
+            raise ExecutionSetupError(
+                f"array {self.name!r} has been freed from machine storage"
+            )
+        return stack
 
     # ------------------------------------------------------------------
     # Host <-> machine data movement
@@ -96,20 +95,18 @@ class CMArray:
             )
         grid_rows, grid_cols = self.machine.shape
         rows, cols = self.subgrid_shape
-        self._stacked[...] = array.reshape(
+        self.stacked[...] = array.reshape(
             grid_rows, rows, grid_cols, cols
         ).swapaxes(1, 2)
 
     def fill(self, value: float) -> None:
-        self._stacked[...] = np.float32(value)
+        self.stacked[...] = np.float32(value)
 
     def to_numpy(self) -> np.ndarray:
-        """Gather the node subgrids into a host array."""
-        subgrids = {
-            node.coord: node.memory.buffer(self.name)
-            for node in self.machine.nodes()
-        }
-        return self.decomposition.gather(subgrids)
+        """Gather the node subgrids into a host array (the inverse of
+        :meth:`set`)."""
+        tiles = np.array(self.stacked.swapaxes(1, 2), order="C")
+        return tiles.reshape(self.global_shape)
 
     # ------------------------------------------------------------------
     # Node-local views
@@ -117,7 +114,8 @@ class CMArray:
 
     def subgrid(self, row: int, col: int) -> np.ndarray:
         """Direct view of the node-(row, col) subgrid buffer."""
-        return self.machine.node(row, col).memory.buffer(self.name)
+        grid_rows, grid_cols = self.machine.shape
+        return self.stacked[row % grid_rows, col % grid_cols]
 
     def like(self, name: str) -> "CMArray":
         """A new zero-filled array with the same shape and machine."""

@@ -49,12 +49,9 @@ def add_scaled(
     Cost per point: two register loads, one multiply-add with the
     coefficient streaming from memory, one store.
     """
-    for node in result.machine.nodes():
-        b = node.memory.buffer(base.name)
-        c = node.memory.buffer(coeff.name)
-        d = node.memory.buffer(data.name)
-        out = node.memory.buffer(result.name)
-        out[:] = (b + (c * d).astype(np.float32)).astype(np.float32)
+    result.stacked[...] = (
+        base.stacked + (coeff.stacked * data.stacked).astype(np.float32)
+    ).astype(np.float32)
     points = _points(result)
     cycles = points * (3 * params.memory_access_cycles + 1)
     return ElementwiseRun(
@@ -73,8 +70,7 @@ def copy_array(
     Cost per point: one load and one store; no useful flops at all --
     pure overhead against the flop rate.
     """
-    for node in dst.machine.nodes():
-        node.memory.buffer(dst.name)[:] = node.memory.buffer(src.name)
+    dst.stacked[...] = src.stacked
     points = _points(dst)
     cycles = points * (2 * params.memory_access_cycles)
     return ElementwiseRun(

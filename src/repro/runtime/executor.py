@@ -31,7 +31,7 @@ from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
 from ..machine.memory import parity_word
 from ..verify import lockdep
-from .cm_array import CMArray, ExecutionSetupError, intact_stack
+from .cm_array import CMArray, ExecutionSetupError, stack_of
 from .faults import FaultGuard, NonFiniteInputError
 from .halo import halo_buffer_name
 from .strips import StripSchedule
@@ -167,7 +167,7 @@ def check_finite_arrays(
         ):
             names.append(coeff.name)
     for name in names:
-        if not np.isfinite(intact_stack(source.machine, name)).all():
+        if not np.isfinite(stack_of(source.machine, name)).all():
             raise NonFiniteInputError(
                 f"input array {name!r} contains NaN/Inf "
                 "(apply_stencil was called with check_finite=True)"
@@ -499,13 +499,12 @@ def machine_execute_fast(
     coefficient and extra-source stacks, across the whole node grid.
     Because float32 arithmetic is elementwise deterministic, the result
     is bit-identical to one node at a time (and therefore to exact
-    mode).  Raises :class:`ExecutionSetupError` naming any buffer that
-    is not backed by an intact machine-wide stack, having written
-    nothing.
+    mode).  Raises :class:`ExecutionSetupError` naming any buffer the
+    machine storage does not hold, having written nothing.
     """
     halo_name = halo_buffer_name(source_name)
     stacks = {
-        name: intact_stack(machine, name)
+        name: stack_of(machine, name)
         for name in {halo_name, result_name, *kernel_array_names(pattern)}
     }
     result = stacks[result_name]

@@ -882,7 +882,7 @@ class FaultInjector:
     def _trash_node_memory(self, machine, row: int, col: int) -> None:
         """A dead node's memory is gone: NaN its tile everywhere
         (batched stacks lose every leading-axis copy of the tile)."""
-        for _, stack in machine.storage.tile_stacks():
+        for _, stack in machine.storage.distinct(scratch=True):
             stack[..., row, col, :, :] = np.float32(np.nan)
 
 
@@ -1376,6 +1376,22 @@ class FaultGuard:
         else:
             self.exchanges -= 1
         self.stats.replay_comm_cycles += int(cycles)
+
+    def reclaim_rung(self) -> None:
+        """Ladder step-down: every canonical charge so far is the failed
+        rung's (earlier rungs were reclaimed at their own step-down),
+        and the next rung restarts from the source and charges the
+        closed form again, so they all move into the replay buckets."""
+        stats = self.stats
+        stats.replay_comm_cycles += (
+            self.comm_cycles - stats.recovery_comm_cycles()
+        )
+        stats.replay_compute_cycles += (
+            self.compute_cycles
+            - stats.recovery_compute_cycles()
+            - stats.abft_cycles
+        )
+        self.exchanges = self.coeff_exchanges = 0
 
     def reclaim_compute(self, cycles: int) -> None:
         """The compute counterpart of :meth:`reclaim_exchange`: a pass

@@ -46,7 +46,7 @@ from ..machine.memory import parity_word
 from ..machine.params import MachineParams
 from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import StencilPattern
-from .cm_array import CMArray, intact_stack
+from .cm_array import CMArray
 from .faults import FaultGuard, RetryExhaustedError
 
 
@@ -249,9 +249,9 @@ def exchange_halo(
             the compiled plans keep reading the same buffer name.
         guard: resilience guard for chaos runs (see :func:`_exchange`).
 
-    Raises :class:`~repro.runtime.cm_array.ExecutionSetupError` when a
-    node's ``source`` buffer is detached from its machine-wide stack.
-    Returns the per-node cost statistics.
+    Raises :class:`~repro.runtime.cm_array.ExecutionSetupError` when
+    ``source`` has been freed from machine storage.  Returns the
+    per-node cost statistics.
     """
     machine = source.machine
     name = into if into is not None else halo_buffer_name(source.name)
@@ -266,7 +266,7 @@ def exchange_halo(
         return padded
 
     return _exchange(
-        intact_stack(machine, source.name),
+        source.stacked,
         destination,
         pattern,
         source.subgrid_shape,

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Union
 from ..compiler.plan import CompiledStencil
 from ..verify.aliasing import ensure_no_aliasing
 from .batch import StencilRun, run_stencil
-from .cm_array import CMArray, intact_stack
+from .cm_array import CMArray
 from .executor import check_arrays, check_finite_arrays
 from .faults import FaultInjector, ResiliencePolicy
 
@@ -115,8 +115,8 @@ def apply_stencil(
         a :class:`StencilRun` with the result and full cost accounting.
 
     Raises :class:`~repro.runtime.executor.ExecutionSetupError` when an
-    array does not match the statement or a node's buffer has been
-    detached from its array's machine-wide stack.
+    array does not match the statement or is not held by the machine
+    storage.
     """
     if iterations < 1:
         raise ValueError("iterations must be positive")
@@ -133,9 +133,9 @@ def apply_stencil(
     return run_stencil(
         (compiled,),
         source.name,
-        intact_stack(machine, source.name),
+        source.stacked,
         result,
-        (intact_stack(machine, result.name),),
+        (result.stacked,),
         (result.name,),
         coefficients,
         iterations=iterations,

@@ -13,6 +13,7 @@ import pytest
 from repro.baseline.reference import reference_stencil
 from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
+from repro.machine.memory import MemoryError_
 from repro.machine.params import MachineParams
 from repro.runtime.batch import apply_stencil_batch
 from repro.runtime.cm_array import CMArray
@@ -137,25 +138,42 @@ def test_iterated_three_semantics_bit_identical():
         "batched-source", "batched-coefficient",
     ],
 )
-def test_detached_buffer_is_a_typed_error(detach, kwargs):
-    """A node buffer no longer backed by its array's machine-wide stack
-    fails the run with a typed error naming the buffer -- on the fast,
-    blocked, guarded and batched paths alike -- never a silently
-    different result."""
+def test_detaching_a_buffer_is_refused_at_install(detach, kwargs):
+    """A node cannot replace its tile of a distributed array with a
+    private copy: the install raises a typed error naming the buffer at
+    call time, so the fast, blocked, guarded and batched runs that
+    follow still read the machine-wide stack and match the reference
+    bit for bit."""
     pattern = cross(1)
     machine, compiled, x, coeffs, x_host, coeff_host = make_problem(
         pattern, 8, (16, 24), seed=3
     )
     result = CMArray("R", machine, x.global_shape)
-    # Replace one node's view with a private copy of the same data.
     node = next(iter(machine.nodes()))
-    node.memory.install(detach, node.memory.buffer(detach))
-    assert machine.stacked(detach) is None
+    private = node.memory.buffer(detach) + np.float32(1.0)
+    with pytest.raises(MemoryError_, match=repr(detach)):
+        node.memory.install(detach, private)
+    assert np.shares_memory(
+        node.memory.buffer(detach), machine.stacked(detach)[0, 0]
+    )
 
-    with pytest.raises(
-        ExecutionSetupError, match=f"{detach!r} is not backed by an intact"
-    ):
-        if kwargs.pop("batched", False):
-            apply_stencil_batch([compiled], [x], coeffs, **kwargs)
-        else:
-            apply_stencil(compiled, x, coeffs, result, **kwargs)
+    expected = x_host
+    for _ in range(kwargs.get("iterations", 1)):
+        expected = reference_stencil(pattern, expected, coeff_host)
+    if kwargs.pop("batched", False):
+        run = apply_stencil_batch([compiled], [x], coeffs, **kwargs)
+        np.testing.assert_array_equal(run.result.to_numpy()[0, 0], expected)
+    else:
+        apply_stencil(compiled, x, coeffs, result, **kwargs)
+        np.testing.assert_array_equal(result.to_numpy(), expected)
+
+
+def test_a_freed_array_is_a_typed_error():
+    """A name the machine storage no longer holds fails the run with a
+    typed error naming it."""
+    machine, compiled, x, coeffs, _, _ = make_problem(
+        cross(1), 8, (16, 24), seed=3
+    )
+    machine.free_stacked("C1")
+    with pytest.raises(ExecutionSetupError, match="'C1'"):
+        apply_stencil(compiled, x, coeffs, "R")

@@ -141,7 +141,7 @@ class TestSpareConfiguration:
         with pytest.raises(SpareExhaustedError):
             cmap.remap(0, 0)
 
-    def test_spare_node_inherits_views_and_address_space(self):
+    def test_spare_node_serves_its_coordinates_tiles(self):
         machine = CM2(MachineParams(num_nodes=4), spares=2)
         machine.alloc_stacked("A", (3, 3))
         stack = machine.stacked("A")
@@ -155,8 +155,7 @@ class TestSpareConfiguration:
         np.testing.assert_array_equal(
             machine.node(1, 0).memory.buffer("A"), before
         )
-        # The stacked view integrity is preserved machine-wide.
-        assert machine.stacked("A") is not None
+        assert np.shares_memory(spare.memory.buffer("A"), stack[1, 0])
 
 
 class TestMachineHealth:
@@ -466,6 +465,35 @@ class TestRecoveryAccounting:
             + stats.recovery_compute_cycles()
         )
 
+    def test_step_down_moves_the_failed_rungs_charges_to_replay(self):
+        """Poisoned fast passes with no retries exhaust the replays, and
+        the run steps down to exact.  The next rung restarts from the
+        source, so the failed rung's canonical charges move into the
+        replay buckets and the totals still reconcile."""
+        machine, compiled, x, coeffs = make_problem(cross5(), shape=(16, 16))
+        reference = apply_stencil(compiled, x, coeffs, "R_REF", iterations=4)
+        run = apply_stencil(
+            compiled, x, coeffs, "R_CHAOS", iterations=4,
+            faults=FaultInjector(seed=3, rates={"node_poison": 0.6}),
+            resilience=ResiliencePolicy(max_retries=0, max_replays=2),
+        )
+        stats = run.fault_stats
+        assert stats.degradations == ("fast->exact",)
+        assert np.array_equal(
+            run.result.to_numpy(), reference.result.to_numpy()
+        )
+        assert run.num_exchanges == reference.num_exchanges == 4
+        assert run.coeff_exchanges == reference.coeff_exchanges
+        assert (
+            run.total_comm_cycles
+            == reference.total_comm_cycles + stats.recovery_comm_cycles()
+        )
+        assert (
+            run.total_compute_cycles
+            == reference.total_compute_cycles
+            + stats.recovery_compute_cycles()
+        )
+
     def test_recovery_shows_up_in_rate_report(self):
         from repro.analysis.timing import report
 
@@ -585,6 +613,14 @@ class TestChaosCampaign:
         assert report.ok, report.describe()
         assert report.num_trials == 12
         assert report.survival_rate == 1.0
+
+    def test_remap_trial_is_scored(self):
+        """A campaign cell that remaps a dead node onto a spare is
+        scored like any other: its remap log entry is not a step down."""
+        trial = run_trial("cross5", "torus", "fast", {}, seed=3)
+        assert trial.stats.degradations == ("remap[node(0,1)->phys4]",)
+        assert trial.survived
+        assert trial.reconciled is True
 
     def test_trial_roundtrips_through_dict(self):
         trial = run_trial(

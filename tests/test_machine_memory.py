@@ -13,6 +13,8 @@ from repro.machine.microcode import (
     routine_set,
 )
 from repro.machine.params import FULL_CM2, SIXTEEN_NODE, MachineParams
+from repro.runtime.batch import CMBatch
+from repro.runtime.cm_array import CMArray
 
 
 class TestNodeMemory:
@@ -90,6 +92,118 @@ class TestNodeMemory:
         mem.allocate("a", (2, 2))
         mem.free("a")
         assert not mem.has_buffer("a")
+
+    def test_standalone_memory_aliases_and_frees_privately(self):
+        mem = NodeMemory()
+        mem.install("a", np.ones((2, 2)))
+        mem.alias("b", "a")
+        assert mem.buffer("b") is mem.buffer("a")
+        mem.free("a")
+        assert not mem.has_buffer("a")
+        assert mem.has_buffer("b")
+
+
+def assert_every_node_reads_its_tile(machine, name):
+    stack = machine.stacked(name)
+    for node in machine.nodes():
+        row, col = node.coord.row, node.coord.col
+        assert np.shares_memory(node.memory.buffer(name), stack[row, col])
+        assert node.memory.buffer(name).shape == stack.shape[2:]
+
+
+class TestOneStorage:
+    """Machine storage is the only map from a distributed name to its
+    data; every node's memory reads its tile of the current stack."""
+
+    def test_alloc_alias_free_and_reallocation(self):
+        machine = CM2(MachineParams(num_nodes=8))
+        machine.alloc_stacked("A", (2, 3))
+        assert_every_node_reads_its_tile(machine, "A")
+        machine.alias_stacked("B", "A")
+        assert machine.stacked("B") is machine.stacked("A")
+        assert_every_node_reads_its_tile(machine, "B")
+        machine.alloc_stacked("A", (4, 5))  # same name, new stack
+        assert_every_node_reads_its_tile(machine, "A")
+        assert machine.node(1, 2).memory.buffer("A").shape == (4, 5)
+        assert_every_node_reads_its_tile(machine, "B")  # still the old one
+        machine.free_stacked("B")
+        for node in machine.nodes():
+            assert not node.memory.has_buffer("B")
+            with pytest.raises(MemoryError_, match="no buffer named 'B'"):
+                node.memory.buffer("B")
+
+    def test_remap_serves_old_and_new_stacks(self):
+        machine = CM2(MachineParams(num_nodes=4), spares=1)
+        machine.alloc_stacked("A", (2, 2))
+        machine.stacked("A")[...] = np.arange(16, dtype=np.float32).reshape(
+            2, 2, 2, 2
+        )
+        spare = machine.remap_node(0, 1)
+        assert machine.node(0, 1) is spare
+        assert_every_node_reads_its_tile(machine, "A")
+        machine.alloc_stacked("C", (3, 3))  # allocated after the remap
+        assert_every_node_reads_its_tile(machine, "C")
+        assert np.shares_memory(
+            spare.memory.buffer("C"), machine.stacked("C")[0, 1]
+        )
+
+    def test_batched_stacks_stay_whole_machine(self):
+        machine = CM2(MachineParams(num_nodes=4))
+        machine.alloc_batch_stacked("Q", (3,), (2, 2))
+        node = machine.node(0, 0)
+        assert not node.memory.has_buffer("Q")
+        with pytest.raises(MemoryError_, match="'Q'"):
+            node.memory.install("Q", np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            lambda mem: mem.install("A", np.zeros((2, 2))),
+            lambda mem: mem.allocate("A", (2, 2)),
+            lambda mem: mem.alias("A", ONES_BUFFER),
+            lambda mem: mem.alias("P", "A"),
+            lambda mem: mem.free("A"),
+        ],
+        ids=["install", "allocate", "alias-name", "alias-target", "free"],
+    )
+    def test_changing_a_distributed_name_is_refused(self, action):
+        machine = CM2(MachineParams(num_nodes=4), spares=1)
+        machine.alloc_stacked("A", (2, 2))
+        for memory in [node.memory for node in machine.nodes()] + [
+            machine._spare_nodes[4].memory
+        ]:
+            memory.ensure_constant_pages()
+            with pytest.raises(MemoryError_, match="'A'"):
+                action(memory)
+        assert_every_node_reads_its_tile(machine, "A")
+
+    def test_private_buffers_live_beside_distributed_ones(self):
+        machine = CM2(MachineParams(num_nodes=4))
+        machine.alloc_stacked("A", (2, 2))
+        memory = machine.node(1, 1).memory
+        memory.ensure_constant_pages([0.5])
+        assert memory.has_buffer("A") and "A" not in memory.buffer_names
+        assert memory.total_words() == 2
+        assert not machine.node(0, 0).memory.has_buffer(ONES_BUFFER)
+
+    def test_a_second_array_of_one_name_is_the_same_array(self):
+        machine = CM2(MachineParams(num_nodes=4))
+        first = CMArray.from_numpy("X", machine, np.zeros((4, 4)))
+        second = CMArray("X", machine, (4, 4))  # re-allocates "X"
+        data = np.arange(16, dtype=np.float32).reshape(4, 4)
+        first.set(data)
+        np.testing.assert_array_equal(first.to_numpy(), data)
+        np.testing.assert_array_equal(second.to_numpy(), data)
+        assert first.stacked is second.stacked
+
+    def test_to_numpy_is_a_copy_on_every_grid(self):
+        machine = CM2(MachineParams(num_nodes=1))
+        array = CMArray.from_numpy("X", machine, np.ones((3, 5)))
+        batch = CMBatch.from_numpy("B", machine, np.ones((2, 3, 5)))
+        for distributed in (array, batch):
+            host = distributed.to_numpy()
+            host[...] = 7.0
+            assert (distributed.to_numpy() == 1.0).all()
 
 
 class TestMachineParams:

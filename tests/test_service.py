@@ -16,6 +16,7 @@ import pytest
 from repro.machine.geometry import Partition, PartitionError
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
+from repro.service import scheduler as scheduler_module
 from repro.service import (
     JobCancelledError,
     JobFaultError,
@@ -33,6 +34,21 @@ from repro.service import (
 )
 
 PARAMS = MachineParams(num_nodes=16)  # a 4x4 node grid
+
+
+@pytest.fixture
+def job_gate(monkeypatch):
+    """Hold every job the scheduler runs until the test sets the
+    returned event, so a scenario's ordering does not hang on timing."""
+    gate = threading.Event()
+    run = scheduler_module.execute_job
+
+    def gated(*args, **kwargs):
+        assert gate.wait(60.0), "job gate never opened"
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "execute_job", gated)
+    return gate
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +562,12 @@ class TestServicePolicy:
 
 
 class TestTypedOutcomes:
-    def test_result_wait_timeout_is_typed_with_tenant_and_label(self):
-        # Satellite 1: an expired result() wait raises JobTimeoutError,
-        # not a bare TimeoutError, and names the tenant and job.
+    def test_result_wait_timeout_is_typed_with_tenant_and_label(
+        self, job_gate
+    ):
+        # An expired result() wait raises JobTimeoutError, not a bare
+        # TimeoutError, and names the tenant and job.  The job is held
+        # until the wait has expired.
         with Scheduler(MachinePool(PARAMS)) as scheduler:
             handle = scheduler.submit(
                 StencilJob(
@@ -560,6 +579,7 @@ class TestTypedOutcomes:
             )
             with pytest.raises(JobTimeoutError) as excinfo:
                 handle.result(timeout=1e-4)
+            job_gate.set()
             assert excinfo.value.tenant == "slow"
             assert excinfo.value.label == "glacier"
             assert isinstance(excinfo.value, TimeoutError)
@@ -634,8 +654,10 @@ class TestTypedOutcomes:
         assert victim.cycles == 0
         assert scheduler.accounts.reconcile()
 
-    def test_drain_races_a_concurrent_submitter(self):
-        # Satellite 4: drain must pick up jobs submitted while it runs.
+    def test_drain_races_a_concurrent_submitter(self, job_gate):
+        # Drain must pick up jobs submitted while it runs.  No job
+        # finishes before the late batch is submitted, so drain's last
+        # re-snapshot always sees it.
         first = [
             StencilJob(
                 tenant="a", grid_shape=(32, 32), iterations=4, seed=i,
@@ -657,6 +679,7 @@ class TestTypedOutcomes:
             def submitter():
                 barrier.wait()
                 scheduler.submit_all(late)
+                job_gate.set()
 
             thread = threading.Thread(target=submitter)
             thread.start()
