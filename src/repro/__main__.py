@@ -492,8 +492,6 @@ def _parse_seeds(text: str):
 
 
 def cmd_chaos(args) -> int:
-    import json
-
     from .analysis.chaos import (
         run_campaign,
         run_sdc_campaign,
@@ -524,12 +522,7 @@ def cmd_chaos(args) -> int:
         )
     print(report.describe())
     if args.json:
-        payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            Path(args.json).write_text(payload + "\n", encoding="utf-8")
-            print(f"report written to {args.json}")
+        _emit_json(args, report.to_dict())
     return 0 if report.ok else 1
 
 
@@ -665,12 +658,7 @@ def cmd_serve(args) -> int:
     if args.json:
         payload = dict(accounts.to_dict())
         payload["verified_bit_identical"] = args.verify and mismatches == 0
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-            print(f"report written to {args.json}")
+        _emit_json(args, payload)
     if failures or mismatches or not reconciled:
         return 1
     return 0

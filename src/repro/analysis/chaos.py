@@ -3,7 +3,9 @@
 A *campaign* sweeps the stencil gallery across boundary modes and
 execution modes, running every combination under a seeded
 :class:`~repro.runtime.faults.FaultInjector` on a machine configured
-with spare nodes, and scores each trial against three properties:
+with spare nodes, plus one *ladder* cell per pattern and boundary that
+must step down every rung, and scores each trial against three
+properties:
 
 ``survived``
     The run completed and its result is bit-identical (float32) to the
@@ -14,13 +16,12 @@ with spare nodes, and scores each trial against three properties:
     :func:`run_campaign` treats one as fatal.
 
 ``reconciled``
-    The run's charged totals decompose exactly as
-    ``fault-free closed form + recovery buckets``
-    (:meth:`~repro.runtime.faults.FaultStats.recovery_comm_cycles` /
-    :meth:`~repro.runtime.faults.FaultStats.recovery_compute_cycles`).
-    Degraded runs too: a step down the recovery ladder moves the failed
-    rung's canonical charges into the replay buckets.  None only for a
-    trial that raised.
+    The run's record reconciles
+    (:attr:`~repro.runtime.batch.StencilRun.reconciled`): its charged
+    totals equal the closed form of the rung that finished plus the
+    recovery buckets.  Degraded runs too: a step down the recovery
+    ladder moves the failed rung's canonical charges into the replay
+    buckets.  None only for a trial that raised.
 
 ``typed_error``
     When the run raised, the error was a typed ``FaultError`` subclass
@@ -53,7 +54,7 @@ from ..runtime.batch import apply_stencil_batch
 from ..runtime.stencil_op import apply_stencil
 from ..stencil import gallery
 from ..stencil.offsets import BoundaryMode
-from ..stencil.pattern import pattern_from_offsets
+from ..stencil.pattern import StencilPattern, pattern_from_offsets
 
 #: Execution modes a campaign sweeps: (name, apply_stencil kwargs).
 EXECUTION_MODES: Tuple[Tuple[str, Dict[str, object]], ...] = (
@@ -81,6 +82,10 @@ DEFAULT_RATES: Dict[str, float] = {
     "node_slow": 0.03,
     "halo_corrupt": 0.05,
 }
+
+#: Fault rates of the ladder cell: a scratch bit-flip after every
+#: blocked sub-iteration and a poisoned result from every fast pass.
+LADDER_RATES: Dict[str, float] = {"scratch_bitflip": 1.0, "node_poison": 1.0}
 
 
 def boundary_variant(pattern, mode: str, fill_value: float = 1.5):
@@ -230,22 +235,90 @@ class ChaosReport:
         )
 
 
-def _build_problem(pattern, *, nodes: int, shape, spares: int, seed: int):
-    """A deterministic problem instance: same seed, same bits."""
+def _build_problem(
+    patterns: Sequence[StencilPattern],
+    *,
+    nodes: int,
+    shape: Tuple[int, int],
+    spares: int,
+    seed: int,
+    batch: Optional[int] = None,
+):
+    """A deterministic problem instance: same seed, same bits.
+
+    ``batch=None`` builds a solo call's arguments (the first pattern's
+    compiled filter and one source ``X``), an int a batched call's (every
+    filter, sources ``X0``...).  The sources draw first, then every
+    pattern's coefficients in order.
+    """
     params = MachineParams(num_nodes=nodes)
     machine = CM2(params, spares=spares)
-    compiled = compile_stencil(pattern, params)
+    filters = tuple(compile_stencil(pattern, params) for pattern in patterns)
     rng = np.random.default_rng(seed)
-    x = CMArray.from_numpy(
-        "X", machine, rng.standard_normal(shape).astype(np.float32)
-    )
-    coeffs = {
-        name: CMArray.from_numpy(
+
+    def draw(name: str) -> CMArray:
+        return CMArray.from_numpy(
             name, machine, rng.standard_normal(shape).astype(np.float32)
         )
+
+    if batch is None:
+        stencil, sources = filters[0], draw("X")
+    else:
+        stencil, sources = filters, [draw(f"X{b}") for b in range(batch)]
+    coeffs = {
+        name: draw(name)
+        for pattern in patterns
         for name in pattern.coefficient_names()
     }
-    return machine, compiled, x, coeffs
+    return stencil, sources, coeffs
+
+
+def _guarded_trial(
+    patterns: Sequence[StencilPattern],
+    result: str,
+    injector: FaultInjector,
+    policy: ResiliencePolicy,
+    *,
+    seed: int,
+    nodes: int,
+    shape: Tuple[int, int],
+    spares: int = 0,
+    batch: Optional[int] = None,
+    **run_kwargs,
+) -> Dict[str, object]:
+    """Run one cell and return the verdict every trial shares.
+
+    An unguarded run on its own pristine machine supplies the expected
+    bits.  The guarded run, on an identically seeded problem with
+    ``spares`` spare nodes, survives when it is bit-identical to them,
+    and its record says whether it reconciled (None when it raised a
+    typed ``FaultError``).
+    """
+    apply = apply_stencil if batch is None else apply_stencil_batch
+
+    def run(spares: int, name: str, **guard):
+        stencil, sources, coeffs = _build_problem(
+            patterns, nodes=nodes, shape=shape, spares=spares, seed=seed,
+            batch=batch,
+        )
+        return apply(stencil, sources, coeffs, name, **run_kwargs, **guard)
+
+    expected = run(0, "R_REF").result.to_numpy()
+    try:
+        chaos = run(spares, result, faults=injector, resilience=policy)
+    except FaultError as error:
+        return dict(
+            survived=False, outcome=f"typed_error:{type(error).__name__}",
+            reconciled=None, injected=injector.total_injected, detected=0,
+            stats=FaultStats(),
+        )
+    stats = chaos.fault_stats
+    identical = bool(np.array_equal(chaos.result.to_numpy(), expected))
+    return dict(
+        survived=identical, outcome="identical" if identical else "MISMATCH",
+        reconciled=chaos.reconciled, injected=stats.total_injected,
+        detected=stats.total_detected, stats=stats,
+    )
 
 
 def run_trial(
@@ -263,71 +336,23 @@ def run_trial(
     schedule: Sequence[HardFaultSpec] = (),
     policy: Optional[ResiliencePolicy] = None,
 ) -> ChaosTrial:
-    """One campaign cell: chaos run vs fault-free reference.
-
-    The reference runs unguarded on its own pristine machine (its totals
-    are the closed form the chaos run must reconcile against); the chaos
-    run gets ``spares`` spare nodes and a remap budget to match.
-    """
-    pattern = boundary_variant(getattr(gallery, stencil)(), boundary)
-    _, ref_compiled, ref_x, ref_coeffs = _build_problem(
-        pattern, nodes=nodes, shape=shape, spares=0, seed=seed
-    )
-    reference = apply_stencil(
-        ref_compiled, ref_x, ref_coeffs, "R_REF",
-        iterations=iterations, **mode_kwargs,
-    )
-    expected = reference.result.to_numpy()
-
-    _, compiled, x, coeffs = _build_problem(
-        pattern, nodes=nodes, shape=shape, spares=spares, seed=seed
-    )
+    """One campaign cell: a guarded run on a machine with ``spares``
+    spare nodes (and, by default, a remap budget to match) against a
+    fault-free reference."""
     injector = FaultInjector(
         seed=seed,
         rates=dict(DEFAULT_RATES if rates is None else rates),
         schedule=schedule,
     )
-    if policy is None:
-        policy = ResiliencePolicy(max_remaps=max(1, spares))
-    try:
-        run = apply_stencil(
-            compiled, x, coeffs, "R_CHAOS", iterations=iterations,
-            faults=injector, resilience=policy, **mode_kwargs,
-        )
-    except FaultError as error:
-        stats = FaultStats()
-        return ChaosTrial(
-            stencil=stencil,
-            boundary=boundary,
-            mode=mode,
-            seed=seed,
-            survived=False,
-            outcome=f"typed_error:{type(error).__name__}",
-            reconciled=None,
-            injected=injector.total_injected,
-            detected=0,
-            stats=stats,
-        )
-    stats = run.fault_stats
-    identical = bool(np.array_equal(run.result.to_numpy(), expected))
-    reconciled = (
-        run.total_comm_cycles
-        == reference.total_comm_cycles + stats.recovery_comm_cycles()
-    ) and (
-        run.total_compute_cycles
-        == reference.total_compute_cycles + stats.recovery_compute_cycles()
+    verdict = _guarded_trial(
+        (boundary_variant(getattr(gallery, stencil)(), boundary),),
+        "R_CHAOS", injector,
+        policy or ResiliencePolicy(max_remaps=max(1, spares)),
+        seed=seed, nodes=nodes, shape=shape, spares=spares,
+        iterations=iterations, **mode_kwargs,
     )
     return ChaosTrial(
-        stencil=stencil,
-        boundary=boundary,
-        mode=mode,
-        seed=seed,
-        survived=identical,
-        outcome="identical" if identical else "MISMATCH",
-        reconciled=reconciled,
-        injected=stats.total_injected,
-        detected=stats.total_detected,
-        stats=stats,
+        stencil=stencil, boundary=boundary, mode=mode, seed=seed, **verdict
     )
 
 
@@ -343,8 +368,16 @@ def run_campaign(
     spares: int = 4,
     rates: Optional[Dict[str, float]] = None,
 ) -> ChaosReport:
-    """Sweep ``patterns x boundaries x modes x seeds``."""
+    """Sweep ``patterns x boundaries x modes x seeds``, plus one ladder
+    cell per (seed, pattern, boundary): a depth-2 blocked run with no
+    retry or replay budget under certain scratch bit-flips and poisoned
+    results, which steps down the ladder when a flip lands in live
+    scratch."""
     report = ChaosReport()
+    cell = dict(nodes=nodes, shape=shape, iterations=iterations, spares=spares)
+    ladder = ResiliencePolicy(
+        max_retries=0, max_replays=0, max_remaps=max(1, spares)
+    )
     for seed in seeds:
         for stencil in patterns:
             for boundary in boundaries:
@@ -352,11 +385,15 @@ def run_campaign(
                     report.trials.append(
                         run_trial(
                             stencil, boundary, mode, dict(mode_kwargs),
-                            seed, nodes=nodes, shape=shape,
-                            iterations=iterations, spares=spares,
-                            rates=rates,
+                            seed, rates=rates, **cell,
                         )
                     )
+                report.trials.append(
+                    run_trial(
+                        stencil, boundary, "ladder", {"block_depth": 2},
+                        seed, rates=LADDER_RATES, policy=ladder, **cell,
+                    )
+                )
     return report
 
 
@@ -967,81 +1004,21 @@ class SdcTrial:
         )
 
 
-def _sdc_trial_from_run(
-    *,
-    stencil: str,
-    mode: str,
-    seed: int,
-    cells: int,
-    kind: str,
-    identical: bool,
-    stats: FaultStats,
-    run_comm: int,
-    run_compute: int,
-    ref_comm: int,
-    ref_compute: int,
-) -> SdcTrial:
-    """Score a completed (non-raising) SDC run against its reference.
-
-    Reconciliation adds the dedicated ``abft_cycles`` bucket on the
-    compute side: seal/verify overhead is canonical ABFT work, not
-    recovery, so the decomposition is
-    ``run = reference + recovery + abft``.
-    """
-    reconciled = (run_comm == ref_comm + stats.recovery_comm_cycles()) and (
-        run_compute
-        == ref_compute + stats.recovery_compute_cycles() + stats.abft_cycles
-    )
-    forward = (
-        stats.rollbacks == 0
-        and stats.replayed_iterations == 0
-        and not stats.degradations
-    )
+def _sdc_trial(verdict: Dict[str, object], **cell) -> SdcTrial:
+    """An SDC trial from the shared verdict.  ``forward`` holds when the
+    run completed (its record was scored) with no rollback, replayed
+    iteration or rung degradation."""
+    stats = verdict["stats"]
     return SdcTrial(
-        stencil=stencil,
-        mode=mode,
-        seed=seed,
-        cells=cells,
-        kind=kind,
-        injected=stats.total_injected,
         corrections=stats.sdc_corrections,
-        detected=stats.total_detected,
         rollbacks=stats.rollbacks,
         replays=stats.replayed_iterations,
-        survived=identical,
-        outcome="identical" if identical else "MISMATCH",
-        reconciled=reconciled,
-        forward=forward,
-        stats=stats,
-    )
-
-
-def _sdc_trial_from_error(
-    error: FaultError,
-    injector: FaultInjector,
-    *,
-    stencil: str,
-    mode: str,
-    seed: int,
-    cells: int,
-    kind: str,
-) -> SdcTrial:
-    return SdcTrial(
-        stencil=stencil,
-        mode=mode,
-        seed=seed,
-        cells=cells,
-        kind=kind,
-        injected=injector.total_injected,
-        corrections=0,
-        detected=0,
-        rollbacks=0,
-        replays=0,
-        survived=False,
-        outcome=f"typed_error:{type(error).__name__}",
-        reconciled=None,
-        forward=False,
-        stats=FaultStats(),
+        forward=verdict["reconciled"] is not None
+        and stats.rollbacks == 0
+        and stats.replayed_iterations == 0
+        and not stats.degradations,
+        **cell,
+        **verdict,
     )
 
 
@@ -1065,43 +1042,16 @@ def run_sdc_trial(
     ``cells=1`` every strike is forward-correctable; larger values
     force the rollback ladder.
     """
-    pattern = getattr(gallery, stencil)()
-    _, ref_compiled, ref_x, ref_coeffs = _build_problem(
-        pattern, nodes=nodes, shape=shape, spares=0, seed=seed
+    verdict = _guarded_trial(
+        (getattr(gallery, stencil)(),), "R_SDC",
+        FaultInjector(seed=seed, rates={"sdc": rate}, sdc_cells=cells),
+        ResiliencePolicy(abft=True),
+        seed=seed, nodes=nodes, shape=shape, iterations=iterations,
+        **mode_kwargs,
     )
-    reference = apply_stencil(
-        ref_compiled, ref_x, ref_coeffs, "R_REF",
-        iterations=iterations, **mode_kwargs,
-    )
-    expected = reference.result.to_numpy()
-
-    _, compiled, x, coeffs = _build_problem(
-        pattern, nodes=nodes, shape=shape, spares=0, seed=seed
-    )
-    injector = FaultInjector(
-        seed=seed, rates={"sdc": rate}, sdc_cells=cells
-    )
-    kind = "solo" if cells == 1 else "multicell"
-    try:
-        run = apply_stencil(
-            compiled, x, coeffs, "R_SDC", iterations=iterations,
-            faults=injector, resilience=ResiliencePolicy(abft=True),
-            **mode_kwargs,
-        )
-    except FaultError as error:
-        return _sdc_trial_from_error(
-            error, injector, stencil=stencil, mode=mode, seed=seed,
-            cells=cells, kind=kind,
-        )
-    stats = run.fault_stats
-    identical = bool(np.array_equal(run.result.to_numpy(), expected))
-    return _sdc_trial_from_run(
-        stencil=stencil, mode=mode, seed=seed, cells=cells, kind=kind,
-        identical=identical, stats=stats,
-        run_comm=run.total_comm_cycles,
-        run_compute=run.total_compute_cycles,
-        ref_comm=reference.total_comm_cycles,
-        ref_compute=reference.total_compute_cycles,
+    return _sdc_trial(
+        verdict, stencil=stencil, mode=mode, seed=seed, cells=cells,
+        kind="solo" if cells == 1 else "multicell",
     )
 
 
@@ -1121,60 +1071,16 @@ def run_sdc_batched_trial(
     as the iteration's last act, exactly like a solo run.  Multi-cell
     damage takes the same rollback ladder.
     """
-
-    def build(spares: int):
-        params = MachineParams(num_nodes=nodes)
-        machine = CM2(params, spares=spares)
-        filters = tuple(
-            compile_stencil(p, params)
-            for p in (gallery.cross5(), gallery.cross9())
-        )
-        rng = np.random.default_rng(seed)
-        sources = [
-            CMArray.from_numpy(
-                f"X{b}", machine,
-                rng.standard_normal(shape).astype(np.float32),
-            )
-            for b in range(batch)
-        ]
-        coeffs = {
-            name: CMArray.from_numpy(
-                name, machine,
-                rng.standard_normal(shape).astype(np.float32),
-            )
-            for p in (gallery.cross5(), gallery.cross9())
-            for name in p.coefficient_names()
-        }
-        return machine, filters, sources, coeffs
-
-    _, ref_filters, ref_sources, ref_coeffs = build(0)
-    reference = apply_stencil_batch(
-        ref_filters, ref_sources, ref_coeffs, "R_REF",
+    verdict = _guarded_trial(
+        (gallery.cross5(), gallery.cross9()), "R_SDC",
+        FaultInjector(seed=seed, rates={"sdc": rate}),
+        ResiliencePolicy(abft=True),
+        seed=seed, nodes=nodes, shape=shape, batch=batch,
         iterations=iterations,
     )
-    expected = reference.result.to_numpy()
-
-    _, filters, sources, coeffs = build(0)
-    injector = FaultInjector(seed=seed, rates={"sdc": rate})
-    try:
-        run = apply_stencil_batch(
-            filters, sources, coeffs, "R_SDC", iterations=iterations,
-            faults=injector, resilience=ResiliencePolicy(abft=True),
-        )
-    except FaultError as error:
-        return _sdc_trial_from_error(
-            error, injector, stencil="cross5+cross9", mode="batched",
-            seed=seed, cells=1, kind="batched",
-        )
-    stats = run.fault_stats
-    identical = bool(np.array_equal(run.result.to_numpy(), expected))
-    return _sdc_trial_from_run(
-        stencil="cross5+cross9", mode="batched", seed=seed, cells=1,
-        kind="batched", identical=identical, stats=stats,
-        run_comm=run.total_comm_cycles,
-        run_compute=run.total_compute_cycles,
-        ref_comm=reference.total_comm_cycles,
-        ref_compute=reference.total_compute_cycles,
+    return _sdc_trial(
+        verdict, stencil="cross5+cross9", mode="batched", seed=seed,
+        cells=1, kind="batched",
     )
 
 

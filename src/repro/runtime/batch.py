@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,11 +190,7 @@ class CMBatch:
                 f"array shape {array.shape} does not match the batch "
                 f"shape {want}"
             )
-        grid_rows, grid_cols = self.machine.shape
-        rows, cols = self.subgrid_shape
-        self.stacked[...] = array.reshape(
-            self.lead_shape + (grid_rows, rows, grid_cols, cols)
-        ).swapaxes(-3, -2)
+        self.stacked[...] = self.decomposition.scatter(array)
 
     def fill(self, value: float) -> None:
         self.stacked[...] = np.float32(value)
@@ -202,8 +198,7 @@ class CMBatch:
     def to_numpy(self) -> np.ndarray:
         """Gather every entry into one host array of shape
         ``lead_shape + global_shape``."""
-        tiles = np.array(self.stacked.swapaxes(-3, -2), order="C")
-        return tiles.reshape(self.lead_shape + self.global_shape)
+        return self.decomposition.gather(self.stacked)
 
     def like(self, name: str, lead_shape: Optional[Tuple[int, ...]] = None) -> "CMBatch":
         """A new zero-filled batch on the same machine and global shape."""
@@ -268,6 +263,16 @@ class FilterCost:
     useful_flops: int
 
 
+class ClosedForm(NamedTuple):
+    """The fault-free totals of the schedule a run finished on."""
+
+    num_exchanges: int
+    coeff_exchanges: int
+    total_comm_cycles: int
+    total_compute_cycles: int
+    total_half_strips: int
+
+
 @dataclass(frozen=True)
 class StencilRun:
     """The outcome and full accounting of one stencil call.
@@ -277,8 +282,8 @@ class StencilRun:
     1``.  Cycle counts are node cycles: the CM-2 is synchronous SIMD, so
     they are identical on every node and independent of machine size.
     Every total covers the whole run; on a guarded run it is the fault
-    guard's tally, which equals the fault-free closed form plus the
-    :attr:`fault_stats` recovery buckets.
+    guard's own tally, which :attr:`reconciled` checks against the
+    :attr:`closed_form` plus the :attr:`fault_stats` recovery buckets.
 
     Attributes:
         filters: the compiled filters, in application order.
@@ -306,6 +311,7 @@ class StencilRun:
         per_filter: one :class:`FilterCost` per filter.
         fault_stats: chaos-run fault/retry/recovery accounting; all zero
             on an unguarded run.
+        closed_form: the fault-free totals of the rung that finished.
     """
 
     filters: Tuple[CompiledStencil, ...]
@@ -323,6 +329,25 @@ class StencilRun:
     host_calls: int
     per_filter: Tuple[FilterCost, ...]
     fault_stats: FaultStats
+    closed_form: ClosedForm
+
+    @property
+    def reconciled(self) -> bool:
+        """Whether every total equals the closed form plus its recovery
+        bucket (compute also carries the always-on ABFT cycles)."""
+        closed, stats = self.closed_form, self.fault_stats
+        return (
+            self.num_exchanges == closed.num_exchanges
+            and self.coeff_exchanges == closed.coeff_exchanges
+            and self.total_comm_cycles
+            == closed.total_comm_cycles + stats.recovery_comm_cycles()
+            and self.total_compute_cycles
+            == closed.total_compute_cycles
+            + stats.recovery_compute_cycles()
+            + stats.abft_cycles
+            and self.total_half_strips
+            == closed.total_half_strips + stats.recovery_half_strips
+        )
 
     @property
     def params(self) -> MachineParams:
@@ -938,7 +963,7 @@ def _pass(
             )
             guard.charge_compute(cycles, strips)
             if not guard.replaying:
-                ledger.append(lambda: guard.reclaim_compute(cycles))
+                ledger.append(lambda: guard.reclaim_compute(cycles, strips))
         return
 
 
@@ -1357,7 +1382,7 @@ def _record(
     measured: List[Optional[int]],
     guard: Optional[FaultGuard],
 ) -> StencilRun:
-    """The run record: per-filter attribution and host calls in closed
+    """The run record: per-filter attribution, host calls and the closed
     form; totals in closed form too, unless a guard tallied them."""
     params = plan.params
     subgrid = plan.subgrid
@@ -1429,13 +1454,10 @@ def _record(
                 )
                 compute[fi] += batch * block_cycles
                 strips[fi] += batch * block_strips
-    totals = dict(
-        num_exchanges=num_exchanges,
-        coeff_exchanges=coeff_exchanges,
-        total_comm_cycles=comm_cycles,
-        total_compute_cycles=sum(compute),
-        total_half_strips=sum(strips),
+    closed = ClosedForm(
+        num_exchanges, coeff_exchanges, comm_cycles, sum(compute), sum(strips)
     )
+    totals = closed._asdict()
     if guard is not None:
         totals = dict(
             num_exchanges=guard.exchanges,
@@ -1480,6 +1502,7 @@ def _record(
         host_calls=host_calls,
         per_filter=per_filter,
         fault_stats=guard.stats if guard is not None else FaultStats(),
+        closed_form=closed,
         **totals,
     )
 

@@ -93,11 +93,7 @@ class CMArray:
                 f"array shape {array.shape} does not match the "
                 f"decomposition's global shape {self.global_shape}"
             )
-        grid_rows, grid_cols = self.machine.shape
-        rows, cols = self.subgrid_shape
-        self.stacked[...] = array.reshape(
-            grid_rows, rows, grid_cols, cols
-        ).swapaxes(1, 2)
+        self.stacked[...] = self.decomposition.scatter(array)
 
     def fill(self, value: float) -> None:
         self.stacked[...] = np.float32(value)
@@ -105,8 +101,7 @@ class CMArray:
     def to_numpy(self) -> np.ndarray:
         """Gather the node subgrids into a host array (the inverse of
         :meth:`set`)."""
-        tiles = np.array(self.stacked.swapaxes(1, 2), order="C")
-        return tiles.reshape(self.global_shape)
+        return self.decomposition.gather(self.stacked)
 
     # ------------------------------------------------------------------
     # Node-local views

@@ -9,7 +9,7 @@ gives each node a 64x64 subgrid -- the paper's Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -89,28 +89,26 @@ class Decomposition:
             col_stop=(coord.col + 1) * sc,
         )
 
-    def blocks(self) -> Iterator[Block]:
-        for node in self.machine.nodes():
-            yield self.block(node.coord)
-
-    def scatter(self, array: np.ndarray) -> "dict[NodeCoord, np.ndarray]":
-        """Split a global array into per-node subgrids."""
-        if tuple(array.shape) != self.global_shape:
+    def scatter(self, array: np.ndarray) -> np.ndarray:
+        """Split ``lead + global_shape`` host data into the machine's
+        ``lead + (grid_rows, grid_cols, rows, cols)`` stack layout (a
+        view where numpy can make one): tile ``[..., r, c, :, :]`` is
+        node ``(r, c)``'s subgrid."""
+        if tuple(array.shape[-2:]) != self.global_shape:
             raise ValueError(
                 f"array shape {array.shape} does not match the "
                 f"decomposition's global shape {self.global_shape}"
             )
-        return {
-            block.coord: np.array(array[block.slices()], dtype=np.float32)
-            for block in self.blocks()
-        }
+        grid_rows, grid_cols = self.machine.shape
+        rows, cols = self.subgrid_shape
+        return array.reshape(
+            array.shape[:-2] + (grid_rows, rows, grid_cols, cols)
+        ).swapaxes(-3, -2)
 
-    def gather(self, subgrids: "dict[NodeCoord, np.ndarray]") -> np.ndarray:
-        """Reassemble per-node subgrids into a global array."""
-        out = np.zeros(self.global_shape, dtype=np.float32)
-        for block in self.blocks():
-            out[block.slices()] = subgrids[block.coord]
-        return out
+    def gather(self, stack: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`scatter`, as a new host array."""
+        tiles = np.array(stack.swapaxes(-3, -2), order="C")
+        return tiles.reshape(stack.shape[:-4] + self.global_shape)
 
     def figure1_text(self) -> str:
         """Render the decomposition as the paper's Figure 1 table."""

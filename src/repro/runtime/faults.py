@@ -289,6 +289,8 @@ class FaultStats:
     replay_comm_cycles: int = 0
     #: Executor cycles of replayed (post-rollback) iterations.
     replay_compute_cycles: int = 0
+    #: Half strips of failed, repeated, replayed and stepped-down passes.
+    recovery_half_strips: int = 0
     # --- ABFT buckets --------------------------------------------------
     #: Row/column checksum seals taken over result stacks.
     abft_seals: int = 0
@@ -335,6 +337,7 @@ class FaultStats:
         "recompute_cycles",
         "replay_comm_cycles",
         "replay_compute_cycles",
+        "recovery_half_strips",
         "abft_seals",
         "abft_verifies",
         "abft_cycles",
@@ -378,8 +381,8 @@ class FaultStats:
         """Every communication cycle beyond the fault-free closed form:
         retries+backoff, probes, timeouts/overruns, detours, migrations,
         and replayed exchanges.  ``guard.comm_cycles`` minus this equals
-        the fault-free total exactly (the reconciliation invariant the
-        chaos campaign checks)."""
+        the fault-free total exactly (the reconciliation invariant
+        ``StencilRun.reconciled`` checks)."""
         return (
             self.retry_cycles
             + self.probe_cycles
@@ -1156,9 +1159,10 @@ class FaultGuard:
     (injection passthroughs, checksum/parity bookkeeping) and the
     *accountant* -- under guard, every exchange attempt, executor pass,
     backoff stall, checkpoint copy, and replay is charged here, and the
-    final :class:`~repro.runtime.stencil_op.StencilRun` totals are read
-    from these tallies instead of the closed-form fault-free formulas.
-    With no faults fired, the tallies reproduce the formulas exactly.
+    final :class:`~repro.runtime.batch.StencilRun` totals are read from
+    these tallies; the record keeps the closed-form fault-free totals
+    beside them and checks the two accounts against each other
+    (``StencilRun.reconciled``).
     """
 
     def __init__(
@@ -1291,13 +1295,15 @@ class FaultGuard:
     def charge_compute(
         self, cycles: int, half_strips: int, *, recovery: bool = False
     ) -> None:
-        cycles = int(cycles)
+        cycles, half_strips = int(cycles), int(half_strips)
         self.compute_cycles += cycles
-        self.half_strips += int(half_strips)
+        self.half_strips += half_strips
         if recovery:
             self.stats.recompute_cycles += cycles
         elif self.replaying:
             self.stats.replay_compute_cycles += cycles
+        if recovery or self.replaying:
+            self.stats.recovery_half_strips += half_strips
 
     def charge_skipped_exchanges(self, count: int, cycles_each: int) -> None:
         """Fixed-point short-circuit: the accounting still charges the
@@ -1383,6 +1389,7 @@ class FaultGuard:
         and the next rung restarts from the source and charges the
         closed form again, so they all move into the replay buckets."""
         stats = self.stats
+        stats.recovery_half_strips = self.half_strips
         stats.replay_comm_cycles += (
             self.comm_cycles - stats.recovery_comm_cycles()
         )
@@ -1393,11 +1400,12 @@ class FaultGuard:
         )
         self.exchanges = self.coeff_exchanges = 0
 
-    def reclaim_compute(self, cycles: int) -> None:
+    def reclaim_compute(self, cycles: int, half_strips: int) -> None:
         """The compute counterpart of :meth:`reclaim_exchange`: a pass
         completed in the iteration being rolled back moves into the
-        replay bucket, since its re-run charges canonically."""
+        replay buckets, since its re-run charges canonically."""
         self.stats.replay_compute_cycles += int(cycles)
+        self.stats.recovery_half_strips += int(half_strips)
 
     def remap_budget_left(self) -> bool:
         return self._remaps_used < self.policy.max_remaps

@@ -11,6 +11,7 @@ as ``fault-free closed form + recovery buckets``.
 so CI can sweep seeds without code changes.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -494,6 +495,31 @@ class TestRecoveryAccounting:
             + stats.recovery_compute_cycles()
         )
 
+    def test_reconciliation_check_can_fail(self):
+        """The step-down probe reconciles on its own record, half strips
+        included, and one more unit on any total breaks the check."""
+        _, compiled, x, coeffs = make_problem(cross5(), shape=(16, 16))
+        run = apply_stencil(
+            compiled, x, coeffs, "R_CHAOS", iterations=4,
+            faults=FaultInjector(seed=3, rates={"node_poison": 0.6}),
+            resilience=ResiliencePolicy(max_retries=0, max_replays=2),
+        )
+        assert run.total_half_strips == 16
+        assert run.closed_form.total_half_strips == 8
+        assert run.fault_stats.recovery_half_strips == 8
+        assert run.reconciled is True
+        for total in (
+            "num_exchanges",
+            "coeff_exchanges",
+            "total_comm_cycles",
+            "total_compute_cycles",
+            "total_half_strips",
+        ):
+            broken = dataclasses.replace(
+                run, **{total: getattr(run, total) + 1}
+            )
+            assert broken.reconciled is False, total
+
     def test_recovery_shows_up_in_rate_report(self):
         from repro.analysis.timing import report
 
@@ -611,8 +637,20 @@ class TestChaosCampaign:
             patterns=("cross5", "square9"),
         )
         assert report.ok, report.describe()
-        assert report.num_trials == 12
+        assert report.num_trials == 16
         assert report.survival_rate == 1.0
+
+    def test_ladder_trial_steps_down_every_rung_and_reconciles(self):
+        """The campaign's ladder cell walks blocked -> fast -> exact and
+        is scored against the rung that finished."""
+        report = run_campaign(
+            seeds=(1,), patterns=("cross5",), boundaries=("torus",), modes=()
+        )
+        (trial,) = report.trials
+        assert trial.mode == "ladder"
+        assert trial.stats.degradations == ("blocked->fast", "fast->exact")
+        assert trial.survived
+        assert trial.reconciled is True
 
     def test_remap_trial_is_scored(self):
         """A campaign cell that remaps a dead node onto a spare is

@@ -47,8 +47,9 @@ class TestDecomposition:
     def test_blocks_cover_array_exactly(self, machine16):
         decomp = Decomposition((128, 256), machine16)
         covered = np.zeros((128, 256), dtype=int)
-        for block in decomp.blocks():
-            covered[block.slices()] += 1
+        for r in range(4):
+            for c in range(4):
+                covered[decomp.block(NodeCoord(r, c)).slices()] += 1
         assert (covered == 1).all()
 
     def test_non_divisible_rejected(self, machine16):
@@ -63,9 +64,9 @@ class TestDecomposition:
         decomp = Decomposition((64, 64), machine16)
         rng = np.random.default_rng(0)
         array = rng.standard_normal((64, 64)).astype(np.float32)
-        subgrids = decomp.scatter(array)
-        assert len(subgrids) == 16
-        np.testing.assert_array_equal(decomp.gather(subgrids), array)
+        stack = decomp.scatter(array)
+        assert stack.shape == (4, 4, 16, 16)
+        np.testing.assert_array_equal(decomp.gather(stack), array)
 
     def test_scatter_shape_mismatch(self, machine16):
         decomp = Decomposition((64, 64), machine16)
@@ -75,8 +76,8 @@ class TestDecomposition:
     def test_scatter_places_correct_values(self, machine16):
         decomp = Decomposition((64, 64), machine16)
         array = np.arange(64 * 64, dtype=np.float32).reshape(64, 64)
-        subgrids = decomp.scatter(array)
-        assert subgrids[NodeCoord(1, 2)][0, 0] == array[16, 32]
+        stack = decomp.scatter(array)
+        assert stack[1, 2][0, 0] == array[16, 32]
 
 
 class TestCMArray:
