@@ -4,8 +4,8 @@ A *campaign* sweeps the stencil gallery across boundary modes and
 execution modes, running every combination under a seeded
 :class:`~repro.runtime.faults.FaultInjector` on a machine configured
 with spare nodes, plus one *ladder* cell per pattern and boundary that
-must step down every rung, and scores each trial against three
-properties:
+must step down both rungs (:data:`LADDER_STEPS`), and scores each trial
+against three properties:
 
 ``survived``
     The run completed and its result is bit-identical (float32) to the
@@ -87,6 +87,9 @@ DEFAULT_RATES: Dict[str, float] = {
 #: blocked sub-iteration and a poisoned result from every fast pass.
 LADDER_RATES: Dict[str, float] = {"scratch_bitflip": 1.0, "node_poison": 1.0}
 
+#: The rungs every ladder trial must step down.
+LADDER_STEPS: Tuple[str, ...] = ("blocked->fast", "fast->exact")
+
 
 def boundary_variant(pattern, mode: str, fill_value: float = 1.5):
     """The gallery pattern rebuilt under a boundary mode (same taps)."""
@@ -120,6 +123,11 @@ class ChaosTrial:
     @property
     def silent_corruption(self) -> bool:
         return self.outcome == "MISMATCH"
+
+    @property
+    def stuck_ladder(self) -> bool:
+        """A ladder trial that did not step down both rungs."""
+        return self.mode == "ladder" and self.stats.degradations != LADDER_STEPS
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -191,11 +199,13 @@ class ChaosReport:
     @property
     def ok(self) -> bool:
         """The acceptance predicate: every trial survived bit-identically
-        and reconciled, nothing silently corrupted."""
+        and reconciled, nothing silently corrupted, and every ladder
+        trial stepped blocked->fast->exact."""
         return (
             self.num_survived == self.num_trials
             and self.silent_corruptions == 0
             and self.unreconciled == 0
+            and not any(t.stuck_ladder for t in self.trials)
         )
 
     def describe(self) -> str:
@@ -208,11 +218,13 @@ class ChaosReport:
             f"{self.total_remaps} node remaps/migrations"
         ]
         for trial in self.trials:
-            if not trial.survived or trial.reconciled is False:
+            stuck = trial.stuck_ladder
+            if not trial.survived or trial.reconciled is False or stuck:
                 lines.append(
                     f"  {trial.stencil}/{trial.boundary}/{trial.mode} "
                     f"seed {trial.seed}: {trial.outcome}"
                     + ("" if trial.reconciled is not False else ", UNRECONCILED")
+                    + (f", stepped {trial.stats.degradations}" if stuck else "")
                 )
         return "\n".join(lines)
 
@@ -371,8 +383,9 @@ def run_campaign(
     """Sweep ``patterns x boundaries x modes x seeds``, plus one ladder
     cell per (seed, pattern, boundary): a depth-2 blocked run with no
     retry or replay budget under certain scratch bit-flips and poisoned
-    results, which steps down the ladder when a flip lands in live
-    scratch."""
+    results.  Every flip lands in the region the next sub-iteration
+    reads, so every ladder cell steps blocked->fast->exact, and
+    :attr:`ChaosReport.ok` requires it."""
     report = ChaosReport()
     cell = dict(nodes=nodes, shape=shape, iterations=iterations, spares=spares)
     ladder = ResiliencePolicy(

@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,13 +61,15 @@ from ..compiler import driver
 from ..compiler.plan import CompiledStencil
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
-from ..stencil.offsets import BoundaryMode
-from ..stencil.pattern import StencilPattern
 from .blocking import (
+    ClosedForm,
     array_coefficient_names,
     block_compute_cycles,
     block_steps,
+    boundary_groups,
+    closed_form,
     depth_cap,
+    elapsed_seconds,
 )
 from .abft import seal_checksums, verify_and_correct
 from .cm_array import CMArray, ExecutionSetupError, stack_of
@@ -263,16 +265,6 @@ class FilterCost:
     useful_flops: int
 
 
-class ClosedForm(NamedTuple):
-    """The fault-free totals of the schedule a run finished on."""
-
-    num_exchanges: int
-    coeff_exchanges: int
-    total_comm_cycles: int
-    total_compute_cycles: int
-    total_half_strips: int
-
-
 @dataclass(frozen=True)
 class StencilRun:
     """The outcome and full accounting of one stencil call.
@@ -389,11 +381,9 @@ class StencilRun:
 
     @property
     def host_seconds_total(self) -> float:
-        """Front-end time: the per-call fixed cost for every library
-        invocation plus the issue cost of every issued half strip."""
-        return (
-            self.host_calls * self.params.host_fixed_s
-            + self.host_half_strips * self.params.host_halfstrip_s
+        """Front-end time: the elapsed formula's host share."""
+        return elapsed_seconds(
+            self.params, 0, self.host_calls, self.host_half_strips
         )
 
     @property
@@ -418,11 +408,11 @@ class StencilRun:
 
     @property
     def elapsed_seconds(self) -> float:
-        return (
-            self.params.seconds(
-                self.total_compute_cycles + self.total_comm_cycles
-            )
-            + self.host_seconds_total
+        return elapsed_seconds(
+            self.params,
+            self.total_compute_cycles + self.total_comm_cycles,
+            self.host_calls,
+            self.host_half_strips,
         )
 
     @property
@@ -459,59 +449,6 @@ class StencilRun:
             f"{blocked}: {self.elapsed_seconds:.2f} s, "
             f"{self.mflops:.1f} Mflops"
         )
-
-
-@dataclass(frozen=True)
-class _Group:
-    """Filters sharing one halo exchange: same boundary treatment.
-
-    ``uniform`` groups (every member the same pad AND the same corner
-    reach) exchange at exactly that footprint, honoring the corner-step
-    skip; mixed groups exchange once at ``width`` (the widest member's
-    pad) with composed corners, and each member reads its own centered
-    sub-window.
-    """
-
-    indices: Tuple[int, ...]
-    uniform: bool
-    width: int
-    representative: StencilPattern
-
-
-def _boundary_key(pattern: StencilPattern):
-    dim_row, dim_col = pattern.plane_dims
-    row_mode = pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR)
-    col_mode = pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR)
-    fill = (
-        float(np.float32(pattern.fill_value))
-        if BoundaryMode.FILL in (row_mode, col_mode)
-        else None
-    )
-    return (row_mode, col_mode, fill)
-
-
-def _filter_groups(
-    patterns: Sequence[StencilPattern], comms: Sequence[CommStats]
-) -> List[_Group]:
-    """Partition filters into halo-sharing groups by boundary treatment
-    (``comms`` holds each filter's own shallow exchange cost)."""
-    by_key: Dict[object, List[int]] = {}
-    for index, pattern in enumerate(patterns):
-        by_key.setdefault(_boundary_key(pattern), []).append(index)
-    groups = []
-    for indices in by_key.values():
-        footprints = {
-            (comms[i].pad, comms[i].corner_step_skipped) for i in indices
-        }
-        groups.append(
-            _Group(
-                indices=tuple(indices),
-                uniform=len(footprints) == 1,
-                width=max(comms[i].pad for i in indices),
-                representative=patterns[indices[0]],
-            )
-        )
-    return groups
 
 
 @contextmanager
@@ -617,7 +554,9 @@ class _Plan:
         self.comms = [
             exchange_cost(f.pattern, self.subgrid, self.params) for f in filters
         ]
-        self.groups = _filter_groups([f.pattern for f in filters], self.comms)
+        self.groups = boundary_groups(
+            [f.pattern for f in filters], self.comms, self.subgrid, self.params
+        )
         self.schedules = [StripSchedule.cached(f, self.subgrid) for f in filters]
         self.arrays: Dict[str, np.ndarray] = {}
 
@@ -631,12 +570,6 @@ class _Plan:
     def padded(self, width: int) -> Tuple[int, int]:
         rows, cols = self.subgrid
         return (rows + 2 * width, cols + 2 * width)
-
-    def group_cost(self, group: _Group) -> CommStats:
-        """One copy's cost of the group's shallow exchange."""
-        if group.uniform:
-            return self.comms[group.indices[0]]
-        return deep_width_cost(self.subgrid, self.params, group.width)
 
     def slab_words(self) -> int:
         """Words per node of one filter's result slab."""
@@ -658,7 +591,6 @@ def run_stencil(
     block_depth: Union[int, str],
     faults: Optional[FaultInjector],
     resilience: Optional[ResiliencePolicy],
-    abft: bool,
     tenant: Optional[str],
 ) -> StencilRun:
     """The engine behind both entry points, on validated arrays.
@@ -666,9 +598,9 @@ def run_stencil(
     ``source`` is the source stack (``source_name`` names it and its
     halo buffers), ``outs`` the result slab each filter writes (named
     ``out_names`` in fault sites and ABFT seals), both with the same
-    leading axes.  Supplying ``faults`` or ``resilience`` (or ``abft``)
-    runs the guarded recovery ladder; otherwise the blocked or
-    unblocked loop runs once and the record is the closed form.
+    leading axes.  Supplying ``faults`` or ``resilience`` runs the
+    guarded recovery ladder; otherwise the blocked or unblocked loop
+    runs once and the record is the closed form.
     """
     plan = _Plan(filters, source_name, source, result, outs, out_names, iterations)
     machine = plan.machine
@@ -676,11 +608,6 @@ def run_stencil(
         filters, plan.subgrid, iterations, exact, block_depth, plan.batch,
         machine, tenant,
     )
-    if abft:
-        if resilience is None:
-            resilience = ResiliencePolicy(abft=True)
-        elif not resilience.abft:
-            resilience = replace(resilience, abft=True)
     guard = None
     if faults is not None or resilience is not None:
         guard = FaultGuard(policy=resilience, injector=faults)
@@ -1108,7 +1035,7 @@ def _charge_skipped(
     for group in plan.groups:
         guard.charge_skipped_exchanges(
             skipped * plan.batch * len(group.indices),
-            plan.group_cost(group).cycles,
+            group.cost.cycles,
         )
     for fi, schedule in enumerate(plan.schedules):
         cycles = measured[fi] or schedule.compute_cycles(plan.params)
@@ -1383,79 +1310,16 @@ def _record(
     guard: Optional[FaultGuard],
 ) -> StencilRun:
     """The run record: per-filter attribution, host calls and the closed
-    form; totals in closed form too, unless a guard tallied them."""
-    params = plan.params
-    subgrid = plan.subgrid
-    rows, cols = subgrid
+    form (:func:`~repro.runtime.blocking.closed_form`); totals in closed
+    form too, unless a guard tallied them."""
+    rows, cols = plan.subgrid
     batch, iterations = plan.batch, plan.iterations
-    count = len(plan.filters)
-    shared, own, coeff = [0] * count, [0] * count, [0] * count
-    comm = [0.0] * count
-    compute, strips = [0] * count, [0] * count
     cycles = [
-        measured[fi] or schedule.compute_cycles(params)
+        measured[fi] or schedule.compute_cycles(plan.params)
         for fi, schedule in enumerate(plan.schedules)
     ]
-    num_exchanges = coeff_exchanges = comm_cycles = host_calls = 0
-    blocked = any(depth > 1 for depth in depths)
-    for group in plan.groups:
-        members = group.indices
-        if not blocked:
-            # Per iteration one machine pass: `batch` messages at
-            # iteration 0, `batch * members` after.
-            cost = plan.group_cost(group).cycles
-            messages = batch * (1 + (iterations - 1) * len(members))
-            num_exchanges += messages
-            comm_cycles += messages * cost
-            host_calls += iterations
-            for fi in members:
-                shared[fi] += 1
-                own[fi] += batch * (iterations - 1)
-                comm[fi] += batch * cost / len(members)
-                comm[fi] += batch * (iterations - 1) * cost
-                compute[fi] += batch * iterations * cycles[fi]
-                strips[fi] += (
-                    batch * iterations * plan.schedules[fi].num_half_strips
-                )
-            continue
-        # Blocked: one shared machine pass at the widest deep width,
-        # coefficients once per (name, depth), then each filter's later
-        # blocks.
-        deeps = {fi: depths[fi] * plan.comms[fi].pad for fi in members}
-        first = deep_width_cost(subgrid, params, max(deeps.values())).cycles
-        num_exchanges += batch
-        comm_cycles += batch * first
-        host_calls += 1
-        coeff_done = set()
-        for fi in members:
-            compiled = plan.filters[fi]
-            pattern = compiled.pattern
-            shared[fi] += 1
-            comm[fi] += batch * first / len(members)
-            for name in array_coefficient_names(pattern):
-                if (name, deeps[fi]) in coeff_done:
-                    continue
-                coeff_done.add((name, deeps[fi]))
-                cost = deep_exchange_cost(pattern, subgrid, params, depths[fi])
-                coeff[fi] += 1
-                coeff_exchanges += 1
-                comm[fi] += cost.cycles
-                comm_cycles += cost.cycles
-            for index, steps in enumerate(block_steps(iterations, depths[fi])):
-                if index:
-                    cost = deep_exchange_cost(pattern, subgrid, params, steps)
-                    own[fi] += batch
-                    comm[fi] += batch * cost.cycles
-                    num_exchanges += batch
-                    comm_cycles += batch * cost.cycles
-                    host_calls += 1
-                block_cycles, block_strips = block_compute_cycles(
-                    compiled, subgrid, steps
-                )
-                compute[fi] += batch * block_cycles
-                strips[fi] += batch * block_strips
-    closed = ClosedForm(
-        num_exchanges, coeff_exchanges, comm_cycles, sum(compute), sum(strips)
+    closed, host_calls, shares = closed_form(
+        plan.filters, plan.subgrid, batch, iterations, depths, cycles
     )
     totals = closed._asdict()
     if guard is not None:
@@ -1474,12 +1338,6 @@ def _record(
             comm=plan.comms[fi],
             pass_cycles=cycles[fi],
             pass_half_strips=plan.schedules[fi].num_half_strips,
-            shared_exchanges=shared[fi],
-            own_exchanges=own[fi],
-            coeff_exchanges=coeff[fi],
-            comm_cycles=comm[fi],
-            compute_cycles=compute[fi],
-            half_strips=strips[fi],
             useful_flops=(
                 batch
                 * iterations
@@ -1488,6 +1346,7 @@ def _record(
                 * plan.machine.num_nodes
                 * compiled.pattern.useful_flops_per_point()
             ),
+            **shares[fi]._asdict(),
         )
         for fi, compiled in enumerate(plan.filters)
     )
@@ -1519,7 +1378,6 @@ def apply_stencil_batch(
     check_finite: bool = False,
     faults: Optional[FaultInjector] = None,
     resilience: Optional[ResiliencePolicy] = None,
-    abft: bool = False,
     tenant: Optional[str] = None,
 ) -> StencilRun:
     """Apply ``F`` compiled filters to ``B`` grids in one machine-wide
@@ -1537,8 +1395,8 @@ def apply_stencil_batch(
             resident machine arrays).
         result: a ``(B, F)``-lead :class:`CMBatch`, its name, or None
             to create one named ``<result>__batch__``.
-        iterations, exact, block_depth, faults, resilience, abft,
-            tenant: as for :func:`~repro.runtime.stencil_op.apply_stencil`;
+        iterations, exact, block_depth, faults, resilience, tenant: as
+            for :func:`~repro.runtime.stencil_op.apply_stencil`;
             an int ``block_depth`` is clamped per filter, ``"auto"``
             picks each filter's batch-aware modeled optimum, and a guarded
             batch walks the same recovery ladder (spare remaps included)
@@ -1722,6 +1580,5 @@ def apply_stencil_batch(
         block_depth=block_depth,
         faults=faults,
         resilience=resilience,
-        abft=abft,
         tenant=tenant,
     )

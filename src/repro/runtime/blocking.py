@@ -1,4 +1,5 @@
-"""Temporal blocking: the deep-halo comm/compute cost model.
+"""The modeled clock's price list: boundary groups, temporal blocking,
+the closed form of a schedule, and depth selection.
 
 The paper's run-time library amortizes communication *within* one
 stencil application: halo storage is allocated once and all four
@@ -12,22 +13,32 @@ recomputes its neighbors' edge points instead of receiving them) plus
 one deep halo exchange per coefficient array, whose border values the
 halo-ring computation needs.
 
-This module prices that trade without moving any data.  The executor
-(:func:`repro.runtime.executor.machine_execute_blocked`) and the
-plan-level depth selector
-(:func:`repro.compiler.driver.select_block_depth`) both consume it, so
-the accounting reported by :class:`~repro.runtime.stencil_op.StencilRun`
-and the depth actually chosen always agree.
+This module prices schedules without moving any data.
+:func:`closed_form` is the one price of a schedule: the engine
+(:mod:`repro.runtime.batch`) records every run with it, and
+:func:`best_block_depth` prices each candidate depth with it, so the
+accounting a :class:`~repro.runtime.batch.StencilRun` reports and the
+depth actually chosen always agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..compiler.plan import CompiledStencil
+from ..machine.params import MachineParams
+from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
-from .halo import CommStats, deep_exchange_cost
+from .halo import (
+    CommStats,
+    deep_exchange_cost,
+    deep_width_cost,
+    detour_cycles,
+    exchange_cost,
+)
 from .strips import StripSchedule
 
 #: Depth ceiling for automatic selection: past this the halo ring's
@@ -113,7 +124,7 @@ def block_compute_cycles(
     ``(cycles, half_strips)`` summed over its sub-iterations'
     (halo-enlarged) strip schedules.  The unit the resilient runtime
     charges per block attempt, and the inner term of
-    :func:`blocked_costs`."""
+    :func:`closed_form`."""
     pad = compiled.pattern.border_widths().max_width
     params = compiled.params
     cycles = 0
@@ -126,142 +137,203 @@ def block_compute_cycles(
 
 
 @dataclass(frozen=True)
-class BlockedCosts:
-    """The modeled cost of one filter's iterated run over ``batch`` grids
-    at block depth ``T`` (a solo run is ``batch == 1``).
+class BoundaryGroup:
+    """Filters sharing one halo exchange: same boundary treatment.
 
-    Exchanges and compute scale with ``batch`` -- every grid's halo
-    really moves, every grid's block really runs -- but coefficient deep
-    exchanges are charged once: the coefficients are shared by every
-    grid, so blocking's fixed cost amortizes over the batch.  The front
-    end issues each block's half-strip schedule once
-    (``host_half_strips``); the sequencer's batch-stride loop executes it
-    ``batch`` times (``total_half_strips``).  The depth selector prices
-    each filter alone: sharing a group exchange only ever removes cost,
-    so the per-filter optimum is conservative.
-
-    Attributes:
-        depth: the block depth ``T``.
-        batch: the number of grids ``B``.
-        num_blocks: machine passes, ``ceil(iterations / T)``.
-        num_exchanges: source halo messages, ``num_blocks * batch``.
-        coeff_exchanges: coefficient deep exchanges (once per array
-            coefficient, reused by every block; zero at depth 1).
-        block_comm: cost of one grid's full-depth deep exchange.
-        total_comm_cycles: all exchange cycles, source and coefficient.
-        total_compute_cycles: node cycles over every grid's every
-            (halo-enlarged) sub-iteration.
-        total_half_strips: microcode invocations executed.
-        host_half_strips: half-strip schedules issued.
+    ``uniform`` groups (every member the same pad AND the same corner
+    reach) exchange at exactly that footprint, honoring the corner-step
+    skip; mixed groups exchange once at ``width`` (the widest member's
+    pad) with composed corners, and each member reads its own centered
+    sub-window.  ``cost`` is one copy's shallow group exchange.
     """
 
-    depth: int
-    batch: int
-    num_blocks: int
+    indices: Tuple[int, ...]
+    uniform: bool
+    width: int
+    representative: StencilPattern
+    cost: CommStats
+
+
+def _boundary_key(pattern: StencilPattern):
+    dim_row, dim_col = pattern.plane_dims
+    row_mode = pattern.boundary.get(dim_row, BoundaryMode.CIRCULAR)
+    col_mode = pattern.boundary.get(dim_col, BoundaryMode.CIRCULAR)
+    fill = (
+        float(np.float32(pattern.fill_value))
+        if BoundaryMode.FILL in (row_mode, col_mode)
+        else None
+    )
+    return (row_mode, col_mode, fill)
+
+
+def boundary_groups(
+    patterns: Sequence[StencilPattern],
+    comms: Sequence[CommStats],
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+) -> List[BoundaryGroup]:
+    """Partition filters into halo-sharing groups by boundary treatment
+    (``comms`` holds each filter's own shallow exchange cost)."""
+    by_key: Dict[object, List[int]] = {}
+    for index, pattern in enumerate(patterns):
+        by_key.setdefault(_boundary_key(pattern), []).append(index)
+    groups = []
+    for indices in by_key.values():
+        footprints = {
+            (comms[i].pad, comms[i].corner_step_skipped) for i in indices
+        }
+        uniform = len(footprints) == 1
+        width = max(comms[i].pad for i in indices)
+        groups.append(
+            BoundaryGroup(
+                indices=tuple(indices),
+                uniform=uniform,
+                width=width,
+                representative=patterns[indices[0]],
+                cost=(
+                    comms[indices[0]]
+                    if uniform
+                    else deep_width_cost(subgrid_shape, params, width)
+                ),
+            )
+        )
+    return groups
+
+
+class ClosedForm(NamedTuple):
+    """The fault-free totals of a schedule."""
+
     num_exchanges: int
     coeff_exchanges: int
-    block_comm: CommStats
     total_comm_cycles: int
     total_compute_cycles: int
     total_half_strips: int
-    host_half_strips: int
-
-    def modeled_seconds(self, params, iterations: int) -> float:
-        """Modeled elapsed wall clock: machine cycles plus the front
-        end's overhead.  The host issues ONE run-time-library call per
-        block (the deep exchange and the whole local sub-iteration loop
-        ride on it), so the per-call fixed cost is charged per block --
-        that amortization is half the point of fusing -- and every
-        issued half strip pays the microcode-issue cost."""
-        machine = params.seconds(
-            self.total_comm_cycles + self.total_compute_cycles
-        )
-        host = (
-            self.num_blocks * params.host_fixed_s
-            + self.host_half_strips * params.host_halfstrip_s
-        )
-        return machine + host
 
 
-def blocked_costs(
-    compiled: CompiledStencil,
+class FilterShare(NamedTuple):
+    """One filter's share of a schedule's closed form (the fields of
+    :class:`~repro.runtime.batch.FilterCost` it prices)."""
+
+    shared_exchanges: int
+    own_exchanges: int
+    coeff_exchanges: int
+    comm_cycles: float
+    compute_cycles: int
+    half_strips: int
+
+
+def closed_form(
+    filters: Sequence[CompiledStencil],
     subgrid_shape: Tuple[int, int],
+    batch: int,
     iterations: int,
-    depth: int,
-    batch: int = 1,
-) -> BlockedCosts:
-    """Price an iterated run over ``batch`` grids at block depth
-    ``depth``.
+    depths: Sequence[int],
+    pass_cycles: Sequence[int],
+) -> Tuple[ClosedForm, int, Tuple[FilterShare, ...]]:
+    """The fault-free price of ``filters`` over ``batch`` grids for
+    ``iterations`` iterations at per-filter block ``depths``: the
+    totals, the host calls, and each filter's share.
 
-    ``depth == 1`` reproduces the unblocked accounting exactly: one
-    shallow exchange per grid and one subgrid-shaped schedule per
-    iteration, no coefficient exchanges.
+    ``pass_cycles`` is each filter's node cycles of one unblocked,
+    subgrid-shaped pass over one grid.  Unblocked, every boundary group
+    runs one machine pass per iteration: ``batch`` messages at
+    iteration 0, ``batch * members`` after, one host call each.
+    Blocked, each group shares one machine pass at its widest deep
+    width, deep-exchanges every array coefficient once per (name,
+    depth) -- shared by the whole batch -- and then runs each filter's
+    later blocks, one host call and ``batch`` messages each.  Compute
+    and executed half strips scale with ``batch``; the front end issues
+    each schedule once (``total_half_strips // batch``).
     """
-    pattern = compiled.pattern
-    params = compiled.params
-    coeff_exchanges = (
-        len(array_coefficient_names(pattern)) if depth > 1 else 0
+    params = filters[0].params
+    count = len(filters)
+    shared, own, coeff = [0] * count, [0] * count, [0] * count
+    comm = [0.0] * count
+    compute, strips = [0] * count, [0] * count
+    comms = [exchange_cost(f.pattern, subgrid_shape, params) for f in filters]
+    groups = boundary_groups(
+        [f.pattern for f in filters], comms, subgrid_shape, params
     )
-    full_stats = deep_exchange_cost(pattern, subgrid_shape, params, depth)
-    comm_cycles = coeff_exchanges * full_stats.cycles
-    compute_cycles = 0
-    half_strips = 0
-    num_blocks = 0
-    for steps in block_steps(iterations, depth):
-        num_blocks += 1
-        comm_cycles += batch * deep_exchange_cost(
-            pattern, subgrid_shape, params, steps
-        ).cycles
-        cycles, strips = block_compute_cycles(compiled, subgrid_shape, steps)
-        compute_cycles += batch * cycles
-        half_strips += strips
-    return BlockedCosts(
-        depth=depth,
-        batch=batch,
-        num_blocks=num_blocks,
-        num_exchanges=num_blocks * batch,
-        coeff_exchanges=coeff_exchanges,
-        block_comm=full_stats,
-        total_comm_cycles=comm_cycles,
-        total_compute_cycles=compute_cycles,
-        total_half_strips=batch * half_strips,
-        host_half_strips=half_strips,
-    )
-
-
-def reroute_penalty_cycles(
-    machine, subgrid_shape: Tuple[int, int], params, depth: int, pad: int
-) -> int:
-    """Detour surcharge one full-depth deep exchange pays on ``machine``
-    for its currently rerouted links.
-
-    Mirrors the runtime's actual charge
-    (:meth:`repro.runtime.faults.HealthMonitor.charge_detours` with
-    full-height E/W bands, as blocked deep exchanges use): per rerouted
-    link, one extra hop's startup plus the per-element cost of the band
-    that link carried.  Zero on a healthy machine (or with no machine at
-    all), so the fault-free depth choice is untouched.
-    """
-    if machine is None:
-        return 0
-    health = getattr(machine, "health", None)
-    if health is None or not health.rerouted_links:
-        return 0
-    rows, cols = subgrid_shape
-    deep = depth * pad
-    penalty = 0
-    for key in health.rerouted_links:
-        state = health.dead_links.get(key)
-        if state is None:
+    num_exchanges = coeff_exchanges = comm_cycles = host_calls = 0
+    blocked = any(depth > 1 for depth in depths)
+    for group in groups:
+        members = group.indices
+        if not blocked:
+            cost = group.cost.cycles
+            messages = batch * (1 + (iterations - 1) * len(members))
+            num_exchanges += messages
+            comm_cycles += messages * cost
+            host_calls += iterations
+            for fi in members:
+                shared[fi] += 1
+                own[fi] += batch * (iterations - 1)
+                comm[fi] += batch * cost / len(members)
+                comm[fi] += batch * (iterations - 1) * cost
+                compute[fi] += batch * iterations * pass_cycles[fi]
+                strips[fi] += batch * iterations * StripSchedule.cached(
+                    filters[fi], subgrid_shape
+                ).num_half_strips
             continue
-        if state.orientation == "v":
-            elements = 2 * deep * cols
-        else:
-            elements = 2 * deep * (rows + 2 * deep)
-        penalty += params.comm_startup_cycles + int(
-            params.comm_cycles_per_element * elements
-        )
-    return penalty
+        deeps = {fi: depths[fi] * comms[fi].pad for fi in members}
+        widest = max(deeps.values())
+        first = deep_width_cost(subgrid_shape, params, widest).cycles
+        num_exchanges += batch
+        comm_cycles += batch * first
+        host_calls += 1
+        coeff_done = set()
+        for fi in members:
+            compiled = filters[fi]
+            pattern = compiled.pattern
+            shared[fi] += 1
+            comm[fi] += batch * first / len(members)
+            coeff_cost = deep_exchange_cost(
+                pattern, subgrid_shape, params, depths[fi]
+            ).cycles
+            for name in array_coefficient_names(pattern):
+                if (name, deeps[fi]) in coeff_done:
+                    continue
+                coeff_done.add((name, deeps[fi]))
+                coeff[fi] += 1
+                coeff_exchanges += 1
+                comm[fi] += coeff_cost
+                comm_cycles += coeff_cost
+            for index, steps in enumerate(block_steps(iterations, depths[fi])):
+                if index:
+                    cost = deep_exchange_cost(
+                        pattern, subgrid_shape, params, steps
+                    ).cycles
+                    own[fi] += batch
+                    comm[fi] += batch * cost
+                    num_exchanges += batch
+                    comm_cycles += batch * cost
+                    host_calls += 1
+                block_cycles, block_strips = block_compute_cycles(
+                    compiled, subgrid_shape, steps
+                )
+                compute[fi] += batch * block_cycles
+                strips[fi] += batch * block_strips
+    return (
+        ClosedForm(
+            num_exchanges, coeff_exchanges, comm_cycles, sum(compute),
+            sum(strips),
+        ),
+        host_calls,
+        tuple(map(FilterShare, shared, own, coeff, comm, compute, strips)),
+    )
+
+
+def elapsed_seconds(
+    params: MachineParams, cycles: int, host_calls: int, host_half_strips: int
+) -> float:
+    """Modeled elapsed wall clock: ``cycles`` machine cycles plus the
+    front end's time to issue the run -- the per-call fixed cost for
+    every run-time-library call (one per machine pass or later temporal
+    block) and the issue cost of every issued half strip.  The host and
+    the sequencer do not overlap in this SIMD regime."""
+    return params.seconds(cycles) + (
+        host_calls * params.host_fixed_s
+        + host_half_strips * params.host_halfstrip_s
+    )
 
 
 def best_block_depth(
@@ -275,37 +347,50 @@ def best_block_depth(
     """The block depth with the lowest modeled elapsed time for one
     filter over ``batch`` grids.
 
-    Sweeps every feasible depth through :func:`blocked_costs` and keeps
-    the cheapest; ties go to the shallower depth (less temporary
-    storage, less redundant work).  Returns 1 -- no blocking -- whenever
-    the deep exchanges saved never repay the halo ring's redundant
-    compute, which on this machine model is the common regime: grid
+    Prices every feasible depth as a one-filter run through
+    :func:`closed_form` and :func:`elapsed_seconds` and keeps the
+    cheapest; ties go to the shallower depth (less temporary storage,
+    less redundant work).  Returns 1 -- no blocking -- whenever the deep
+    exchanges saved never repay the halo ring's redundant compute,
+    which on this machine model is the common regime: grid
     communication is cheap per element, so blocking wins only where the
     per-exchange startup dominates (small subgrids, many iterations).
     Source exchanges scale with ``batch`` while coefficient deep
     exchanges do not, so the break-even point moves earlier as the
-    batch grows.
+    batch grows.  Sharing a group exchange only ever removes cost, so
+    the per-filter optimum is conservative.
 
     When ``machine`` carries rerouted links (hard link faults routed
-    around), every candidate's exchanges are surcharged with the
-    per-depth detour cost (:func:`reroute_penalty_cycles`), so the
-    selection prices the machine as it is, not as it was built.
+    around), every candidate's exchanges are surcharged with the detour
+    of a full-depth deep exchange
+    (:func:`~repro.runtime.halo.detour_cycles`), so the selection prices
+    the machine as it is, not as it was built.
     """
     cap = depth_cap(compiled.pattern, subgrid_shape, iterations)
     if max_depth is not None:
         cap = min(cap, max_depth)
+    params = compiled.params
     pad = compiled.pattern.border_widths().max_width
+    schedule = StripSchedule.cached(compiled, subgrid_shape)
+    cycles = schedule.compute_cycles(params)
     best = 1
     best_seconds = None
     for depth in range(1, cap + 1):
-        costs = blocked_costs(compiled, subgrid_shape, iterations, depth, batch)
-        seconds = costs.modeled_seconds(compiled.params, iterations)
-        penalty = reroute_penalty_cycles(
-            machine, subgrid_shape, compiled.params, depth, pad
+        totals, host_calls, _ = closed_form(
+            (compiled,), subgrid_shape, batch, iterations, (depth,), (cycles,)
         )
-        if penalty:
-            total_exchanges = costs.num_exchanges + costs.coeff_exchanges
-            seconds += compiled.params.seconds(penalty * total_exchanges)
+        seconds = elapsed_seconds(
+            params,
+            totals.total_comm_cycles + totals.total_compute_cycles,
+            host_calls,
+            totals.total_half_strips // batch,
+        )
+        detour = detour_cycles(
+            machine, subgrid_shape, params, depth * pad, True
+        )
+        if detour:
+            exchanges = totals.num_exchanges + totals.coeff_exchanges
+            seconds += params.seconds(detour * exchanges)
         if best_seconds is None or seconds < best_seconds:
             best = depth
             best_seconds = seconds

@@ -576,7 +576,7 @@ def machine_execute_blocked(
     region is parity-sealed after the FILL re-application and verified
     before the next sub-iteration reads it -- the read window of
     sub-iteration ``t + 1`` is exactly the sealed region of ``t`` -- and
-    the injector may flip bits in the ping-pong stacks between
+    the injector may flip bits in the just-sealed region between
     sub-iterations.  The final region is parity- and finiteness-checked
     before the block returns, so corruption injected after the last
     seal cannot escape.
@@ -644,7 +644,11 @@ def machine_execute_blocked(
                     )
                 return dst, True
         if guard is not None:
-            guard.inject_scratch([("ping stack", ping), ("pong stack", pong)])
+            # The strike window: the region just sealed, which the next
+            # sub-iteration (or the final check) reads.
+            guard.inject_scratch(
+                [(f"block sub-iteration {t} output", sealed_view)]
+            )
         src, dst = dst, src
     if guard is not None:
         # The last seal covers exactly the final subgrid region; verify

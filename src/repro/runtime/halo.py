@@ -172,6 +172,33 @@ def deep_width_cost(
     )
 
 
+def detour_cycles(
+    machine: Optional[CM2],
+    subgrid_shape: Tuple[int, int],
+    params: MachineParams,
+    width: int,
+    full_height_ew: bool,
+) -> int:
+    """Extra-hop cycles one copy of a width-``width`` exchange pays on
+    ``machine`` for its rerouted links: per link, one startup plus the
+    two band messages' elements at the per-element rate.
+    ``full_height_ew`` prices composed bands, whose East/West bands span
+    the padded height.  Zero with no machine or no rerouted link."""
+    if machine is None:
+        return 0
+    rows, cols = subgrid_shape
+    height = rows + 2 * width if full_height_ew else rows
+    cycles = 0
+    for key in machine.health.rerouted_links:
+        link = machine.health.dead_links.get(key)
+        if link is not None:
+            span = cols if link.orientation == "v" else height
+            cycles += params.comm_startup_cycles + int(
+                params.comm_cycles_per_element * (2 * width * span)
+            )
+    return cycles
+
+
 def legacy_exchange_cost(
     pattern: StencilPattern,
     subgrid_shape: Tuple[int, int],
@@ -509,11 +536,12 @@ def _exchange(
             != parity_word(expected[(Ellipsis,) + window])
         ]
         if not bad:
-            if monitor is not None:
+            detour = detour_cycles(
+                machine, subgrid_shape, params, width, composed
+            )
+            if detour:
                 for _ in range(charges):
-                    monitor.charge_detours(
-                        width, subgrid_shape, params, full_height_ew=composed
-                    )
+                    guard.charge_detour(detour)
             return stats
         guard.note_detected("halo_checksum", site, ", ".join(bad))
         # Route diagnosis: attribute the failures to physical links so

@@ -50,7 +50,6 @@ def apply_stencil(
     check_finite: bool = False,
     faults: Optional[FaultInjector] = None,
     resilience: Optional[ResiliencePolicy] = None,
-    abft: bool = False,
     tenant: Optional[str] = None,
 ) -> StencilRun:
     """Apply a compiled stencil to a distributed array.
@@ -95,18 +94,14 @@ def apply_stencil(
             (blocked -> fast -> exact, all bit-identical).  The run's
             :class:`~repro.runtime.faults.FaultStats` rides on the
             returned :attr:`StencilRun.fault_stats`.
-        resilience: detection/recovery knobs for the guarded path (a
+        resilience: recovery budgets for the guarded path (a
             :class:`~repro.runtime.faults.ResiliencePolicy`); defaults
-            apply when only ``faults`` is given.
-        abft: shorthand that switches the run onto the guarded path
-            with :attr:`ResiliencePolicy.abft` enabled -- row/column
-            checksums sealed over the result stack every iteration (or
-            temporal block), verified before any consumer reads it,
-            single corrupted words forward-corrected in place (see
-            :mod:`repro.runtime.abft`).  Composes with ``resilience``
-            (the policy is upgraded via ``dataclasses.replace``) and
-            with ``faults`` (required for injecting
-            :attr:`~repro.runtime.faults.FaultKind.SDC`).
+            apply when only ``faults`` is given.  Its ``abft=True``
+            arms row/column checksums over the result stack, sealed
+            every iteration (or temporal block), verified before any
+            consumer reads it, single corrupted words forward-corrected
+            in place (see :mod:`repro.runtime.abft`); injecting
+            :attr:`~repro.runtime.faults.FaultKind.SDC` requires it.
         tenant: tenant id scoping the compile-driver cache telemetry
             (the stencil service passes each job's tenant; results and
             cache *contents* are tenant-agnostic either way).
@@ -143,6 +138,5 @@ def apply_stencil(
         block_depth=block_depth,
         faults=faults,
         resilience=resilience,
-        abft=abft,
         tenant=tenant,
     )

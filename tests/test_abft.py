@@ -318,7 +318,8 @@ def test_abft_knob_alone_is_bit_identical_with_charged_overhead():
     )
     _, compiled, x, coeffs = make_problem(pattern, seed=7)
     run = apply_stencil(
-        compiled, x, coeffs, "R", iterations=ITERATIONS, abft=True
+        compiled, x, coeffs, "R", iterations=ITERATIONS,
+        resilience=ResiliencePolicy(abft=True),
     )
     stats = run.fault_stats
     assert np.array_equal(
@@ -393,7 +394,8 @@ def test_batched_mixed_pads_forward_correct():
 def test_batched_abft_knob_matches_solo_runs():
     filters, sources, coeffs = build_batch(9)
     run = apply_stencil_batch(
-        filters, sources, coeffs, "R", iterations=3, abft=True
+        filters, sources, coeffs, "R", iterations=3,
+        resilience=ResiliencePolicy(abft=True),
     )
     assert run.fault_stats.abft_seals > 0
     solo_filters, solo_sources, solo_coeffs = build_batch(9)

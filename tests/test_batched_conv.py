@@ -22,7 +22,7 @@ from repro.compiler.fusion import fuse
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
 from repro.runtime.batch import CMBatch, apply_stencil_batch
-from repro.runtime.blocking import best_block_depth, blocked_costs
+from repro.runtime.blocking import best_block_depth
 from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import ExecutionSetupError
 from repro.runtime.faults import (
@@ -123,7 +123,7 @@ ONE_BY_ONE = {
         lambda: dict(
             iterations=3,
             faults=FaultInjector(seed=CHAOS_SEED, rates={"sdc": 1.0}),
-            abft=True,
+            resilience=ResiliencePolicy(abft=True),
         ),
     ),
     "guarded-5": (lambda p: compile_stencil(gallery.cross5(), p), 0,
@@ -394,13 +394,16 @@ class TestAmortization:
         compiled = compile_stencil(pattern, machine.params)
         coeffs = make_coeffs(machine, [pattern])
         batch = 4
-        source, _ = make_batch(machine, batch)
+        source, data = make_batch(machine, batch)
         run = apply_stencil_batch(
             [compiled], source, coeffs, iterations=4, block_depth=2
         )
         assert run.coeff_exchanges == len(pattern.coefficient_names())
-        solo_costs = blocked_costs(compiled, run.result.subgrid_shape, 4, 2)
-        loop_coeff = batch * solo_costs.coeff_exchanges
+        solo = apply_stencil(
+            compiled, CMArray.from_numpy("X0", machine, data[0]), coeffs,
+            "R0", iterations=4, block_depth=2,
+        )
+        loop_coeff = batch * solo.coeff_exchanges
         assert run.coeff_exchanges < loop_coeff
 
     def test_per_filter_attribution_sums(self):
@@ -424,28 +427,40 @@ class TestAmortization:
         ) == pytest.approx(run.total_comm_cycles)
 
     def test_batch_cost_model_depth1_matches_unblocked(self):
-        """blocked_costs(depth=1) over a batch reproduces the unblocked
-        batched accounting."""
+        """A depth-1 batch of 4 over 3 iterations makes one host call
+        and 4 messages per iteration and no coefficient exchange."""
         machine = make_machine()
-        compiled = compile_stencil(gallery.cross5(), machine.params)
-        costs = blocked_costs(compiled, (8, 8), 3, 1, batch=4)
-        assert costs.num_blocks == 3
-        assert costs.num_exchanges == 12
-        assert costs.coeff_exchanges == 0
-        assert costs.total_half_strips == 4 * costs.host_half_strips
+        pattern = gallery.cross5()
+        compiled = compile_stencil(pattern, machine.params)
+        source, _ = make_batch(machine, 4)
+        run = apply_stencil_batch(
+            [compiled], source, make_coeffs(machine, [pattern]),
+            iterations=3, block_depth=1,
+        )
+        assert run.result.subgrid_shape == (8, 8)
+        assert run.host_calls == 3
+        assert run.num_exchanges == 12
+        assert run.coeff_exchanges == 0
+        assert run.total_half_strips == 4 * run.host_half_strips
 
     def test_best_batch_depth_never_worse_than_forced(self):
-        params = MachineParams(num_nodes=4)
-        compiled = compile_stencil(gallery.cross5(), params)
+        machine = make_machine()
+        pattern = gallery.cross5()
+        compiled = compile_stencil(pattern, machine.params)
+        coeffs = make_coeffs(machine, [pattern])
+        source, _ = make_batch(machine, 8)
         best = best_block_depth(compiled, (8, 8), 16, batch=8)
-        best_cost = blocked_costs(
-            compiled, (8, 8), 16, best, batch=8
-        ).modeled_seconds(params, 16)
+
+        def elapsed(depth):
+            run = apply_stencil_batch(
+                [compiled], source, coeffs, iterations=16, block_depth=depth
+            )
+            assert run.block_depths == (depth,)
+            return run.elapsed_seconds
+
+        best_cost = elapsed(best)
         for depth in (1, 2, 4):
-            other = blocked_costs(
-                compiled, (8, 8), 16, depth, batch=8
-            ).modeled_seconds(params, 16)
-            assert best_cost <= other + 1e-12
+            assert best_cost <= elapsed(depth)
 
 
 class TestValidationAndStorage:
@@ -658,7 +673,7 @@ class TestFaults:
             )),
             (0, lambda: dict(
                 faults=FaultInjector(seed=CHAOS_SEED, rates={"sdc": 1.0}),
-                abft=True,
+                resilience=ResiliencePolicy(abft=True),
             )),
         ],
         ids=[

@@ -18,6 +18,7 @@ from repro.machine.params import MachineParams
 from repro.runtime.batch import apply_stencil_batch
 from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import ExecutionSetupError
+from repro.runtime.faults import ResiliencePolicy
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import box, cross, diamond, square
 from repro.stencil.offsets import BoundaryMode
@@ -126,8 +127,8 @@ def test_iterated_three_semantics_bit_identical():
         ("R", {}),
         ("X", {"iterations": 4, "block_depth": 2}),
         ("C1", {"iterations": 4, "block_depth": 2}),
-        ("X", {"abft": True}),
-        ("R", {"abft": True}),
+        ("X", {"resilience": ResiliencePolicy(abft=True)}),
+        ("R", {"resilience": ResiliencePolicy(abft=True)}),
         ("X", {"batched": True}),
         ("C1", {"batched": True}),
     ],

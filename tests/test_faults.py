@@ -317,12 +317,12 @@ class TestTargetedRecovery:
 
     def test_scratch_parity_degrades_blocked_to_fast(self):
         class CenterFlip(FaultInjector):
-            """Deterministically flip the just-sealed pong stack's
-            center, which the next sub-iteration (or the post-loop
-            verify) always reads."""
+            """Deterministically flip the just-sealed region's center,
+            which the next sub-iteration (or the post-loop verify)
+            always reads."""
 
             def inject_scratch(self, buffers):
-                label, buffer = buffers[1]  # pong: dst of sub-iteration 0
+                label, buffer = buffers[0]  # the just-sealed region
                 center = tuple(extent // 2 for extent in buffer.shape)
                 buffer.view(np.uint32)[center] ^= np.uint32(1)
                 return [self._record(

@@ -27,16 +27,18 @@ from repro.machine.geometry import (
 from repro.machine.health import MachineHealth, link_key
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
-from repro.runtime.blocking import best_block_depth, reroute_penalty_cycles
+from repro.runtime.blocking import best_block_depth
 from repro.runtime.cm_array import CMArray
 from repro.runtime.faults import (
     FaultInjector,
     FaultKind,
+    FaultStats,
     HardFaultSpec,
     LinkDownError,
     NoSpareError,
     ResiliencePolicy,
 )
+from repro.runtime.halo import detour_cycles
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import cross, cross5, square, square9
 from repro.stencil.offsets import BoundaryMode
@@ -199,27 +201,14 @@ class TestPolicyValidation:
         "field,value",
         [
             ("max_retries", -1),
-            ("backoff_base_cycles", 0),
             ("checkpoint_interval", -2),
             ("max_replays", -1),
-            ("checkpoint_cycles_per_word", 0.0),
-            ("exchange_deadline_cycles", 0),
-            ("probe_cycles", 0),
-            ("probe_attempts", 0),
-            ("link_failure_threshold", 0),
-            ("slow_overrun_cycles", -5),
-            ("slow_confirmations", 0),
             ("max_remaps", -1),
-            ("migration_cycles_per_word", -1.0),
         ],
     )
     def test_each_field_validated_with_clear_message(self, field, value):
         with pytest.raises(ValueError, match=field):
             ResiliencePolicy(**{field: value})
-
-    def test_backoff_cap_must_cover_base(self):
-        with pytest.raises(ValueError, match="backoff_cap"):
-            ResiliencePolicy(backoff_base_cycles=100, backoff_cap_cycles=50)
 
     def test_defaults_are_valid(self):
         ResiliencePolicy()  # must not raise
@@ -588,16 +577,11 @@ class TestRemapAwareDepthSelection:
     def test_reroute_penalty_scales_with_depth_and_is_zero_when_healthy(self):
         machine, compiled, x, _ = make_problem(cross(1))
         params = compiled.params
-        assert (
-            reroute_penalty_cycles(machine, x.subgrid_shape, params, 2, 1)
-            == 0
-        )
+        assert detour_cycles(machine, x.subgrid_shape, params, 2, True) == 0
         machine.health.mark_link_dead(0, 1, "h")
         machine.health.mark_link_rerouted(0, 1)
-        shallow = reroute_penalty_cycles(
-            machine, x.subgrid_shape, params, 1, 1
-        )
-        deep = reroute_penalty_cycles(machine, x.subgrid_shape, params, 4, 1)
+        shallow = detour_cycles(machine, x.subgrid_shape, params, 1, True)
+        deep = detour_cycles(machine, x.subgrid_shape, params, 4, True)
         assert 0 < shallow < deep
 
     def test_degraded_machine_does_not_poison_the_healthy_cache(self):
@@ -651,6 +635,27 @@ class TestChaosCampaign:
         assert trial.stats.degradations == ("blocked->fast", "fast->exact")
         assert trial.survived
         assert trial.reconciled is True
+
+    def test_a_ladder_trial_that_did_not_step_down_fails_the_report(self):
+        """Surviving and reconciling is not enough for a ladder cell: the
+        report is ok only when it stepped blocked->fast->exact."""
+        from repro.analysis.chaos import ChaosTrial
+
+        def ladder(*steps):
+            return ChaosTrial(
+                stencil="cross9", boundary="fill", mode="ladder", seed=2,
+                survived=True, outcome="identical", reconciled=True,
+                injected=6, detected=0,
+                stats=FaultStats(degradations=steps),
+            )
+
+        assert ChaosReport([ladder("blocked->fast", "fast->exact")]).ok
+        for steps in ((), ("blocked->fast",)):
+            report = ChaosReport(
+                [ladder("blocked->fast", "fast->exact"), ladder(*steps)]
+            )
+            assert report.ok is False
+            assert "cross9/fill/ladder seed 2" in report.describe()
 
     def test_remap_trial_is_scored(self):
         """A campaign cell that remaps a dead node onto a spare is

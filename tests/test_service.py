@@ -629,9 +629,10 @@ class TestTypedOutcomes:
         assert isinstance(excinfo.value.fault, FaultError)
         assert scheduler.accounts.tenants["t"].failures == 1
 
-    def test_cancelling_a_queued_job_charges_nothing(self):
-        # Satellite 4: cancel removes a queued job; the tenant's cycle
-        # ledger stays empty and the outcome is typed.
+    def test_cancelling_a_queued_job_charges_nothing(self, job_gate):
+        # Cancel removes a queued job; the tenant's cycle ledger stays
+        # empty and the outcome is typed.  The gate holds the busy job
+        # running until the queued one is cancelled.
         pool = MachinePool(PARAMS, default_partition=(4, 4))
         with Scheduler(pool, max_workers=1) as scheduler:
             running = scheduler.submit(
@@ -647,6 +648,7 @@ class TestTypedOutcomes:
                 queued.result(timeout=1.0)
             # Cancelling again (or cancelling a settled job) is a no-op.
             assert queued.cancel() is False
+            job_gate.set()
             running.result(timeout=60.0)
         victim = scheduler.accounts.tenants["victim"]
         assert victim.cancelled == 1

@@ -15,9 +15,10 @@ import pytest
 from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
-from repro.runtime.blocking import blocked_costs, depth_cap
+from repro.runtime.blocking import best_block_depth, depth_cap
 from repro.runtime.cm_array import CMArray
 from repro.runtime.stencil_op import apply_stencil
+from repro.stencil import gallery
 from repro.stencil.gallery import cross, diamond, square
 from repro.stencil.offsets import BoundaryMode
 from repro.stencil.pattern import pattern_from_offsets
@@ -143,16 +144,16 @@ class TestExchangeAccounting:
         run = apply_stencil(
             compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=3
         )
-        costs = blocked_costs(compiled, x.subgrid_shape, ITERATIONS, 3)
-        assert run.total_comm_cycles == costs.total_comm_cycles
-        assert run.total_compute_cycles == costs.total_compute_cycles
-        assert run.total_half_strips == costs.total_half_strips
-        assert run.num_exchanges == costs.num_exchanges
-        assert run.coeff_exchanges == costs.coeff_exchanges
-        assert run.host_calls == costs.num_blocks
-        assert run.elapsed_seconds == pytest.approx(
-            costs.modeled_seconds(compiled.params, ITERATIONS)
-        )
+        # The cost model's figures for square(1) on 8x12 subgrids, 7
+        # iterations at depth 3: blocks of 3, 3 and 1 steps, each of the
+        # nine array coefficients deep-exchanged once.
+        assert run.total_comm_cycles == 7672
+        assert run.total_compute_cycles == 23768
+        assert run.total_half_strips == 32
+        assert run.num_exchanges == 3
+        assert run.coeff_exchanges == 9
+        assert run.host_calls == 3
+        assert run.elapsed_seconds == pytest.approx(0.01019142857142857)
 
     def test_unblocked_run_aggregates_per_iteration_comm(self):
         """Satellite: every iteration's exchange is charged, not just
@@ -193,7 +194,8 @@ class TestExchangeAccounting:
 
     def test_blocked_fixed_point_still_charges_whole_run(self):
         """An all-zero iterate is a fixed point; the blocked loop stops
-        computing but the accounting still covers every block."""
+        computing but the accounting still covers every block, exactly
+        as a run of the same geometry that never converges."""
         pattern = cross(1)
         params = MachineParams(num_nodes=4)
         machine = CM2(params)
@@ -215,8 +217,62 @@ class TestExchangeAccounting:
             run.result.to_numpy(), np.zeros(SHAPE, dtype=np.float32)
         )
         assert run.num_exchanges == 4
-        costs = blocked_costs(compiled, x.subgrid_shape, 8, 2)
-        assert run.total_comm_cycles == costs.total_comm_cycles
+        noise = CMArray.from_numpy(
+            "N", machine, rng.standard_normal(SHAPE).astype(np.float32)
+        )
+        moving = apply_stencil(
+            compiled, noise, coeffs, "RN", iterations=8, block_depth=2
+        )
+        assert not np.array_equal(
+            moving.result.to_numpy(), noise.to_numpy()
+        )
+        assert run.total_comm_cycles == moving.total_comm_cycles
+        assert run.total_compute_cycles == moving.total_compute_cycles
+
+
+class TestDepthSelection:
+    """Depth choices recorded from the selector on 16-node parameters,
+    with no machine, a healthy one, and one with two rerouted links: a
+    change to the price list must not move them."""
+
+    @staticmethod
+    def rerouted_machine(params):
+        machine = CM2(params)
+        machine.health.mark_link_dead(0, 1, "h")
+        machine.health.mark_link_rerouted(0, 1)
+        machine.health.mark_link_dead(0, 4, "v")
+        machine.health.mark_link_rerouted(0, 4)
+        return machine
+
+    @pytest.mark.parametrize(
+        "name,subgrid,iterations,batch,healthy,rerouted",
+        [
+            ("cross5", (4, 4), 12, 1, 3, 3),
+            ("square9", (4, 4), 16, 1, 3, 1),
+            ("asymmetric5", (4, 4), 4, 2, 2, 1),
+            ("asymmetric5", (4, 4), 8, 8, 1, 2),
+            ("cross5", (4, 4), 12, 2, 1, 3),
+            ("cross5", (8, 12), 32, 1, 1, 3),
+            ("asymmetric5", (8, 12), 32, 2, 2, 2),
+            ("square9", (4, 4), 32, 8, 1, 3),
+            ("cross9", (16, 16), 8, 4, 1, 1),
+            ("diamond13", (32, 32), 16, 8, 1, 1),
+        ],
+    )
+    def test_selection_matches_the_recorded_choices(
+        self, name, subgrid, iterations, batch, healthy, rerouted
+    ):
+        params = MachineParams(num_nodes=16)
+        compiled = compile_stencil(getattr(gallery, name)(), params)
+
+        def pick(machine):
+            return best_block_depth(
+                compiled, subgrid, iterations, machine=machine, batch=batch
+            )
+
+        assert pick(None) == healthy
+        assert pick(CM2(params)) == healthy
+        assert pick(self.rerouted_machine(params)) == rerouted
 
 
 class TestPingPongReuse:
