@@ -99,7 +99,8 @@ def main():
     print()
     print("wavefield snapshot (|amplitude|):")
     print(ascii_snapshot(unrolled_model.wavefield()))
+    return identical
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(0 if main() else 1)

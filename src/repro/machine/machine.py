@@ -26,7 +26,7 @@ from .geometry import (
     spare_count,
 )
 from .health import MachineHealth
-from .memory import MachineStorage, MemoryError_, NodeMemory
+from .memory import MachineStorage, NodeMemory
 from .node import Node
 from .params import MachineParams
 
@@ -211,67 +211,10 @@ class CM2:
         stacks = self.storage.distinct()
         return sum(stack.size // self.num_nodes for _, stack in stacks)
 
-    # ------------------------------------------------------------------
-    # Stacked distributed buffers
-    # ------------------------------------------------------------------
-
-    def alloc_stacked(self, name: str, subgrid_shape: Tuple[int, int]) -> np.ndarray:
-        """Allocate a distributed buffer: one machine-wide stack, whose
-        ``[row, col]`` tile every node's memory reads."""
-        return self.storage.allocate(name, subgrid_shape)
-
-    def alias_stacked(self, name: str, target: str) -> None:
-        """Point ``name`` at ``target``'s stack."""
-        stack = self.storage.get(target)
-        if stack is None:
-            raise MemoryError_(
-                f"cannot alias {name!r}: no array named {target!r}"
-            )
-        self.storage.bind(name, stack)
-
-    def free_stacked(self, name: str) -> None:
-        self.storage.free(name)
-
     def stacked(self, name: str) -> Optional[np.ndarray]:
         """The machine-wide stack behind distributed buffer ``name``,
         or None when the storage holds no such name."""
         return self.storage.get(name)
-
-    def alloc_batch_stacked(
-        self,
-        name: str,
-        lead_shape: Tuple[int, ...],
-        subgrid_shape: Tuple[int, int],
-    ) -> np.ndarray:
-        """Allocate a batched distributed buffer (leading batch/filter
-        axes ahead of the node grid), which node memory does not
-        resolve -- see
-        :meth:`~repro.machine.memory.MachineStorage.allocate`."""
-        return self.storage.allocate(name, subgrid_shape, lead_shape)
-
-    def scratch_stacked(
-        self,
-        name: str,
-        buffer_shape: Tuple[int, int],
-        lead_shape: Tuple[int, ...] = (),
-    ) -> np.ndarray:
-        """A reusable machine-wide scratch stack (not in node memory).
-
-        Used by the temporal-blocking executor for deep-padded iterate
-        and coefficient buffers, and (with ``lead_shape``) by the
-        batched multi-convolution runtime; see
-        :meth:`~repro.machine.memory.MachineStorage.scratch`.
-        """
-        return self.storage.scratch(name, buffer_shape, lead_shape)
-
-    def pingpong_stacked(
-        self,
-        name: str,
-        buffer_shape: Tuple[int, int],
-        lead_shape: Tuple[int, ...] = (),
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The preallocated ping-pong scratch pair for ``name``."""
-        return self.storage.pingpong(name, buffer_shape, lead_shape)
 
     def peak_gflops(self) -> float:
         """Peak chained multiply-add rate of the whole machine."""

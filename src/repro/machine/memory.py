@@ -132,7 +132,7 @@ class NodeMemory:
         name is re-pointed at the right buffer before it is read -- the
         software analogue of the sequencer's run-time base-address
         parameters.  Distributed names are aliased machine-wide instead
-        (:meth:`~repro.machine.machine.CM2.alias_stacked`).
+        (:meth:`MachineStorage.alias`).
         """
         self._private(name, "alias")
         self._private(target, "alias to")
@@ -215,8 +215,8 @@ class MachineStorage:
     executor and halo exchange read the same storage, and a name
     re-allocated or re-bound here is seen by every node at once.
 
-    Aliases (:meth:`bind`) share the target's stack under a second name,
-    the machine-wide analogue of :meth:`NodeMemory.alias`.
+    Aliases (:meth:`alias`, :meth:`bind`) share the target's stack under
+    a second name, the machine-wide analogue of :meth:`NodeMemory.alias`.
 
     Scratch stacks (:meth:`scratch`, :meth:`pingpong`) are machine-wide
     work buffers that no node memory resolves -- the temporal-blocking
@@ -232,13 +232,6 @@ class MachineStorage:
         self._scratch: Dict[str, np.ndarray] = {}
         #: Number of scratch stacks actually allocated (cache misses).
         self.scratch_allocations = 0
-        #: Optional sealed parity words, by buffer name.
-        self._parity: Dict[str, int] = {}
-        #: Optional ABFT row/column checksum seals, by buffer name
-        #: (opaque :class:`repro.runtime.abft.AbftSeal` objects -- the
-        #: storage keeps them next to the stacks they cover, the ABFT
-        #: layer derives and verifies them).
-        self._abft: Dict[str, object] = {}
 
     def allocate(
         self,
@@ -251,8 +244,8 @@ class MachineStorage:
         node-grid pair.
 
         Batched stacks live in the distributed-array namespace -- they
-        checkpoint, seal parity, and NaN out with their node tile on a
-        node death like any 4-d stack -- but node memory does not
+        checkpoint and NaN out with their node tile on a node death
+        like any 4-d stack -- but node memory does not
         resolve them: per-node paths (exact mode, the sequencer) bind
         one ``(batch, filter)`` entry at a time under a 4-d name
         instead.
@@ -271,6 +264,15 @@ class MachineStorage:
 
     def bind(self, name: str, stack: np.ndarray) -> None:
         """Register an existing stack under (another) name."""
+        self._stacks[name] = stack
+
+    def alias(self, name: str, target: str) -> None:
+        """Point ``name`` at the stack held under ``target``."""
+        stack = self._stacks.get(target)
+        if stack is None:
+            raise MemoryError_(
+                f"cannot alias {name!r}: no array named {target!r}"
+            )
         self._stacks[name] = stack
 
     def free(self, name: str) -> None:
@@ -339,7 +341,7 @@ class MachineStorage:
         )
 
     # ------------------------------------------------------------------
-    # Checkpoint/restore and parity (fault tolerance)
+    # Checkpoint/restore (fault tolerance)
     # ------------------------------------------------------------------
 
     def lookup(self, name: str) -> Optional[np.ndarray]:
@@ -374,40 +376,3 @@ class MachineStorage:
                     "reshaped since the checkpoint"
                 )
             stack[...] = saved
-
-    def seal_parity(self, name: str) -> int:
-        """Record (and return) the current parity word of a stack, to
-        be checked later with :meth:`check_parity`."""
-        stack = self.lookup(name)
-        if stack is None:
-            raise MemoryError_(f"cannot seal parity of unknown buffer {name!r}")
-        word = parity_word(stack)
-        self._parity[name] = word
-        return word
-
-    def check_parity(self, name: str) -> bool:
-        """Whether a sealed stack still matches its parity word.  True
-        for never-sealed names (nothing to contradict)."""
-        sealed = self._parity.get(name)
-        if sealed is None:
-            return True
-        stack = self.lookup(name)
-        if stack is None:
-            return False
-        return parity_word(stack) == sealed
-
-    def clear_parity(self, name: str) -> None:
-        self._parity.pop(name, None)
-
-    def seal_abft(self, name: str, seal: object) -> None:
-        """Attach an ABFT checksum seal to ``name``.  The storage holds
-        the seal alongside the stack; the ABFT layer owns its algebra
-        (:func:`repro.runtime.abft.seal_checksums`)."""
-        self._abft[name] = seal
-
-    def get_abft(self, name: str) -> Optional[object]:
-        """The current ABFT seal of ``name`` (None when never sealed)."""
-        return self._abft.get(name)
-
-    def clear_abft(self, name: str) -> None:
-        self._abft.pop(name, None)

@@ -24,9 +24,9 @@ The algebra that makes this forward-correcting:
   falls back to the checkpoint/rollback ladder via
   :class:`~repro.runtime.faults.SdcUncorrectableError`.
 
-Seals live next to the stacks they cover, in
-:class:`~repro.machine.memory.MachineStorage` (``seal_abft`` /
-``get_abft`` / ``clear_abft``), keyed by buffer name.  The vectors are
+A seal is a local of the engine loop that takes it: the loop seals a
+result slab and verifies it within one iteration (or one temporal
+block), so no seal outlives the slab state it covers.  The vectors are
 tiny -- ``rows + cols`` words per node tile versus ``rows * cols`` data
 words -- and the seal/verify passes are charged to the dedicated
 ``abft_cycles`` bucket of :class:`~repro.runtime.faults.FaultStats`.

@@ -51,6 +51,7 @@ never read corner cells).
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -61,6 +62,8 @@ from ..compiler import driver
 from ..compiler.plan import CompiledStencil
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
+from ..verify.aliasing import AliasingError, check_aliasing
+from ..verify.diagnostics import has_errors
 from .blocking import (
     ClosedForm,
     array_coefficient_names,
@@ -79,7 +82,6 @@ from .executor import (
     machine_execute_blocked,
     machine_execute_fast_stack,
     node_execute_exact,
-    shape_mismatch,
     values_equal,
 )
 from .faults import (
@@ -142,8 +144,8 @@ class CMBatch:
         self.machine = machine
         self.lead_shape = lead_shape
         self.decomposition = Decomposition(tuple(global_shape), machine)
-        machine.alloc_batch_stacked(
-            name, lead_shape, self.decomposition.subgrid_shape
+        machine.storage.allocate(
+            name, self.decomposition.subgrid_shape, lead_shape
         )
 
     @property
@@ -469,7 +471,7 @@ def _coefficient_bindings(machine: CM2, coefficients: Dict[str, CMArray]):
         if array.name == statement_name:
             continue
         saved.append((statement_name, machine.storage.get(statement_name)))
-        machine.alias_stacked(statement_name, array.name)
+        machine.storage.alias(statement_name, array.name)
     try:
         yield
     finally:
@@ -490,7 +492,7 @@ def _resolve_depths(
     machine: CM2,
     tenant: Optional[str],
 ) -> Tuple[int, ...]:
-    """Validate the caller's ``block_depth`` and resolve it per filter.
+    """Resolve the caller's checked ``block_depth`` per filter.
 
     Exact mode, single calls, and filter sets with a fused extra term
     (the deep exchange does not manage extra sources) resolve every
@@ -498,19 +500,7 @@ def _resolve_depths(
     and the subgrid support (1 for unblockable patterns); ``"auto"``
     prices each filter through the batch-aware cost model.
     """
-    if block_depth == "auto":
-        requested = None
-    elif isinstance(block_depth, int) and not isinstance(block_depth, bool):
-        if block_depth < 1:
-            raise ValueError(
-                f"block_depth must be a positive int or 'auto', "
-                f"got {block_depth}"
-            )
-        requested = block_depth
-    else:
-        raise ValueError(
-            f"block_depth must be a positive int or 'auto', got {block_depth!r}"
-        )
+    requested = None if block_depth == "auto" else block_depth
     fused = any(getattr(f.pattern, "extra_terms", ()) for f in filters)
     if exact or iterations < 2 or fused or requested == 1:
         return tuple(1 for _ in filters)
@@ -593,7 +583,8 @@ def run_stencil(
     resilience: Optional[ResiliencePolicy],
     tenant: Optional[str],
 ) -> StencilRun:
-    """The engine behind both entry points, on validated arrays.
+    """The engine behind both entry points, on a call that passed
+    :func:`check_call`.
 
     ``source`` is the source stack (``source_name`` names it and its
     halo buffers), ``outs`` the result slab each filter writes (named
@@ -739,7 +730,7 @@ def _named_stack(
     a node that dies there never held it."""
     stack = machine.storage.get(name)
     if stack is None or stack.shape != lead + tuple(machine.shape) + shape:
-        stack = machine.alloc_batch_stacked(name, lead, shape)
+        stack = machine.storage.allocate(name, shape, lead)
     return stack
 
 
@@ -763,7 +754,7 @@ def _exchange_group(
     if k and len(members) > 1:
         stack = np.stack([plan.outs[fi] for fi in members], axis=-5)
         name = f"{name}__gather__"
-        gathered = plan.machine.scratch_stacked(name, shape, stack.shape[:-4])
+        gathered = plan.machine.storage.scratch(name, shape, stack.shape[:-4])
         destination = lambda: gathered
     else:
         stack = plan.outs[members[0]] if k else plan.source
@@ -920,7 +911,6 @@ def _run_unblocked(
     rolls back like a failed pass.  Returns the exact cycle count per
     filter (None in fast mode).
     """
-    machine = plan.machine
     iterations = plan.iterations
     rows, cols = plan.subgrid
     measured: List[Optional[int]] = [None] * len(plan.filters)
@@ -976,8 +966,9 @@ def _run_unblocked(
             guard.replaying = False
         k += 1
         if abft:
-            for name, out in zip(plan.out_names, plan.outs):
-                machine.storage.seal_abft(name, seal_checksums(out))
+            seals = []
+            for out in plan.outs:
+                seals.append(seal_checksums(out))
                 guard.charge_abft(plan.slab_words(), seals=1)
         if fixed:
             if guard is not None:
@@ -999,11 +990,11 @@ def _run_unblocked(
                 ]
             )
             try:
-                for name, out in zip(plan.out_names, plan.outs):
+                for out, seal in zip(plan.outs, seals):
                     guard.charge_abft(plan.slab_words(), verifies=1)
                     corrected = verify_and_correct(
                         out,
-                        machine.storage.get_abft(name),
+                        seal,
                         site=f"abft iteration {k - 1} result",
                         guard=guard,
                     )
@@ -1018,9 +1009,6 @@ def _run_unblocked(
                     raise
                 rollback.replays += 1
                 k = rollback.rewind(k, 0)
-    if abft:
-        for name in plan.out_names:
-            machine.storage.clear_abft(name)
     return measured
 
 
@@ -1095,7 +1083,7 @@ def _run_blocked(
                 owner = next(fi for fi in members if deeps[fi] == wide)
                 halo = plan.halo_name(gi)
                 pairs = {
-                    fi: machine.pingpong_stacked(
+                    fi: machine.storage.pingpong(
                         f"{halo}{fi}", plan.padded(deeps[fi]), plan.lead
                     )
                     for fi in members
@@ -1112,7 +1100,7 @@ def _run_blocked(
                                 continue
                             if guard is not None:
                                 guard.replaying = coeff_seq < coeff_high
-                            buf = machine.scratch_stacked(
+                            buf = machine.storage.scratch(
                                 f"{name}__deep{deeps[fi]}__",
                                 plan.padded(deeps[fi]),
                             )
@@ -1263,9 +1251,6 @@ def _run_blocked(
             guard.replaying = False
             guard.recover_dead_node(dead.coord)
             guard.note_rollback(sum(done_steps[:block_high]))
-    if abft:
-        for name in plan.out_names:
-            machine.storage.clear_abft(name)
 
 
 def _block_charge(
@@ -1286,15 +1271,14 @@ def _verify_block(
     corrupted word is forward-corrected in place; multi-cell damage
     cannot replay here (the block input was just overwritten), so the
     raised error degrades blocked->fast."""
-    storage = plan.machine.storage
     name, out = plan.out_names[fi], plan.outs[fi]
-    storage.seal_abft(name, seal_checksums(out))
+    seal = seal_checksums(out)
     guard.charge_abft(plan.slab_words(), seals=1)
     guard.inject_sdc([(f"blocked result stack {name!r}", out)])
     guard.charge_abft(plan.slab_words(), verifies=1)
     corrected = verify_and_correct(
         out,
-        storage.get_abft(name),
+        seal,
         site=f"abft block {index} result",
         guard=guard,
     )
@@ -1366,6 +1350,211 @@ def _record(
     )
 
 
+def _positive_int(value) -> bool:
+    integral = isinstance(value, numbers.Integral)
+    return integral and not isinstance(value, bool) and value >= 1
+
+
+def shape_mismatch(label: str, got, want) -> str:
+    """A mismatch message naming the first offending axis and the
+    expected extent there (instead of letting numpy raise a deep
+    broadcast error from inside the tap loop)."""
+    got = tuple(int(n) for n in got)
+    want = tuple(int(n) for n in want)
+    if len(got) != len(want):
+        return (
+            f"{label} shape {got} (rank {len(got)}) != "
+            f"expected shape {want} (rank {len(want)})"
+        )
+    for axis, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            return (
+                f"{label} shape {got}: axis {axis} has extent {g}, "
+                f"expected extent {w} (full expected shape {want})"
+            )
+    return f"{label} shape {got} != expected shape {want}"
+
+
+def _check_shape(stack: np.ndarray, want: Tuple[int, ...], label: str) -> None:
+    """On one machine a stack's shape fixes the global shape, since
+    subgrids tile the global array evenly."""
+    if stack.shape != want:
+        axes = "node-grid and subgrid" if len(want) == 4 else "stack"
+        raise ExecutionSetupError(
+            shape_mismatch(f"{label} {axes}", stack.shape, want)
+        )
+
+
+def check_call(
+    filters: Sequence[CompiledStencil],
+    sources,
+    coefficients: Optional[Dict[str, CMArray]],
+    result,
+    *,
+    solo: bool,
+    iterations,
+    block_depth,
+    check_finite: bool,
+) -> str:
+    """The one check of a stencil call, made before anything is
+    allocated, staged or bound; returns the name of the result.
+
+    A solo call takes a :class:`CMArray` source and result; a batched
+    one a one-lead-axis :class:`CMBatch` or a list of :class:`CMArray`
+    on one machine with one global shape, and a ``(B, F)``-lead
+    :class:`CMBatch` result.  Every array a filter reads is passed in
+    ``coefficients``, on the sources' machine with their global shape,
+    or resident under its statement name with their subgrid.  Aliasing
+    is checked by name for every filter: RS601 and RS602 raise, the
+    RS603 in-place update passes.  Raises only
+    :class:`ExecutionSetupError` (an :class:`AliasingError`, or with
+    ``check_finite`` a :class:`NonFiniteInputError`).
+    """
+    if not isinstance(filters, (list, tuple)) or not filters:
+        raise ExecutionSetupError(
+            "at least one compiled filter is required, in a list"
+        )
+    params = getattr(filters[0], "params", None)
+    for fi, compiled in enumerate(filters):
+        if params is None or getattr(compiled, "params", None) != params:
+            raise ExecutionSetupError(
+                f"filter {fi} is not a stencil compiled for filter 0's "
+                f"machine parameters; a call shares one configuration"
+            )
+    if not _positive_int(iterations):
+        raise ExecutionSetupError(
+            f"iterations must be a positive int, got {iterations!r}"
+        )
+    if block_depth != "auto" and not _positive_int(block_depth):
+        raise ExecutionSetupError(
+            f"block_depth must be a positive int or 'auto', got {block_depth!r}"
+        )
+
+    if solo:
+        entries = [sources] if isinstance(sources, CMArray) else []
+    elif isinstance(sources, CMBatch):
+        entries = [sources] if len(sources.lead_shape) == 1 else []
+    elif isinstance(sources, (list, tuple)) and all(
+        isinstance(array, CMArray) for array in sources
+    ):
+        entries = list(sources)
+    else:
+        entries = []
+    if not entries:
+        raise ExecutionSetupError(
+            f"the source must be one CMArray, got {type(sources).__name__}"
+            if solo else
+            f"sources must be a CMBatch with one lead axis or a non-empty "
+            f"list of CMArrays, got {type(sources).__name__}"
+        )
+    machine, subgrid = entries[0].machine, entries[0].subgrid_shape
+    grid = tuple(machine.shape) + subgrid
+    grids = []  # (label, stack) of every source grid
+    for i, array in enumerate(entries):
+        if array.machine is not machine:
+            raise ExecutionSetupError(
+                f"batch source {i} ({array.name!r}) lives on a different "
+                f"machine"
+            )
+        axes = getattr(array, "lead_shape", ())
+        stack = array.stacked
+        _check_shape(stack, axes + grid, f"source {array.name!r}")
+        if axes:
+            grids += [(f"{array.name}[{b}]", stack[b]) for b in range(axes[0])]
+        else:
+            grids.append((array.name, stack))
+
+    coefficients = coefficients or {}
+    inputs: Dict[str, str] = {}  # statement name -> the stack read there
+    for statement, array in coefficients.items():
+        if not isinstance(array, CMArray) or array.machine is not machine:
+            raise ExecutionSetupError(
+                f"coefficient {statement!r} is not a CMArray on the "
+                f"sources' machine"
+            )
+        _check_shape(array.stacked, grid, f"coefficient {statement!r}")
+        inputs[statement] = array.name
+    for fi, compiled in enumerate(filters):
+        pattern = compiled.pattern
+        label = pattern.name or f"filter {fi}"
+        pad = pattern.border_widths().max_width
+        if pad > min(subgrid):
+            raise ExecutionSetupError(
+                f"halo width {pad} of {label} exceeds the subgrid extent "
+                f"{subgrid}; the exchange primitive reaches only "
+                f"immediate neighbors"
+            )
+        extra = {term.source for term in getattr(pattern, "extra_terms", ())}
+        for name in kernel_array_names(pattern):
+            if name in inputs:
+                continue
+            kind = "fused extra-source" if name in extra else "coefficient"
+            stack = machine.storage.get(name)
+            if stack is None:
+                raise ExecutionSetupError(
+                    f"missing {kind} array {name!r} read by {label}: pass "
+                    f"it in coefficients or create it on the sources' "
+                    f"machine"
+                )
+            _check_shape(stack, grid, f"resident {kind} {name!r}")
+            inputs[name] = name
+
+    lead = () if solo else (len(grids), len(filters))
+    if result is None:
+        result_name = filters[0].pattern.result + ("" if solo else "__batch__")
+    elif isinstance(result, str):
+        result_name = result
+    elif isinstance(result, CMArray if solo else CMBatch) and (
+        result.machine is machine
+    ):
+        _check_shape(result.stacked, lead + grid, f"result {result.name!r}")
+        result_name = result.name
+    else:
+        raise ExecutionSetupError(
+            f"result must be None, a name or a "
+            f"{'CMArray' if solo else 'CMBatch'} on the sources' machine, "
+            f"got {type(result).__name__}"
+        )
+
+    # One check per filter covers every source name: passing the
+    # result's own name when it is one of them makes RS601 fire.
+    names = [array.name for array in entries]
+    diagnostics = []
+    for compiled in filters:
+        diagnostics += check_aliasing(
+            compiled.pattern,
+            result_name=result_name,
+            source_name=result_name if result_name in names else names[0],
+            coefficient_arrays={s: a.name for s, a in coefficients.items()},
+        )
+    if has_errors(diagnostics):
+        raise AliasingError(diagnostics)
+    if (result is None or isinstance(result, str)) and (
+        result_name in inputs.values()
+    ):
+        # By name, a door allocates the result afresh: the RS603
+        # in-place update needs the array itself.
+        raise ExecutionSetupError(
+            f"result {result_name!r} names an array the call reads; "
+            f"allocating it would zero that input first"
+        )
+
+    if check_finite:
+        for b, (label, stack) in enumerate(grids):
+            if not np.isfinite(stack).all():
+                where = repr(label) if solo else f"entry {b} ({label!r})"
+                raise NonFiniteInputError(
+                    f"source {where} contains NaN/Inf (check_finite=True)"
+                )
+        for name in dict.fromkeys(inputs.values()):
+            if not np.isfinite(machine.storage.get(name)).all():
+                raise NonFiniteInputError(
+                    f"input array {name!r} contains NaN/Inf "
+                    "(check_finite=True)"
+                )
+    return result_name
+
+
 def apply_stencil_batch(
     filters: Sequence[CompiledStencil],
     sources: Union[CMBatch, Sequence[CMArray]],
@@ -1387,7 +1576,7 @@ def apply_stencil_batch(
         filters: the compiled stencils to apply, all sharing machine
             parameters.  Fused extra sources are read by name, as 4-d
             arrays broadcast across the batch.
-        sources: a ``(B,)``-lead :class:`CMBatch`, or a sequence of
+        sources: a ``(B,)``-lead :class:`CMBatch`, or a list of
             :class:`~repro.runtime.cm_array.CMArray` on the same machine
             and global shape (staged into a batched scratch stack).
         coefficients: coefficient arrays by statement name, shared by
@@ -1395,186 +1584,49 @@ def apply_stencil_batch(
             resident machine arrays).
         result: a ``(B, F)``-lead :class:`CMBatch`, its name, or None
             to create one named ``<result>__batch__``.
-        iterations, exact, block_depth, faults, resilience, tenant: as
-            for :func:`~repro.runtime.stencil_op.apply_stencil`;
-            an int ``block_depth`` is clamped per filter, ``"auto"``
-            picks each filter's batch-aware modeled optimum, and a guarded
-            batch walks the same recovery ladder (spare remaps included)
-            as a solo call.
-        check_finite: validate every source entry and every coefficient
-            and fused extra-source array up front, raising
-            :class:`~repro.runtime.faults.NonFiniteInputError` naming
-            the offender.
+        iterations, exact, block_depth, check_finite, faults,
+            resilience, tenant: as for
+            :func:`~repro.runtime.stencil_op.apply_stencil`; an int
+            ``block_depth`` is clamped per filter, ``"auto"`` picks each
+            filter's batch-aware modeled optimum, and a guarded batch
+            walks the same recovery ladder (spare remaps included) as a
+            solo call.
 
     Returns:
         a :class:`StencilRun`; entry ``[b, f]`` of its result is
         bit-identical to ``apply_stencil(filters[f], sources[b], ...)``.
 
-    Raises :class:`~repro.runtime.executor.ExecutionSetupError` when an
-    array does not match the filters or is not held by the machine
-    storage.
+    Raises :class:`ExecutionSetupError` from :func:`check_call`, before
+    anything is allocated or staged.
     """
+    name = check_call(
+        filters, sources, coefficients, result, solo=False,
+        iterations=iterations, block_depth=block_depth,
+        check_finite=check_finite,
+    )
     filters = tuple(filters)
-    if not filters:
-        raise ValueError("at least one compiled filter is required")
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
-    coefficients = dict(coefficients or {})
-
-    params = filters[0].params
-    for fi, compiled in enumerate(filters[1:], start=1):
-        if compiled.params != params:
-            raise ExecutionSetupError(
-                f"filter {fi} was compiled for different machine "
-                f"parameters; a batch shares one machine configuration"
-            )
-
-    # ------------------------------------------------------------------
-    # Source staging
-    # ------------------------------------------------------------------
     if isinstance(sources, CMBatch):
-        if len(sources.lead_shape) != 1:
-            raise ExecutionSetupError(
-                f"a source batch must have exactly one lead axis "
-                f"(the batch), got lead shape {sources.lead_shape}"
-            )
-        machine = sources.machine
-        global_shape = sources.global_shape
-        source_name = sources.name
-        source_stack = sources.stacked
-        labels = [f"{sources.name}[{b}]" for b in range(sources.lead_shape[0])]
+        source_name, source, first = sources.name, sources.stacked, sources
     else:
-        entries = list(sources)
-        if not entries:
-            raise ValueError("sources must not be empty")
-        machine = entries[0].machine
-        global_shape = entries[0].global_shape
-        for i, array in enumerate(entries):
-            if array.machine is not machine:
-                raise ExecutionSetupError(
-                    f"batch source {i} ({array.name!r}) lives on a "
-                    f"different machine"
-                )
-            if array.global_shape != global_shape:
-                raise ExecutionSetupError(
-                    shape_mismatch(
-                        f"batch source {i} ({array.name!r})",
-                        array.global_shape,
-                        global_shape,
-                    )
-                )
-        stacks = [array.stacked for array in entries]
-        source_name = "__batch_source__"
-        source_stack = machine.scratch_stacked(
-            source_name, stacks[0].shape[-2:], (len(stacks),)
+        source_name, first = "__batch_source__", sources[0]
+        source = first.machine.storage.scratch(
+            source_name, first.subgrid_shape, (len(sources),)
         )
-        for b, stack in enumerate(stacks):
-            source_stack[b] = stack
-        labels = [array.name for array in entries]
-    batch = len(labels)
-    subgrid_shape = tuple(source_stack.shape[-2:])
-
-    # ------------------------------------------------------------------
-    # Filter and input validation
-    # ------------------------------------------------------------------
-    rows, cols = subgrid_shape
-    inputs: Dict[str, str] = {}
-    for fi, compiled in enumerate(filters):
-        pattern = compiled.pattern
-        label = pattern.name or f"filter {fi}"
-        pad = pattern.border_widths().max_width
-        if pad > min(rows, cols):
-            raise ExecutionSetupError(
-                f"halo width {pad} of {label} exceeds the subgrid extent "
-                f"{subgrid_shape}; the exchange primitive reaches only "
-                f"immediate neighbors"
-            )
-        for name in kernel_array_names(pattern):
-            array = coefficients.get(name)
-            if array is not None:
-                if array.machine is not machine:
-                    raise ExecutionSetupError(
-                        f"coefficient {name!r} lives on a different machine"
-                    )
-                if array.global_shape != tuple(global_shape):
-                    raise ExecutionSetupError(
-                        shape_mismatch(
-                            f"coefficient {name!r}",
-                            array.global_shape,
-                            tuple(global_shape),
-                        )
-                    )
-                inputs[name] = array.name
-                continue
-            stack = machine.storage.get(name)
-            if stack is None:
-                raise ExecutionSetupError(
-                    f"array {name!r} read by {label} is neither supplied "
-                    f"nor resident on the machine as a stacked array"
-                )
-            if tuple(stack.shape[-2:]) != subgrid_shape:
-                raise ExecutionSetupError(
-                    shape_mismatch(
-                        f"resident array {name!r} subgrid",
-                        stack.shape[-2:],
-                        subgrid_shape,
-                    )
-                )
-            inputs[name] = name
-
-    # ------------------------------------------------------------------
-    # Result resolution (alias checks BEFORE any allocation can clobber
-    # a same-named source)
-    # ------------------------------------------------------------------
-    source_names = {sources.name} if isinstance(sources, CMBatch) else set(labels)
-    if result is None:
-        result = f"{filters[0].pattern.result}__batch__"
-    if isinstance(result, str):
-        if result in source_names:
-            raise ExecutionSetupError(
-                f"result {result!r} must not alias a source array"
-            )
+        for b, array in enumerate(sources):
+            source[b] = array.stacked
+    if not isinstance(result, CMBatch):
         result = CMBatch(
-            result, machine, (batch, len(filters)), global_shape
+            name, first.machine, (len(source), len(filters)),
+            first.global_shape,
         )
-    else:
-        if result is sources or result.name in source_names:
-            raise ExecutionSetupError(
-                f"result {result.name!r} must not alias a source array"
-            )
-        if result.machine is not machine:
-            raise ExecutionSetupError(
-                f"result {result.name!r} lives on a different machine"
-            )
-        want = (batch, len(filters)) + tuple(global_shape)
-        got = result.lead_shape + result.global_shape
-        if got != want:
-            raise ExecutionSetupError(
-                shape_mismatch(f"result batch {result.name!r}", got, want)
-            )
-
-    if check_finite:
-        for b, label in enumerate(labels):
-            if not np.isfinite(source_stack[b]).all():
-                raise NonFiniteInputError(
-                    f"batch source entry {b} ({label!r}) contains NaN/Inf "
-                    "(apply_stencil_batch was called with check_finite=True)"
-                )
-        for name in dict.fromkeys(inputs.values()):
-            if not np.isfinite(stack_of(machine, name)).all():
-                raise NonFiniteInputError(
-                    f"input array {name!r} contains NaN/Inf "
-                    "(apply_stencil_batch was called with check_finite=True)"
-                )
-
     return run_stencil(
         filters,
         source_name,
-        source_stack,
+        source,
         result,
         tuple(result.stacked[:, fi] for fi in range(len(filters))),
         tuple(f"{result.name}[:, {fi}]" for fi in range(len(filters))),
-        coefficients,
+        dict(coefficients or {}),
         iterations=iterations,
         exact=exact,
         block_depth=block_depth,

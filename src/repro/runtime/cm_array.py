@@ -19,11 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..machine.machine import CM2
+from ..verify.aliasing import ExecutionSetupError
 from .decomposition import Decomposition
-
-
-class ExecutionSetupError(ValueError):
-    """Arrays handed to the executor do not match the compiled stencil."""
 
 
 def stack_of(machine: CM2, name: str) -> np.ndarray:
@@ -51,7 +48,7 @@ class CMArray:
         self.name = name
         self.machine = machine
         self.decomposition = Decomposition(global_shape, machine)
-        machine.alloc_stacked(name, self.decomposition.subgrid_shape)
+        machine.storage.allocate(name, self.decomposition.subgrid_shape)
 
     @property
     def global_shape(self) -> Tuple[int, int]:

@@ -31,147 +31,10 @@ from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
 from ..machine.memory import parity_word
 from ..verify import lockdep
-from .cm_array import CMArray, ExecutionSetupError, stack_of
-from .faults import FaultGuard, NonFiniteInputError
+from .cm_array import ExecutionSetupError, stack_of  # noqa: F401 (re-exported)
+from .faults import FaultGuard
 from .halo import halo_buffer_name
 from .strips import StripSchedule
-
-
-def shape_mismatch(label: str, got, want) -> str:
-    """A mismatch message naming the first offending axis and the
-    expected extent there (instead of letting numpy raise a deep
-    broadcast error from inside the tap loop)."""
-    got = tuple(int(n) for n in got)
-    want = tuple(int(n) for n in want)
-    if len(got) != len(want):
-        return (
-            f"{label} shape {got} (rank {len(got)}) != "
-            f"expected shape {want} (rank {len(want)})"
-        )
-    for axis, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            return (
-                f"{label} shape {got}: axis {axis} has extent {g}, "
-                f"expected extent {w} (full expected shape {want})"
-            )
-    return f"{label} shape {got} != expected shape {want}"
-
-
-def check_arrays(
-    compiled: CompiledStencil,
-    source: CMArray,
-    coefficients: Dict[str, CMArray],
-    result: CMArray,
-) -> None:
-    """Validate that the run-time arrays match the compiled statement.
-
-    Every array the tap loop will touch is shape-checked here --
-    coefficients, fused extra sources, and fused extra-term coefficient
-    arrays *whether or not* they were passed in ``coefficients`` -- so
-    a mismatch raises a :class:`ExecutionSetupError` (a ``ValueError``)
-    naming the offending axis, never a numpy broadcast error.
-    """
-    pattern = compiled.pattern
-    if result.global_shape != source.global_shape:
-        raise ExecutionSetupError(
-            shape_mismatch(
-                "result array", result.global_shape, source.global_shape
-            )
-        )
-    for name in pattern.coefficient_names():
-        if name not in coefficients:
-            raise ExecutionSetupError(
-                f"missing coefficient array {name!r} "
-                f"(statement needs {pattern.coefficient_names()})"
-            )
-        if coefficients[name].global_shape != source.global_shape:
-            raise ExecutionSetupError(
-                shape_mismatch(
-                    f"coefficient {name!r}",
-                    coefficients[name].global_shape,
-                    source.global_shape,
-                )
-            )
-    extra_terms = getattr(pattern, "extra_terms", ())
-    if extra_terms:
-        sample_node = next(iter(source.machine.nodes()))
-        subgrid_shape = source.subgrid_shape
-        for term in extra_terms:
-            buffer = sample_node.memory.view(term.source)
-            if buffer is None:
-                raise ExecutionSetupError(
-                    f"missing fused extra-source array {term.source!r}; create "
-                    "it as a CMArray on the same machine before applying"
-                )
-            if tuple(buffer.shape) != subgrid_shape:
-                raise ExecutionSetupError(
-                    shape_mismatch(
-                        f"fused extra-source {term.source!r} subgrid",
-                        tuple(buffer.shape),
-                        subgrid_shape,
-                    )
-                )
-            coeff = term.coeff
-            if coeff.kind is not CoeffKind.ARRAY:
-                continue
-            if coeff.name in coefficients:
-                # Previously unvalidated: a wrong-shaped extra-term
-                # coefficient passed in ``coefficients`` surfaced as a
-                # numpy broadcast error deep in the executor.
-                if coefficients[coeff.name].global_shape != source.global_shape:
-                    raise ExecutionSetupError(
-                        shape_mismatch(
-                            f"fused extra-term coefficient {coeff.name!r}",
-                            coefficients[coeff.name].global_shape,
-                            source.global_shape,
-                        )
-                    )
-                continue
-            coeff_buffer = sample_node.memory.view(coeff.name)
-            if coeff_buffer is None:
-                raise ExecutionSetupError(
-                    f"missing fused extra-term coefficient {coeff.name!r}"
-                )
-            if tuple(coeff_buffer.shape) != subgrid_shape:
-                raise ExecutionSetupError(
-                    shape_mismatch(
-                        f"fused extra-term coefficient {coeff.name!r} subgrid",
-                        tuple(coeff_buffer.shape),
-                        subgrid_shape,
-                    )
-                )
-
-
-def check_finite_arrays(
-    compiled: CompiledStencil,
-    source: CMArray,
-    coefficients: Dict[str, CMArray],
-) -> None:
-    """Reject NaN/Inf in the input arrays up front, naming the offender.
-
-    The opt-in ``apply_stencil(check_finite=True)`` validation: without
-    it, a single NaN in the source silently propagates through every
-    iteration (the FPU saturates, it does not trap).
-    """
-    # Coefficients by their own buffer names: the statement names are
-    # bound to them only once the run starts.
-    names = [source.name] + [array.name for array in coefficients.values()]
-    for term in getattr(compiled.pattern, "extra_terms", ()):
-        if term.source not in names:
-            names.append(term.source)
-        coeff = term.coeff
-        if (
-            coeff.kind is CoeffKind.ARRAY
-            and coeff.name not in coefficients
-            and coeff.name not in names
-        ):
-            names.append(coeff.name)
-    for name in names:
-        if not np.isfinite(stack_of(source.machine, name)).all():
-            raise NonFiniteInputError(
-                f"input array {name!r} contains NaN/Inf "
-                "(apply_stencil was called with check_finite=True)"
-            )
 
 
 def node_execute_exact(

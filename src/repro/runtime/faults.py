@@ -80,6 +80,7 @@ import numpy as np
 from ..machine.health import link_key
 from ..machine.memory import parity_word
 from ..verify import lockdep
+from ..verify.aliasing import ExecutionSetupError
 
 
 class FaultError(Exception):
@@ -108,9 +109,9 @@ class DegradationExhaustedError(FaultError):
     fault, so reaching this indicates persistent exchange failure)."""
 
 
-class NonFiniteInputError(FaultError, ValueError):
-    """An input array handed to ``apply_stencil(check_finite=True)``
-    contains NaN or Inf."""
+class NonFiniteInputError(FaultError, ExecutionSetupError):
+    """An input array handed to a stencil call with
+    ``check_finite=True`` contains NaN or Inf."""
 
 
 class NodeDeadError(FaultError):

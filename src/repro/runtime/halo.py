@@ -289,7 +289,7 @@ def exchange_halo(
     def destination() -> np.ndarray:
         padded = machine.stacked(name)
         if padded is None or padded.shape[2:] != shape:
-            padded = machine.alloc_stacked(name, shape)
+            padded = machine.storage.allocate(name, shape)
         return padded
 
     return _exchange(

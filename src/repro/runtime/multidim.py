@@ -253,7 +253,7 @@ def apply_stencil_3d(
 def _ensure_zero_slab(machine: CM2, subgrid_shape: Tuple[int, int]) -> None:
     stack = machine.stacked(ZERO_SLAB)
     if stack is None or stack.shape[2:] != subgrid_shape:
-        machine.alloc_stacked(ZERO_SLAB, subgrid_shape)
+        machine.storage.allocate(ZERO_SLAB, subgrid_shape)
 
 
 def _point_depth_aliases(
@@ -272,7 +272,7 @@ def _point_depth_aliases(
             target = slab_name(source.name, target_k)
         else:
             target = ZERO_SLAB
-        machine.alias_stacked(depth_alias(tap.dz), target)
+        machine.storage.alias(depth_alias(tap.dz), target)
 
 
 # ----------------------------------------------------------------------

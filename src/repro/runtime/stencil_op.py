@@ -23,10 +23,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from ..compiler.plan import CompiledStencil
-from ..verify.aliasing import ensure_no_aliasing
-from .batch import StencilRun, run_stencil
+from .batch import StencilRun, check_call, run_stencil
 from .cm_array import CMArray
-from .executor import check_arrays, check_finite_arrays
 from .faults import FaultInjector, ResiliencePolicy
 
 # Not called here: perfbench's tracer wraps these by this module's
@@ -58,9 +56,12 @@ def apply_stencil(
         compiled: output of :func:`repro.compiler.compile_stencil` (or
             the Fortran/defstencil drivers).
         source: the shifted data array (``X`` in the paper).
-        coefficients: coefficient arrays by statement name (``C1``...).
+        coefficients: coefficient arrays by statement name (``C1``...);
+            a name left out is read from the array resident on the
+            machine under that statement name.
         result: the result array, its name, or None to create one named
-            after the statement's left-hand side.
+            after the statement's left-hand side.  A name is allocated
+            afresh, so the in-place update passes the array itself.
         iterations: how many times to apply the stencil.  The result of
             iteration *k* is the source of iteration *k+1*: before every
             iteration after the first, the halos are re-exchanged from
@@ -109,22 +110,17 @@ def apply_stencil(
     Returns:
         a :class:`StencilRun` with the result and full cost accounting.
 
-    Raises :class:`~repro.runtime.executor.ExecutionSetupError` when an
-    array does not match the statement or is not held by the machine
-    storage.
+    Raises :class:`~repro.runtime.cm_array.ExecutionSetupError` from
+    :func:`~repro.runtime.batch.check_call`, before anything is
+    allocated: a malformed call leaves machine storage untouched.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
-    machine = source.machine
-    coefficients = coefficients or {}
-    if result is None:
-        result = compiled.pattern.result
-    if isinstance(result, str):
-        result = CMArray(result, machine, source.global_shape)
-    check_arrays(compiled, source, coefficients, result)
-    ensure_no_aliasing(compiled, source, coefficients, result)
-    if check_finite:
-        check_finite_arrays(compiled, source, coefficients)
+    name = check_call(
+        (compiled,), source, coefficients, result, solo=True,
+        iterations=iterations, block_depth=block_depth,
+        check_finite=check_finite,
+    )
+    if not isinstance(result, CMArray):
+        result = CMArray(name, source.machine, source.global_shape)
     return run_stencil(
         (compiled,),
         source.name,
@@ -132,7 +128,7 @@ def apply_stencil(
         result,
         (result.stacked,),
         (result.name,),
-        coefficients,
+        dict(coefficients or {}),
         iterations=iterations,
         exact=exact,
         block_depth=block_depth,

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..machine.params import MachineParams
 from ..stencil.multistencil import multistencil_widths
-from .aliasing import AliasingError, check_aliasing, ensure_no_aliasing
+from .aliasing import AliasingError, check_aliasing
 from .concurrency import (
     RaceCheckResult,
     analyze_sources,
@@ -61,7 +61,6 @@ __all__ = [
     "assert_verified",
     "check_aliasing",
     "check_register_usage",
-    "ensure_no_aliasing",
     "has_errors",
     "lint_path",
     "lint_source",

@@ -1,4 +1,4 @@
-"""Static aliasing checks for ``apply_stencil`` calls.
+"""Static aliasing checks for stencil calls.
 
 The batched executor computes the result strip by strip from the padded
 halo buffer and the coefficient/extra-term buffers; if the destination
@@ -6,7 +6,8 @@ array aliases any of them the answer becomes order-dependent (whichever
 strip writes first changes what a later strip reads).  The Fortran
 recognizer already rejects ``R = ... CSHIFT(R, ...)`` at the source
 level; these checks close the same hole at the run-time API, where
-callers hand over arrays directly:
+callers hand over arrays directly (both entry points run them, by
+name, for every filter, before anything is allocated):
 
 * ``RS601`` the destination is (or is named as) the shifted source;
 * ``RS602`` the destination aliases an ARRAY coefficient -- the passed
@@ -27,11 +28,20 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..stencil.pattern import CoeffKind
-from .diagnostics import Diagnostic, has_errors, plan_error, plan_warning
+from .diagnostics import Diagnostic, plan_error, plan_warning
 
 
-class AliasingError(Exception):
-    """The destination of an ``apply_stencil`` call aliases an input."""
+class ExecutionSetupError(ValueError):
+    """A stencil call's arguments do not match its compiled filters.
+
+    Defined here, not in :mod:`repro.runtime`, so that this package
+    never imports the run time (the compile cache imports it); the run
+    time re-exports it from :mod:`repro.runtime.cm_array`.
+    """
+
+
+class AliasingError(ExecutionSetupError):
+    """The destination of a stencil call aliases an input."""
 
     def __init__(self, diagnostics: List[Diagnostic]) -> None:
         self.diagnostics = diagnostics
@@ -106,25 +116,3 @@ def check_aliasing(
                 )
             )
     return diagnostics
-
-
-def ensure_no_aliasing(compiled, source, coefficients, result) -> None:
-    """Reject an aliased ``apply_stencil`` call before any work happens.
-
-    ``source``/``result`` are :class:`~repro.runtime.cm_array.CMArray`
-    instances; ``coefficients`` maps statement names to arrays.  Raises
-    :class:`AliasingError` on any error-severity aliasing (warnings --
-    the in-place extra-term idiom -- pass through).
-    """
-    coefficients = coefficients or {}
-    diagnostics = check_aliasing(
-        compiled.pattern,
-        result_name=result.name,
-        source_name=source.name,
-        coefficient_arrays={
-            statement: array.name for statement, array in coefficients.items()
-        },
-        same_object=result is source,
-    )
-    if has_errors(diagnostics):
-        raise AliasingError(diagnostics)

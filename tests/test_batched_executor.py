@@ -175,6 +175,6 @@ def test_a_freed_array_is_a_typed_error():
     machine, compiled, x, coeffs, _, _ = make_problem(
         cross(1), 8, (16, 24), seed=3
     )
-    machine.free_stacked("C1")
+    machine.storage.free("C1")
     with pytest.raises(ExecutionSetupError, match="'C1'"):
         apply_stencil(compiled, x, coeffs, "R")

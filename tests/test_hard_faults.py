@@ -146,7 +146,7 @@ class TestSpareConfiguration:
 
     def test_spare_node_serves_its_coordinates_tiles(self):
         machine = CM2(MachineParams(num_nodes=4), spares=2)
-        machine.alloc_stacked("A", (3, 3))
+        machine.storage.allocate("A", (3, 3))
         stack = machine.stacked("A")
         stack[...] = np.arange(stack.size, dtype=np.float32).reshape(
             stack.shape

@@ -117,16 +117,16 @@ class TestOneStorage:
 
     def test_alloc_alias_free_and_reallocation(self):
         machine = CM2(MachineParams(num_nodes=8))
-        machine.alloc_stacked("A", (2, 3))
+        machine.storage.allocate("A", (2, 3))
         assert_every_node_reads_its_tile(machine, "A")
-        machine.alias_stacked("B", "A")
+        machine.storage.alias("B", "A")
         assert machine.stacked("B") is machine.stacked("A")
         assert_every_node_reads_its_tile(machine, "B")
-        machine.alloc_stacked("A", (4, 5))  # same name, new stack
+        machine.storage.allocate("A", (4, 5))  # same name, new stack
         assert_every_node_reads_its_tile(machine, "A")
         assert machine.node(1, 2).memory.buffer("A").shape == (4, 5)
         assert_every_node_reads_its_tile(machine, "B")  # still the old one
-        machine.free_stacked("B")
+        machine.storage.free("B")
         for node in machine.nodes():
             assert not node.memory.has_buffer("B")
             with pytest.raises(MemoryError_, match="no buffer named 'B'"):
@@ -134,14 +134,14 @@ class TestOneStorage:
 
     def test_remap_serves_old_and_new_stacks(self):
         machine = CM2(MachineParams(num_nodes=4), spares=1)
-        machine.alloc_stacked("A", (2, 2))
+        machine.storage.allocate("A", (2, 2))
         machine.stacked("A")[...] = np.arange(16, dtype=np.float32).reshape(
             2, 2, 2, 2
         )
         spare = machine.remap_node(0, 1)
         assert machine.node(0, 1) is spare
         assert_every_node_reads_its_tile(machine, "A")
-        machine.alloc_stacked("C", (3, 3))  # allocated after the remap
+        machine.storage.allocate("C", (3, 3))  # allocated after the remap
         assert_every_node_reads_its_tile(machine, "C")
         assert np.shares_memory(
             spare.memory.buffer("C"), machine.stacked("C")[0, 1]
@@ -149,7 +149,7 @@ class TestOneStorage:
 
     def test_batched_stacks_stay_whole_machine(self):
         machine = CM2(MachineParams(num_nodes=4))
-        machine.alloc_batch_stacked("Q", (3,), (2, 2))
+        machine.storage.allocate("Q", (2, 2), (3,))
         node = machine.node(0, 0)
         assert not node.memory.has_buffer("Q")
         with pytest.raises(MemoryError_, match="'Q'"):
@@ -168,7 +168,7 @@ class TestOneStorage:
     )
     def test_changing_a_distributed_name_is_refused(self, action):
         machine = CM2(MachineParams(num_nodes=4), spares=1)
-        machine.alloc_stacked("A", (2, 2))
+        machine.storage.allocate("A", (2, 2))
         for memory in [node.memory for node in machine.nodes()] + [
             machine._spare_nodes[4].memory
         ]:
@@ -179,7 +179,7 @@ class TestOneStorage:
 
     def test_private_buffers_live_beside_distributed_ones(self):
         machine = CM2(MachineParams(num_nodes=4))
-        machine.alloc_stacked("A", (2, 2))
+        machine.storage.allocate("A", (2, 2))
         memory = machine.node(1, 1).memory
         memory.ensure_constant_pages([0.5])
         assert memory.has_buffer("A") and "A" not in memory.buffer_names
@@ -401,35 +401,3 @@ class TestCheckpointRestore:
         storage.allocate("R", (4, 4))
         with pytest.raises(MemoryError_, match="reshaped"):
             storage.restore(snapshot)
-
-
-class TestStorageParitySeal:
-    def test_seal_check_clear(self):
-        from repro.machine.memory import MachineStorage
-
-        storage = MachineStorage((1, 2))
-        stack = storage.allocate("X", (2, 2))
-        stack[...] = 1.0
-        assert storage.check_parity("X")  # never sealed: vacuously true
-        storage.seal_parity("X")
-        assert storage.check_parity("X")
-        stack.view(np.uint32)[0, 0, 1, 1] ^= np.uint32(1)
-        assert not storage.check_parity("X")
-        storage.clear_parity("X")
-        assert storage.check_parity("X")
-
-    def test_seal_unknown_buffer_raises(self):
-        from repro.machine.memory import MachineStorage
-
-        storage = MachineStorage((1, 1))
-        with pytest.raises(MemoryError_):
-            storage.seal_parity("X")
-
-    def test_check_parity_false_when_buffer_freed(self):
-        from repro.machine.memory import MachineStorage
-
-        storage = MachineStorage((1, 1))
-        storage.allocate("X", (2, 2))
-        storage.seal_parity("X")
-        storage.free("X")
-        assert not storage.check_parity("X")

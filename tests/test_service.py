@@ -823,9 +823,12 @@ class TestCircuitBreaker:
 
 
 class TestOverloadShedding:
-    def test_watermark_sheds_lowest_priority_first(self):
+    def test_watermark_sheds_lowest_priority_first(self, job_gate):
+        # The gate holds the running job until the vip one is admitted,
+        # so the queue is at its watermark for the whole scenario; the
+        # long deadline keeps the held job from timing out meanwhile.
         pool = MachinePool(PARAMS, default_partition=(4, 4))
-        policy = _fast_policy(max_queue_depth=1)
+        policy = _fast_policy(max_queue_depth=1, deadline_seconds=60.0)
         with Scheduler(pool, service_policy=policy, max_workers=1) as sched:
             running = sched.submit(
                 StencilJob(tenant="t", grid_shape=(64, 64), iterations=8,
@@ -850,6 +853,7 @@ class TestOverloadShedding:
             )
             assert queued.outcome == "shed"
             assert isinstance(queued.error, OverloadError)
+            job_gate.set()
             running.result(timeout=60.0)
             vip.result(timeout=60.0)
         accounts = sched.accounts

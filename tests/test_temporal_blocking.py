@@ -297,9 +297,9 @@ class TestPingPongReuse:
         from repro.runtime.halo import halo_buffer_name
 
         shape = tuple(s + 4 for s in x.subgrid_shape)
-        ping, pong = machine.pingpong_stacked(halo_buffer_name("X"), shape)
+        ping, pong = machine.storage.pingpong(halo_buffer_name("X"), shape)
         apply_stencil(compiled, x, coeffs, "R", iterations=4, block_depth=2)
-        ping2, pong2 = machine.pingpong_stacked(halo_buffer_name("X"), shape)
+        ping2, pong2 = machine.storage.pingpong(halo_buffer_name("X"), shape)
         assert ping is ping2 and pong is pong2
 
     def test_depth_change_reallocates_then_stabilizes(self):
