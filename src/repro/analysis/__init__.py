@@ -5,7 +5,6 @@ from .chaos import ChaosReport, ChaosTrial, run_campaign, run_trial
 from .flops import (
     FlopAccounting,
     account,
-    account_blocked,
     blocked_redundant_points,
 )
 from . import roofline
@@ -44,7 +43,6 @@ __all__ = [
     "run_trial",
     "RateReport",
     "account",
-    "account_blocked",
     "blocked_redundant_points",
     "extrapolate_mflops",
     "format_comparison",

@@ -97,30 +97,6 @@ def blocked_redundant_points(
     return extra * nodes
 
 
-def account_blocked(
-    pattern: StencilPattern,
-    subgrid_shape: Tuple[int, int],
-    iterations: int,
-    depth: int,
-    nodes: int = 1,
-) -> FlopAccounting:
-    """Flop accounting for a temporally blocked iterated run: useful
-    work is unchanged, the halo ring's recomputation shows up as
-    ``redundant_points``."""
-    rows, cols = subgrid_shape
-    pad = pattern.border_widths().max_width
-    return FlopAccounting(
-        pattern_name=pattern.name or "stencil",
-        points=rows * cols * nodes,
-        iterations=iterations,
-        useful_per_point=pattern.useful_flops_per_point(),
-        issued_ma_per_point=pattern.issued_multiply_adds_per_point(),
-        redundant_points=blocked_redundant_points(
-            subgrid_shape, pad, iterations, depth, nodes
-        ),
-    )
-
-
 def account_batch(
     patterns,
     subgrid_shape: Tuple[int, int],

@@ -205,16 +205,24 @@ def select_batch_block_depths(
     """Per-filter block depths for a whole batched filter set, memoized
     on the set.
 
-    The engine plans one machine pass for the entire filter set, so
-    the depth cache is keyed on the set too (a ``"batchset"``
-    entry over every member's pattern): re-submitting the same workload
-    -- the service's steady state -- resolves every depth in one cache
-    hit instead of F sweeps.  Unblockable filters resolve to depth 1.
+    Each filter's pick is its one-filter optimum
+    (:func:`select_block_depth`), but the engine runs the set as one
+    schedule: its filters share exchanges, and a blocked filter beside
+    them changes what they share.  So the picks stand only when the
+    set's schedule at those depths prices below the set at depth 1;
+    otherwise every filter resolves to 1.  The depth cache is keyed on
+    the set (a ``"batchset"`` entry over every member's pattern):
+    re-submitting the same workload -- the service's steady state --
+    resolves every depth in one cache hit instead of F sweeps.
+    Unblockable filters resolve to depth 1.
     """
+    # Imported lazily: the runtime layer imports this module's siblings.
+    from ..runtime.blocking import BlockList
+
     filters = tuple(filters)
 
     def sweep() -> Tuple[int, ...]:
-        return tuple(
+        picks = tuple(
             select_block_depth(
                 compiled,
                 subgrid_shape,
@@ -225,6 +233,16 @@ def select_batch_block_depths(
             )
             for compiled in filters
         )
+        ones = (1,) * len(filters)
+        if len(filters) > 1 and picks != ones:
+            def price(depths):
+                return BlockList(
+                    filters, subgrid_shape, iterations, depths
+                ).seconds(batch, machine)
+
+            if not price(picks) < price(ones):
+                return ones
+        return picks
 
     try:
         key = (

@@ -19,15 +19,16 @@ stacks with leading axes::
 Because every halo helper indexes the node grid at ``-4``/``-3`` and the
 subgrid at ``-2``/``-1``, and 4-d coefficient and fused extra-source
 stacks broadcast across the leading axes, the same slice assignments
-and the same tap kernel serve any leading shape.  Filters are grouped
-by boundary treatment ``(row mode, col mode, fill value)``; each
-group's first exchange is ONE machine pass of ``B`` messages serving
-every member filter, instead of the ``B x F`` messages a loop of solo
-calls would send.  Groups whose members share a footprint (same pad,
-same corner reach) exchange at exactly that footprint; mixed-footprint
-groups exchange once at the widest member's pad with composed corners,
-and each filter reads its own centered window -- bit-identical to that
-filter's own exchange.
+and the same tap kernel serve any leading shape.  A run is a list of
+blocks (:class:`~repro.runtime.blocking.BlockList`), which one loop
+runs.  Filters are grouped by boundary treatment; each group's first
+exchange is ONE machine pass of ``B`` messages serving every member
+filter, instead of the ``B x F`` messages a loop of solo calls sends.
+Groups whose members share a footprint (same pad, same corner reach)
+exchange at exactly that footprint; mixed-footprint groups exchange
+once at the widest member's pad with composed corners, and each filter
+reads its own centered window -- bit-identical to that filter's own
+exchange.
 
 Front-end accounting draws the same distinction the sequencer hardware
 does.  The address generator iterates the batch axis with a run-time
@@ -42,7 +43,7 @@ win over a loop of solo calls comes from on small subgrids.
 Bit-identity contract: entry ``(b, f)`` of ``apply_stencil_batch(...)``
 equals ``apply_stencil(filters[f], sources[b], ...)`` bit for bit in
 float32, for every boundary mode, block depth, execution mode and
-recovery path: both run these loops, and shared halos are provably
+recovery path: both run this loop, and shared halos are provably
 bit-identical to per-filter halos (centered sub-windows and composed
 corners reproduce the solo exchange's bytes; corner-skipping filters
 never read corner cells).
@@ -65,12 +66,11 @@ from ..machine.params import MachineParams
 from ..verify.aliasing import AliasingError, check_aliasing
 from ..verify.diagnostics import has_errors
 from .blocking import (
+    BlockList,
     ClosedForm,
+    Pass,
     array_coefficient_names,
-    block_compute_cycles,
-    block_steps,
-    boundary_groups,
-    closed_form,
+    block_compute,
     depth_cap,
     elapsed_seconds,
 )
@@ -98,13 +98,10 @@ from .faults import (
 )
 from .halo import (
     CommStats,
-    deep_exchange_cost,
-    deep_width_cost,
-    exchange_cost,
     exchange_halo_batch,
-    exchange_halo_deep,
     # Not called here: perfbench's tracer wraps the engine's exchanges
-    # by this module's attributes and still looks this one up.
+    # by this module's attributes and still looks these up.
+    exchange_halo_deep,
     exchange_halo_deep_width,
     exchange_halo_group,
     halo_buffer_name,
@@ -289,19 +286,19 @@ class StencilRun:
         batch: number of independent source grids ``B``.
         iterations: iterations applied (every filter, every grid).
         exact: whether the cycle-stepped datapath ran.
-        block_depths: per-filter temporal block depth (1 = unblocked).
+        block_depths: per-filter temporal block depth (1: one-step blocks).
         num_exchanges: source halo messages charged over the whole run
             (a shared group pass counts ``batch`` messages -- the halos
             really move -- but rides on one machine pass).
-        coeff_exchanges: coefficient deep exchanges (blocked runs);
-            charged once per (coefficient, depth), NOT per batch entry.
+        coeff_exchanges: coefficient deep exchanges (filters deeper than
+            1); charged once per (coefficient, width), NOT per batch entry.
         total_comm_cycles: all exchange cycles.
         total_compute_cycles: all node compute cycles (scaled by
             ``batch``).
         total_half_strips: microcode invocations *executed* by the
             sequencer (scaled by ``batch``).
         host_calls: run-time-library invocations the host made: one per
-            group machine pass, one per later temporal block.
+            pass of the run's block list.
         per_filter: one :class:`FilterCost` per filter.
         fault_stats: chaos-run fault/retry/recovery accounting; all zero
             on an unguarded run.
@@ -498,7 +495,7 @@ def _resolve_depths(
     (the deep exchange does not manage extra sources) resolve every
     filter to depth 1.  An int is clamped per filter to what its pad
     and the subgrid support (1 for unblockable patterns); ``"auto"``
-    prices each filter through the batch-aware cost model.
+    prices each filter, then the set, through the batch-aware model.
     """
     requested = None if block_depth == "auto" else block_depth
     fused = any(getattr(f.pattern, "extra_terms", ()) for f in filters)
@@ -515,9 +512,9 @@ def _resolve_depths(
 
 
 class _Plan:
-    """What every loop of one call shares: the filters and groups, the
-    source stack and its name, one result slab per filter, and the
-    coefficient and extra-source stacks by statement name."""
+    """What every rung of one call shares: the filters, the source stack
+    and its name, one result slab per filter, and the coefficient and
+    extra-source stacks by statement name."""
 
     def __init__(
         self,
@@ -541,12 +538,6 @@ class _Plan:
         self.lead = tuple(source.shape[:-4])
         self.batch = math.prod(self.lead)
         self.subgrid = tuple(source.shape[-2:])
-        self.comms = [
-            exchange_cost(f.pattern, self.subgrid, self.params) for f in filters
-        ]
-        self.groups = boundary_groups(
-            [f.pattern for f in filters], self.comms, self.subgrid, self.params
-        )
         self.schedules = [StripSchedule.cached(f, self.subgrid) for f in filters]
         self.arrays: Dict[str, np.ndarray] = {}
 
@@ -560,6 +551,17 @@ class _Plan:
     def padded(self, width: int) -> Tuple[int, int]:
         rows, cols = self.subgrid
         return (rows + 2 * width, cols + 2 * width)
+
+    def window(self, full: int, width: int) -> tuple:
+        """The centered width-``width`` window of a buffer padded
+        ``full`` wide."""
+        rows, cols = self.subgrid
+        delta = full - width
+        return (
+            Ellipsis,
+            slice(delta, delta + rows + 2 * width),
+            slice(delta, delta + cols + 2 * width),
+        )
 
     def slab_words(self) -> int:
         """Words per node of one filter's result slab."""
@@ -590,8 +592,8 @@ def run_stencil(
     halo buffers), ``outs`` the result slab each filter writes (named
     ``out_names`` in fault sites and ABFT seals), both with the same
     leading axes.  Supplying ``faults`` or ``resilience`` runs the
-    guarded recovery ladder; otherwise the blocked or unblocked loop
-    runs once and the record is the closed form.
+    guarded recovery ladder; otherwise the block list runs once and the
+    record is its closed form.
     """
     plan = _Plan(filters, source_name, source, result, outs, out_names, iterations)
     machine = plan.machine
@@ -616,9 +618,11 @@ def _run_ladder(
     exact: bool,
     guard: Optional[FaultGuard],
 ) -> StencilRun:
-    """Run the loops; under guard, walk the graceful-degradation ladder.
+    """Run the block list; under guard, walk the graceful-degradation
+    ladder.
 
-    Rungs, fastest first: blocked fast path -> unblocked fast path ->
+    Rungs, fastest first, are block lists: the resolved depths (when
+    any is above 1) -> all one-step blocks -> all one-step blocks on the
     exact per-node executor.  All three are bit-identical in float32, so
     stepping down after repeated unrecoverable faults changes the run's
     cost, never its results.  The exact rung's datapath is modeled as
@@ -641,10 +645,10 @@ def _run_ladder(
     unrecoverable-by-degradation and propagate immediately -- the typed
     failure the no-spare guarantee demands, never silent corruption.
     """
-    unblocked = tuple(1 for _ in depths)
-    rungs = ["exact"] if exact else ["fast", "exact"]
-    if depths != unblocked:
-        rungs.insert(0, "blocked")
+    ones = tuple(1 for _ in depths)
+    rungs = [("exact", ones)] if exact else [("fast", ones), ("exact", ones)]
+    if depths != ones:
+        rungs.insert(0, ("blocked", depths))
     if guard is None:
         del rungs[1:]
     else:
@@ -657,13 +661,13 @@ def _run_ladder(
                 names.append(plan.source_name)
             guard.genesis = machine.storage.checkpoint(names)
             guard.charge_checkpoint(machine.migration_words())
-    for index, rung in enumerate(rungs):
+    for index, (rung, rung_depths) in enumerate(rungs):
+        blocks = BlockList(
+            plan.filters, plan.subgrid, plan.iterations, rung_depths
+        )
         try:
-            if rung == "blocked":
-                _run_blocked(plan, depths, guard)
-                return _record(plan, depths, False, [None] * len(depths), guard)
-            measured = _run_unblocked(plan, rung == "exact", guard)
-            return _record(plan, unblocked, rung == "exact", measured, guard)
+            measured = _Loop(plan, blocks, rung == "exact", guard).run()
+            return _record(plan, blocks, rung == "exact", measured, guard)
         except (NoSpareError, LinkDownError):
             # Hardware is gone and no spare capacity remains: stepping
             # down a rung cannot help, and limping on would corrupt.
@@ -672,111 +676,8 @@ def _run_ladder(
             if index == len(rungs) - 1:
                 raise
             guard.reclaim_rung()
-            guard.note_degradation(f"{rung}->{rungs[index + 1]}")
+            guard.note_degradation(f"{rung}->{rungs[index + 1][0]}")
     raise AssertionError("unreachable: the last rung returns or raises")
-
-
-class _PassFailed(Exception):
-    """A filter pass still failed verification after every retry."""
-
-    def __init__(self, error: FaultError) -> None:
-        super().__init__(str(error))
-        self.error = error
-
-
-class _Rollback:
-    """One guarded loop's periodic checkpoints and replay high-water mark.
-
-    Iterations below ``high`` were already charged canonically once;
-    their re-runs are routed to the replay buckets so totals keep
-    reconciling as closed form + recovery.
-    """
-
-    def __init__(self, plan: _Plan, guard: FaultGuard) -> None:
-        self.plan = plan
-        self.guard = guard
-        self.checkpoint = None
-        self.iteration = 0
-        self.replays = 0
-        self.high = 0
-
-    def take(self, k: int) -> None:
-        plan = self.plan
-        self.checkpoint = plan.machine.storage.checkpoint([plan.result.name])
-        self.iteration = k
-        self.guard.charge_checkpoint(len(plan.outs) * plan.slab_words())
-
-    def rewind(self, k: int, lost: int) -> int:
-        """Restore the last checkpoint (or fall back to the untouched
-        source), note the rollback of the ``k - resume + lost``
-        iterations it discards, and return the iteration to resume at."""
-        resume = 0
-        if self.checkpoint is not None:
-            self.plan.machine.storage.restore(self.checkpoint)
-            resume = self.iteration
-        self.guard.note_rollback(k - resume + lost)
-        self.high = max(self.high, k)
-        return resume
-
-
-def _named_stack(
-    machine: CM2,
-    name: str,
-    lead: Tuple[int, ...],
-    shape: Tuple[int, int],
-) -> np.ndarray:
-    """The distributed stack ``name``, (re)allocated when missing or
-    reshaped.  Exchanges look it up inside their hard-fault window, so
-    a node that dies there never held it."""
-    stack = machine.storage.get(name)
-    if stack is None or stack.shape != lead + tuple(machine.shape) + shape:
-        stack = machine.storage.allocate(name, shape, lead)
-    return stack
-
-
-def _exchange_group(
-    plan: _Plan, gi: int, k: int, guard: Optional[FaultGuard]
-) -> Tuple[List[np.ndarray], int, CommStats]:
-    """Iteration ``k``'s exchange for group ``gi``: one machine pass.
-
-    Iteration 0 exchanges the source, one ``batch``-message pass serving
-    every member.  Later, each filter reads its own previous iterate: a
-    one-member group exchanges its result slab into the same buffer; a
-    larger group gathers its members' slabs (a copy; the exchange reads
-    and verifies against it) into one pass of ``batch * members``
-    messages.  Returns each member's padded input, the messages sent,
-    and the per-message cost.
-    """
-    group = plan.groups[gi]
-    members = group.indices
-    shape = plan.padded(group.width)
-    name = plan.halo_name(gi)
-    if k and len(members) > 1:
-        stack = np.stack([plan.outs[fi] for fi in members], axis=-5)
-        name = f"{name}__gather__"
-        gathered = plan.machine.storage.scratch(name, shape, stack.shape[:-4])
-        destination = lambda: gathered
-    else:
-        stack = plan.outs[members[0]] if k else plan.source
-        destination = lambda: _named_stack(plan.machine, name, plan.lead, shape)
-    copies = math.prod(stack.shape[:-4])
-    site = f"exchange into {name!r}"
-    if group.uniform:
-        stats = exchange_halo_batch(
-            stack, destination, group.representative, plan.subgrid,
-            plan.params, copies=copies, guard=guard, site=site,
-        )
-    else:
-        stats = exchange_halo_group(
-            stack, destination, group.representative, plan.subgrid,
-            plan.params, group.width, copies=copies, guard=guard, site=site,
-        )
-    padded = destination()
-    if padded.ndim > plan.source.ndim:
-        views = [padded[..., j, :, :, :, :] for j in range(len(members))]
-    else:
-        views = [padded] * len(members)
-    return views, copies, stats
 
 
 #: Storage names under which exact mode binds one grid's stacks.
@@ -826,174 +727,132 @@ def _exact_pass(
     return cycles
 
 
-def _pass(
-    plan: _Plan,
-    fi: int,
-    padded: np.ndarray,
-    width: int,
-    exact: bool,
-    guard: Optional[FaultGuard],
-    ledger: list,
-    measured: List[Optional[int]],
-) -> None:
-    """Filter ``fi``'s unblocked pass over every grid.
+class _Loop:
+    """One rung: one block list run once, fast or exact, guarded or not.
 
-    Under guard the fast pass may be poisoned and is verified finite; a
-    detected fault is recomputed (the padded input is untouched by the
-    executor, so a recompute is a clean retry) up to
-    ``policy.max_retries`` times, every attempt charged.  The exact
-    rung is modeled ECC-protected: nothing is injected there.  Raises
-    :class:`_PassFailed` when the retries run out.
+    It walks the list (:class:`~repro.runtime.blocking.BlockList`)
+    iteration by iteration: each pass is one machine pass
+    (:meth:`_exchange`), then one block per member (:meth:`_block`).  A
+    filter whose block output bit-equals its input -- a fixed point;
+    NaNs compare unequal -- stops computing, and its remaining blocks
+    are charged at their price.
+
+    Under guard every exchange is checksummed and retried by the
+    exchange itself, and a fault in a block climbs three rungs:
+
+    1. the block re-runs from its intact input (a deeper block
+       exchanges again first), up to ``policy.max_retries`` times;
+    2. the run rolls back to its last checkpoint of the result slabs
+       (:meth:`~repro.runtime.blocking.BlockList.checkpoints`), or to
+       the untouched source, and replays, up to ``policy.max_replays``
+       times per run;
+    3. the ladder steps down a rung (:func:`_run_ladder`).
+
+    A dead node is remapped onto a spare, its tile restored from the
+    genesis checkpoint, and the run rewound the same way.  With ABFT
+    (fast rungs), the slabs an iteration wrote are sealed, the injector
+    gets its SDC window once any due checkpoint is taken, and each slab
+    is verified and forward-corrected before anything reads it; multi-
+    cell damage rolls back like a failed block.  Iterations below the
+    replay high-water mark were charged once, so their re-runs land in
+    the replay buckets.
     """
-    out = plan.outs[fi]
-    schedule = plan.schedules[fi]
-    strips = plan.batch * schedule.num_half_strips
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            if exact:
-                measured[fi] = _exact_pass(plan, fi, padded, width, measured[fi])
-            else:
-                machine_execute_fast_stack(
-                    plan.filters[fi].pattern,
-                    padded=padded,
-                    coeff_stacks=plan.arrays,
-                    halo=width,
-                    out=out,
-                )
-                if guard is not None:
-                    guard.inject_poison(out)
-                    guard.verify_finite(
-                        out, f"fast executor result {plan.out_names[fi]!r}"
-                    )
-        except FaultError as error:
-            # guard is not None here: only its checks raise.
-            cycles = measured[fi] or schedule.compute_cycles(plan.params)
-            guard.charge_compute(plan.batch * cycles, strips, recovery=True)
-            if attempt > guard.policy.max_retries:
-                raise _PassFailed(error) from error
-            guard.note_recompute()
-            continue
+
+    def __init__(
+        self,
+        plan: _Plan,
+        blocks: BlockList,
+        exact: bool,
+        guard: Optional[FaultGuard],
+    ) -> None:
+        self.plan = plan
+        self.blocks = blocks
+        self.exact = exact
+        self.guard = guard
+        self.measured: List[Optional[int]] = [None] * len(plan.filters)
+        #: Filters at a fixed point, and the iteration it begins at.
+        self.fixed: Dict[int, int] = {}
+        #: Coefficient deep halos by (group, name, width), while intact.
+        self.coeffs: Dict[Tuple[int, str, int], np.ndarray] = {}
+        #: Coefficient halos charged canonically; exchanging one again
+        #: (after a node death) is a replay.
+        self.charged: set = set()
+        #: The last checkpoint, as (iteration, stored result slabs).
+        self.checkpoint = None
+        self.replays = 0
+        self.high = 0
+
+    def run(self) -> List[Optional[int]]:
+        """Run the list; returns the exact cycle count of each filter's
+        pass (None in fast mode)."""
+        plan, guard = self.plan, self.guard
+        starting: List[List[Pass]] = [[] for _ in range(plan.iterations)]
+        for p in self.blocks.passes:
+            starting[p.start].append(p)
+        abft = guard is not None and guard.policy.abft and not self.exact
+        marks = frozenset()
         if guard is not None:
-            cycles = plan.batch * (
-                measured[fi] if exact else schedule.compute_cycles(plan.params)
-            )
-            guard.charge_compute(cycles, strips)
-            if not guard.replaying:
-                ledger.append(lambda: guard.reclaim_compute(cycles, strips))
-        return
-
-
-def _run_unblocked(
-    plan: _Plan, exact: bool, guard: Optional[FaultGuard]
-) -> List[Optional[int]]:
-    """The per-iteration loop (every block depth 1), fast or exact.
-
-    Each iteration exchanges every group (see :func:`_exchange_group`)
-    and runs every member's pass.  When every filter's iterate
-    bit-equals the input it was computed from -- a fixed point -- every
-    later iteration would reproduce the same bits, so the loop stops
-    computing; the accounting still charges every iteration.  NaNs
-    compare unequal, so diverging runs are never cut short.
-
-    Under guard, every exchange is checksummed and retried by the
-    exchange itself; a pass still failing after its retries rolls the
-    run back to the last periodic checkpoint (or to iteration 0,
-    replaying from the untouched source) and replays, bounded by
-    ``policy.max_replays``; a dead node is remapped onto a spare, its
-    tile restored from the genesis checkpoint, and the run rewound the
-    same way.  With ABFT (fast rung only), every result slab is sealed
-    after its pass, the injector gets its SDC window once the periodic
-    checkpoint is safely taken, and every slab is verified and
-    forward-corrected as the iteration's last act, so neither the next
-    exchange nor the caller reads unverified bits; multi-cell damage
-    rolls back like a failed pass.  Returns the exact cycle count per
-    filter (None in fast mode).
-    """
-    iterations = plan.iterations
-    rows, cols = plan.subgrid
-    measured: List[Optional[int]] = [None] * len(plan.filters)
-    abft = guard is not None and guard.policy.abft and not exact
-    rollback = _Rollback(plan, guard) if guard is not None else None
-    k = 0
-    while k < iterations:
-        # Canonical charges of this iteration, undone (moved into the
-        # replay buckets) if it rolls back: its re-run charges them.
-        ledger: list = []
-        fixed = k < iterations - 1
-        try:
+            marks = self.blocks.checkpoints(guard.policy.checkpoint_interval)
+        k = 0
+        while k < plan.iterations:
+            # Canonical charges of this iteration, undone (moved into the
+            # replay buckets) if it rolls back: its re-run charges them.
+            ledger: list = []
             if guard is not None:
-                guard.replaying = k < rollback.high
-            for gi, group in enumerate(plan.groups):
-                views, copies, stats = _exchange_group(plan, gi, k, guard)
-                if guard is not None and not guard.replaying:
-                    ledger += [
-                        lambda c=stats.cycles: guard.reclaim_exchange(c)
-                    ] * copies
-                width = group.width
-                for padded, fi in zip(views, group.indices):
-                    _pass(plan, fi, padded, width, exact, guard, ledger, measured)
-                    fixed = fixed and values_equal(
-                        plan.outs[fi],
-                        padded[..., width : width + rows, width : width + cols],
-                    )
-        except NodeDeadError as dead:
-            # A participant's memory is gone, detected before that
-            # exchange moved or charged anything: remap the logical
-            # coordinate onto a spare, restore the migrated tile from
-            # the genesis checkpoint, rewind the iterate and replay.
-            # Raises NoSpareError when no spare remains.
-            guard.replaying = False
-            for undo in ledger:
-                undo()
-            guard.recover_dead_node(dead.coord)
-            k = rollback.rewind(k, 0)
-            continue
-        except _PassFailed as failed:
-            # Recomputing alone did not clear it: roll back to the last
-            # checkpoint (or the untouched source) and replay the
-            # iterations since, this one included.
-            if rollback.replays >= guard.policy.max_replays:
-                raise failed.error
-            rollback.replays += 1
-            for undo in ledger:
-                undo()
-            k = rollback.rewind(k, 1)
-            guard.replaying = False
-            continue
-        if guard is not None:
-            guard.replaying = False
-        k += 1
-        if abft:
+                guard.replaying = k < self.high
+            try:
+                done, failed = self._iteration(starting[k], ledger)
+            except NodeDeadError as dead:
+                # A participant's memory is gone, detected before that
+                # exchange moved or charged anything: remap the logical
+                # coordinate onto a spare, restore the migrated tile from
+                # the genesis checkpoint, rewind the iterate and replay.
+                # Raises NoSpareError when no spare remains.
+                guard.replaying = False
+                guard.recover_dead_node(dead.coord)
+                self.coeffs.clear()
+                k = self._rewind(k, 0, ledger)
+                continue
+            if guard is not None:
+                guard.replaying = False
+            if failed is not None:
+                # Re-running the block alone did not clear it: roll back
+                # and replay the iterations since, this one included.
+                error, steps = failed
+                if self.replays >= guard.policy.max_replays:
+                    raise error
+                self.replays += 1
+                k = self._rewind(k, steps, ledger)
+                continue
+            k += 1
+            if guard is None:
+                continue
             seals = []
-            for out in plan.outs:
-                seals.append(seal_checksums(out))
-                guard.charge_abft(plan.slab_words(), seals=1)
-        if fixed:
-            if guard is not None:
-                _charge_skipped(plan, guard, iterations - k, measured)
-            break
-        if guard is None:
-            continue
-        interval = guard.policy.checkpoint_interval
-        if interval > 0 and k < iterations and k % interval == 0:
-            rollback.take(k)
-        if abft:
-            # The SDC window: the checkpoint (if due) is already taken,
-            # so rollback state is always clean; the strike lands in the
+            if abft:
+                for fi in done:
+                    seals.append(seal_checksums(plan.outs[fi]))
+                    guard.charge_abft(plan.slab_words(), seals=1)
+            if k in marks and len(self.fixed) < len(plan.filters):
+                self.checkpoint = (
+                    k, plan.machine.storage.checkpoint([plan.result.name])
+                )
+                guard.charge_checkpoint(len(plan.outs) * plan.slab_words())
+            if not (abft and done):
+                continue
+            # The SDC window: the checkpoint (if due) is already taken, so
+            # rollback state is always clean; the strike lands in the
             # resident result tiles where no message checksum looks.
             guard.inject_sdc(
                 [
-                    (f"result stack {name!r}", out)
-                    for name, out in zip(plan.out_names, plan.outs)
+                    (f"result stack {plan.out_names[fi]!r}", plan.outs[fi])
+                    for fi in done
                 ]
             )
             try:
-                for out, seal in zip(plan.outs, seals):
+                for fi, seal in zip(done, seals):
                     guard.charge_abft(plan.slab_words(), verifies=1)
                     corrected = verify_and_correct(
-                        out,
+                        plan.outs[fi],
                         seal,
                         site=f"abft iteration {k - 1} result",
                         guard=guard,
@@ -1001,310 +860,285 @@ def _run_unblocked(
                     if corrected:
                         guard.charge_sdc_correction(corrected)
             except SdcUncorrectableError:
-                # Forward correction is out; fall back to the rollback a
-                # failed pass uses.  This iteration's charges stand;
-                # every re-run below the new high-water mark lands in
-                # the replay buckets.
-                if rollback.replays >= guard.policy.max_replays:
+                # Forward correction is out; roll back like a failed
+                # block.  This iteration's charges stand; every re-run
+                # below the new high-water mark lands in the replay
+                # buckets.
+                if self.replays >= guard.policy.max_replays:
                     raise
-                rollback.replays += 1
-                k = rollback.rewind(k, 0)
-    return measured
+                self.replays += 1
+                k = self._rewind(k, 0, ())
+        return self.measured
 
+    def _iteration(self, passes: List[Pass], ledger: list):
+        """Run the passes one iteration starts; returns the filters whose
+        blocks ran, in order, and a block's error and steps if its
+        retries ran out.  Fixed filters' blocks, and a pass of only
+        those, are charged without running (once: not on a replay)."""
+        guard = self.guard
+        canonical = guard is not None and not guard.replaying
+        done = []
+        for p in passes:
+            self._coefficients(p.group)
+            views = None
+            if any(fi not in self.fixed for fi, _ in p.blocks):
+                views = self._exchange(p, ledger)
+            elif canonical:
+                messages = p.messages(self.plan.batch)
+                guard.charge_skipped_exchanges(messages, p.cost.cycles)
+                ledger += [lambda c=p.cost.cycles: guard.reclaim_exchange(c)] * messages
+            for j, (fi, steps) in enumerate(p.blocks):
+                if fi not in self.fixed:
+                    error = self._block(p, fi, steps, views[j], ledger)
+                    if error is not None:
+                        return sorted(done), (error, steps)
+                    done.append(fi)
+                elif canonical:
+                    self._charge(fi, steps, ledger)
+        return sorted(done), None
 
-def _charge_skipped(
-    plan: _Plan,
-    guard: FaultGuard,
-    skipped: int,
-    measured: List[Optional[int]],
-) -> None:
-    """Fixed-point short-circuit under guard: charge the skipped
-    iterations' exchanges and passes exactly like the closed form."""
-    for group in plan.groups:
-        guard.charge_skipped_exchanges(
-            skipped * plan.batch * len(group.indices),
-            group.cost.cycles,
-        )
-    for fi, schedule in enumerate(plan.schedules):
-        cycles = measured[fi] or schedule.compute_cycles(plan.params)
-        guard.charge_compute(
-            skipped * plan.batch * cycles,
-            skipped * plan.batch * schedule.num_half_strips,
-        )
-
-
-def _run_blocked(
-    plan: _Plan, depths: Tuple[int, ...], guard: Optional[FaultGuard]
-) -> None:
-    """The temporally blocked loop (some filter's depth > 1).
-
-    Every filter runs blocks of its own depth on its own ping-pong pair
-    (a depth-1 filter runs one-step blocks: the bits of per-iteration
-    exchanges).  Per group, the coefficient deep halos go first --
-    exchanged once per (coefficient, depth), for the whole batch, and
-    reused by every block, since the halo ring's locally recomputed
-    points need the neighbors' coefficients to reproduce their bits.
-    Then ONE machine pass exchanges the source at the widest member's
-    deep width into that member's ping buffer, and every other member
-    copies its centered window out locally -- bit-identical to its own
-    deep exchange, no messages.  Later blocks re-exchange each filter's
-    own state.
-
-    Under guard, every deep exchange is checksummed and retried, the
-    blocked executor runs parity-sealed, and a block whose corruption
-    survives the exchange retries is replayed from a fresh exchange
-    (bounded by ``policy.max_replays``; the block input lives in the
-    source or the result slab, which no failed attempt modifies).  With
-    ABFT, every block's result is verified before anything reads it
-    (:func:`_verify_block`).  A dead
-    node is remapped onto a spare, the lost tile restored from the
-    genesis checkpoint, and the whole blocked run restarted from the
-    pristine source; exchanges and blocks below the high-water marks
-    replay into the replay buckets.
-    """
-    machine = plan.machine
-    params = plan.params
-    subgrid = plan.subgrid
-    rows, cols = subgrid
-    batch = plan.batch
-    abft = guard is not None and guard.policy.abft
-    # Steps of every block completed so far, in run order: a restart
-    # replays exactly these (the run is deterministic).
-    done_steps: List[int] = []
-    coeff_high = block_high = 0
-    while True:
-        coeff_seq = block_seq = 0
-        try:
-            for gi, group in enumerate(plan.groups):
-                members = group.indices
-                pads = {fi: plan.comms[fi].pad for fi in members}
-                deeps = {fi: depths[fi] * pads[fi] for fi in members}
-                wide = max(deeps.values())
-                owner = next(fi for fi in members if deeps[fi] == wide)
-                halo = plan.halo_name(gi)
-                pairs = {
-                    fi: machine.storage.pingpong(
-                        f"{halo}{fi}", plan.padded(deeps[fi]), plan.lead
-                    )
-                    for fi in members
-                }
-
-                coeff_bufs: Dict[Tuple[str, int], np.ndarray] = {}
+    def _coefficients(self, gi: int) -> None:
+        """Deep-exchange group ``gi``'s coefficient halos unless they
+        are intact: once per (name, width), for the whole batch, since a
+        deeper block's halo ring needs its neighbors' coefficients to
+        reproduce their bits."""
+        plan, guard = self.plan, self.guard
+        for group, fi, name, width in self.blocks.coefficients:
+            key = (group, name, width)
+            if group != gi or key in self.coeffs:
+                continue
+            buf = plan.machine.storage.scratch(
+                f"{name}__deep{width}__{group}", plan.padded(width)
+            )
+            if guard is not None:
+                replaying, guard.replaying = guard.replaying, key in self.charged
+                guard.role = "coeff"
+            try:
+                self._exchange_into(
+                    plan.arrays[name], buf, plan.filters[fi].pattern, width,
+                    True, 1, f"deep exchange (depth {self.blocks.depths[fi]})",
+                )
+            finally:
                 if guard is not None:
-                    guard.role = "coeff"
-                try:
-                    for fi in members:
-                        pattern = plan.filters[fi].pattern
-                        for name in array_coefficient_names(pattern):
-                            if (name, deeps[fi]) in coeff_bufs:
-                                continue
-                            if guard is not None:
-                                guard.replaying = coeff_seq < coeff_high
-                            buf = machine.storage.scratch(
-                                f"{name}__deep{deeps[fi]}__",
-                                plan.padded(deeps[fi]),
-                            )
-                            exchange_halo_deep(
-                                plan.arrays[name], buf, pattern, subgrid,
-                                params, depths[fi], guard=guard,
-                            )
-                            coeff_bufs[(name, deeps[fi])] = buf
-                            coeff_seq += 1
-                            coeff_high = max(coeff_high, coeff_seq)
-                finally:
-                    if guard is not None:
-                        guard.role = "source"
-                        guard.replaying = False
+                    guard.role = "source"
+                    guard.replaying = replaying
+            self.charged.add(key)
+            self.coeffs[key] = buf
 
-                first_steps = min(depths[owner], plan.iterations)
-                first_cost = deep_width_cost(subgrid, params, wide)
+    def _exchange_into(
+        self, stack, destination, pattern, width, composed, copies, site
+    ) -> CommStats:
+        plan = self.plan
+        if composed:
+            return exchange_halo_group(
+                stack, destination, pattern, plan.subgrid, plan.params,
+                width, copies=copies, guard=self.guard, site=site,
+            )
+        return exchange_halo_batch(
+            stack, destination, pattern, plan.subgrid, plan.params,
+            copies=copies, guard=self.guard, site=site,
+        )
 
-                def exchange_source(targets) -> None:
-                    """The group's block-0 input: one machine pass into
-                    the owner's ping, then each target's centered window
-                    of it."""
-                    exchange_halo_group(
-                        plan.source, pairs[owner][0], group.representative,
-                        subgrid, params, wide, copies=batch, guard=guard,
-                        site=f"deep exchange (depth {first_steps})",
-                    )
-                    for target in targets:
-                        if target == owner:
-                            continue
-                        offset = wide - deeps[target]
-                        pairs[target][0][...] = pairs[owner][0][
-                            ...,
-                            offset : offset + rows + 2 * deeps[target],
-                            offset : offset + cols + 2 * deeps[target],
-                        ]
+    def _exchange(self, p: Pass, ledger: list) -> List[np.ndarray]:
+        """Pass ``p``'s machine pass; returns each block's padded input.
+        A first pass fills the group's halo stack from the source (a
+        deeper block copies its centered window into its ping buffer); a
+        later one gathers its members' result slabs (a copy the exchange
+        verifies against), or exchanges one slab into the halo stack or,
+        for a deeper block, its ping window."""
+        plan, guard = self.plan, self.guard
+        members = [fi for fi, _ in p.blocks]
+        deepest = max(steps for _, steps in p.blocks)
+        name = plan.halo_name(p.group)
+        if p.start and len(members) > 1:
+            stack = np.stack([plan.outs[fi] for fi in members], axis=-5)
+            name = f"{name}__gather__"
+            gathered = plan.machine.storage.scratch(
+                name, plan.padded(p.width), stack.shape[:-4]
+            )
+            destination = lambda: gathered
+        elif p.start and deepest > 1:
+            stack = plan.outs[members[0]]
+            ping = self._deep(p.group, members[0], deepest)[0]
+            destination = lambda: ping
+        else:
+            stack = plan.outs[members[0]] if p.start else plan.source
+            shape = plan.padded(p.width)
 
-                if guard is not None:
-                    guard.replaying = block_seq < block_high
-                exchange_source(members)
-                for fi in members:
-                    compiled = plan.filters[fi]
-                    pattern = compiled.pattern
-                    pad, deep = pads[fi], deeps[fi]
-                    out = plan.outs[fi]
-                    ping, pong = pairs[fi]
-                    deep_coeffs = {
-                        name: coeff_bufs[(name, deep)]
-                        for name in array_coefficient_names(pattern)
-                    }
-                    blocks = list(block_steps(plan.iterations, depths[fi]))
-                    for index, steps in enumerate(blocks):
-                        if guard is not None:
-                            guard.replaying = block_seq < block_high
-                        deep_b = steps * pad
-                        # A tail block centers a shallower window inside
-                        # the full-depth buffers so the interior stays
-                        # aligned.
-                        delta = deep - deep_b
-                        window = (
-                            Ellipsis,
-                            slice(delta, delta + rows + 2 * deep_b),
-                            slice(delta, delta + cols + 2 * deep_b),
-                        )
-                        coeffs_v = {n: b[window] for n, b in deep_coeffs.items()}
-                        replays = 0
-                        fresh = index == 0
-                        while True:
-                            if index:
-                                exchange_halo_deep(
-                                    out, ping[window], pattern, subgrid,
-                                    params, steps, copies=batch, guard=guard,
-                                )
-                            elif not fresh:
-                                exchange_source((fi,))
-                            fresh = False
-                            try:
-                                final, fixed = machine_execute_blocked(
-                                    pattern,
-                                    ping=ping[window],
-                                    pong=pong[window],
-                                    deep_coeffs=coeffs_v,
-                                    subgrid_shape=subgrid,
-                                    pad=pad,
-                                    steps=steps,
-                                    guard=guard,
-                                )
-                            except FaultError:
-                                # guard is not None here: only the
-                                # guarded executor raises.  The failed
-                                # attempt still cost its compute; the
-                                # wasted exchange moves to the replay
-                                # bucket so the retry's exchange charges
-                                # canonically exactly once.
-                                guard.charge_compute(
-                                    *_block_charge(plan, compiled, steps),
-                                    recovery=True,
-                                )
-                                if replays >= guard.policy.max_replays:
-                                    raise
-                                replays += 1
-                                if not guard.replaying:
-                                    wasted = first_cost if index == 0 else (
-                                        deep_exchange_cost(
-                                            pattern, subgrid, params, steps
-                                        )
-                                    )
-                                    for _ in range(batch):
-                                        guard.reclaim_exchange(wasted.cycles)
-                                guard.note_rollback(steps)
-                                continue
-                            if guard is not None:
-                                guard.charge_compute(
-                                    *_block_charge(plan, compiled, steps)
-                                )
-                            break
-                        out[...] = final[
-                            ..., deep_b : deep_b + rows, deep_b : deep_b + cols
-                        ]
-                        if block_seq == len(done_steps):
-                            done_steps.append(steps)
-                        block_seq += 1
-                        block_high = max(block_high, block_seq)
-                        if guard is not None:
-                            guard.replaying = False
-                        if abft:
-                            _verify_block(plan, fi, index, guard)
-                        if fixed:
-                            # Every remaining iterate reproduces this one
-                            # bit for bit; stop computing.  The closed
-                            # form (and, under guard, explicit charges)
-                            # still bills the whole run.
-                            if guard is not None:
-                                for later in blocks[index + 1 :]:
-                                    guard.charge_skipped_exchanges(
-                                        batch,
-                                        deep_exchange_cost(
-                                            pattern, subgrid, params, later
-                                        ).cycles,
-                                    )
-                                    guard.charge_compute(
-                                        *_block_charge(plan, compiled, later)
-                                    )
-                            break
-            break
-        except NodeDeadError as dead:
-            # guard is not None here: only guarded exchanges raise.
-            guard.replaying = False
-            guard.recover_dead_node(dead.coord)
-            guard.note_rollback(sum(done_steps[:block_high]))
+            def destination() -> np.ndarray:
+                # The halo stack, (re)allocated inside the exchange's
+                # hard-fault window, so a node that dies there never
+                # held it.
+                found = plan.machine.storage.get(name)
+                if found is None or found.shape != stack.shape[:-2] + shape:
+                    found = plan.machine.storage.allocate(name, shape, plan.lead)
+                return found
+        copies = math.prod(stack.shape[:-4])
+        stats = self._exchange_into(
+            stack, destination, plan.filters[members[0]].pattern, p.width,
+            p.composed, copies,
+            f"deep exchange (depth {deepest})" if deepest > 1
+            else f"exchange into {name!r}",
+        )
+        if guard is not None and not guard.replaying:
+            ledger += [lambda c=stats.cycles: guard.reclaim_exchange(c)] * copies
+        padded = destination()
+        if padded.ndim > plan.source.ndim:
+            return [padded[..., j, :, :, :, :] for j in range(len(members))]
+        for fi, steps in p.blocks:
+            if steps > 1 and not p.start:
+                window = plan.window(p.width, steps * self.blocks.comms[fi].pad)
+                self._deep(p.group, fi, steps)[0][...] = padded[window]
+        return [padded] * len(members)
 
+    def _deep(self, gi: int, fi: int, steps: int):
+        """Filter ``fi``'s ping-pong pair and coefficient halos, windowed
+        for a ``steps``-iteration block: they hold a full block's halo,
+        and a tail block centers a shallower window in them so the
+        interior stays aligned."""
+        plan = self.plan
+        pad = self.blocks.comms[fi].pad
+        full = self.blocks.depths[fi] * pad
+        window = plan.window(full, steps * pad)
+        ping, pong = plan.machine.storage.pingpong(
+            f"{plan.halo_name(gi)}{fi}", plan.padded(full), plan.lead
+        )
+        coeffs = {
+            name: self.coeffs[(gi, name, full)][window]
+            for name in array_coefficient_names(plan.filters[fi].pattern)
+        }
+        return ping[window], pong[window], coeffs
 
-def _block_charge(
-    plan: _Plan, compiled: CompiledStencil, steps: int
-) -> Tuple[int, int]:
-    """``(cycles, half_strips)`` of one ``steps``-deep block over every
-    grid."""
-    cycles, strips = block_compute_cycles(compiled, plan.subgrid, steps)
-    return plan.batch * cycles, plan.batch * strips
+    def _price(self, fi: int, steps: int) -> Tuple[int, int]:
+        """``(cycles, half_strips)`` of filter ``fi``'s block over every
+        grid, at :func:`~repro.runtime.blocking.block_compute`'s price."""
+        plan = self.plan
+        cycles, strips = block_compute(
+            plan.filters[fi], plan.subgrid, steps,
+            self.measured[fi] or plan.schedules[fi].compute_cycles(plan.params),
+        )
+        return plan.batch * cycles, plan.batch * strips
 
+    def _charge(self, fi: int, steps: int, ledger: list) -> None:
+        """Charge filter ``fi``'s block at its price; a canonical charge
+        is undone if the iteration rolls back."""
+        guard = self.guard
+        cycles, strips = self._price(fi, steps)
+        guard.charge_compute(cycles, strips)
+        if not guard.replaying:
+            ledger.append(lambda: guard.reclaim_compute(cycles, strips))
 
-def _verify_block(
-    plan: _Plan, fi: int, index: int, guard: FaultGuard
-) -> None:
-    """ABFT per temporal block: seal filter ``fi``'s freshly written
-    result slab, give the injector its SDC window, and verify before the
-    next block's deep exchange (or the caller) reads it.  A single
-    corrupted word is forward-corrected in place; multi-cell damage
-    cannot replay here (the block input was just overwritten), so the
-    raised error degrades blocked->fast."""
-    name, out = plan.out_names[fi], plan.outs[fi]
-    seal = seal_checksums(out)
-    guard.charge_abft(plan.slab_words(), seals=1)
-    guard.inject_sdc([(f"blocked result stack {name!r}", out)])
-    guard.charge_abft(plan.slab_words(), verifies=1)
-    corrected = verify_and_correct(
-        out,
-        seal,
-        site=f"abft block {index} result",
-        guard=guard,
-    )
-    if corrected:
-        guard.charge_sdc_correction(corrected)
+    def _block(
+        self, p: Pass, fi: int, steps: int, padded: np.ndarray, ledger: list
+    ) -> Optional[FaultError]:
+        """Filter ``fi``'s block, every attempt charged at its price;
+        returns the error when it still fails after
+        ``policy.max_retries`` re-runs, and notes a fixed point."""
+        plan, guard = self.plan, self.guard
+        attempt = 0
+        while True:
+            attempt += 1
+            if attempt > 1 and steps > 1:
+                # A deeper block exchanges its own input again: a replay.
+                replaying, guard.replaying = guard.replaying, True
+                self._exchange_into(
+                    plan.outs[fi] if p.start else plan.source,
+                    self._deep(p.group, fi, steps)[0],
+                    plan.filters[fi].pattern,
+                    steps * self.blocks.comms[fi].pad,
+                    True, plan.batch, f"deep exchange (depth {steps})",
+                )
+                guard.replaying = replaying
+            try:
+                fixed = self._compute(p, fi, steps, padded)
+            except FaultError as error:
+                # guard is not None here: only its checks raise.
+                guard.charge_compute(*self._price(fi, steps), recovery=True)
+                if attempt > guard.policy.max_retries:
+                    return error
+                guard.note_recompute()
+                continue
+            if guard is not None:
+                self._charge(fi, steps, ledger)
+            if fixed and p.start + steps < plan.iterations:
+                self.fixed[fi] = p.start
+            return None
+
+    def _compute(
+        self, p: Pass, fi: int, steps: int, padded: np.ndarray
+    ) -> bool:
+        """One attempt at filter ``fi``'s block; returns whether its
+        output equals its input.  Under guard a fast one-step pass may be
+        poisoned and is verified finite, and a deeper block runs
+        parity-sealed (see :func:`machine_execute_blocked`)."""
+        plan, guard = self.plan, self.guard
+        pattern = plan.filters[fi].pattern
+        out = plan.outs[fi]
+        rows, cols = plan.subgrid
+        if steps > 1:
+            ping, pong, coeffs = self._deep(p.group, fi, steps)
+            pad = self.blocks.comms[fi].pad
+            final, fixed = machine_execute_blocked(
+                pattern, ping=ping, pong=pong, deep_coeffs=coeffs,
+                subgrid_shape=plan.subgrid, pad=pad, steps=steps,
+                guard=guard,
+            )
+            deep = steps * pad
+            out[...] = final[..., deep : deep + rows, deep : deep + cols]
+            return fixed
+        width = p.width
+        if self.exact:
+            self.measured[fi] = _exact_pass(
+                plan, fi, padded, width, self.measured[fi]
+            )
+        else:
+            machine_execute_fast_stack(
+                pattern, padded=padded, coeff_stacks=plan.arrays,
+                halo=width, out=out,
+            )
+            if guard is not None:
+                guard.inject_poison(out)
+                guard.verify_finite(
+                    out, f"fast executor result {plan.out_names[fi]!r}"
+                )
+        return p.start + 1 < plan.iterations and values_equal(
+            out, padded[..., width : width + rows, width : width + cols]
+        )
+
+    def _rewind(self, k: int, lost: int, ledger) -> int:
+        """Undo iteration ``k``'s canonical charges (``ledger``), restore
+        the last checkpoint (or fall back to the untouched source), note
+        the rollback of the ``k - resume + lost`` iterations it discards,
+        and return the iteration to resume at."""
+        for undo in ledger:
+            undo()
+        resume = 0
+        if self.checkpoint is not None:
+            resume, saved = self.checkpoint
+            self.plan.machine.storage.restore(saved)
+        self.guard.note_rollback(k - resume + lost)
+        self.high = max(self.high, k)
+        self.fixed = {fi: at for fi, at in self.fixed.items() if at < resume}
+        return resume
 
 
 def _record(
     plan: _Plan,
-    depths: Tuple[int, ...],
+    blocks: BlockList,
     exact: bool,
     measured: List[Optional[int]],
     guard: Optional[FaultGuard],
 ) -> StencilRun:
     """The run record: per-filter attribution, host calls and the closed
-    form (:func:`~repro.runtime.blocking.closed_form`); totals in closed
-    form too, unless a guard tallied them."""
+    form (:meth:`~repro.runtime.blocking.BlockList.closed_form`); totals
+    in closed form too, unless a guard tallied them."""
     rows, cols = plan.subgrid
     batch, iterations = plan.batch, plan.iterations
     cycles = [
         measured[fi] or schedule.compute_cycles(plan.params)
         for fi, schedule in enumerate(plan.schedules)
     ]
-    closed, host_calls, shares = closed_form(
-        plan.filters, plan.subgrid, batch, iterations, depths, cycles
-    )
+    closed, host_calls, shares = blocks.closed_form(batch, cycles)
     totals = closed._asdict()
     if guard is not None:
         totals = dict(
@@ -1318,8 +1152,8 @@ def _record(
         FilterCost(
             name=compiled.pattern.name or f"filter{fi}",
             index=fi,
-            block_depth=depths[fi],
-            comm=plan.comms[fi],
+            block_depth=blocks.depths[fi],
+            comm=blocks.comms[fi],
             pass_cycles=cycles[fi],
             pass_half_strips=plan.schedules[fi].num_half_strips,
             useful_flops=(
@@ -1341,7 +1175,7 @@ def _record(
         batch=batch,
         iterations=iterations,
         exact=exact,
-        block_depths=tuple(depths),
+        block_depths=blocks.depths,
         host_calls=host_calls,
         per_filter=per_filter,
         fault_stats=guard.stats if guard is not None else FaultStats(),
@@ -1588,7 +1422,7 @@ def apply_stencil_batch(
             resilience, tenant: as for
             :func:`~repro.runtime.stencil_op.apply_stencil`; an int
             ``block_depth`` is clamped per filter, ``"auto"`` picks each
-            filter's batch-aware modeled optimum, and a guarded batch
+            filter's modeled optimum if the set prices lower, and a guarded batch
             walks the same recovery ladder (spare remaps included) as a
             solo call.
 

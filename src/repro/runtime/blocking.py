@@ -13,18 +13,31 @@ recomputes its neighbors' edge points instead of receiving them) plus
 one deep halo exchange per coefficient array, whose border values the
 halo-ring computation needs.
 
-This module prices schedules without moving any data.
-:func:`closed_form` is the one price of a schedule: the engine
-(:mod:`repro.runtime.batch`) records every run with it, and
-:func:`best_block_depth` prices each candidate depth with it, so the
-accounting a :class:`~repro.runtime.batch.StencilRun` reports and the
-depth actually chosen always agree.
+This module prices schedules without moving any data.  A run is a
+:class:`BlockList`: each filter's iterations in blocks, a block of
+``steps`` iterations being one exchange plus ``steps`` passes, ordered
+into host calls.  The engine (:mod:`repro.runtime.batch`) runs the list
+and records it with :meth:`BlockList.closed_form`, which prices it block
+by block (:func:`block_compute` and each pass's exchange cost);
+:func:`best_block_depth` compares candidate lists with the same price,
+detours over rerouted links included, so the accounting a
+:class:`~repro.runtime.batch.StencilRun` reports and the depth chosen
+for it always price the schedule the runtime runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -32,13 +45,7 @@ from ..compiler.plan import CompiledStencil
 from ..machine.params import MachineParams
 from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
-from .halo import (
-    CommStats,
-    deep_exchange_cost,
-    deep_width_cost,
-    detour_cycles,
-    exchange_cost,
-)
+from .halo import CommStats, deep_width_cost, detour_cycles, exchange_cost
 from .strips import StripSchedule
 
 #: Depth ceiling for automatic selection: past this the halo ring's
@@ -115,43 +122,30 @@ def sub_iteration_shapes(
         yield (rows + 2 * ghost, cols + 2 * ghost)
 
 
-def block_compute_cycles(
+def block_compute(
     compiled: CompiledStencil,
     subgrid_shape: Tuple[int, int],
     steps: int,
+    pass_cycles: int,
 ) -> Tuple[int, int]:
-    """Compute cost of one ``steps``-deep temporal block, as
-    ``(cycles, half_strips)`` summed over its sub-iterations'
-    (halo-enlarged) strip schedules.  The unit the resilient runtime
-    charges per block attempt, and the inner term of
-    :func:`closed_form`."""
+    """The compute price of one ``steps``-iteration block over one grid,
+    as ``(cycles, half_strips)``.
+
+    A one-step block is one subgrid-shaped pass of ``pass_cycles`` (the
+    cycle-stepped count in exact mode); a deeper block sums its
+    sub-iterations' halo-enlarged strip schedules.  The closed form and
+    the fault guard's canonical charges both price blocks here.
+    """
+    if steps == 1:
+        schedule = StripSchedule.cached(compiled, subgrid_shape)
+        return pass_cycles, schedule.num_half_strips
     pad = compiled.pattern.border_widths().max_width
-    params = compiled.params
-    cycles = 0
-    half_strips = 0
+    cycles = half_strips = 0
     for shape in sub_iteration_shapes(subgrid_shape, pad, steps):
         schedule = StripSchedule.cached(compiled, shape)
-        cycles += schedule.compute_cycles(params)
+        cycles += schedule.compute_cycles(compiled.params)
         half_strips += schedule.num_half_strips
     return cycles, half_strips
-
-
-@dataclass(frozen=True)
-class BoundaryGroup:
-    """Filters sharing one halo exchange: same boundary treatment.
-
-    ``uniform`` groups (every member the same pad AND the same corner
-    reach) exchange at exactly that footprint, honoring the corner-step
-    skip; mixed groups exchange once at ``width`` (the widest member's
-    pad) with composed corners, and each member reads its own centered
-    sub-window.  ``cost`` is one copy's shallow group exchange.
-    """
-
-    indices: Tuple[int, ...]
-    uniform: bool
-    width: int
-    representative: StencilPattern
-    cost: CommStats
 
 
 def _boundary_key(pattern: StencilPattern):
@@ -164,40 +158,6 @@ def _boundary_key(pattern: StencilPattern):
         else None
     )
     return (row_mode, col_mode, fill)
-
-
-def boundary_groups(
-    patterns: Sequence[StencilPattern],
-    comms: Sequence[CommStats],
-    subgrid_shape: Tuple[int, int],
-    params: MachineParams,
-) -> List[BoundaryGroup]:
-    """Partition filters into halo-sharing groups by boundary treatment
-    (``comms`` holds each filter's own shallow exchange cost)."""
-    by_key: Dict[object, List[int]] = {}
-    for index, pattern in enumerate(patterns):
-        by_key.setdefault(_boundary_key(pattern), []).append(index)
-    groups = []
-    for indices in by_key.values():
-        footprints = {
-            (comms[i].pad, comms[i].corner_step_skipped) for i in indices
-        }
-        uniform = len(footprints) == 1
-        width = max(comms[i].pad for i in indices)
-        groups.append(
-            BoundaryGroup(
-                indices=tuple(indices),
-                uniform=uniform,
-                width=width,
-                representative=patterns[indices[0]],
-                cost=(
-                    comms[indices[0]]
-                    if uniform
-                    else deep_width_cost(subgrid_shape, params, width)
-                ),
-            )
-        )
-    return groups
 
 
 class ClosedForm(NamedTuple):
@@ -222,104 +182,205 @@ class FilterShare(NamedTuple):
     half_strips: int
 
 
-def closed_form(
-    filters: Sequence[CompiledStencil],
-    subgrid_shape: Tuple[int, int],
-    batch: int,
-    iterations: int,
-    depths: Sequence[int],
-    pass_cycles: Sequence[int],
-) -> Tuple[ClosedForm, int, Tuple[FilterShare, ...]]:
-    """The fault-free price of ``filters`` over ``batch`` grids for
-    ``iterations`` iterations at per-filter block ``depths``: the
-    totals, the host calls, and each filter's share.
+class Pass(NamedTuple):
+    """One host call: a machine pass exchanging halos ``width`` wide,
+    then a block of ``steps`` iterations for each ``(filter, steps)`` in
+    ``blocks``.  A group's first pass (``start == 0``) exchanges the
+    source once per grid for every member; a later one each member's
+    result slab.  The messages are edges (plus the corner step when
+    ``cost`` takes it) when the blocks are one step and share a
+    footprint, else bands ``composed`` at the widest ``steps * pad``.
+    ``cost`` prices one message."""
 
-    ``pass_cycles`` is each filter's node cycles of one unblocked,
-    subgrid-shaped pass over one grid.  Unblocked, every boundary group
-    runs one machine pass per iteration: ``batch`` messages at
-    iteration 0, ``batch * members`` after, one host call each.
-    Blocked, each group shares one machine pass at its widest deep
-    width, deep-exchanges every array coefficient once per (name,
-    depth) -- shared by the whole batch -- and then runs each filter's
-    later blocks, one host call and ``batch`` messages each.  Compute
-    and executed half strips scale with ``batch``; the front end issues
-    each schedule once (``total_half_strips // batch``).
+    start: int
+    group: int
+    blocks: Tuple[Tuple[int, int], ...]
+    width: int
+    composed: bool
+    cost: CommStats
+
+    def messages(self, batch: int) -> int:
+        return batch if self.start == 0 else batch * len(self.blocks)
+
+
+class BlockList:
+    """A run's schedule: each filter's blocks (:func:`block_steps`), as
+    host calls (:class:`Pass`) in run order.
+
+    Per boundary group, iteration 0 is one pass shared by every
+    member's first block.  After that the one-step blocks of the group's
+    depth-1 members share one gathered pass per iteration, and every
+    block of a deeper member -- its one-step tail too -- is a pass of
+    its own.  Members deeper than 1 also deep-exchange each array
+    coefficient once per (name, width), for the whole batch, before the
+    group's first pass (:attr:`coefficients`: ``(group, filter, name,
+    width)``); a one-step block reads no coefficient halo.
     """
-    params = filters[0].params
-    count = len(filters)
-    shared, own, coeff = [0] * count, [0] * count, [0] * count
-    comm = [0.0] * count
-    compute, strips = [0] * count, [0] * count
-    comms = [exchange_cost(f.pattern, subgrid_shape, params) for f in filters]
-    groups = boundary_groups(
-        [f.pattern for f in filters], comms, subgrid_shape, params
-    )
-    num_exchanges = coeff_exchanges = comm_cycles = host_calls = 0
-    blocked = any(depth > 1 for depth in depths)
-    for group in groups:
-        members = group.indices
-        if not blocked:
-            cost = group.cost.cycles
-            messages = batch * (1 + (iterations - 1) * len(members))
-            num_exchanges += messages
-            comm_cycles += messages * cost
-            host_calls += iterations
+
+    def __init__(
+        self,
+        filters: Sequence[CompiledStencil],
+        subgrid_shape: Tuple[int, int],
+        iterations: int,
+        depths: Sequence[int],
+    ) -> None:
+        self.filters = tuple(filters)
+        self.subgrid = tuple(subgrid_shape)
+        self.iterations = iterations
+        self.depths = tuple(depths)
+        self.params = self.filters[0].params
+        self.comms = [
+            exchange_cost(f.pattern, self.subgrid, self.params)
+            for f in self.filters
+        ]
+        # Halo-sharing groups: same (row mode, col mode, fill value).
+        by_key: Dict[object, List[int]] = {}
+        for fi, compiled in enumerate(self.filters):
+            by_key.setdefault(_boundary_key(compiled.pattern), []).append(fi)
+        self.groups = [tuple(members) for members in by_key.values()]
+        self.coefficients: List[Tuple[int, int, str, int]] = []
+        self.passes: List[Pass] = []
+        starts = []  # per filter: block start -> steps
+        for depth in self.depths:
+            steps = list(block_steps(iterations, depth))
+            starts.append(dict(zip(accumulate(steps, initial=0), steps)))
+        for gi, members in enumerate(self.groups):
+            keys = set()
             for fi in members:
-                shared[fi] += 1
-                own[fi] += batch * (iterations - 1)
-                comm[fi] += batch * cost / len(members)
-                comm[fi] += batch * (iterations - 1) * cost
-                compute[fi] += batch * iterations * pass_cycles[fi]
-                strips[fi] += batch * iterations * StripSchedule.cached(
-                    filters[fi], subgrid_shape
-                ).num_half_strips
-            continue
-        deeps = {fi: depths[fi] * comms[fi].pad for fi in members}
-        widest = max(deeps.values())
-        first = deep_width_cost(subgrid_shape, params, widest).cycles
-        num_exchanges += batch
-        comm_cycles += batch * first
-        host_calls += 1
-        coeff_done = set()
-        for fi in members:
-            compiled = filters[fi]
-            pattern = compiled.pattern
-            shared[fi] += 1
-            comm[fi] += batch * first / len(members)
-            coeff_cost = deep_exchange_cost(
-                pattern, subgrid_shape, params, depths[fi]
-            ).cycles
-            for name in array_coefficient_names(pattern):
-                if (name, deeps[fi]) in coeff_done:
-                    continue
-                coeff_done.add((name, deeps[fi]))
-                coeff[fi] += 1
-                coeff_exchanges += 1
-                comm[fi] += coeff_cost
-                comm_cycles += coeff_cost
-            for index, steps in enumerate(block_steps(iterations, depths[fi])):
-                if index:
-                    cost = deep_exchange_cost(
-                        pattern, subgrid_shape, params, steps
-                    ).cycles
+                width = self.depths[fi] * self.comms[fi].pad
+                for name in array_coefficient_names(self.filters[fi].pattern):
+                    if self.depths[fi] > 1 and (name, width) not in keys:
+                        keys.add((name, width))
+                        self.coefficients.append((gi, fi, name, width))
+        for start in range(iterations):
+            for gi, members in enumerate(self.groups):
+                shared = [
+                    fi for fi in members if not start or self.depths[fi] == 1
+                ]
+                self._add(start, gi, [(fi, starts[fi][start]) for fi in shared])
+                for fi in members:
+                    if fi not in shared and start in starts[fi]:
+                        self._add(start, gi, [(fi, starts[fi][start])])
+
+    def _add(self, start: int, gi: int, blocks: List[Tuple[int, int]]) -> None:
+        if not blocks:
+            return
+        comms = [self.comms[fi] for fi, _ in blocks]
+        width = max(steps * c.pad for (_, steps), c in zip(blocks, comms))
+        shallow = all(steps == 1 for _, steps in blocks) and (
+            len({(c.pad, c.corner_step_skipped) for c in comms}) == 1
+        )
+        cost = comms[0] if shallow else deep_width_cost(
+            self.subgrid, self.params, width
+        )
+        self.passes.append(
+            Pass(start, gi, tuple(blocks), width, not shallow, cost)
+        )
+
+    def checkpoints(self, interval: int) -> FrozenSet[int]:
+        """Where a guarded run checkpoints: the first iteration at or
+        after each multiple of ``interval`` where every filter's block
+        ends, short of the last iteration.  At depth 1 that is every
+        ``interval`` iterations; ``interval`` 0 takes none."""
+        if interval <= 0:
+            return frozenset()
+        ends = set(range(1, self.iterations))
+        for depth in self.depths:
+            ends &= set(accumulate(block_steps(self.iterations, depth)))
+        marks = (
+            min((end for end in ends if end >= multiple), default=None)
+            for multiple in range(interval, self.iterations, interval)
+        )
+        return frozenset(mark for mark in marks if mark is not None)
+
+    def closed_form(
+        self, batch: int, pass_cycles: Optional[Sequence[int]] = None
+    ) -> Tuple[ClosedForm, int, Tuple[FilterShare, ...]]:
+        """The fault-free price of the list over ``batch`` grids: the
+        totals, the host calls (one per pass), and each filter's share.
+
+        ``pass_cycles`` is each filter's node cycles of one one-step
+        block over one grid (the closed-form schedule's by default).  A
+        pass moves :meth:`Pass.messages` messages at its ``cost``, a
+        first pass split evenly among its members; each coefficient deep
+        exchange is charged once, for the whole batch.  Compute and
+        executed half strips scale with ``batch``."""
+        if pass_cycles is None:
+            pass_cycles = [
+                StripSchedule.cached(f, self.subgrid).compute_cycles(self.params)
+                for f in self.filters
+            ]
+        count = len(self.filters)
+        shared, own, coeff = [0] * count, [0] * count, [0] * count
+        first, comm = [0.0] * count, [0] * count
+        compute, strips = [0] * count, [0] * count
+        num_exchanges = comm_cycles = 0
+        for _, fi, _, width in self.coefficients:
+            cycles = deep_width_cost(self.subgrid, self.params, width).cycles
+            coeff[fi] += 1
+            comm[fi] += cycles
+            comm_cycles += cycles
+        for p in self.passes:
+            messages = p.messages(batch)
+            num_exchanges += messages
+            comm_cycles += messages * p.cost.cycles
+            for fi, steps in p.blocks:
+                if p.start:
                     own[fi] += batch
-                    comm[fi] += batch * cost
-                    num_exchanges += batch
-                    comm_cycles += batch * cost
-                    host_calls += 1
-                block_cycles, block_strips = block_compute_cycles(
-                    compiled, subgrid_shape, steps
+                    comm[fi] += batch * p.cost.cycles
+                else:
+                    shared[fi] += 1
+                    first[fi] = batch * p.cost.cycles / len(p.blocks)
+                cycles, half_strips = block_compute(
+                    self.filters[fi], self.subgrid, steps, pass_cycles[fi]
                 )
-                compute[fi] += batch * block_cycles
-                strips[fi] += batch * block_strips
-    return (
-        ClosedForm(
-            num_exchanges, coeff_exchanges, comm_cycles, sum(compute),
-            sum(strips),
-        ),
-        host_calls,
-        tuple(map(FilterShare, shared, own, coeff, comm, compute, strips)),
-    )
+                compute[fi] += batch * cycles
+                strips[fi] += batch * half_strips
+        return (
+            ClosedForm(
+                num_exchanges, len(self.coefficients), comm_cycles,
+                sum(compute), sum(strips),
+            ),
+            len(self.passes),
+            tuple(
+                FilterShare(
+                    shared[fi], own[fi], coeff[fi], first[fi] + comm[fi],
+                    compute[fi], strips[fi],
+                )
+                for fi in range(count)
+            ),
+        )
+
+    def detour(self, machine, batch: int) -> int:
+        """Extra-hop cycles the list's exchanges pay over ``machine``'s
+        rerouted links: what a guarded run charges for them (zero with
+        no machine or no rerouted link)."""
+        subgrid, params = self.subgrid, self.params
+        total = sum(
+            detour_cycles(machine, subgrid, params, width, True)
+            for *_, width in self.coefficients
+        )
+        for p in self.passes:
+            total += p.messages(batch) * detour_cycles(
+                machine, subgrid, params, p.width, p.composed
+            )
+        return total
+
+    def seconds(self, batch: int, machine=None) -> float:
+        """Modeled elapsed time of the list over ``batch`` grids on
+        ``machine``: the closed form, plus the detours of its rerouted
+        links."""
+        totals, host_calls, _ = self.closed_form(batch)
+        seconds = elapsed_seconds(
+            self.params,
+            totals.total_comm_cycles + totals.total_compute_cycles,
+            host_calls,
+            totals.total_half_strips // batch,
+        )
+        detour = self.detour(machine, batch)
+        if detour:
+            seconds += self.params.seconds(detour)
+        return seconds
 
 
 def elapsed_seconds(
@@ -347,50 +408,31 @@ def best_block_depth(
     """The block depth with the lowest modeled elapsed time for one
     filter over ``batch`` grids.
 
-    Prices every feasible depth as a one-filter run through
-    :func:`closed_form` and :func:`elapsed_seconds` and keeps the
-    cheapest; ties go to the shallower depth (less temporary storage,
-    less redundant work).  Returns 1 -- no blocking -- whenever the deep
-    exchanges saved never repay the halo ring's redundant compute,
-    which on this machine model is the common regime: grid
-    communication is cheap per element, so blocking wins only where the
-    per-exchange startup dominates (small subgrids, many iterations).
-    Source exchanges scale with ``batch`` while coefficient deep
-    exchanges do not, so the break-even point moves earlier as the
-    batch grows.  Sharing a group exchange only ever removes cost, so
-    the per-filter optimum is conservative.
-
-    When ``machine`` carries rerouted links (hard link faults routed
-    around), every candidate's exchanges are surcharged with the detour
-    of a full-depth deep exchange
-    (:func:`~repro.runtime.halo.detour_cycles`), so the selection prices
-    the machine as it is, not as it was built.
+    Prices every feasible depth's one-filter :class:`BlockList` with
+    :meth:`BlockList.seconds` and keeps the cheapest; ties go to the
+    shallower depth (less temporary storage, less redundant work).
+    Returns 1 -- no blocking -- whenever the deep exchanges saved never
+    repay the halo ring's redundant compute, which on this machine model
+    is the common regime: grid communication is cheap per element, so
+    blocking wins only where the per-exchange startup dominates (small
+    subgrids, many iterations).  Source exchanges scale with ``batch``
+    while coefficient deep exchanges do not, so the break-even point
+    moves earlier as the batch grows.  With ``machine``, every exchange
+    pays its detour over rerouted links (:meth:`BlockList.detour`)
+    exactly as a guarded run is charged.  A filter with siblings runs
+    in a shared schedule this does not see;
+    :func:`~repro.compiler.driver.select_batch_block_depths` prices the
+    set.
     """
     cap = depth_cap(compiled.pattern, subgrid_shape, iterations)
     if max_depth is not None:
         cap = min(cap, max_depth)
-    params = compiled.params
-    pad = compiled.pattern.border_widths().max_width
-    schedule = StripSchedule.cached(compiled, subgrid_shape)
-    cycles = schedule.compute_cycles(params)
     best = 1
     best_seconds = None
     for depth in range(1, cap + 1):
-        totals, host_calls, _ = closed_form(
-            (compiled,), subgrid_shape, batch, iterations, (depth,), (cycles,)
-        )
-        seconds = elapsed_seconds(
-            params,
-            totals.total_comm_cycles + totals.total_compute_cycles,
-            host_calls,
-            totals.total_half_strips // batch,
-        )
-        detour = detour_cycles(
-            machine, subgrid_shape, params, depth * pad, True
-        )
-        if detour:
-            exchanges = totals.num_exchanges + totals.coeff_exchanges
-            seconds += params.seconds(detour * exchanges)
+        seconds = BlockList(
+            (compiled,), subgrid_shape, iterations, (depth,)
+        ).seconds(batch, machine)
         if best_seconds is None or seconds < best_seconds:
             best = depth
             best_seconds = seconds

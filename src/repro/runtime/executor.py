@@ -409,13 +409,12 @@ def machine_execute_blocked(
     subgrid_shape,
     pad: int,
     steps: int,
-    check_fixed_point: bool = True,
     guard: Optional[FaultGuard] = None,
 ):
     """Run one temporal block: ``steps`` locally fused sub-iterations.
 
     ``ping`` holds the block input with a valid ``steps * pad``-deep
-    halo (filled by :func:`~repro.runtime.halo.exchange_halo_deep`);
+    halo (filled by a composed-band exchange, :mod:`repro.runtime.halo`);
     ``pong`` is its ping-pong partner, and ``deep_coeffs`` the
     deep-padded coefficient stacks.  Sub-iteration ``t`` applies the
     stencil over the whole still-valid region -- the subgrid plus a
@@ -496,7 +495,7 @@ def machine_execute_blocked(
         if guard is not None:
             sealed_view = dst[region]
             sealed = parity_word(sealed_view)
-        if t == 0 and steps > 1 and check_fixed_point:
+        if t == 0 and steps > 1:
             # The subgrids alone tile the global array, so
             # machine-wide interior equality means a true fixed
             # point: every later iterate reproduces this one.

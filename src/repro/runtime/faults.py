@@ -103,12 +103,6 @@ class RetryExhaustedError(FaultError):
     """An exchange kept failing verification past the retry budget."""
 
 
-class DegradationExhaustedError(FaultError):
-    """Every rung of the degradation ladder failed (defensive; the
-    exact rung's datapath is modeled as ECC-protected and does not
-    fault, so reaching this indicates persistent exchange failure)."""
-
-
 class NonFiniteInputError(FaultError, ExecutionSetupError):
     """An input array handed to a stencil call with
     ``check_finite=True`` contains NaN or Inf."""
@@ -454,18 +448,20 @@ class ResiliencePolicy:
     only how much recovery a run may spend.
 
     Attributes:
-        max_retries: exchange re-attempts (and executor recomputes)
-            after the first try before escalating.
-        checkpoint_interval: snapshot the live iterate every this many
-            iterations (0 disables periodic checkpoints; rollback then
-            replays from the start, where the untouched source array is
-            the implicit checkpoint).
-        max_replays: rollback-and-replay attempts (per run in the
-            iterated loop, per block in the blocked path) before the
-            ladder steps down a rung.
+        max_retries: exchange re-attempts, and re-runs of a failed
+            block from its intact input, after the first try before
+            escalating.
+        checkpoint_interval: snapshot the live iterate at the first
+            iteration at or after every multiple of this where every
+            filter's block ends -- every this many iterations at depth 1
+            (0 disables periodic checkpoints; rollback then replays from
+            the start, where the untouched source array is the implicit
+            checkpoint).
+        max_replays: rollback-and-replay attempts per run, at every
+            block depth, before the ladder steps down a rung.
         abft: maintain row/column XOR checksum vectors over the result
-            stack and verify them after every iteration (or temporal
-            block).  A single corrupted word is localized by
+            stack and verify them once per block (per iteration at
+            depth 1).  A single corrupted word is localized by
             intersecting the violated row and column residuals and
             corrected in place -- forward recovery, zero rollback,
             zero replay; multi-cell damage falls back to the
@@ -1090,9 +1086,9 @@ class FaultGuard:
         #: Genesis checkpoint (source + coefficients) taken when the
         #: machine has spares; the reference a remap restores from.
         self.genesis = None
-        #: True while re-running work already charged once (rollback
-        #: replay / blocked restart): charges land in the replay
-        #: buckets instead of the closed-form counters.
+        #: True while re-running work already charged once (a
+        #: rollback's replay, a block's re-exchange): charges land in
+        #: the replay buckets instead of the closed-form counters.
         self.replaying = False
         self._remaps_used = 0
 

@@ -200,7 +200,10 @@ def apply_stencil_3d(
 
     The outer loop runs plane by plane; before each plane the depth
     aliases are pointed at the neighboring slabs (wrapping or
-    zero-filled at the depth boundary per ``depth_boundary``).
+    zero-filled at the depth boundary per ``depth_boundary``).  Each of
+    the ``iterations`` passes reads the previous pass's whole 3-D
+    result, ping-ponging through one scratch array so that the final
+    iterate lands in ``result``; every pass is charged as it runs.
 
     Coefficient arrays are rank-3: each plane streams its own slab.
     """
@@ -217,36 +220,44 @@ def apply_stencil_3d(
     run = Stencil3DRun(
         result=result, params=params, num_nodes=machine.num_nodes
     )
-    for k in range(depth):
-        _point_depth_aliases(
-            machine, source, k, depth_taps, depth_boundary
-        )
-        # The compiled patterns stream coefficients by statement name
-        # ("C1", ...); apply_stencil's scoped bindings point those names
-        # at plane k's slabs, as the real sequencer would take fresh
-        # base addresses.
-        slab_coeffs = {
-            name: arrays.slab(k) for name, arrays in coefficients.items()
-        }
-        slab_run: StencilRun = apply_stencil(
-            compiled,
-            source.slab(k),
-            slab_coeffs,
-            result.slab(k),
-            iterations=1,
-            exact=exact,
-        )
-        run.compute_cycles += slab_run.compute_cycles
-        run.comm_cycles += slab_run.comm.cycles
-        run.host_seconds += slab_run.host_seconds_per_iteration
-        run.useful_flops += (
-            slab_run.useful_flops_per_node_per_iteration * machine.num_nodes
-        )
+    scratch = None
     if iterations > 1:
-        run.compute_cycles *= iterations
-        run.comm_cycles *= iterations
-        run.host_seconds *= iterations
-        run.useful_flops *= iterations
+        scratch = CMArray3D(
+            f"{result.name}__iterate__", machine, source.global_shape
+        )
+    current = source
+    for remaining in range(iterations - 1, -1, -1):
+        target = result if remaining % 2 == 0 else scratch
+        for k in range(depth):
+            _point_depth_aliases(
+                machine, current, k, depth_taps, depth_boundary
+            )
+            # The compiled patterns stream coefficients by statement name
+            # ("C1", ...); apply_stencil's scoped bindings point those
+            # names at plane k's slabs, as the real sequencer would take
+            # fresh base addresses.
+            slab_coeffs = {
+                name: arrays.slab(k) for name, arrays in coefficients.items()
+            }
+            slab_run: StencilRun = apply_stencil(
+                compiled,
+                current.slab(k),
+                slab_coeffs,
+                target.slab(k),
+                iterations=1,
+                exact=exact,
+            )
+            run.compute_cycles += slab_run.compute_cycles
+            run.comm_cycles += slab_run.comm.cycles
+            run.host_seconds += slab_run.host_seconds_per_iteration
+            run.useful_flops += (
+                slab_run.useful_flops_per_node_per_iteration
+                * machine.num_nodes
+            )
+        current = target
+    if scratch is not None:
+        for slab in scratch.slabs:
+            machine.storage.free(slab.name)
     return run
 
 

@@ -5,9 +5,9 @@ call: allocate temporary halo storage, perform the up-front neighbor
 exchange, then drive every node's subgrid through the strip-mined
 compiled plans -- and returns a complete accounting of where the time
 went.  It is the 1x1 case of the engine in :mod:`repro.runtime.batch`:
-one filter over a source with no leading axes, through the same loops
-(unblocked, temporally blocked, exact, and the guarded recovery ladder)
-and the same :class:`StencilRun` record.
+one filter over a source with no leading axes, through the same loop
+(every block depth, exact mode, and the guarded recovery ladder) and
+the same :class:`StencilRun` record.
 
 Iterated runs can additionally be *temporally blocked*: a halo ``T``
 times deeper is exchanged once per block of ``T`` iterations, and the

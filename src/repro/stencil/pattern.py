@@ -214,6 +214,14 @@ class StencilPattern:
             self.boundary.setdefault(dim, BoundaryMode.CIRCULAR)
         self.fill_value = fill_value
         self.name = name
+        dys = [tap.dy for tap in taps if tap.reads_data] or [0]
+        dxs = [tap.dx for tap in taps if tap.reads_data] or [0]
+        self._border_widths = BorderWidths(
+            north=max(0, -min(dys)),
+            south=max(0, max(dys)),
+            west=max(0, -min(dxs)),
+            east=max(0, max(dxs)),
+        )
 
     # ------------------------------------------------------------------
     # Geometry
@@ -239,15 +247,9 @@ class StencilPattern:
         return len(set(self.offsets))
 
     def border_widths(self) -> BorderWidths:
-        """Extent of the pattern in each direction from its center."""
-        dys = [tap.dy for tap in self.data_taps] or [0]
-        dxs = [tap.dx for tap in self.data_taps] or [0]
-        return BorderWidths(
-            north=max(0, -min(dys)),
-            south=max(0, max(dys)),
-            west=max(0, -min(dxs)),
-            east=max(0, max(dxs)),
-        )
+        """Extent of the pattern in each direction from its center
+        (computed once: the taps are fixed at construction)."""
+        return self._border_widths
 
     def needs_corner_exchange(self) -> bool:
         """Whether any tap reaches a diagonal neighbor's data.

@@ -237,6 +237,37 @@ class TestApply3D:
         assert many.compute_cycles == 10 * once.compute_cycles
         assert many.mflops == pytest.approx(once.mflops)
 
+    @pytest.mark.parametrize(
+        "boundary,mode",
+        [(BoundaryMode.CIRCULAR, "wrap"), (BoundaryMode.FILL, "fill")],
+    )
+    def test_iterations_apply_the_stencil_each_time(
+        self, machine, boundary, mode
+    ):
+        """Iteration k+1 reads iteration k's whole 3-D result, so two
+        iterations equal two reference applications, bit for bit, and
+        charge each pass."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((8, 12, 3)).astype(np.float32)
+        compiled = compile_3d(
+            laplacian_pattern(), depth_taps(), machine.params
+        )
+        X = CMArray3D.from_numpy("X", machine, x)
+        once = apply_stencil_3d(
+            compiled, X, {}, "R1", depth_taps=depth_taps(),
+            depth_boundary=boundary,
+        )
+        twice = apply_stencil_3d(
+            compiled, X, {}, "R2", depth_taps=depth_taps(),
+            depth_boundary=boundary, iterations=2,
+        )
+        expected = reference_laplacian_3d(
+            reference_laplacian_3d(x, depth_mode=mode), depth_mode=mode
+        )
+        np.testing.assert_array_equal(twice.result.to_numpy(), expected)
+        np.testing.assert_array_equal(X.to_numpy(), x)
+        assert twice.compute_cycles == 2 * once.compute_cycles
+
 
 class TestExactMode3D:
     def test_exact_matches_fast_through_the_outer_loop(self, machine):

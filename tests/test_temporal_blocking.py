@@ -15,8 +15,10 @@ import pytest
 from repro.compiler.driver import compile_stencil
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
-from repro.runtime.blocking import best_block_depth, depth_cap
+from repro.runtime.batch import apply_stencil_batch
+from repro.runtime.blocking import BlockList, best_block_depth, depth_cap
 from repro.runtime.cm_array import CMArray
+from repro.runtime.faults import ResiliencePolicy
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil import gallery
 from repro.stencil.gallery import cross, diamond, square
@@ -273,6 +275,52 @@ class TestDepthSelection:
         assert pick(None) == healthy
         assert pick(CM2(params)) == healthy
         assert pick(self.rerouted_machine(params)) == rerouted
+
+    @pytest.mark.parametrize(
+        "name,subgrid,iterations,batch",
+        [
+            ("cross5", (4, 4), 12, 1),
+            ("square9", (4, 4), 16, 1),
+            ("asymmetric5", (4, 4), 4, 2),
+            ("asymmetric5", (4, 4), 8, 8),
+            ("cross5", (4, 4), 12, 2),
+            ("cross5", (8, 12), 32, 1),
+            ("asymmetric5", (8, 12), 32, 2),
+            ("square9", (4, 4), 32, 8),
+            ("cross9", (16, 16), 8, 4),
+            ("diamond13", (32, 32), 16, 8),
+        ],
+    )
+    def test_selector_prices_the_detours_a_guarded_run_is_charged(
+        self, name, subgrid, iterations, batch
+    ):
+        """For every candidate depth on the rerouted machine, the
+        detour the selector prices is what a guarded run pays: one-step
+        blocks at edge height, tail blocks at their own width."""
+        params = MachineParams(num_nodes=16)
+        machine = self.rerouted_machine(params)
+        pattern = getattr(gallery, name)()
+        compiled = compile_stencil(pattern, params)
+        rng = np.random.default_rng(5)
+        shape = (4 * subgrid[0], 4 * subgrid[1])
+
+        def draw(label):
+            data = rng.uniform(0.5, 1.0, shape).astype(np.float32)
+            return CMArray.from_numpy(label, machine, data)
+
+        sources = [draw(f"X{b}") for b in range(batch)]
+        coeffs = {n: draw(n) for n in pattern.coefficient_names()}
+        for depth in range(1, depth_cap(pattern, subgrid, iterations) + 1):
+            run = apply_stencil_batch(
+                [compiled], sources, coeffs, iterations=iterations,
+                block_depth=depth,
+                resilience=ResiliencePolicy(checkpoint_interval=0),
+            )
+            priced = BlockList((compiled,), subgrid, iterations, (depth,))
+            assert run.block_depths == (depth,)
+            assert run.fault_stats.detour_cycles == priced.detour(
+                machine, batch
+            ), f"depth {depth}"
 
 
 class TestPingPongReuse:
