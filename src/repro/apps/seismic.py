@@ -196,12 +196,10 @@ class SeismicModel:
             return
         row, col = self.source
         field = self.fields[self._current]
-        decomposition = field.decomposition
-        sr, sc = decomposition.subgrid_shape
-        node = self.machine.node(row // sr, col // sc)
-        node.memory.buffer(field.name)[row % sr, col % sc] += np.float32(
-            amplitude
-        )
+        sr, sc = field.decomposition.subgrid_shape
+        self.machine.stacked(field.name)[
+            row // sr, col // sc, row % sr, col % sc
+        ] += np.float32(amplitude)
 
     def place_receivers(self, positions: Sequence[Tuple[int, int]]) -> None:
         """Install a receiver line: the wavefield is sampled at these
@@ -218,11 +216,9 @@ class SeismicModel:
             return
         field = self.fields[field_index]
         sr, sc = field.decomposition.subgrid_shape
+        stack = self.machine.stacked(field.name)
         for trace, (r, c) in zip(self.seismogram, self.receivers):
-            node = self.machine.node(r // sr, c // sc)
-            trace.append(
-                float(node.memory.buffer(field.name)[r % sr, c % sc])
-            )
+            trace.append(float(stack[r // sr, c // sc, r % sr, c % sc]))
 
     def seismogram_array(self) -> np.ndarray:
         """The recorded traces as a (receivers, samples) array."""

@@ -24,6 +24,15 @@ schedule: reversal spacing, chain protocol, register validity, and
 store-before-writeback hazards all raise :class:`ScheduleError`, so a
 register-allocation or code-generation bug fails loudly instead of
 producing quietly wrong numbers.
+
+The machine is synchronous SIMD -- one sequencer streams one
+instruction stream to every node's FPU -- so one model steps them all.
+Its control state (pipeline events, the chain protocol, register
+validity, the memory pipe's direction, the cycle count) is scalar.
+Register contents, products and chain sums are what a memory read
+returns: a float32 word from a one-node memory of 2-D buffers, or a
+float32 vector, one lane per node and batch entry, from a memory
+holding whole-machine stacks.  Every lane runs the same float32 chain.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ class _AddEvent:
     """A product entering the adder, scheduled at multiply-issue + 2."""
 
     thread: int
-    product: np.float32
+    product: np.ndarray
     first: bool
     last: bool
     addend_reg: int
@@ -71,7 +80,8 @@ class _AddEvent:
 
 
 class Wtl3164:
-    """One node's floating-point unit, stepped a cycle at a time.
+    """The floating-point units of every node a memory spans, stepped a
+    cycle at a time as one.
 
     The object is stateful across calls so a sequencer can feed it one
     line of instructions at a time, interleaved with stall cycles for
@@ -90,7 +100,8 @@ class Wtl3164:
         self.memory = memory
         self.zero_reg = zero_reg
         self.unit_reg = unit_reg
-        self.regs = np.zeros(params.registers, dtype=np.float32)
+        # Each register holds what a read returned: a word, or lanes.
+        self.regs = [np.float32(0.0)] * params.registers
         self.valid = np.zeros(params.registers, dtype=bool)
         self.valid[zero_reg] = True
         if unit_reg is not None:
@@ -98,10 +109,10 @@ class Wtl3164:
             self.valid[unit_reg] = True
         self.cycle = 0
         self.stats = FpuStats()
-        self._pending_writes: Dict[int, List[Tuple[int, np.float32]]] = {}
+        self._pending_writes: Dict[int, List[Tuple[int, np.ndarray]]] = {}
         self._add_events: Dict[int, List[_AddEvent]] = {}
         self._chain_open: Dict[int, bool] = {}
-        self._chain_sum: Dict[int, np.float32] = {}
+        self._chain_sum: Dict[int, np.ndarray] = {}
         self._last_mem_direction: Optional[MemDirection] = None
         self._last_mem_cycle: Optional[int] = None
 
@@ -189,7 +200,7 @@ class Wtl3164:
                     f"thread {event.thread}: chained add with no open chain"
                 )
             base = self._chain_sum[event.thread]
-        total = np.float32(base + event.product)
+        total = base + event.product
         if event.last:
             when = self.cycle + self.params.add_to_writeback_cycles
             self._pending_writes.setdefault(when, []).append(
@@ -237,8 +248,7 @@ class Wtl3164:
                 f"at cycle {self.cycle}"
             )
         self._touch_memory(MemDirection.READ)
-        coeff_value = self.memory.read(instr.mem)
-        product = np.float32(coeff_value * self.regs[op.data_reg])
+        product = self.memory.read(instr.mem) * self.regs[op.data_reg]
         when = self.cycle + self.params.mult_to_add_cycles
         self._add_events.setdefault(when, []).append(
             _AddEvent(

@@ -10,7 +10,7 @@ measurements ("All measurements are for single-precision (that is,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,20 +40,12 @@ def parity_word(array: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(a.view(np.uint32), axis=None))
 
 
-@dataclass
-class AccessCounts:
-    """Word-transfer counters for one node's memory system."""
-
-    reads: int = 0
-    writes: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
-
 class NodeMemory:
-    """Named 2-D float32 buffers with bounds-checked, counted access.
+    """Named float32 buffers with bounds-checked access.
+
+    A buffer's trailing two axes address a word; any axes ahead of them
+    are lanes, so a read returns one word of a 2-D buffer, or one word
+    per node and batch entry of a whole-machine stack (:meth:`hold`).
 
     A machine node's memory *is* its ``tile`` of every distributed
     array: a name ``storage`` holds resolves, on each access, to this
@@ -69,7 +61,6 @@ class NodeMemory:
         tile: Optional[Tuple[int, int]] = None,
     ) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
-        self.counts = AccessCounts()
         self.storage = storage
         #: ``(row, col)`` in the node grid; None on an undeployed spare.
         self.tile = tile
@@ -103,8 +94,15 @@ class NodeMemory:
         self._buffers[name] = buffer
         return buffer
 
+    def hold(self, name: str, stack: np.ndarray) -> None:
+        """Hold ``stack`` under private ``name`` by reference, not a
+        copy: one exact pass's memory holds the pass's stacks, so its
+        reads and writes are lanes of them."""
+        self._private(name, "hold")
+        self._buffers[name] = stack
+
     def view(self, name: str) -> Optional[np.ndarray]:
-        """The buffer named ``name``, or None (no counting).  Batched
+        """The buffer named ``name``, or None.  Batched
         stacks are whole-machine only: no node memory resolves them."""
         stack = None if self.storage is None else self.storage.get(name)
         if stack is not None and stack.ndim == 4 and self.tile is not None:
@@ -155,20 +153,20 @@ class NodeMemory:
     def has_buffer(self, name: str) -> bool:
         return self.view(name) is not None
 
-    def read(self, ref: MemRef) -> np.float32:
+    def read(self, ref: MemRef) -> np.ndarray:
+        """The word at ``ref`` of every lane, copied: a value, not a
+        view a later write could change."""
         buffer = self.buffer(ref.buffer)
         self._check(buffer, ref)
-        self.counts.reads += 1
-        return buffer[ref.row, ref.col]
+        return buffer[..., ref.row, ref.col].copy()
 
-    def write(self, ref: MemRef, value: float) -> None:
+    def write(self, ref: MemRef, value) -> None:
         buffer = self.buffer(ref.buffer)
         self._check(buffer, ref)
-        self.counts.writes += 1
-        buffer[ref.row, ref.col] = np.float32(value)
+        buffer[..., ref.row, ref.col] = value
 
     def _check(self, buffer: np.ndarray, ref: MemRef) -> None:
-        rows, cols = buffer.shape
+        rows, cols = buffer.shape[-2:]
         if not (0 <= ref.row < rows and 0 <= ref.col < cols):
             raise MemoryError_(
                 f"access ({ref.row}, {ref.col}) outside buffer "
@@ -210,10 +208,10 @@ class MachineStorage:
     ``(grid_rows, grid_cols, rows, cols)`` float32 stack per name,
     holding every node's subgrid contiguously.  A node's
     :class:`NodeMemory` resolves the name to its ``[row, col]`` tile of
-    that stack on each access, so per-node access -- the cycle-stepped
-    sequencer, the exact executor -- and the whole-machine fast
-    executor and halo exchange read the same storage, and a name
-    re-allocated or re-bound here is seen by every node at once.
+    that stack on each access, so a node's view and the whole-machine
+    paths -- the fast and exact executors, the halo exchange -- read the
+    same storage, and a name re-allocated or re-bound here is seen by
+    every node at once.
 
     Aliases (:meth:`alias`, :meth:`bind`) share the target's stack under
     a second name, the machine-wide analogue of :meth:`NodeMemory.alias`.
@@ -245,10 +243,8 @@ class MachineStorage:
 
         Batched stacks live in the distributed-array namespace -- they
         checkpoint and NaN out with their node tile on a node death
-        like any 4-d stack -- but node memory does not
-        resolve them: per-node paths (exact mode, the sequencer) bind
-        one ``(batch, filter)`` entry at a time under a 4-d name
-        instead.
+        like any 4-d stack -- but a node's memory does not resolve
+        them; exact mode streams them whole, one lane per entry.
         """
         rows, cols = subgrid_shape
         stack = np.zeros(

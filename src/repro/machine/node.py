@@ -3,17 +3,16 @@
 The convolution compiler treats the node as the unit of computation (the
 new grid primitive "organizes nodes, not processors, into a
 two-dimensional grid").  Each node owns a subgrid of every array and an
-FPU; the bit-serial processors themselves are below the level this
-simulation needs, but their count fixes the memory-bandwidth story the
-slicewise format exploits.
+FPU, which the simulator steps as one lane of a machine-wide WTL3164
+model (:mod:`repro.machine.fpu`); the bit-serial processors themselves
+are below the level this simulation needs, but their count fixes the
+memory-bandwidth story the slicewise format exploits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .fpu import Wtl3164
 from .geometry import NodeCoord
 from .memory import NodeMemory
 from .params import MachineParams
@@ -27,18 +26,6 @@ class Node:
     address: int  # hypercube address
     params: MachineParams
     memory: NodeMemory = field(default_factory=NodeMemory)
-
-    def make_fpu(self, *, zero_reg: int = 0, unit_reg: Optional[int] = None) -> Wtl3164:
-        """A fresh FPU state for one kernel invocation.
-
-        The real FPU's registers persist, but each half-strip run begins
-        by loading everything it reads, so a fresh register file per
-        invocation is equivalent and lets the simulator's validity
-        checking catch uninitialized reads.
-        """
-        return Wtl3164(
-            self.params, self.memory, zero_reg=zero_reg, unit_reg=unit_reg
-        )
 
     def describe(self) -> str:
         return (

@@ -1,11 +1,14 @@
 """The sequencer: streams dynamic parts with run-time addresses.
 
-One :class:`Sequencer` drives one node's FPU through a half-strip: it
-walks the compiled line patterns (the contents of its scratch data
-memory), generates the memory address for each cycle exactly as the real
+One :class:`Sequencer` drives every node's FPU through a half-strip --
+the CM-2 streams one instruction stream to all of them: it walks the
+compiled line patterns (the contents of its scratch data memory),
+generates the memory address for each cycle exactly as the real
 sequencer ALU does from run-time base parameters, and charges its own
 overhead cycles -- the per-invocation dispatch and the per-line cost of
 the loop-closing branch that cannot share a cycle with a dynamic issue.
+An address names one word of every node's (and batch entry's) buffer:
+the FPU model steps them as lanes of one datapath.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class HalfStripJob:
 
 
 class Sequencer:
-    """Drives a node's FPU through half-strips of a compiled plan.
+    """Drives the FPU through half-strips of a compiled plan.
 
     Attributes:
         source_buffer: name of the padded source buffer in node memory.

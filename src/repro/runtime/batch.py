@@ -80,8 +80,8 @@ from .decomposition import Decomposition
 from .executor import (
     kernel_array_names,
     machine_execute_blocked,
+    machine_execute_exact,
     machine_execute_fast_stack,
-    node_execute_exact,
     values_equal,
 )
 from .faults import (
@@ -120,8 +120,8 @@ class CMBatch:
     executor) serve all of them in one pass.  Like a ``CMArray`` it
     keeps only its name; the machine storage holds the stack.  Node
     memory does not resolve it -- the batch axes are a sequencer-side
-    addressing construct; exact mode binds one entry at a time under a
-    4-d name.
+    addressing construct; exact mode steps every entry as lanes of one
+    pass.
     """
 
     def __init__(
@@ -623,7 +623,7 @@ def _run_ladder(
 
     Rungs, fastest first, are block lists: the resolved depths (when
     any is above 1) -> all one-step blocks -> all one-step blocks on the
-    exact per-node executor.  All three are bit-identical in float32, so
+    cycle-stepped exact executor.  All three are bit-identical in float32, so
     stepping down after repeated unrecoverable faults changes the run's
     cost, never its results.  The exact rung's datapath is modeled as
     ECC-protected (no executor faults are injected there); the source
@@ -678,53 +678,6 @@ def _run_ladder(
             guard.reclaim_rung()
             guard.note_degradation(f"{rung}->{rungs[index + 1][0]}")
     raise AssertionError("unreachable: the last rung returns or raises")
-
-
-#: Storage names under which exact mode binds one grid's stacks.
-_EXACT = "__exact__"
-
-
-def _exact_pass(
-    plan: _Plan,
-    fi: int,
-    padded: np.ndarray,
-    width: int,
-    expected: Optional[int],
-) -> int:
-    """Filter ``fi``'s pass through the cycle-stepped datapath, node by
-    node and grid by grid.  Each grid's padded input and result stacks
-    are bound in machine storage under 4-d names, so every node's
-    sequencer reads and writes its tiles of them in place.  Returns the
-    cycle count, which the SIMD machine requires to be identical on
-    every node (and equal to ``expected`` when given)."""
-    compiled = plan.filters[fi]
-    out = plan.outs[fi]
-    storage = plan.machine.storage
-    halo = halo_buffer_name(_EXACT)
-    nodes = list(plan.machine.nodes())
-    cycles = expected
-    try:
-        for entry in np.ndindex(*out.shape[:-4]):
-            storage.bind(halo, padded[entry])
-            storage.bind(_EXACT, out[entry])
-            for node in nodes:
-                node_cycles = node_execute_exact(
-                    compiled,
-                    node,
-                    plan.schedules[fi],
-                    source_name=_EXACT,
-                    result_name=_EXACT,
-                    halo=width,
-                )
-                if cycles is not None and node_cycles != cycles:
-                    raise AssertionError(
-                        "SIMD invariant violated: nodes disagree on cycles"
-                    )
-                cycles = node_cycles
-    finally:
-        storage.free(halo)
-        storage.free(_EXACT)
-    return cycles
 
 
 class _Loop:
@@ -1088,8 +1041,11 @@ class _Loop:
             return fixed
         width = p.width
         if self.exact:
-            self.measured[fi] = _exact_pass(
-                plan, fi, padded, width, self.measured[fi]
+            source, result = plan.halo_name(p.group), plan.out_names[fi]
+            self.measured[fi] = machine_execute_exact(
+                plan.filters[fi], plan.schedules[fi],
+                {**plan.arrays, source: padded, result: out},
+                source_buffer=source, result_buffer=result, halo=width,
             )
         else:
             machine_execute_fast_stack(

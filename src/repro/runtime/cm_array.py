@@ -6,10 +6,10 @@ array under its name as one stacked ``(grid_rows, grid_cols, rows,
 cols)`` float32 buffer, and the :class:`CMArray` keeps only the name:
 every access looks the stack up, and each node's
 :class:`~repro.machine.memory.NodeMemory` resolves the name to its own
-``[row, col]`` tile, which is how the sequencer's address generation
-finds it.  Per-node access (exact mode) and whole-machine access (host
-scatter/gather, the fast executor, the halo exchange) therefore observe
-the same storage, and two arrays created under one name are one array.
+``[row, col]`` tile.  A node's view and whole-machine access (host
+scatter/gather, the fast and exact executors, the halo exchange)
+therefore observe the same storage, and two arrays created under one
+name are one array.
 """
 
 from __future__ import annotations

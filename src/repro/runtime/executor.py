@@ -1,11 +1,12 @@
-"""Node-level execution of compiled stencils.
+"""Execution of compiled stencils on whole-machine stacks.
 
 Two execution modes with identical semantics:
 
-* **exact** -- every node's half-strips run through the cycle-stepped
-  sequencer + WTL3164 model: real register contents, ring-buffer
+* **exact** -- one pass's half-strips run through the cycle-stepped
+  sequencer + WTL3164 model once for the whole machine, every node and
+  batch entry a lane of it: real register contents, ring-buffer
   rotation, writeback timing, and exact cycle counts.  Used by the
-  correctness tests (and usable anywhere, just slow).
+  correctness tests (and usable anywhere, just slower).
 * **fast** -- numerics computed vectorized across the whole node grid
   in the *same accumulation order* the schedules use (so results are
   bit-identical in float32), with cycles from the closed-form cost model
@@ -24,12 +25,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compiler.plan import CompiledStencil
+from ..machine.fpu import Wtl3164
 from ..machine.machine import CM2
+from ..machine.memory import NodeMemory, parity_word
 from ..machine.node import Node
 from ..machine.sequencer import Sequencer
 from ..stencil.offsets import BoundaryMode
 from ..stencil.pattern import CoeffKind, StencilPattern
-from ..machine.memory import parity_word
 from ..verify import lockdep
 from .cm_array import ExecutionSetupError, stack_of  # noqa: F401 (re-exported)
 from .faults import FaultGuard
@@ -37,32 +39,44 @@ from .halo import halo_buffer_name
 from .strips import StripSchedule
 
 
-def node_execute_exact(
+def machine_execute_exact(
     compiled: CompiledStencil,
-    node: Node,
     schedule: StripSchedule,
+    stacks: Dict[str, np.ndarray],
     *,
-    source_name: str,
-    result_name: str,
+    source_buffer: str,
+    result_buffer: str,
     halo: int,
 ) -> int:
-    """Run one node's whole subgrid through the cycle-stepped datapath.
+    """One pass through the cycle-stepped datapath: one sequencer and
+    one WTL3164 for every node and batch entry.
 
-    Returns the exact cycle count (identical on every node: the machine
-    is synchronous SIMD).
+    ``stacks`` maps each name the pass streams -- the padded source
+    ``source_buffer``, the result slab ``result_buffer``, coefficient
+    and fused extra-source stacks by statement name -- to its
+    whole-machine stack, held by reference.  Every memory operand is
+    ``stack[..., row, col]``, one lane per node and batch entry (4-d
+    stacks broadcast across the batch axes), and constant pages are
+    scalars.  Returns the exact cycle count: the machine is synchronous
+    SIMD, so one instruction stream's count is every node's.
     """
     params = compiled.params
-    node.memory.ensure_constant_pages(compiled.scalar_coefficient_values())
-    any_plan = next(iter(compiled.plans.values()))
-    fpu = node.make_fpu(
-        zero_reg=any_plan.allocation.zero_reg,
-        unit_reg=any_plan.allocation.unit_reg,
+    memory = NodeMemory()
+    for name, stack in stacks.items():
+        memory.hold(name, stack)
+    memory.ensure_constant_pages(compiled.scalar_coefficient_values())
+    allocation = next(iter(compiled.plans.values())).allocation
+    fpu = Wtl3164(
+        params,
+        memory,
+        zero_reg=allocation.zero_reg,
+        unit_reg=allocation.unit_reg,
     )
     sequencer = Sequencer(
         params,
-        node.memory,
-        source_buffer=halo_buffer_name(source_name),
-        result_buffer=result_name,
+        memory,
+        source_buffer=source_buffer,
+        result_buffer=result_buffer,
         halo=halo,
     )
     for strip in schedule.strips:

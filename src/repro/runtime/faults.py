@@ -32,7 +32,7 @@ Recovery (in escalation order):
    (:meth:`repro.machine.memory.MachineStorage.checkpoint` /
    ``restore``) and replay of the iterations since;
 3. a graceful-degradation ladder: blocked fast path -> unblocked fast
-   path -> exact per-node executor.  All three rungs are bit-identical
+   path -> cycle-stepped exact executor.  All three rungs are bit-identical
    in float32, so stepping down changes cost, never results.
 
 All fault, retry, checkpoint, and degradation events are accounted in a

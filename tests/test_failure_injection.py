@@ -25,16 +25,22 @@ def params():
     return MachineParams(num_nodes=1)
 
 
-@pytest.fixture
-def memory():
+@pytest.fixture(params=[(), (3, 2, 2)], ids=["one-node", "lanes-3x2x2"])
+def memory(request):
+    """One node's memory of 2-D buffers, or a lane memory of 3 batch
+    entries on 2x2 nodes whose coefficient stacks span the node grid
+    and broadcast across the entries, as in an exact pass."""
+    lanes = request.param
     mem = NodeMemory()
     rng = np.random.default_rng(0)
-    mem.install(
-        "X__halo__", rng.standard_normal((10, 18)).astype(np.float32)
+    mem.hold(
+        "X__halo__", rng.standard_normal(lanes + (10, 18)).astype(np.float32)
     )
-    mem.allocate("R", (8, 16))
+    mem.hold("R", np.zeros(lanes + (8, 16), dtype=np.float32))
     for name in ("C1", "C2", "C3", "C4", "C5"):
-        mem.install(name, rng.standard_normal((8, 16)).astype(np.float32))
+        mem.hold(
+            name, rng.standard_normal(lanes[1:] + (8, 16)).astype(np.float32)
+        )
     return mem
 
 

@@ -119,6 +119,14 @@ class TestBasicDataflow:
         assert fpu.regs[3] == np.float32(2.0 * 1.0)
 
 
+class TestRegisterFile:
+    def test_reserved_registers_start_valid(self, params, memory):
+        fpu = Wtl3164(params, memory, zero_reg=0, unit_reg=1)
+        assert fpu.regs[1] == np.float32(1.0)
+        assert fpu.valid[0] and fpu.valid[1]
+        assert not fpu.valid[2]
+
+
 class TestValidation:
     def test_store_before_writeback_rejected(self, params, memory):
         fpu = make_fpu(params, memory)
@@ -273,3 +281,53 @@ class TestSpecialValues:
             fpu.run([store(2, 0, 0)])
             fpu.drain()
         assert np.isinf(mem.buffer("out")[0, 0])
+
+
+def chain_of_two(fpu):
+    """out[1, 0] = coeff[1, 0] * data[1, 0] + coeff[1, 1] * data[1, 1]."""
+    fpu.run([load(2, 1, 0), load(3, 1, 1)])
+    fpu.stall(2)
+    fpu.step(ma(2, 4, first=True, last=False, row=1, col=0))
+    fpu.step(Instr(NopOp("interleave"), None))
+    fpu.step(ma(3, 4, first=False, last=True, row=1, col=1))
+    fpu.stall(6)
+    fpu.run([store(4, 1, 0)])
+    fpu.drain()
+
+
+class TestLanes:
+    """A memory holding whole-machine stacks makes every register a
+    float32 vector, one lane per leading index; control is shared."""
+
+    def test_every_lane_matches_its_one_node_run(self, params):
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((3, 2, 4, 4)).astype(np.float32)
+        # One coefficient stack per node, broadcast across the entries.
+        coeff = rng.standard_normal((2, 4, 4)).astype(np.float32)
+        lanes = NodeMemory()
+        lanes.hold("data", data)
+        lanes.hold("coeff", coeff)
+        lanes.hold("out", np.zeros_like(data))
+        wide = make_fpu(params, lanes)
+        chain_of_two(wide)
+        for index in np.ndindex(*data.shape[:-2]):
+            one = NodeMemory()
+            one.install("data", data[index])
+            one.install("coeff", coeff[index[1:]])
+            one.allocate("out", (4, 4))
+            narrow = make_fpu(params, one)
+            chain_of_two(narrow)
+            assert narrow.stats == wide.stats
+            np.testing.assert_array_equal(
+                lanes.buffer("out")[index], one.buffer("out")
+            )
+
+    def test_a_load_takes_its_value_when_it_issues(self, params):
+        data = np.ones((2, 4, 4), dtype=np.float32)
+        mem = NodeMemory()
+        mem.hold("data", data)
+        fpu = make_fpu(params, mem)
+        fpu.run([load(2, 0, 1)])
+        data[:, 0, 1] = 5.0  # a store after the load issued, before it lands
+        fpu.stall(2)
+        np.testing.assert_array_equal(fpu.regs[2], np.ones(2, np.float32))

@@ -44,16 +44,6 @@ class TestNodeMemory:
         mem.write(MemRef("a", 1, 1), 3.5)
         assert mem.read(MemRef("a", 1, 1)) == np.float32(3.5)
 
-    def test_access_counting(self):
-        mem = NodeMemory()
-        mem.allocate("a", (2, 2))
-        mem.write(MemRef("a", 0, 0), 1.0)
-        mem.read(MemRef("a", 0, 0))
-        mem.read(MemRef("a", 0, 1))
-        assert mem.counts.reads == 2
-        assert mem.counts.writes == 1
-        assert mem.counts.total == 3
-
     def test_unknown_buffer(self):
         mem = NodeMemory()
         with pytest.raises(MemoryError_, match="no buffer"):
@@ -296,14 +286,6 @@ class TestNode:
         text = node.describe()
         assert "node(1,2)" in text
         assert "cube" in text
-
-    def test_make_fpu_reserves_registers(self):
-        machine = CM2(MachineParams(num_nodes=1))
-        node = machine.node(0, 0)
-        fpu = node.make_fpu(zero_reg=0, unit_reg=1)
-        assert fpu.regs[1] == np.float32(1.0)
-        assert fpu.valid[0] and fpu.valid[1]
-        assert not fpu.valid[2]
 
     def test_alias_shares_storage(self):
         mem = NodeMemory()

@@ -19,9 +19,11 @@ from repro.compiler.plan import StencilCompileError, compile_pattern
 from repro.compiler.ringbuf import RingBuffer, column_span, plan_ring_sizes
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
+from repro.runtime.batch import apply_stencil_batch
 from repro.runtime.cm_array import CMArray
 from repro.runtime.halo import exchange_halo, halo_buffer_name
 from repro.runtime.stencil_op import apply_stencil
+from repro.runtime.strips import StripSchedule
 from repro.stencil.multistencil import ColumnProfile, Multistencil
 from repro.stencil.offsets import (
     BoundaryMode,
@@ -329,33 +331,65 @@ class TestEndToEndProperties:
             run.result.to_numpy(), reference_stencil(pattern, x, coeffs)
         )
 
-    @given(pattern=patterns(), seed=st.integers(0, 10_000))
-    @settings(max_examples=12, deadline=None)
-    def test_exact_datapath_matches_fast_and_cycle_model(self, pattern, seed):
-        params = MachineParams(num_nodes=1)
-        machine = CM2(params)
-        rng = np.random.default_rng(seed)
-        gshape = (7, 11)
-        x = rng.standard_normal(gshape).astype(np.float32)
-        coeffs = {
-            name: rng.standard_normal(gshape).astype(np.float32)
-            for name in pattern.coefficient_names()
-        }
+    @given(
+        filters=st.lists(patterns(), min_size=1, max_size=2),
+        grids=st.integers(1, 3),
+        node_grid=st.sampled_from([(2, 2), (1, 4), (4, 1), (4, 4), (1, 1)]),
+        subgrid=st.sampled_from([(7, 11), (4, 6), (3, 9)]),
+        batched=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exact_datapath_matches_fast_and_cycle_model(
+        self, filters, grids, node_grid, subgrid, batched, seed
+    ):
+        """Exact bits equal fast bits equal the reference, and every
+        filter's stepped pass cycles equal the closed form, solo or
+        batched (1-3 grids x 1-2 filters), on every node grid."""
+        rows, cols = node_grid
+        params = MachineParams(num_nodes=rows * cols)
+        machine = CM2(params, shape=node_grid)
+        if not batched:
+            filters, grids = filters[:1], 1
         try:
-            compiled = compile_pattern(pattern, params)
+            compiled = [compile_pattern(p, params) for p in filters]
         except StencilCompileError:
             return
-        X = CMArray.from_numpy("X", machine, x)
+        rng = np.random.default_rng(seed)
+        gshape = (rows * subgrid[0], cols * subgrid[1])
+        xs = [
+            rng.standard_normal(gshape).astype(np.float32)
+            for _ in range(grids)
+        ]
+        coeffs = {
+            name: rng.standard_normal(gshape).astype(np.float32)
+            for p in filters
+            for name in p.coefficient_names()
+        }
+        X = [CMArray.from_numpy(f"X{b}", machine, x) for b, x in enumerate(xs)]
         C = {
             name: CMArray.from_numpy(name, machine, data)
             for name, data in coeffs.items()
         }
-        fast = apply_stencil(compiled, X, C, "RF")
-        exact = apply_stencil(compiled, X, C, "RE", exact=True)
+        if batched:
+            fast = apply_stencil_batch(compiled, X, C, "RF")
+            exact = apply_stencil_batch(compiled, X, C, "RE", exact=True)
+            got = exact.result.to_numpy()
+        else:
+            fast = apply_stencil(compiled[0], X[0], C, "RF")
+            exact = apply_stencil(compiled[0], X[0], C, "RE", exact=True)
+            got = exact.result.to_numpy()[None, None]
         np.testing.assert_array_equal(
             exact.result.to_numpy(), fast.result.to_numpy()
         )
-        assert exact.compute_cycles == fast.compute_cycles
+        for b, x in enumerate(xs):
+            for f, pattern in enumerate(filters):
+                np.testing.assert_array_equal(
+                    got[b, f], reference_stencil(pattern, x, coeffs)
+                )
+        for cost, c in zip(exact.per_filter, compiled):
+            schedule = StripSchedule.cached(c, subgrid)
+            assert cost.pass_cycles == schedule.compute_cycles(params)
 
 
 # ----------------------------------------------------------------------
