@@ -76,7 +76,6 @@ def main():
             u,
             {},
             scratch,
-            depth_taps=depth_taps,
             depth_boundary=BoundaryMode.FILL,
         )
         u, scratch = scratch, u
@@ -93,7 +92,7 @@ def main():
     print("  " + " ".join(f"{v:6.2f}" for v in center_profile))
     print()
     print(
-        f"last sweep: {run.compute_cycles} node cycles over {depth} planes, "
+        f"last sweep: {run.total_compute_cycles} node cycles over {depth} planes, "
         f"{run.mflops:.1f} Mflops sustained on {machine.num_nodes} nodes"
     )
 

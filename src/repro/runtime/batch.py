@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,6 +62,7 @@ from ..compiler import driver
 from ..compiler.plan import CompiledStencil
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
+from ..stencil.offsets import BoundaryMode
 from ..verify.aliasing import AliasingError, check_aliasing
 from ..verify.diagnostics import has_errors
 from .blocking import (
@@ -75,8 +75,14 @@ from .blocking import (
     elapsed_seconds,
 )
 from .abft import seal_checksums, verify_and_correct
-from .cm_array import CMArray, ExecutionSetupError, stack_of
-from .decomposition import Decomposition
+from .cm_array import (
+    CMArray,
+    CMArray3D,
+    ExecutionSetupError,
+    NamedStack,
+    depth_offset,
+    stack_of,
+)
 from .executor import (
     kernel_array_names,
     machine_execute_blocked,
@@ -109,7 +115,7 @@ from .halo import (
 from .strips import StripSchedule
 
 
-class CMBatch:
+class CMBatch(NamedStack):
     """A batch of distributed arrays stored as one machine-wide stack.
 
     The batched counterpart of :class:`~repro.runtime.cm_array.CMArray`:
@@ -137,33 +143,11 @@ class CMBatch:
                 f"lead_shape must be a non-empty tuple of positive "
                 f"extents, got {lead_shape}"
             )
-        self.name = name
-        self.machine = machine
-        self.lead_shape = lead_shape
-        self.decomposition = Decomposition(tuple(global_shape), machine)
-        machine.storage.allocate(
-            name, self.decomposition.subgrid_shape, lead_shape
-        )
+        super().__init__(name, machine, tuple(global_shape), lead_shape)
 
     @property
     def global_shape(self) -> Tuple[int, int]:
         return self.decomposition.global_shape
-
-    @property
-    def subgrid_shape(self) -> Tuple[int, int]:
-        return self.decomposition.subgrid_shape
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """The whole-machine ``lead_shape + (grid_rows, grid_cols,
-        rows, cols)`` stack the machine storage holds under this
-        batch's name now."""
-        stack = self.machine.storage.get(self.name)
-        if stack is None:
-            raise ExecutionSetupError(
-                f"batch {self.name!r} has been freed from machine storage"
-            )
-        return stack
 
     @classmethod
     def from_numpy(cls, name: str, machine: CM2, array: np.ndarray) -> "CMBatch":
@@ -192,9 +176,6 @@ class CMBatch:
                 f"shape {want}"
             )
         self.stacked[...] = self.decomposition.scatter(array)
-
-    def fill(self, value: float) -> None:
-        self.stacked[...] = np.float32(value)
 
     def to_numpy(self) -> np.ndarray:
         """Gather every entry into one host array of shape
@@ -280,10 +261,11 @@ class StencilRun:
         filters: the compiled filters, in application order.
         machine: the machine the run used.
         result: the result -- a :class:`~repro.runtime.cm_array.CMArray`
-            for a solo call, else a ``(batch, filter)``-lead
-            :class:`CMBatch` whose entry ``[b, f]`` is filter ``f``
-            applied to grid ``b``.
-        batch: number of independent source grids ``B``.
+            for a solo call, a
+            :class:`~repro.runtime.cm_array.CMArray3D` for a rank-3 one,
+            else a ``(batch, filter)``-lead :class:`CMBatch` whose entry
+            ``[b, f]`` is filter ``f`` applied to grid ``b``.
+        batch: number of source grids ``B`` (a rank-3 call's planes).
         iterations: iterations applied (every filter, every grid).
         exact: whether the cycle-stepped datapath ran.
         block_depths: per-filter temporal block depth (1: one-step blocks).
@@ -307,7 +289,7 @@ class StencilRun:
 
     filters: Tuple[CompiledStencil, ...]
     machine: CM2
-    result: Union[CMArray, CMBatch]
+    result: Union[CMArray, CMArray3D, CMBatch]
     batch: int
     iterations: int
     exact: bool
@@ -450,35 +432,6 @@ class StencilRun:
         )
 
 
-@contextmanager
-def _coefficient_bindings(machine: CM2, coefficients: Dict[str, CMArray]):
-    """Point statement coefficient names at the caller's arrays, scoped
-    to one call.
-
-    The compiled plans stream coefficients by *statement* name; when a
-    caller passes arrays stored under different names (e.g. through the
-    subroutine-call interface), the statement names are aliased to them
-    -- run-time base addresses, as the sequencer would take them.  The
-    previous bindings (if any) are restored on exit, so repeated calls
-    with different arrays never see each other's aliases and the
-    machine storage does not accumulate stale names.
-    """
-    saved = []
-    for statement_name, array in coefficients.items():
-        if array.name == statement_name:
-            continue
-        saved.append((statement_name, machine.storage.get(statement_name)))
-        machine.storage.alias(statement_name, array.name)
-    try:
-        yield
-    finally:
-        for statement_name, previous in reversed(saved):
-            if previous is None:
-                machine.storage.free(statement_name)
-            else:
-                machine.storage.bind(statement_name, previous)
-
-
 def _resolve_depths(
     filters: Sequence[CompiledStencil],
     subgrid_shape: Tuple[int, int],
@@ -513,18 +466,20 @@ def _resolve_depths(
 
 class _Plan:
     """What every rung of one call shares: the filters, the source stack
-    and its name, one result slab per filter, and the coefficient and
-    extra-source stacks by statement name."""
+    and its name, one result slab per filter, the coefficient and
+    extra-source stacks by statement name, and a rank-3 call's depth
+    taps."""
 
     def __init__(
         self,
         filters: Tuple[CompiledStencil, ...],
         source_name: str,
         source: np.ndarray,
-        result: Union[CMArray, CMBatch],
+        result: Union[CMArray, CMArray3D, CMBatch],
         outs: Tuple[np.ndarray, ...],
         out_names: Tuple[str, ...],
         iterations: int,
+        depth_boundary: Optional[BoundaryMode],
     ) -> None:
         self.filters = filters
         self.machine = result.machine
@@ -540,6 +495,17 @@ class _Plan:
         self.subgrid = tuple(source.shape[-2:])
         self.schedules = [StripSchedule.cached(f, self.subgrid) for f in filters]
         self.arrays: Dict[str, np.ndarray] = {}
+        #: A rank-3 call's depth taps: fused extra source -> depth offset.
+        self.taps: Dict[str, int] = {}
+        if depth_boundary is not None:
+            self.taps = {
+                term.source: depth_offset(term.source)
+                for f in filters
+                for term in getattr(f.pattern, "extra_terms", ())
+            }
+        #: Planes of depth halo on each side of the halo stack's lead axis.
+        self.reach = max(map(abs, self.taps.values()), default=0)
+        self.depth_boundary = depth_boundary
 
     def halo_name(self, gi: int) -> str:
         """Group ``gi``'s halo stack: the first group's is the source's
@@ -547,6 +513,26 @@ class _Plan:
         return halo_buffer_name(
             f"{self.source_name}__group{gi}" if gi else self.source_name
         )
+
+    def depth_halo(self, halo: np.ndarray, width: int) -> None:
+        """Fill the ``reach`` planes on each side of the halo stack's
+        middle ones -- wrapped, or zero past a FILL depth boundary -- and
+        point every depth tap at the interior ``dz`` planes away: a view,
+        as the sequencer takes a run-time base address."""
+        reach, depth = self.reach, self.lead[0]
+        outer = np.r_[:reach, reach + depth : depth + 2 * reach]
+        if self.depth_boundary is BoundaryMode.FILL:
+            halo[outer] = 0.0
+        else:
+            halo[outer] = halo[reach + (outer - reach) % depth]
+        rows, cols = self.subgrid
+        for name, dz in self.taps.items():
+            self.arrays[name] = halo[
+                reach + dz : reach + dz + depth,
+                ...,
+                width : width + rows,
+                width : width + cols,
+            ]
 
     def padded(self, width: int) -> Tuple[int, int]:
         rows, cols = self.subgrid
@@ -573,10 +559,10 @@ def run_stencil(
     filters: Tuple[CompiledStencil, ...],
     source_name: str,
     source: np.ndarray,
-    result: Union[CMArray, CMBatch],
+    result: Union[CMArray, CMArray3D, CMBatch],
     outs: Tuple[np.ndarray, ...],
     out_names: Tuple[str, ...],
-    coefficients: Dict[str, CMArray],
+    coefficients: Dict[str, NamedStack],
     *,
     iterations: int,
     exact: bool,
@@ -584,8 +570,9 @@ def run_stencil(
     faults: Optional[FaultInjector],
     resilience: Optional[ResiliencePolicy],
     tenant: Optional[str],
+    depth_boundary: Optional[BoundaryMode] = None,
 ) -> StencilRun:
-    """The engine behind both entry points, on a call that passed
+    """The engine behind every entry point, on a call that passed
     :func:`check_call`.
 
     ``source`` is the source stack (``source_name`` names it and its
@@ -593,9 +580,19 @@ def run_stencil(
     ``out_names`` in fault sites and ABFT seals), both with the same
     leading axes.  Supplying ``faults`` or ``resilience`` runs the
     guarded recovery ladder; otherwise the block list runs once and the
-    record is its closed form.
+    record is its closed form.  A rank-3 call passes its
+    ``depth_boundary``: its lead axis is depth, and its fused extra
+    terms are depth taps read from the pass's own halo stack.
+
+    The plans stream coefficients by *statement* name; the plan maps
+    each such name to the stack the caller passed for it, or the one
+    resident under it -- run-time base addresses, as the sequencer
+    takes them -- and binds nothing in machine storage.
     """
-    plan = _Plan(filters, source_name, source, result, outs, out_names, iterations)
+    plan = _Plan(
+        filters, source_name, source, result, outs, out_names, iterations,
+        depth_boundary,
+    )
     machine = plan.machine
     depths = _resolve_depths(
         filters, plan.subgrid, iterations, exact, block_depth, plan.batch,
@@ -604,12 +601,13 @@ def run_stencil(
     guard = None
     if faults is not None or resilience is not None:
         guard = FaultGuard(policy=resilience, injector=faults)
-    with _coefficient_bindings(machine, coefficients):
-        names = dict.fromkeys(
-            name for f in filters for name in kernel_array_names(f.pattern)
-        )
-        plan.arrays = {name: stack_of(machine, name) for name in names}
-        return _run_ladder(plan, depths, exact, guard)
+    for f in filters:
+        for name in kernel_array_names(f.pattern):
+            if name in coefficients:
+                plan.arrays[name] = coefficients[name].stacked
+            elif name not in plan.taps:
+                plan.arrays[name] = stack_of(machine, name)
+    return _run_ladder(plan, depths, exact, guard)
 
 
 def _run_ladder(
@@ -657,7 +655,11 @@ def _run_ladder(
         if machine.has_spares and guard.genesis is None:
             stacks = dict(machine.storage.distinct())
             names = list(stacks)
-            if not any(stack is plan.source for stack in stacks.values()):
+            # A staged source is saved by name; a stored one, or a plane
+            # view of a stored volume, is saved with its stack.
+            if not any(
+                np.may_share_memory(stack, plan.source) for stack in stacks.values()
+            ):
                 names.append(plan.source_name)
             guard.genesis = machine.storage.checkpoint(names)
             guard.charge_checkpoint(machine.migration_words())
@@ -730,7 +732,7 @@ class _Loop:
         #: Coefficient halos charged canonically; exchanging one again
         #: (after a node death) is a replay.
         self.charged: set = set()
-        #: The last checkpoint, as (iteration, stored result slabs).
+        #: The last checkpoint, as (iteration, copies of the result slabs).
         self.checkpoint = None
         self.replays = 0
         self.high = 0
@@ -786,9 +788,7 @@ class _Loop:
                     seals.append(seal_checksums(plan.outs[fi]))
                     guard.charge_abft(plan.slab_words(), seals=1)
             if k in marks and len(self.fixed) < len(plan.filters):
-                self.checkpoint = (
-                    k, plan.machine.storage.checkpoint([plan.result.name])
-                )
+                self.checkpoint = (k, [out.copy() for out in plan.outs])
                 guard.charge_checkpoint(len(plan.outs) * plan.slab_words())
             if not (abft and done):
                 continue
@@ -917,14 +917,19 @@ class _Loop:
         else:
             stack = plan.outs[members[0]] if p.start else plan.source
             shape = plan.padded(p.width)
+            lead = plan.lead
+            if plan.reach:  # a rank-3 call: depth halo on the lead axis
+                lead = (lead[0] + 2 * plan.reach,) + lead[1:]
 
             def destination() -> np.ndarray:
                 # The halo stack, (re)allocated inside the exchange's
                 # hard-fault window, so a node that dies there never
-                # held it.
+                # held it; the exchange fills its middle planes.
                 found = plan.machine.storage.get(name)
-                if found is None or found.shape != stack.shape[:-2] + shape:
-                    found = plan.machine.storage.allocate(name, shape, plan.lead)
+                if found is None or found.shape != lead + stack.shape[-4:-2] + shape:
+                    found = plan.machine.storage.allocate(name, shape, lead)
+                if plan.reach:
+                    return found[plan.reach : plan.reach + plan.lead[0]]
                 return found
         copies = math.prod(stack.shape[:-4])
         stats = self._exchange_into(
@@ -936,6 +941,8 @@ class _Loop:
         if guard is not None and not guard.replaying:
             ledger += [lambda c=stats.cycles: guard.reclaim_exchange(c)] * copies
         padded = destination()
+        if plan.reach:
+            plan.depth_halo(plan.machine.storage.get(name), p.width)
         if padded.ndim > plan.source.ndim:
             return [padded[..., j, :, :, :, :] for j in range(len(members))]
         for fi, steps in p.blocks:
@@ -1071,7 +1078,8 @@ class _Loop:
         resume = 0
         if self.checkpoint is not None:
             resume, saved = self.checkpoint
-            self.plan.machine.storage.restore(saved)
+            for out, copy in zip(self.plan.outs, saved):
+                out[...] = copy
         self.guard.note_rollback(k - resume + lost)
         self.high = max(self.high, k)
         self.fixed = {fi: at for fi, at in self.fixed.items() if at < resume}
@@ -1181,7 +1189,7 @@ def check_call(
     coefficients: Optional[Dict[str, CMArray]],
     result,
     *,
-    solo: bool,
+    door: str,
     iterations,
     block_depth,
     check_finite: bool,
@@ -1189,12 +1197,16 @@ def check_call(
     """The one check of a stencil call, made before anything is
     allocated, staged or bound; returns the name of the result.
 
-    A solo call takes a :class:`CMArray` source and result; a batched
-    one a one-lead-axis :class:`CMBatch` or a list of :class:`CMArray`
-    on one machine with one global shape, and a ``(B, F)``-lead
-    :class:`CMBatch` result.  Every array a filter reads is passed in
-    ``coefficients``, on the sources' machine with their global shape,
-    or resident under its statement name with their subgrid.  Aliasing
+    ``door`` names the entry point.  A ``"solo"`` call takes a
+    :class:`CMArray` source and result; a ``"batch"`` one a
+    one-lead-axis :class:`CMBatch`, a :class:`CMArray3D` (its planes the
+    batch) or a list of :class:`CMArray` on one machine with one global
+    shape, and a ``(B, F)``-lead :class:`CMBatch` result; a
+    ``"volume"`` (rank-3) one a :class:`CMArray3D` source and result of
+    one shape, whose fused extra terms are depth taps.  Every array a
+    filter reads is passed in ``coefficients``, on the sources' machine
+    with their global shape (rank-3 arrays on the volume door), or
+    resident under its statement name with their stack shape.  Aliasing
     is checked by name for every filter: RS601 and RS602 raise, the
     RS603 in-place update passes.  Raises only
     :class:`ExecutionSetupError` (an :class:`AliasingError`, or with
@@ -1220,9 +1232,12 @@ def check_call(
             f"block_depth must be a positive int or 'auto', got {block_depth!r}"
         )
 
-    if solo:
+    volume = door == "volume"
+    if door == "solo":
         entries = [sources] if isinstance(sources, CMArray) else []
-    elif isinstance(sources, CMBatch):
+    elif volume:
+        entries = [sources] if isinstance(sources, CMArray3D) else []
+    elif isinstance(sources, (CMBatch, CMArray3D)):
         entries = [sources] if len(sources.lead_shape) == 1 else []
     elif isinstance(sources, (list, tuple)) and all(
         isinstance(array, CMArray) for array in sources
@@ -1231,12 +1246,13 @@ def check_call(
     else:
         entries = []
     if not entries:
-        raise ExecutionSetupError(
-            f"the source must be one CMArray, got {type(sources).__name__}"
-            if solo else
-            f"sources must be a CMBatch with one lead axis or a non-empty "
-            f"list of CMArrays, got {type(sources).__name__}"
-        )
+        wanted = {
+            "solo": "the source must be one CMArray",
+            "volume": "the source must be one CMArray3D",
+            "batch": "sources must be a CMBatch with one lead axis, a "
+            "CMArray3D or a non-empty list of CMArrays",
+        }[door]
+        raise ExecutionSetupError(f"{wanted}, got {type(sources).__name__}")
     machine, subgrid = entries[0].machine, entries[0].subgrid_shape
     grid = tuple(machine.shape) + subgrid
     grids = []  # (label, stack) of every source grid
@@ -1246,7 +1262,7 @@ def check_call(
                 f"batch source {i} ({array.name!r}) lives on a different "
                 f"machine"
             )
-        axes = getattr(array, "lead_shape", ())
+        axes = array.lead_shape
         stack = array.stacked
         _check_shape(stack, axes + grid, f"source {array.name!r}")
         if axes:
@@ -1254,15 +1270,18 @@ def check_call(
         else:
             grids.append((array.name, stack))
 
+    # A rank-3 call reads rank-3 arrays: depth leads every stack.
+    lead = entries[0].lead_shape if volume else ()
+    array_type = CMArray3D if volume else CMArray
     coefficients = coefficients or {}
     inputs: Dict[str, str] = {}  # statement name -> the stack read there
     for statement, array in coefficients.items():
-        if not isinstance(array, CMArray) or array.machine is not machine:
+        if not isinstance(array, array_type) or array.machine is not machine:
             raise ExecutionSetupError(
-                f"coefficient {statement!r} is not a CMArray on the "
-                f"sources' machine"
+                f"coefficient {statement!r} is not a {array_type.__name__} "
+                f"on the sources' machine"
             )
-        _check_shape(array.stacked, grid, f"coefficient {statement!r}")
+        _check_shape(array.stacked, lead + grid, f"coefficient {statement!r}")
         inputs[statement] = array.name
     for fi, compiled in enumerate(filters):
         pattern = compiled.pattern
@@ -1276,6 +1295,14 @@ def check_call(
             )
         extra = {term.source for term in getattr(pattern, "extra_terms", ())}
         for name in kernel_array_names(pattern):
+            if volume and name in extra:
+                if not depth_offset(name):
+                    raise ExecutionSetupError(
+                        f"fused extra source {name!r} of {label} is not a "
+                        f"depth tap; a rank-3 call's extra terms read "
+                        f"planes of its source (compile_3d)"
+                    )
+                continue
             if name in inputs:
                 continue
             kind = "fused extra-source" if name in extra else "coefficient"
@@ -1286,24 +1313,24 @@ def check_call(
                     f"it in coefficients or create it on the sources' "
                     f"machine"
                 )
-            _check_shape(stack, grid, f"resident {kind} {name!r}")
+            _check_shape(stack, lead + grid, f"resident {kind} {name!r}")
             inputs[name] = name
 
-    lead = () if solo else (len(grids), len(filters))
+    result_lead = (len(grids), len(filters)) if door == "batch" else lead
+    result_type = {"solo": CMArray, "volume": CMArray3D, "batch": CMBatch}[door]
     if result is None:
-        result_name = filters[0].pattern.result + ("" if solo else "__batch__")
+        result_name = filters[0].pattern.result + (
+            "__batch__" if door == "batch" else ""
+        )
     elif isinstance(result, str):
         result_name = result
-    elif isinstance(result, CMArray if solo else CMBatch) and (
-        result.machine is machine
-    ):
-        _check_shape(result.stacked, lead + grid, f"result {result.name!r}")
+    elif isinstance(result, result_type) and result.machine is machine:
+        _check_shape(result.stacked, result_lead + grid, f"result {result.name!r}")
         result_name = result.name
     else:
         raise ExecutionSetupError(
-            f"result must be None, a name or a "
-            f"{'CMArray' if solo else 'CMBatch'} on the sources' machine, "
-            f"got {type(result).__name__}"
+            f"result must be None, a name or a {result_type.__name__} on "
+            f"the sources' machine, got {type(result).__name__}"
         )
 
     # One check per filter covers every source name: passing the
@@ -1332,7 +1359,7 @@ def check_call(
     if check_finite:
         for b, (label, stack) in enumerate(grids):
             if not np.isfinite(stack).all():
-                where = repr(label) if solo else f"entry {b} ({label!r})"
+                where = repr(label) if door == "solo" else f"entry {b} ({label!r})"
                 raise NonFiniteInputError(
                     f"source {where} contains NaN/Inf (check_finite=True)"
                 )
@@ -1366,7 +1393,9 @@ def apply_stencil_batch(
         filters: the compiled stencils to apply, all sharing machine
             parameters.  Fused extra sources are read by name, as 4-d
             arrays broadcast across the batch.
-        sources: a ``(B,)``-lead :class:`CMBatch`, or a list of
+        sources: a ``(B,)``-lead :class:`CMBatch`, a
+            :class:`~repro.runtime.cm_array.CMArray3D` (its ``B`` planes,
+            read in place), or a list of
             :class:`~repro.runtime.cm_array.CMArray` on the same machine
             and global shape (staged into a batched scratch stack).
         coefficients: coefficient arrays by statement name, shared by
@@ -1390,12 +1419,12 @@ def apply_stencil_batch(
     anything is allocated or staged.
     """
     name = check_call(
-        filters, sources, coefficients, result, solo=False,
+        filters, sources, coefficients, result, door="batch",
         iterations=iterations, block_depth=block_depth,
         check_finite=check_finite,
     )
     filters = tuple(filters)
-    if isinstance(sources, CMBatch):
+    if isinstance(sources, (CMBatch, CMArray3D)):
         source_name, source, first = sources.name, sources.stacked, sources
     else:
         source_name, first = "__batch_source__", sources[0]
@@ -1407,7 +1436,7 @@ def apply_stencil_batch(
     if not isinstance(result, CMBatch):
         result = CMBatch(
             name, first.machine, (len(source), len(filters)),
-            first.global_shape,
+            first.decomposition.global_shape,
         )
     return run_stencil(
         filters,

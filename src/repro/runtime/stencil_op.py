@@ -115,7 +115,7 @@ def apply_stencil(
     allocated: a malformed call leaves machine storage untouched.
     """
     name = check_call(
-        (compiled,), source, coefficients, result, solo=True,
+        (compiled,), source, coefficients, result, door="solo",
         iterations=iterations, block_depth=block_depth,
         check_finite=check_finite,
     )

@@ -1,9 +1,10 @@
-"""One front door: both entry points check a call once, up front.
+"""One front door: every entry point checks a call once, up front.
 
-``apply_stencil`` and ``apply_stencil_batch`` run the same check
-(``runtime.batch.check_call``) before anything is allocated, staged or
-bound, so a rejected call raises a typed error and leaves every stack
-in machine storage as it was, and both accept the same arrays.
+``apply_stencil``, ``apply_stencil_batch`` and ``apply_stencil_3d`` run
+the same check (``runtime.batch.check_call``) before anything is
+allocated, staged or bound, so a rejected call raises a typed error and
+leaves every stack in machine storage as it was, and the two 2-D doors
+accept the same arrays.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
 from repro.runtime.batch import CMBatch, apply_stencil_batch
 from repro.runtime.cm_array import CMArray, ExecutionSetupError
+from repro.runtime.multidim import CMArray3D, apply_stencil_3d, compile_3d
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil import gallery
-from repro.stencil.pattern import Coefficient
+from repro.stencil.pattern import Coefficient, pattern_from_offsets
+from repro.verify.aliasing import AliasingError
 
 
 def make_problem(pattern, shape):
@@ -97,6 +100,63 @@ def test_a_rejected_call_is_typed_and_changes_no_stack(door, case):
     expected = ValueError if case == "bad-depth" else ExecutionSetupError
     with pytest.raises(expected):
         call(door, compiled, source, batch, coefficients, **kwargs)
+    assert_unchanged(machine, before)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "coefficient-depth-2",
+        "coefficient-depth-5",
+        "coefficient-rank-2",
+        "result-depth-2",
+        "result-depth-5",
+        "no-iterations",
+        "result-is-source",
+        "extra-term-not-a-depth-tap",
+    ],
+)
+def test_a_rejected_volume_call_is_typed_and_changes_no_stack(case):
+    """The third door: ``apply_stencil_3d`` calls ``check_call`` too, on
+    column3 over an 8x8x3 source with rank-3 coefficients."""
+    machine = CM2(MachineParams(num_nodes=4))
+    pattern = pattern_from_offsets([(-1, 0), (0, 0), (1, 0)], name="column3")
+    compiled = compile_3d(pattern, (), machine.params)
+    rng = np.random.default_rng(12)
+
+    def volume(name, depth):
+        data = rng.standard_normal((8, 8, depth)).astype(np.float32)
+        return CMArray3D.from_numpy(name, machine, data)
+
+    source = volume("X", 3)
+    coefficients = {
+        name: volume(name, 3) for name in compiled.pattern.coefficient_names()
+    }
+    result, kwargs = None, {}
+    if case.startswith("coefficient-depth-"):
+        coefficients["C1"] = volume("C1d", int(case[-1]))
+    elif case == "coefficient-rank-2":
+        coefficients["C1"] = CMArray.from_numpy(
+            "C1p", machine, np.ones((8, 8), np.float32)
+        )
+    elif case.startswith("result-depth-"):
+        result = volume("R", int(case[-1]))
+    elif case == "no-iterations":
+        kwargs["iterations"] = 0
+    elif case == "result-is-source":
+        result = source.name
+    elif case == "extra-term-not-a-depth-tap":
+        compiled = fuse(
+            pattern,
+            [ExtraTerm(source="U", coeff=Coefficient.scalar(0.5))],
+            machine.params,
+        )
+        volume("U", 3)
+    before = snapshot(machine)
+    expected = AliasingError if case == "result-is-source" else ExecutionSetupError
+    with pytest.raises(expected) as raised:
+        apply_stencil_3d(compiled, source, coefficients, result, **kwargs)
+    assert any(entry.name == "check_call" for entry in raised.traceback)
     assert_unchanged(machine, before)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
+from repro.runtime.faults import ResiliencePolicy
 from repro.runtime.multidim import (
     CMArray3D,
     DepthTap,
@@ -12,6 +13,8 @@ from repro.runtime.multidim import (
     compile_3d,
     depth_alias,
 )
+from repro.runtime.stencil_op import apply_stencil
+from repro.runtime.strips import StripSchedule
 from repro.stencil.offsets import BoundaryMode
 from repro.stencil.pattern import (
     Coefficient,
@@ -86,6 +89,23 @@ class TestCMArray3D:
         array = CMArray3D.from_numpy("A", machine, data)
         np.testing.assert_array_equal(array.slab(1).to_numpy(), data[:, :, 1])
 
+    def test_a_plane_serves_a_guarded_solo_call(self):
+        """A plane is a CMArray on every path: a guarded run with spares
+        and checkpoints reads and writes planes like named arrays."""
+        machine = CM2(MachineParams(num_nodes=4), spares=1)
+        compiled = compile_3d(laplacian_pattern(), (), machine.params)
+        data = np.random.default_rng(10).standard_normal((8, 8, 3))
+        volume = CMArray3D.from_numpy("V", machine, data.astype(np.float32))
+        plain = apply_stencil(compiled, volume.slab(0), None, "P", iterations=4)
+        guarded = apply_stencil(
+            compiled, volume.slab(0), None, volume.slab(2), iterations=4,
+            resilience=ResiliencePolicy(checkpoint_interval=2),
+        )
+        np.testing.assert_array_equal(
+            volume.to_numpy()[:, :, 2], plain.result.to_numpy()
+        )
+        assert guarded.reconciled
+
     def test_like(self, machine):
         a = CMArray3D("A", machine, (8, 8, 3))
         b = a.like("B")
@@ -133,9 +153,7 @@ class TestApply3D:
             laplacian_pattern(), depth_taps(), machine.params
         )
         X = CMArray3D.from_numpy("X", machine, x)
-        run = apply_stencil_3d(
-            compiled, X, {}, "R", depth_taps=depth_taps()
-        )
+        run = apply_stencil_3d(compiled, X, {}, "R")
         np.testing.assert_array_equal(
             run.result.to_numpy(), reference_laplacian_3d(x, depth_mode="wrap")
         )
@@ -152,7 +170,6 @@ class TestApply3D:
             X,
             {},
             "R",
-            depth_taps=depth_taps(),
             depth_boundary=BoundaryMode.FILL,
         )
         np.testing.assert_array_equal(
@@ -196,7 +213,7 @@ class TestApply3D:
             laplacian_pattern(), depth_taps(), machine.params
         )
         X = CMArray3D.from_numpy("X", machine, x)
-        run = apply_stencil_3d(compiled, X, {}, "R", depth_taps=depth_taps())
+        run = apply_stencil_3d(compiled, X, {}, "R")
         np.testing.assert_array_equal(
             run.result.to_numpy(), reference_laplacian_3d(x, depth_mode="wrap")
         )
@@ -210,16 +227,14 @@ class TestApply3D:
             CMArray3D("A", machine, (8, 8, 2)),
             {},
             "R1",
-            depth_taps=depth_taps(),
         )
         deep = apply_stencil_3d(
             compiled,
             CMArray3D("B", machine, (8, 8, 6)),
             {},
             "R2",
-            depth_taps=depth_taps(),
         )
-        assert deep.compute_cycles == 3 * shallow.compute_cycles
+        assert deep.total_compute_cycles == 3 * shallow.total_compute_cycles
         assert deep.useful_flops == 3 * shallow.useful_flops
 
     def test_iterations_scale(self, machine):
@@ -234,8 +249,49 @@ class TestApply3D:
             "R2",
             iterations=10,
         )
-        assert many.compute_cycles == 10 * once.compute_cycles
+        assert many.total_compute_cycles == 10 * once.total_compute_cycles
         assert many.mflops == pytest.approx(once.mflops)
+
+    def test_a_run_is_one_engine_call(self, machine, monkeypatch):
+        """Every plane and iteration ride one engine call: one host call
+        and one exchange of ``depth`` messages per iteration."""
+        from repro.runtime import multidim
+
+        calls = []
+        engine = multidim.run_stencil
+        monkeypatch.setattr(
+            multidim,
+            "run_stencil",
+            lambda *args, **kwargs: calls.append(1) or engine(*args, **kwargs),
+        )
+        compiled = compile_3d(
+            laplacian_pattern(), depth_taps(), machine.params
+        )
+        run = apply_stencil_3d(
+            compiled, CMArray3D("A", machine, (8, 8, 5)), {}, "R",
+            iterations=3,
+        )
+        assert len(calls) == 1
+        assert (run.batch, run.host_calls, run.num_exchanges) == (5, 3, 15)
+        assert run.reconciled
+
+    def test_one_compiled_stencil_serves_two_volumes(self, machine):
+        """The depth taps come from the compiled stencil alone: a second
+        volume on the same machine reads its own planes, and no run
+        leaves a depth name behind in machine storage."""
+        rng = np.random.default_rng(9)
+        compiled = compile_3d(
+            laplacian_pattern(), depth_taps(), machine.params
+        )
+        for name, result in (("X", "R1"), ("Y", "R2")):
+            data = rng.standard_normal((8, 12, 3)).astype(np.float32)
+            volume = CMArray3D.from_numpy(name, machine, data)
+            run = apply_stencil_3d(compiled, volume, {}, result)
+            np.testing.assert_array_equal(
+                run.result.to_numpy(), reference_laplacian_3d(data)
+            )
+            for left in (depth_alias(-1), depth_alias(1), "__zero_slab__"):
+                assert machine.storage.lookup(left) is None, left
 
     @pytest.mark.parametrize(
         "boundary,mode",
@@ -254,11 +310,11 @@ class TestApply3D:
         )
         X = CMArray3D.from_numpy("X", machine, x)
         once = apply_stencil_3d(
-            compiled, X, {}, "R1", depth_taps=depth_taps(),
+            compiled, X, {}, "R1",
             depth_boundary=boundary,
         )
         twice = apply_stencil_3d(
-            compiled, X, {}, "R2", depth_taps=depth_taps(),
+            compiled, X, {}, "R2",
             depth_boundary=boundary, iterations=2,
         )
         expected = reference_laplacian_3d(
@@ -266,31 +322,92 @@ class TestApply3D:
         )
         np.testing.assert_array_equal(twice.result.to_numpy(), expected)
         np.testing.assert_array_equal(X.to_numpy(), x)
-        assert twice.compute_cycles == 2 * once.compute_cycles
+        assert twice.total_compute_cycles == 2 * once.total_compute_cycles
+
+
+def assert_exact_equals_fast(runs, expected):
+    """Exact bits = fast bits = the reference, equal compute totals, and
+    the stepped datapath's pass equals the closed form."""
+    for run in runs.values():
+        np.testing.assert_array_equal(run.result.to_numpy(), expected)
+        compiled = run.compiled
+        schedule = StripSchedule.cached(compiled, run.result.subgrid_shape)
+        assert run.per_filter[0].pass_cycles == schedule.compute_cycles(
+            compiled.params
+        )
+    assert runs[True].total_compute_cycles == runs[False].total_compute_cycles
 
 
 class TestExactMode3D:
-    def test_exact_matches_fast_through_the_outer_loop(self, machine):
+    @pytest.mark.parametrize("iterations", [1, 2])
+    @pytest.mark.parametrize(
+        "boundary,mode",
+        [(BoundaryMode.CIRCULAR, "wrap"), (BoundaryMode.FILL, "fill")],
+    )
+    def test_exact_matches_fast_through_the_outer_loop(
+        self, boundary, mode, iterations
+    ):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 12, 3)).astype(np.float32)
-        compiled = compile_3d(
-            laplacian_pattern(), depth_taps(), machine.params
-        )
-        results = {}
+        expected = x
+        for _ in range(iterations):
+            expected = reference_laplacian_3d(expected, depth_mode=mode)
+        runs = {}
         for exact in (False, True):
             m = CM2(MachineParams(num_nodes=4))
             compiled_m = compile_3d(
                 laplacian_pattern(), depth_taps(), m.params
             )
             X = CMArray3D.from_numpy("X", m, x)
-            run = apply_stencil_3d(
+            runs[exact] = apply_stencil_3d(
                 compiled_m,
                 X,
                 {},
                 "R",
-                depth_taps=depth_taps(),
+                depth_boundary=boundary,
+                iterations=iterations,
                 exact=exact,
             )
-            results[exact] = (run.result.to_numpy(), run.compute_cycles)
-        np.testing.assert_array_equal(results[True][0], results[False][0])
-        assert results[True][1] == results[False][1]
+        assert_exact_equals_fast(runs, expected)
+
+    def test_exact_matches_fast_with_rank3_coefficients(self):
+        from repro.baseline.reference import reference_stencil
+
+        pattern = pattern_from_offsets(
+            [(-1, 0), (0, 0), (1, 0)], name="column3"
+        )
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((8, 8, 3)).astype(np.float32)
+        coeffs = {
+            name: rng.standard_normal((8, 8, 3)).astype(np.float32)
+            for name in pattern.coefficient_names()
+        }
+        expected = x
+        for _ in range(2):
+            expected = np.stack(
+                [
+                    reference_stencil(
+                        pattern,
+                        expected[:, :, k],
+                        {name: data[:, :, k] for name, data in coeffs.items()},
+                    )
+                    for k in range(3)
+                ],
+                axis=2,
+            )
+        runs = {}
+        for exact in (False, True):
+            m = CM2(MachineParams(num_nodes=4))
+            C = {
+                name: CMArray3D.from_numpy(name, m, data)
+                for name, data in coeffs.items()
+            }
+            runs[exact] = apply_stencil_3d(
+                compile_3d(pattern, (), m.params),
+                CMArray3D.from_numpy("X", m, x),
+                C,
+                "R",
+                iterations=2,
+                exact=exact,
+            )
+        assert_exact_equals_fast(runs, expected)
