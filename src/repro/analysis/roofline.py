@@ -29,8 +29,9 @@ class RooflinePoint:
 
     Attributes:
         width: results per line.
-        compute_cycles: multiply-add issue slots (one per tap per result,
-            plus the idle slots a solo trailing chain forces).
+        compute_cycles: multiply-add issue slots (one per tap and fused
+            extra term per result, plus the idle slots a solo trailing
+            chain forces).
         memory_cycles: interface-chip occupancy: one streamed coefficient
             word per multiply-add plus ``memory_access_cycles`` per
             explicit load and store.
@@ -69,8 +70,9 @@ class RooflinePoint:
 def analyze_plan(plan: WidthPlan, params: MachineParams) -> RooflinePoint:
     """The steady-state roofline point of one width plan."""
     line = plan.steady[0]
-    taps = len(plan.allocation.multistencil.pattern.taps)
-    issues = plan.width * taps  # real multiply-add issues per line
+    pattern = plan.allocation.multistencil.pattern
+    # Real multiply-add issues per line, fused extra terms included.
+    issues = plan.width * pattern.issued_multiply_adds_per_point()
     # line.num_ma counts the whole block including the idle slots a
     # trailing solo chain forces; both are compute-side occupancy.
     compute = line.num_ma

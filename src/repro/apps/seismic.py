@@ -38,11 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compiler.codegen import ExtraTerm
 from ..compiler.driver import compile_stencil
-from ..compiler.fusion import FusedStencil, fuse
+from ..compiler.fusion import fuse
 from ..compiler.plan import CompiledStencil
-from ..stencil.pattern import Coefficient
+from ..stencil.pattern import Coefficient, ExtraTerm
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
 from ..runtime.cm_array import CMArray
@@ -299,24 +298,23 @@ class SeismicModel:
     # The paper's future work: all ten terms as one stencil pattern
     # ------------------------------------------------------------------
 
-    def _fused_kernels(self) -> Dict[str, FusedStencil]:
-        """One fused compilation per time-level role.
+    def _fused_kernels(self) -> Dict[str, CompiledStencil]:
+        """One fused compilation per time-level role (memoized by the
+        compile driver).
 
         The tenth term's source array name is part of the compiled
         register access patterns, so -- exactly like the paper's
         3x-unrolled loop -- the fused loop body exists in three copies,
         one per rotation of the time-level roles.
         """
-        if not hasattr(self, "_fused_cache"):
-            self._fused_cache = {
-                field.name: fuse(
-                    self.pattern,
-                    [ExtraTerm(source=field.name, coeff=Coefficient.array("C10"))],
-                    self.machine.params,
-                )
-                for field in self.fields
-            }
-        return self._fused_cache
+        return {
+            field.name: fuse(
+                self.pattern,
+                [ExtraTerm(source=field.name, coeff=Coefficient.array("C10"))],
+                self.machine.params,
+            )
+            for field in self.fields
+        }
 
     def run_fused_loop(
         self, steps: int, wavelet: Optional[np.ndarray] = None

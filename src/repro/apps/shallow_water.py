@@ -29,13 +29,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..compiler.codegen import ExtraTerm
-from ..compiler.fusion import FusedStencil, fuse
+from ..compiler.fusion import fuse
+from ..compiler.plan import CompiledStencil
 from ..machine.machine import CM2
 from ..machine.params import MachineParams
 from ..runtime.cm_array import CMArray
 from ..runtime.stencil_op import apply_stencil
-from ..stencil.pattern import Coefficient, StencilPattern, Tap
+from ..stencil.pattern import Coefficient, ExtraTerm, StencilPattern, Tap
 
 GRAVITY = 9.81
 
@@ -98,7 +98,7 @@ class ShallowWaterModel:
         g_factor = GRAVITY * dt / (2.0 * dx)
         h_factor = depth * dt / (2.0 * dx)
 
-        def fused_update(base: StencilPattern, carried: str) -> FusedStencil:
+        def fused_update(base: StencilPattern, carried: str) -> CompiledStencil:
             return fuse(
                 base,
                 [ExtraTerm(source=carried, coeff=Coefficient.scalar(1.0))],
@@ -165,7 +165,9 @@ class ShallowWaterModel:
     # Stepping
     # ------------------------------------------------------------------
 
-    def _apply(self, compiled: FusedStencil, source: CMArray, out: CMArray) -> None:
+    def _apply(
+        self, compiled: CompiledStencil, source: CMArray, out: CMArray
+    ) -> None:
         run = apply_stencil(compiled, source, {}, out)
         self.timing.elapsed_seconds += run.seconds_per_iteration
         self.timing.useful_flops += run.useful_flops

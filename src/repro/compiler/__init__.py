@@ -14,7 +14,7 @@ from .codegen import (
     drain_gap,
     multiply_add_block,
 )
-from .fusion import FusedPattern, FusedStencil, fuse
+from .fusion import fuse
 from .integrated import (
     CompiledStatement,
     ProgramCompilation,
@@ -36,8 +36,6 @@ __all__ = [
     "CompiledStencil",
     "CompiledStatement",
     "ExtraTerm",
-    "FusedPattern",
-    "FusedStencil",
     "fuse",
     "ProgramCompilation",
     "compile_program",

@@ -61,6 +61,19 @@ class RegisterAllocation:
     def total_registers(self) -> int:
         return self.data_registers + 1 + (1 if self.unit_reg is not None else 0)
 
+    @property
+    def extra_registers(self) -> Tuple[Tuple[int, ...], ...]:
+        """``[t][r]``: the register holding fused extra term ``t``'s data
+        element for occurrence ``r`` -- ``width`` registers per term,
+        after the ring buffers (:func:`~repro.compiler.plan.compile_pattern`
+        rejects a width whose terms do not fit)."""
+        width = self.multistencil.width
+        first = self.total_registers
+        return tuple(
+            tuple(range(first + t * width, first + (t + 1) * width))
+            for t in range(len(self.multistencil.pattern.extra_terms))
+        )
+
     def ring_for_column(self, x: int) -> RingBuffer:
         for ring in self.rings:
             if ring.column.x == x:

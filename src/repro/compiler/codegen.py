@@ -24,29 +24,12 @@ cycle-stepped FPU agree by construction (and tests assert it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..machine.isa import AbstractOp, LoadOp, MAOp, NopOp, StoreOp
 from ..machine.params import MachineParams
-from ..stencil.pattern import Coefficient, StencilPattern
+from ..stencil.pattern import ExtraTerm, StencilPattern  # noqa: F401 (re-exported)
 from .allocation import RegisterAllocation
-
-
-@dataclass(frozen=True)
-class ExtraTerm:
-    """A fused term reading offset (0, 0) of a *second* source array.
-
-    The paper's compiler requires all shiftings in a statement to shift
-    one variable; its stated future work is handling the Gordon Bell
-    kernel's "ten terms as one stencil pattern" -- the tenth term reads a
-    different time level.  An extra term streams its coefficient from
-    memory like any other tap while its data element, loaded fresh each
-    line (no reuse is possible across results), sits in a dedicated
-    register.
-    """
-
-    source: str
-    coeff: Coefficient
 
 
 @dataclass(frozen=True)
@@ -106,8 +89,6 @@ def multiply_add_block(
     pattern: StencilPattern,
     alloc: RegisterAllocation,
     phase: int,
-    extra_terms: Sequence[ExtraTerm] = (),
-    extra_registers: Sequence[Sequence[int]] = (),
 ) -> Tuple[List[AbstractOp], Dict[int, int]]:
     """Build the multiply-add block for one line at the given phase.
 
@@ -119,13 +100,13 @@ def multiply_add_block(
     trailing occurrence runs solo on thread 0, with dummy cycles on the
     odd slots (a single chain can only issue every other cycle).
 
-    ``extra_terms`` appends fused second-source terms to every
-    occurrence's chain; ``extra_registers[t][r]`` is the register
-    holding extra term ``t``'s data element for occurrence ``r``.
+    The pattern's fused extra terms close every occurrence's chain,
+    each reading its data element from ``alloc.extra_registers``.
     """
     width = alloc.multistencil.width
     taps = pattern.taps
-    chain_length = len(taps) + len(extra_terms)
+    extra_registers = alloc.extra_registers
+    chain_length = pattern.issued_multiply_adds_per_point()
     ops: List[AbstractOp] = []
     last_issue: Dict[int, int] = {}
 
@@ -146,7 +127,7 @@ def multiply_add_block(
         else:
             term_index = tap_index - len(taps)
             data_reg = extra_registers[term_index][occurrence]
-            coeff = extra_terms[term_index].coeff
+            coeff = pattern.extra_terms[term_index].coeff
         return MAOp(
             coeff=coeff,
             data_reg=data_reg,
@@ -210,8 +191,6 @@ def build_line_pattern(
     phase: int,
     *,
     full_load: bool,
-    extra_terms: Sequence[ExtraTerm] = (),
-    extra_registers: Sequence[Sequence[int]] = (),
 ) -> LinePattern:
     """Emit the complete dynamic-part sequence for one line."""
     ops: List[AbstractOp] = []
@@ -252,7 +231,7 @@ def build_line_pattern(
     # 1b. Fused extra-term loads: one element per occurrence per term,
     # fresh every line (offset (0, 0) of a second source admits no
     # reuse across results or lines).
-    for term, registers in zip(extra_terms, extra_registers):
+    for term, registers in zip(pattern.extra_terms, alloc.extra_registers):
         for occurrence, reg in enumerate(registers):
             emit_load(
                 LoadOp(reg=reg, row=0, col=occurrence, buffer=term.source)
@@ -264,9 +243,7 @@ def build_line_pattern(
     ops.extend(NopOp("pipeline-fill") for _ in range(params.load_latency))
 
     # 3. Multiply-adds.
-    ma_ops, last_issue = multiply_add_block(
-        pattern, alloc, phase, extra_terms, extra_registers
-    )
+    ma_ops, last_issue = multiply_add_block(pattern, alloc, phase)
     ops.extend(ma_ops)
 
     # 4. Drain + reversal gap.

@@ -6,163 +6,26 @@ time steps before the current one.  This tenth term was added in
 separately.  (Future versions of the compiler should be able to handle
 all ten terms as one stencil pattern.)"
 
-This module is that future version.  A :class:`FusedStencil` extends a
-compiled single-source stencil with *extra terms* of the form
-``c * y`` where ``y`` is a different array read at offset (0, 0): each
-extra term joins every result's chained multiply-add sequence (its
-coefficient streaming from memory, its data element loaded fresh each
-line into a dedicated register), eliminating the separate elementwise
-pass and its memory traffic entirely.
-
-Register budget: the base plan's ring buffers stay untouched; each
-extra term needs ``width`` additional registers, so wide plans may
-become infeasible -- the same give-and-take as everywhere else in this
-compiler.
+Here they are one stencil pattern: an *extra term* ``c * y``, with ``y``
+a different array read at offset (0, 0), is a field of the stencil IR
+(:attr:`~repro.stencil.pattern.StencilPattern.extra_terms`), and
+:func:`~repro.compiler.plan.compile_pattern` appends it to every
+result's chained multiply-add sequence (its coefficient streaming from
+memory, its data element loaded fresh each line into one of ``width``
+registers reserved after the ring buffers), eliminating the separate
+elementwise pass and its memory traffic entirely.  :func:`fuse` builds
+such a pattern from a base one and compiles it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..machine.params import MachineParams
 from ..stencil.multistencil import multistencil_widths
-from ..stencil.pattern import CoeffKind, Coefficient, StencilPattern
-from .allocation import AllocationError, allocate
-from .codegen import ExtraTerm, build_line_pattern
-from .plan import StencilCompileError, WidthPlan
-
-
-class FusedPattern:
-    """A stencil pattern plus fused second-source terms.
-
-    Quacks like :class:`~repro.stencil.pattern.StencilPattern` where the
-    run-time library needs it (geometry and halo decisions delegate to
-    the base pattern -- extra terms read offset (0, 0) and never widen
-    the borders) while extending the work accounting and name lists.
-    """
-
-    def __init__(
-        self, base: StencilPattern, extra_terms: Sequence[ExtraTerm]
-    ) -> None:
-        if not extra_terms:
-            raise ValueError("a fused pattern needs at least one extra term")
-        sources = {term.source for term in extra_terms}
-        if base.source in sources:
-            raise ValueError(
-                f"extra term reads the primary source {base.source}; "
-                "express it as an ordinary tap instead"
-            )
-        self.base = base
-        self.extra_terms: Tuple[ExtraTerm, ...] = tuple(extra_terms)
-        self.name = f"{base.name or 'stencil'}+{len(extra_terms)}fused"
-
-    # Geometry and boundary behaviour delegate to the base pattern.
-    def __getattr__(self, attribute):
-        return getattr(self.base, attribute)
-
-    @property
-    def taps(self):
-        return self.base.taps
-
-    def useful_flops_per_point(self) -> int:
-        """Base flops plus a multiply and an add per extra term."""
-        return self.base.useful_flops_per_point() + 2 * len(self.extra_terms)
-
-    def issued_multiply_adds_per_point(self) -> int:
-        return self.base.issued_multiply_adds_per_point() + len(
-            self.extra_terms
-        )
-
-    def coefficient_names(self) -> Tuple[str, ...]:
-        names = list(self.base.coefficient_names())
-        for term in self.extra_terms:
-            if term.coeff.kind is CoeffKind.ARRAY and term.coeff.name not in names:
-                names.append(term.coeff.name)
-        return tuple(names)
-
-    def extra_source_names(self) -> Tuple[str, ...]:
-        names: List[str] = []
-        for term in self.extra_terms:
-            if term.source not in names:
-                names.append(term.source)
-        return tuple(names)
-
-    def describe(self) -> str:
-        extras = " + ".join(
-            f"{term.coeff.describe()} * {term.source}[+0,+0]"
-            for term in self.extra_terms
-        )
-        return f"{self.base.describe()} + {extras}"
-
-
-class FusedStencil:
-    """Compiled form of a fused pattern; mirrors CompiledStencil's API."""
-
-    def __init__(
-        self,
-        pattern: FusedPattern,
-        params: MachineParams,
-        plans: Dict[int, WidthPlan],
-        rejections: Dict[int, str],
-    ) -> None:
-        if not plans:
-            raise StencilCompileError(
-                f"no multistencil width of {pattern.name} fits once the "
-                f"extra-term registers are reserved: {rejections}"
-            )
-        self.pattern = pattern
-        self.params = params
-        self.plans = dict(sorted(plans.items(), reverse=True))
-        self.rejections = dict(rejections)
-
-    @property
-    def widths(self) -> Tuple[int, ...]:
-        return tuple(self.plans)
-
-    @property
-    def max_width(self) -> int:
-        return max(self.plans)
-
-    def plan_for(self, remaining_width: int) -> WidthPlan:
-        for width, plan in self.plans.items():
-            if width <= remaining_width:
-                return plan
-        raise StencilCompileError(
-            f"no fused plan fits a remaining width of {remaining_width}"
-        )
-
-    def strip_widths(self, axis_length: int) -> List[int]:
-        widths: List[int] = []
-        remaining = axis_length
-        while remaining > 0:
-            plan = self.plan_for(remaining)
-            widths.append(plan.width)
-            remaining -= plan.width
-        return widths
-
-    def scalar_coefficient_values(self) -> Tuple[float, ...]:
-        # Distinct by representation: -0.0 and 0.0 compare equal but
-        # name different constant pages.
-        values: Dict[str, float] = {}
-        for tap in self.pattern.base.taps:
-            if tap.coeff.kind is CoeffKind.SCALAR:
-                value = float(tap.coeff.value)
-                values.setdefault(repr(value), value)
-        for term in self.pattern.extra_terms:
-            if term.coeff.kind is CoeffKind.SCALAR:
-                value = float(term.coeff.value)
-                values.setdefault(repr(value), value)
-        return tuple(values.values())
-
-    def describe(self) -> str:
-        lines = [f"fused {self.pattern.describe()}"]
-        lines += [f"  {plan.describe()}" for plan in self.plans.values()]
-        lines += [
-            f"  width {width} rejected: {reason}"
-            for width, reason in self.rejections.items()
-        ]
-        return "\n".join(lines)
+from ..stencil.pattern import ExtraTerm, StencilPattern
+from .driver import compile_stencil
+from .plan import CompiledStencil
 
 
 def fuse(
@@ -170,72 +33,20 @@ def fuse(
     extra_terms: Sequence[ExtraTerm],
     params: Optional[MachineParams] = None,
     widths: Sequence[int] = multistencil_widths(),
-) -> FusedStencil:
-    """Compile a base pattern with fused extra terms.
-
-    For each candidate width, the base ring-buffer allocation must leave
-    ``width * len(extra_terms)`` registers free for the extra data
-    elements; otherwise the width is rejected.
-    """
-    params = params or MachineParams()
-    pattern = FusedPattern(base, extra_terms)
-    plans: Dict[int, WidthPlan] = {}
-    rejections: Dict[int, str] = {}
-    for width in widths:
-        try:
-            allocation = allocate(base, width, params)
-        except AllocationError as exc:
-            rejections[width] = str(exc)
-            continue
-        first_free = 1 + (1 if allocation.unit_reg is not None else 0)
-        next_free = first_free + allocation.data_registers
-        needed = width * len(extra_terms)
-        if next_free + needed > params.registers:
-            rejections[width] = (
-                f"extra terms need {needed} more registers; only "
-                f"{params.registers - next_free} remain after the ring "
-                "buffers"
-            )
-            continue
-        extra_registers = tuple(
-            tuple(
-                next_free + term_index * width + occurrence
-                for occurrence in range(width)
-            )
-            for term_index in range(len(extra_terms))
-        )
-        prologue = build_line_pattern(
-            base,
-            allocation,
-            params,
-            phase=0,
-            full_load=True,
-            extra_terms=extra_terms,
-            extra_registers=extra_registers,
-        )
-        steady = tuple(
-            build_line_pattern(
-                base,
-                allocation,
-                params,
-                phase=phase,
-                full_load=False,
-                extra_terms=extra_terms,
-                extra_registers=extra_registers,
-            )
-            for phase in range(allocation.unroll)
-        )
-        plan = WidthPlan(
-            width=width,
-            allocation=allocation,
-            prologue=prologue,
-            steady=steady,
-        )
-        if plan.scratch_words > params.scratch_memory_words:
-            rejections[width] = (
-                f"unrolled fused patterns need {plan.scratch_words} scratch "
-                f"words; only {params.scratch_memory_words} available"
-            )
-            continue
-        plans[width] = plan
-    return FusedStencil(pattern, params, plans, rejections)
+) -> CompiledStencil:
+    """Compile ``base`` with ``extra_terms`` appended to its own (every
+    result's chain closes with them), through the memoized (and
+    ``RS_VERIFY``-checked) compile driver."""
+    if not extra_terms:
+        raise ValueError("a fused pattern needs at least one extra term")
+    pattern = StencilPattern(
+        base.taps,
+        result=base.result,
+        source=base.source,
+        plane_dims=base.plane_dims,
+        boundary=base.boundary,
+        fill_value=base.fill_value,
+        name=f"{base.name or 'stencil'}+{len(extra_terms)}fused",
+        extra_terms=base.extra_terms + tuple(extra_terms),
+    )
+    return compile_stencil(pattern, params, widths)

@@ -170,15 +170,16 @@ class CompiledStencil:
         return widths
 
     def scalar_coefficient_values(self) -> Tuple[float, ...]:
-        """Distinct scalar coefficient values needing constant pages.
+        """Distinct scalar coefficient values needing constant pages, the
+        taps' then the fused extra terms'.
 
         Distinctness is by representation, not numeric equality: -0.0
         and 0.0 compare equal but name different constant pages.
         """
         values: Dict[str, float] = {}
-        for tap in self.pattern.taps:
-            if tap.coeff.kind is CoeffKind.SCALAR:
-                value = float(tap.coeff.value)
+        for term in self.pattern.taps + self.pattern.extra_terms:
+            if term.coeff.kind is CoeffKind.SCALAR:
+                value = float(term.coeff.value)
                 values.setdefault(repr(value), value)
         return tuple(values.values())
 
@@ -203,7 +204,10 @@ def compile_pattern(
 
     Widths failing register allocation or exceeding sequencer scratch
     memory are recorded as rejections rather than errors; only a pattern
-    with *no* feasible width raises :class:`StencilCompileError`.
+    with *no* feasible width raises :class:`StencilCompileError`.  Each
+    fused extra term needs ``width`` more registers after the ring
+    buffers (its data elements, loaded fresh every line); a width whose
+    ring buffers leave too few is rejected.
 
     ``strategy`` selects the ring-sizing approach: the paper's
     compression heuristic or the LCM-minimizing dynamic program.
@@ -216,6 +220,14 @@ def compile_pattern(
             allocation = allocate(pattern, width, params, strategy=strategy)
         except AllocationError as exc:
             rejections[width] = str(exc)
+            continue
+        needed = width * len(pattern.extra_terms)
+        spare = params.registers - allocation.total_registers
+        if needed > spare:
+            rejections[width] = (
+                f"extra terms need {needed} more registers; only {spare} "
+                "remain after the ring buffers"
+            )
             continue
         prologue = build_line_pattern(
             pattern, allocation, params, phase=0, full_load=True

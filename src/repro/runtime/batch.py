@@ -451,7 +451,7 @@ def _resolve_depths(
     prices each filter, then the set, through the batch-aware model.
     """
     requested = None if block_depth == "auto" else block_depth
-    fused = any(getattr(f.pattern, "extra_terms", ()) for f in filters)
+    fused = any(f.pattern.extra_terms for f in filters)
     if exact or iterations < 2 or fused or requested == 1:
         return tuple(1 for _ in filters)
     if requested is not None:
@@ -501,7 +501,7 @@ class _Plan:
             self.taps = {
                 term.source: depth_offset(term.source)
                 for f in filters
-                for term in getattr(f.pattern, "extra_terms", ())
+                for term in f.pattern.extra_terms
             }
         #: Planes of depth halo on each side of the halo stack's lead axis.
         self.reach = max(map(abs, self.taps.values()), default=0)
@@ -520,11 +520,15 @@ class _Plan:
         point every depth tap at the interior ``dz`` planes away: a view,
         as the sequencer takes a run-time base address."""
         reach, depth = self.reach, self.lead[0]
-        outer = np.r_[:reach, reach + depth : depth + 2 * reach]
         if self.depth_boundary is BoundaryMode.FILL:
-            halo[outer] = 0.0
+            halo[:reach] = 0.0
+            halo[reach + depth :] = 0.0
         else:
-            halo[outer] = halo[reach + (outer - reach) % depth]
+            # Plane by plane, so a tap reaching past the whole volume
+            # wraps onto an interior plane too.
+            for i in range(reach):
+                halo[i] = halo[reach + (i - reach) % depth]
+                halo[reach + depth + i] = halo[reach + i % depth]
         rows, cols = self.subgrid
         for name, dz in self.taps.items():
             self.arrays[name] = halo[
@@ -1293,7 +1297,7 @@ def check_call(
                 f"{subgrid}; the exchange primitive reaches only "
                 f"immediate neighbors"
             )
-        extra = {term.source for term in getattr(pattern, "extra_terms", ())}
+        extra = {term.source for term in pattern.extra_terms}
         for name in kernel_array_names(pattern):
             if volume and name in extra:
                 if not depth_offset(name):

@@ -78,7 +78,7 @@ def blockable(pattern: StencilPattern) -> bool:
     """
     if pattern.border_widths().max_width == 0:
         return False
-    return not getattr(pattern, "extra_terms", ())
+    return not pattern.extra_terms
 
 
 def depth_cap(

@@ -174,7 +174,7 @@ def tap_steps(
             steps.append(
                 (coeff, padded[..., row : row + rows, col : col + cols])
             )
-    for term in getattr(pattern, "extra_terms", ()):
+    for term in pattern.extra_terms:
         steps.append((_factor(term.coeff, arrays), arrays[term.source]))
     return steps
 
@@ -300,7 +300,7 @@ def kernel_array_names(pattern: StencilPattern) -> Tuple[str, ...]:
         for tap in pattern.taps
         if tap.coeff.kind is CoeffKind.ARRAY
     ]
-    for term in getattr(pattern, "extra_terms", ()):
+    for term in pattern.extra_terms:
         names.append(term.source)
         if term.coeff.kind is CoeffKind.ARRAY:
             names.append(term.coeff.name)

@@ -26,12 +26,11 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from ..compiler.codegen import ExtraTerm
-from ..compiler.fusion import FusedStencil, fuse
+from ..compiler.fusion import fuse
 from ..compiler.plan import CompiledStencil
 from ..machine.params import MachineParams
 from ..stencil.offsets import BoundaryMode
-from ..stencil.pattern import Coefficient, StencilPattern
+from ..stencil.pattern import Coefficient, ExtraTerm, StencilPattern
 from .batch import StencilRun, apply_stencil_batch, check_call, run_stencil
 from .cm_array import CMArray, CMArray3D, depth_alias
 from .stencil_op import apply_stencil
@@ -56,7 +55,7 @@ def compile_3d(
     pattern: StencilPattern,
     depth_taps: Sequence[DepthTap] = (),
     params: Optional[MachineParams] = None,
-) -> Union[CompiledStencil, FusedStencil]:
+) -> CompiledStencil:
     """Compile a 3-D stencil: an in-plane pattern plus depth taps.
 
     With no depth taps this is an ordinary 2-D compilation applied to
@@ -81,7 +80,7 @@ def compile_3d(
 
 
 def apply_stencil_3d(
-    compiled: Union[CompiledStencil, FusedStencil],
+    compiled: CompiledStencil,
     source: CMArray3D,
     coefficients: Optional[Dict[str, CMArray3D]] = None,
     result: Union[CMArray3D, str, None] = None,
@@ -221,7 +220,8 @@ def apply_laplacian27(
     as :func:`apply_laplacian27_reference`: the two are bit-identical.
 
     Returns ``(result, run)`` where ``run`` is the underlying
-    :class:`~repro.runtime.batch.StencilRun`.
+    :class:`~repro.runtime.batch.StencilRun`; its ``result``, the terms
+    batch, is freed from storage once the terms are combined.
     """
     run = apply_stencil_batch(
         laplacian27_filters(params), source, result="__lap27_terms__",
@@ -236,4 +236,5 @@ def apply_laplacian27(
     out = result.stacked
     np.add(terms[(planes - 1) % source.depth, 0], terms[:, 1], out=out)
     np.add(out, terms[(planes + 1) % source.depth, 2], out=out)
+    source.machine.storage.free(run.result.name)
     return result, run

@@ -82,6 +82,7 @@ class StripSchedule:
     ) -> None:
         self.compiled = compiled
         self.subgrid_shape = subgrid_shape
+        self._cycles: Dict[MachineParams, int] = {}
         rows, cols = subgrid_shape
         if rows < 1 or cols < 1:
             raise ValueError(f"degenerate subgrid shape {subgrid_shape}")
@@ -127,15 +128,22 @@ class StripSchedule:
     # ------------------------------------------------------------------
 
     def compute_cycles(self, params: MachineParams) -> int:
-        """Closed-form node cycles to process the whole subgrid.
+        """Closed-form node cycles to process the whole subgrid, summed
+        once per ``params`` (the schedule never changes).
 
         Exact: tests assert equality with the cycle-stepped simulator.
         """
-        total = 0
-        for strip in self.strips:
-            total += params.strip_setup_cycles
-            for job in strip.half_strips:
-                total += strip.plan.half_strip_cycles(job.lines, params)
+        total = self._cycles.get(params)
+        if total is None:
+            # Two threads racing here store the same value: no lock.
+            total = self._cycles[params] = sum(
+                params.strip_setup_cycles
+                + sum(
+                    strip.plan.half_strip_cycles(job.lines, params)
+                    for job in strip.half_strips
+                )
+                for strip in self.strips
+            )
         return total
 
     def describe(self) -> str:

@@ -10,14 +10,15 @@ Each term becomes a :class:`Tap`: a grid offset (reduced from the term's
 CSHIFT/EOSHIFT chain), a coefficient (an array name, a scalar literal, or
 the implicit unit for a bare ``s(x)``), and a flag for constant-only terms
 (the bare ``c`` form, which contributes a coefficient value that is never
-multiplied by a data element).
+multiplied by a data element).  A pattern may also carry fused extra
+terms (:class:`ExtraTerm`): ``c * y`` with ``y`` a second array, unshifted.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .offsets import BoundaryMode, Shift
 
@@ -129,6 +130,23 @@ class Tap:
 
 
 @dataclass(frozen=True)
+class ExtraTerm:
+    """A fused term reading offset (0, 0) of a *second* source array.
+
+    The paper's compiler requires all shiftings in a statement to shift
+    one variable; its stated future work is handling the Gordon Bell
+    kernel's "ten terms as one stencil pattern" -- the tenth term reads a
+    different time level.  An extra term streams its coefficient from
+    memory like any other tap while its data element, loaded fresh each
+    line (no reuse is possible across results), sits in a dedicated
+    register.
+    """
+
+    source: str
+    coeff: Coefficient
+
+
+@dataclass(frozen=True)
 class BorderWidths:
     """How far a stencil extends from its center in each direction.
 
@@ -175,6 +193,9 @@ class StencilPattern:
             recognizer enforces uniformity).
         fill_value: fill used when a plane dimension has FILL boundary.
         name: optional human-readable label.
+        extra_terms: fused second-source terms, appended to every
+            result's multiply-add chain after the taps.  They read offset
+            (0, 0), so they never widen the borders or the corner reach.
     """
 
     def __init__(
@@ -187,6 +208,7 @@ class StencilPattern:
         boundary: Optional[Dict[int, BoundaryMode]] = None,
         fill_value: float = 0.0,
         name: Optional[str] = None,
+        extra_terms: Sequence[ExtraTerm] = (),
     ) -> None:
         taps = list(taps)
         if not taps:
@@ -214,6 +236,12 @@ class StencilPattern:
             self.boundary.setdefault(dim, BoundaryMode.CIRCULAR)
         self.fill_value = fill_value
         self.name = name
+        self.extra_terms: Tuple[ExtraTerm, ...] = tuple(extra_terms)
+        if any(term.source == source for term in self.extra_terms):
+            raise ValueError(
+                f"extra term reads the primary source {source}; "
+                "express it as an ordinary tap instead"
+            )
         dys = [tap.dy for tap in taps if tap.reads_data] or [0]
         dxs = [tap.dx for tap in taps if tap.reads_data] or [0]
         self._border_widths = BorderWidths(
@@ -274,25 +302,27 @@ class StencilPattern:
         """Useful flops per output position, per the paper's counting rule.
 
         For a k-tap all-coefficient stencil this is ``2k - 1``: k multiplies
-        and k-1 adds (the first add merely adds a product to zero).
+        and k-1 adds (the first add merely adds a product to zero).  Each
+        fused extra term adds a multiply and an add.
         """
         return sum(
             tap.useful_flops(first=(index == 0))
             for index, tap in enumerate(self.taps)
-        )
+        ) + 2 * len(self.extra_terms)
 
     def issued_multiply_adds_per_point(self) -> int:
         """Multiply-add cycles the machine issues per output position.
 
         Every term costs exactly one chained multiply-add, useful or not.
         """
-        return len(self.taps)
+        return len(self.taps) + len(self.extra_terms)
 
     def needs_unit_register(self) -> bool:
         """Whether the reserved 1.0 register is required.
 
         True when the expression contains a constant term (bare ``c``) or a
         bare ``s(x)`` term; both are executed as a multiplication by 1.0.
+        A unit-coefficient extra term streams the ones page instead.
         """
         return any(
             tap.is_constant_term or tap.coeff.kind is CoeffKind.UNIT
@@ -300,12 +330,15 @@ class StencilPattern:
         )
 
     def coefficient_names(self) -> Tuple[str, ...]:
-        """Names of the coefficient arrays, in tap order, without repeats."""
-        names: List[str] = []
-        for tap in self.taps:
-            if tap.coeff.kind is CoeffKind.ARRAY and tap.coeff.name not in names:
-                names.append(tap.coeff.name)
-        return tuple(names)
+        """Names of the coefficient arrays, in chain order (taps, then
+        extra terms), without repeats."""
+        return tuple(
+            dict.fromkeys(
+                term.coeff.name
+                for term in self.taps + self.extra_terms
+                if term.coeff.kind is CoeffKind.ARRAY
+            )
+        )
 
     def array_names(self) -> Tuple[str, ...]:
         """All array names the statement references (result, source, coeffs)."""
@@ -338,8 +371,11 @@ class StencilPattern:
 
     def describe(self) -> str:
         label = self.name or "stencil"
-        terms = " + ".join(tap.describe() for tap in self.taps)
-        return f"{label}: {self.result} = {terms}"
+        terms = [tap.describe() for tap in self.taps] + [
+            f"{term.coeff.describe()} * {term.source}[+0,+0]"
+            for term in self.extra_terms
+        ]
+        return f"{label}: {self.result} = {' + '.join(terms)}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -357,10 +393,13 @@ class StencilPattern:
             and self.plane_dims == other.plane_dims
             and self.boundary == other.boundary
             and self.fill_value == other.fill_value
+            and self.extra_terms == other.extra_terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.taps, self.result, self.source, self.plane_dims))
+        return hash(
+            (self.taps, self.result, self.source, self.plane_dims, self.extra_terms)
+        )
 
 
 def pattern_from_offsets(

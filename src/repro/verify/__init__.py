@@ -89,7 +89,6 @@ def verify_plan(
     plan,
     params: Optional[MachineParams] = None,
     *,
-    pattern=None,
     label: Optional[str] = None,
 ) -> List[Diagnostic]:
     """Run every static analyzer over one width plan.
@@ -101,7 +100,7 @@ def verify_plan(
     """
     params = params or MachineParams()
     try:
-        diagnostics = analyze_dataflow(plan, params, pattern=pattern)
+        diagnostics = analyze_dataflow(plan, params)
         diagnostics += analyze_lifetimes(plan.allocation, params)
         diagnostics += check_register_usage(plan)
     except Exception as exc:  # noqa: BLE001 -- diagnose, don't crash
@@ -120,10 +119,7 @@ def verify_compiled(compiled) -> List[Diagnostic]:
     diagnostics: List[Diagnostic] = []
     for width, plan in compiled.plans.items():
         diagnostics += verify_plan(
-            plan,
-            compiled.params,
-            pattern=compiled.pattern,
-            label=f"{label} width {width}",
+            plan, compiled.params, label=f"{label} width {width}"
         )
     return diagnostics
 

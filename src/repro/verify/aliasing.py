@@ -94,7 +94,7 @@ def check_aliasing(
             )
         )
 
-    for term in getattr(pattern, "extra_terms", ()):
+    for term in pattern.extra_terms:
         if term.source == result_name:
             diagnostics.append(
                 plan_warning(

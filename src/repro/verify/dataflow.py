@@ -68,19 +68,14 @@ def _describe_value(value: Optional[Value]) -> str:
 class _Simulator:
     """Symbolic register file plus per-thread chain state."""
 
-    def __init__(
-        self,
-        plan: WidthPlan,
-        params: MachineParams,
-        taps: Sequence,
-        extra_terms: Sequence,
-    ) -> None:
+    def __init__(self, plan: WidthPlan, params: MachineParams) -> None:
         self.plan = plan
         self.params = params
-        self.taps = tuple(taps)
-        self.extra_terms = tuple(extra_terms)
-        self.chain_length = len(self.taps) + len(self.extra_terms)
         alloc = plan.allocation
+        pattern = alloc.multistencil.pattern
+        self.taps = pattern.taps
+        self.extra_terms = pattern.extra_terms
+        self.chain_length = pattern.issued_multiply_adds_per_point()
         self.reserved: Set[int] = {alloc.zero_reg}
         self.regs: Dict[int, Tuple[Value, int]] = {alloc.zero_reg: (_ZERO, 0)}
         if alloc.unit_reg is not None:
@@ -424,23 +419,12 @@ class _Simulator:
 
 
 def analyze_dataflow(
-    plan: WidthPlan,
-    params: Optional[MachineParams] = None,
-    *,
-    pattern=None,
+    plan: WidthPlan, params: Optional[MachineParams] = None
 ) -> List[Diagnostic]:
-    """Statically verify one width plan's op streams.
-
-    ``pattern`` defaults to the plan's own multistencil pattern; pass the
-    compiled (possibly fused) pattern to verify fused extra terms too.
-    """
+    """Statically verify one width plan's op streams against the plan's
+    own pattern, its fused extra terms included."""
     params = params or MachineParams()
-    source = pattern if pattern is not None else (
-        plan.allocation.multistencil.pattern
-    )
-    extra_terms = tuple(getattr(source, "extra_terms", ()))
-    taps = tuple(getattr(source, "base", source).taps)
-    sim = _Simulator(plan, params, taps, extra_terms)
+    sim = _Simulator(plan, params)
     prefix = f"width {plan.width}"
 
     # Structural/metadata invariants the closed-form cost model rests on.

@@ -778,6 +778,40 @@ class TestLaplacian27:
                     )
         assert np.allclose(res.to_numpy(), expect, atol=1e-4)
 
+    def test_the_terms_batch_is_freed(self):
+        """The three-term batch lives only until the combine: nothing of
+        it stays in storage, so a later spared guarded run on the same
+        machine checkpoints only the arrays the caller holds."""
+        machine = make_machine(spares=2)
+        rng = np.random.default_rng(23)
+        volume = CMArray3D.from_numpy(
+            "V", machine, rng.standard_normal((16, 16, 3)).astype(np.float32)
+        )
+        apply_laplacian27(volume, "L", params=machine.params)
+        apply_laplacian27(volume, "L", params=machine.params)
+        assert "__lap27_terms__" not in dict(
+            machine.storage.distinct(scratch=True)
+        )
+        compiled = compile_stencil(gallery.cross5(), machine.params)
+        coeffs = compiled.pattern.coefficient_names()
+        arrays = {
+            name: CMArray.from_numpy(
+                name, machine, rng.standard_normal(GRID).astype(np.float32)
+            )
+            for name in ("X", "R") + coeffs
+        }
+        held = sum(
+            stack.size
+            for name, stack in machine.storage.distinct()
+            if name != "__lap27_terms__"
+        ) // machine.num_nodes
+        run = apply_stencil(
+            compiled, arrays["X"], {name: arrays[name] for name in coeffs},
+            arrays["R"], faults=FaultInjector(seed=CHAOS_SEED, schedule=[]),
+        )
+        assert run.fault_stats.checkpoints == 1  # the genesis checkpoint
+        assert run.fault_stats.checkpoint_cycles == held
+
     def test_weights_sum_to_zero(self):
         taps = [
             tap

@@ -1,11 +1,14 @@
 """Tests for fused multi-source stencils (the paper's future work)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.baseline.reference import reference_stencil
 from repro.compiler.codegen import ExtraTerm
-from repro.compiler.fusion import FusedPattern, fuse
+from repro.compiler.driver import compile_stencil
+from repro.compiler.fusion import fuse
 from repro.compiler.plan import StencilCompileError
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
@@ -13,7 +16,7 @@ from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import ExecutionSetupError
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import cross5, cross9, square9
-from repro.stencil.pattern import Coefficient
+from repro.stencil.pattern import Coefficient, StencilPattern
 
 
 def term(source="Y", coeff_name="CY"):
@@ -54,34 +57,70 @@ def expected_result(pattern, extra_terms, host):
     return acc
 
 
+def with_terms(base, extra_terms):
+    return StencilPattern(base.taps, name=base.name, extra_terms=extra_terms)
+
+
 class TestFusedPattern:
     def test_requires_extra_terms(self):
         with pytest.raises(ValueError):
-            FusedPattern(cross5(), [])
+            fuse(cross5(), [])
 
     def test_rejects_primary_source_as_extra(self):
         with pytest.raises(ValueError, match="primary source"):
-            FusedPattern(cross5(), [term(source="X")])
+            with_terms(cross5(), [term(source="X")])
 
     def test_flop_accounting_extended(self):
-        fused = FusedPattern(cross9(), [term()])
+        fused = with_terms(cross9(), [term()])
         assert fused.useful_flops_per_point() == 17 + 2
         assert fused.issued_multiply_adds_per_point() == 10
 
     def test_coefficient_names_extended(self):
-        fused = FusedPattern(cross5(), [term(coeff_name="C10")])
+        fused = with_terms(cross5(), [term(coeff_name="C10")])
         assert fused.coefficient_names()[-1] == "C10"
 
     def test_geometry_delegates_to_base(self):
-        fused = FusedPattern(cross9(), [term()])
+        fused = with_terms(cross9(), [term()])
         assert fused.border_widths().as_tuple() == (2, 2, 2, 2)
         assert not fused.needs_corner_exchange()
 
-    def test_extra_source_names(self):
-        fused = FusedPattern(
-            cross5(), [term("Y", "CY"), term("Z", "CZ")]
+
+class TestOnePattern:
+    def test_plan_cache_tells_extra_terms_apart(self):
+        """A same-named pattern with the same taps plus an extra term is a
+        different statement: it gets its own plan, whose every chain
+        closes with the extra term, and its own bits."""
+        from repro.machine.isa import MAOp
+
+        params = MachineParams(num_nodes=4)
+        base = cross5()
+        plain = compile_stencil(base, params)
+        pattern = with_terms(base, [term()])
+        assert pattern.name == base.name
+        assert pattern != base and hash(pattern) != hash(base)
+        fused = compile_stencil(pattern, params)
+        assert fused is not plain
+        for plan in fused.plans.values():
+            for line in (plan.prologue,) + plan.steady:
+                chains = Counter(
+                    op.result_col for op in line.ops if isinstance(op, MAOp)
+                )
+                assert set(chains.values()) == {len(base.taps) + 1}
+        machine = CM2(params)
+        rng = np.random.default_rng(3)
+        host = {
+            name: rng.standard_normal((16, 24)).astype(np.float32)
+            for name in ("X", "Y") + pattern.coefficient_names()
+        }
+        arrays = {
+            name: CMArray.from_numpy(name, machine, data)
+            for name, data in host.items()
+        }
+        coeffs = {name: arrays[name] for name in pattern.coefficient_names()}
+        run = apply_stencil(fused, arrays["X"], coeffs, "R")
+        np.testing.assert_array_equal(
+            run.result.to_numpy(), expected_result(base, [term()], host)
         )
-        assert fused.extra_source_names() == ("Y", "Z")
 
 
 class TestFusedCompilation:
@@ -128,6 +167,19 @@ class TestFusedCompilation:
         assert len(per_result) == 6  # 5 taps + 1 fused term
         assert per_result[-1].last
         assert not per_result[-2].last
+
+    def test_fusing_a_fused_pattern_keeps_its_terms(self):
+        from repro.machine.isa import MAOp
+
+        once = fuse(cross5(), [term("Y", "CY")])
+        twice = fuse(once.pattern, [term("Z", "CZ")])
+        assert twice.pattern.extra_terms == (term("Y", "CY"), term("Z", "CZ"))
+        plan = twice.plans[twice.max_width]
+        chain = [
+            op for op in plan.steady[0].ops
+            if isinstance(op, MAOp) and op.result_col == 0
+        ]
+        assert [op.coeff.name for op in chain[-2:]] == ["CY", "CZ"]
 
     def test_describe(self):
         fused = fuse(cross5(), [term()])

@@ -125,7 +125,7 @@ class TestDepthTap:
 class TestCompile3D:
     def test_no_depth_taps_is_plain_compilation(self, machine):
         compiled = compile_3d(laplacian_pattern(), (), machine.params)
-        assert not hasattr(compiled.pattern, "extra_terms")
+        assert compiled.pattern.extra_terms == ()
 
     def test_depth_taps_fuse(self, machine):
         compiled = compile_3d(
@@ -217,6 +217,40 @@ class TestApply3D:
         np.testing.assert_array_equal(
             run.result.to_numpy(), reference_laplacian_3d(x, depth_mode="wrap")
         )
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize(
+        "boundary", [BoundaryMode.CIRCULAR, BoundaryMode.FILL]
+    )
+    def test_depth_taps_reaching_past_the_volume(
+        self, machine, depth, boundary
+    ):
+        """A dz=-2 tap reaches past a depth-1 volume and past the near
+        edge of a depth-3 one: the depth halo wraps it onto an interior
+        plane (more than once around at depth 1) or reads zeros."""
+        from repro.baseline.reference import reference_stencil
+
+        taps = [
+            DepthTap(-2, Coefficient.scalar(0.25)),
+            DepthTap(+1, Coefficient.scalar(0.5)),
+        ]
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 12, depth)).astype(np.float32)
+        compiled = compile_3d(laplacian_pattern(), taps, machine.params)
+        X = CMArray3D.from_numpy("X", machine, x)
+        run = apply_stencil_3d(compiled, X, {}, "R", depth_boundary=boundary)
+        expected = np.empty_like(x)
+        for k in range(depth):
+            acc = reference_stencil(laplacian_pattern(), x[:, :, k], {})
+            for tap in taps:
+                plane = np.zeros_like(x[:, :, 0])
+                if boundary is BoundaryMode.CIRCULAR:
+                    plane = x[:, :, (k + tap.dz) % depth]
+                elif 0 <= k + tap.dz < depth:
+                    plane = x[:, :, k + tap.dz]
+                acc = acc + np.float32(tap.coeff.value) * plane
+            expected[:, :, k] = acc
+        np.testing.assert_array_equal(run.result.to_numpy(), expected)
 
     def test_cost_scales_with_depth(self, machine):
         compiled = compile_3d(

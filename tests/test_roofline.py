@@ -4,8 +4,10 @@ import pytest
 
 from repro.analysis.roofline import analyze, analyze_plan, describe
 from repro.compiler.driver import compile_stencil
+from repro.compiler.fusion import fuse
 from repro.machine.params import MachineParams
 from repro.stencil.gallery import cross5, diamond13, square9
+from repro.stencil.pattern import Coefficient, ExtraTerm
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,19 @@ class TestRoofline:
         point = analyze(cross)[8]
         # 40 coefficient streams + (10 loads + 8 stores) * 2 cycles.
         assert point.memory_cycles == 40 + 18 * params.memory_access_cycles
+
+    def test_memory_bound_counts_fused_extra_terms(self):
+        """A fused term's coefficient streams once per multiply-add, like
+        a tap's: cross5 + CY * Y at width 4 issues 4 x 6 multiply-adds,
+        and a steady line loads one element into each of its 6 rings and
+        4 of Y, then stores 4 results."""
+        fused = fuse(cross5(), [ExtraTerm("Y", Coefficient.array("CY"))])
+        params = fused.params
+        point = analyze(fused)[4]
+        assert point.compute_cycles == 4 * 6
+        assert point.memory_cycles == 24 + (6 + 4 + 4) * (
+            params.memory_access_cycles
+        )
 
     def test_actual_cycles_match_line_pattern(self, cross):
         for width, point in analyze(cross).items():

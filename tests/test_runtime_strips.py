@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler.plan import compile_pattern
+from repro.compiler.plan import WidthPlan, compile_pattern
 from repro.machine.params import MachineParams
 from repro.runtime.strips import StripSchedule, split_rows
 from repro.stencil.gallery import cross5, diamond13
@@ -87,6 +87,23 @@ class TestStripSchedule:
             32, params
         )
         assert schedule.compute_cycles(params) == 8 * per_strip
+
+    def test_compute_cycles_walks_the_strips_once(self, params, monkeypatch):
+        """The closed form is summed once per ``params``: a second call
+        (a cold block-depth selection makes dozens) walks no half-strip."""
+        compiled = compile_pattern(cross5(), params)
+        schedule = StripSchedule(compiled, (64, 21))
+        walked = []
+        real = WidthPlan.half_strip_cycles
+
+        def counted(plan, lines, machine_params):
+            walked.append(lines)
+            return real(plan, lines, machine_params)
+
+        monkeypatch.setattr(WidthPlan, "half_strip_cycles", counted)
+        first = schedule.compute_cycles(params)
+        assert schedule.compute_cycles(params) == first
+        assert len(walked) == schedule.num_half_strips == 8
 
     def test_narrow_widths_cost_more(self, params):
         """Without width 8, the same subgrid costs more cycles (more

@@ -19,7 +19,7 @@ import pytest
 from repro.baseline.reference import reference_stencil
 from repro.compiler.codegen import ExtraTerm
 from repro.compiler.driver import compile_stencil
-from repro.compiler.fusion import FusedPattern, fuse
+from repro.compiler.fusion import fuse
 from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
 from repro.runtime import executor
@@ -58,9 +58,10 @@ def every_kind_pattern():
 
 
 def fused_pattern():
-    return FusedPattern(
-        every_kind_pattern(),
-        [
+    return StencilPattern(
+        every_kind_pattern().taps,
+        name="every_kind",
+        extra_terms=[
             ExtraTerm(source="PREV", coeff=Coefficient.array("CT")),
             ExtraTerm(source="PREV", coeff=Coefficient.scalar(0.5)),
             ExtraTerm(source="Y", coeff=Coefficient.unit()),
