@@ -128,11 +128,13 @@ def _unwrap_shift_call(call: Call) -> Tuple[Expr, Shift]:
     positional = list(call.args[1:])
     kwargs = dict(call.kwargs)
     dim: Optional[int] = None
+    dim_expr: Optional[Expr] = None
     amount: Optional[int] = None
     boundary = 0.0
     # Paper convention: positional extras are (dim, shift).
     if positional:
-        dim = _const_int(positional[0], f"{call.func} DIM")
+        dim_expr = positional[0]
+        dim = _const_int(dim_expr, f"{call.func} DIM")
     if len(positional) >= 2:
         amount = _const_int(positional[1], f"{call.func} SHIFT")
     if len(positional) >= 3:
@@ -145,6 +147,7 @@ def _unwrap_shift_call(call: Call) -> Tuple[Expr, Shift]:
         boundary = _const_real(positional[2], "EOSHIFT BOUNDARY")
     for key, value in kwargs.items():
         if key == "DIM":
+            dim_expr = value
             dim = _const_int(value, f"{call.func} DIM")
         elif key == "SHIFT":
             amount = _const_int(value, f"{call.func} SHIFT")
@@ -161,6 +164,12 @@ def _unwrap_shift_call(call: Call) -> Tuple[Expr, Shift]:
             f"{call.func} requires both DIM and SHIFT",
             call.location,
             span=call.span,
+        )
+    if dim < 1:
+        raise NotAStencilError(
+            f"{call.func} DIM must be a 1-based array dimension, got {dim}",
+            dim_expr.location,
+            span=dim_expr.span,
         )
     return inner, Shift(kind=kind, dim=dim, amount=amount, boundary=boundary)
 

@@ -63,6 +63,11 @@ def _parse_shift_chain(form: Sexpr) -> Tuple[str, Tuple[Shift, ...]]:
                 f"arguments, found {form!r}"
             )
         dim = _as_int(form[2], "shift DIM")
+        if dim < 1:
+            raise DefstencilError(
+                f"shift DIM must be a 1-based array dimension, got {dim} "
+                f"in {form!r}"
+            )
         amount = _as_int(form[3], "shift SHIFT")
         boundary = 0.0
         if len(form) == 5:

@@ -21,7 +21,8 @@ subgrid at ``-2``/``-1``, and 4-d coefficient and fused extra-source
 stacks broadcast across the leading axes, the same slice assignments
 and the same tap kernel serve any leading shape.  A run is a list of
 blocks (:class:`~repro.runtime.blocking.BlockList`), which one loop
-runs.  Filters are grouped by boundary treatment; each group's first
+runs; an unguarded fast run without fused extra terms computes its
+bits in the band schedule instead and is priced as the same list.  Filters are grouped by boundary treatment; each group's first
 exchange is ONE machine pass of ``B`` messages serving every member
 filter, instead of the ``B x F`` messages a loop of solo calls sends.
 Groups whose members share a footprint (same pad, same corner reach)
@@ -84,6 +85,7 @@ from .cm_array import (
     stack_of,
 )
 from .executor import (
+    band_schedule,
     kernel_array_names,
     machine_execute_blocked,
     machine_execute_exact,
@@ -451,8 +453,7 @@ def _resolve_depths(
     prices each filter, then the set, through the batch-aware model.
     """
     requested = None if block_depth == "auto" else block_depth
-    fused = any(f.pattern.extra_terms for f in filters)
-    if exact or iterations < 2 or fused or requested == 1:
+    if exact or iterations < 2 or _fused(filters) or requested == 1:
         return tuple(1 for _ in filters)
     if requested is not None:
         return tuple(
@@ -462,6 +463,12 @@ def _resolve_depths(
     return driver.select_batch_block_depths(
         filters, subgrid_shape, iterations, batch, machine=machine, tenant=tenant
     )
+
+
+def _fused(filters: Sequence[CompiledStencil]) -> bool:
+    """Whether any filter carries fused extra terms, whose sources no
+    halo or ghost zone manages."""
+    return any(f.pattern.extra_terms for f in filters)
 
 
 class _Plan:
@@ -633,7 +640,10 @@ def _run_ladder(
     tallies accumulate across rungs -- a degraded run's totals include
     the cycles its failed rungs burned, moved into the replay buckets
     on the step down, so the totals stay closed form + recovery
-    buckets.  An unguarded run takes only the first rung.
+    buckets.  An unguarded run takes only the first rung -- or, fast
+    and without fused extra terms, the band schedule
+    (:func:`~repro.runtime.executor.band_schedule`) in its place, priced
+    as the same block list.
 
     Hard faults add a final implicit rung past "exact": spare-node
     remapping.  Arming the guard against the machine enables detection
@@ -647,6 +657,15 @@ def _run_ladder(
     unrecoverable-by-degradation and propagate immediately -- the typed
     failure the no-spare guarantee demands, never silent corruption.
     """
+    if guard is None and not exact and not _fused(plan.filters):
+        # The record prices the resolved block list whatever order the
+        # host computes the bits in: run the band schedule.
+        band_schedule(
+            [f.pattern for f in plan.filters], plan.source, plan.outs,
+            plan.arrays, plan.iterations,
+        )
+        blocks = BlockList(plan.filters, plan.subgrid, plan.iterations, depths)
+        return _record(plan, blocks, False, [None] * len(depths), None)
     ones = tuple(1 for _ in depths)
     rungs = [("exact", ones)] if exact else [("fast", ones), ("exact", ones)]
     if depths != ones:

@@ -15,12 +15,22 @@ Two execution modes with identical semantics:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -118,7 +128,7 @@ _TAP_POOL_LOCK = lockdep.lock("_TAP_POOL_LOCK")
 #: has more than one block.
 _TAP_POOL = None  # guarded-by: _TAP_POOL_LOCK
 
-#: Each thread's ``(acc, prod)`` block buffers, grown on demand.
+#: Each thread's scratch words (:func:`_words`).
 _BUFFERS = threading.local()
 
 
@@ -199,28 +209,36 @@ def tap_kernel(steps: Sequence[Tuple[object, object]], out: np.ndarray) -> None:
     range of ``out``, so such a factor may alias ``out`` (the in-place
     fused extra term); blocks never share rows.
     """
-    blocks = _blocks(out.shape)
-    threads = min(WORKERS, len(blocks))
+    _share(functools.partial(_run_blocks, steps, out), _blocks(out.shape))
+
+
+def _share(work: Callable[[Iterable], None], items: List) -> None:
+    """Run ``work`` over ``items`` on up to :data:`WORKERS` threads.
+
+    Each thread calls ``work`` once with an iterator that hands it items
+    until none is left.  Threads claim items from one queue, so a helper
+    still busy with another call's items leaves its share to the threads
+    that are free.  A single item runs inline and never creates the
+    pool.
+    """
+    threads = min(WORKERS, len(items))
     if threads <= 1:
-        _run_blocks(steps, out, blocks)
+        work(iter(items))
         return
-    # Threads claim blocks from one queue, so a helper still busy with
-    # another call's blocks leaves its share to the threads that are
-    # free.  One stop mark per thread follows the blocks; a thread stops
-    # at the first mark it takes, so every queue read finds an entry.
+    # One stop mark per thread follows the items; a thread stops at the
+    # first mark it takes, so every queue read finds an entry.
     claim = queue.SimpleQueue()
-    for index in blocks + [None] * threads:
-        claim.put(index)
+    for item in items + [None] * threads:
+        claim.put(item)
     pool = _tap_pool()
     helpers = [
-        pool.submit(_run_blocks, steps, out, iter(claim.get, None))
-        for _ in range(threads - 1)
+        pool.submit(work, iter(claim.get, None)) for _ in range(threads - 1)
     ]
     try:
-        _run_blocks(steps, out, iter(claim.get, None))
+        work(iter(claim.get, None))
     finally:
         # A helper that never started has nothing left to claim; one
-        # that did must finish before ``out`` is handed back.
+        # that did must finish before the caller reads what it wrote.
         started = [future for future in helpers if not future.cancel()]
         wait(started)
     for future in started:
@@ -253,7 +271,6 @@ def _blocks(shape: Tuple[int, ...]) -> List[tuple]:
 def _run_blocks(steps, out: np.ndarray, claim: Iterable[tuple]) -> None:
     """Run the blocks ``claim`` hands out."""
     ndim = out.ndim
-    last = len(steps) - 1
     # The FPU saturates silently; overflow to inf is a data property,
     # not an execution error.  Error state is per thread, so every
     # thread enters its own.
@@ -261,17 +278,25 @@ def _run_blocks(steps, out: np.ndarray, claim: Iterable[tuple]) -> None:
         for index in claim:
             target = out[index]
             acc, prod = _block_buffers(target.shape)
-            for i, (a, b) in enumerate(steps):
-                np.multiply(
-                    _slab(a, index, ndim), _slab(b, index, ndim), out=prod
-                )
-                # 0.0 + first product, as from a zeroed accumulator; the
-                # last add lands in ``out`` after every read of the block.
-                np.add(
-                    acc if i else _ZERO,
-                    prod,
-                    out=target if i == last else acc,
-                )
+            _chain(
+                [(_slab(a, index, ndim), _slab(b, index, ndim)) for a, b in steps],
+                acc,
+                prod,
+                target,
+            )
+
+
+def _chain(pairs, acc: np.ndarray, prod: np.ndarray, target: np.ndarray) -> None:
+    """The WTL3164 chain over one block: ``0.0 + a0 * b0``, then
+    ``+ ai * bi`` in order, each multiply and add rounded to float32.
+    The last add lands in ``target`` after every read of the block, so
+    a factor may alias ``target`` when ``acc`` does not; ``acc`` may be
+    ``target`` itself when no factor does."""
+    last = len(pairs) - 1
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(a, b, out=prod)
+        # 0.0 + first product, as from a zeroed accumulator.
+        np.add(acc if i else _ZERO, prod, out=target if i == last else acc)
 
 
 def _slab(factor, index: tuple, ndim: int):
@@ -284,12 +309,17 @@ def _slab(factor, index: tuple, ndim: int):
 def _block_buffers(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """This thread's accumulator and product buffers, shaped for a block."""
     n = math.prod(shape)
-    pair = getattr(_BUFFERS, "pair", None)
-    if pair is None or pair[0].size < n:
-        size = max(n, BLOCK_ELEMENTS)
-        pair = (np.empty(size, np.float32), np.empty(size, np.float32))
-        _BUFFERS.pair = pair
-    return pair[0][:n].reshape(shape), pair[1][:n].reshape(shape)
+    words = _words(2 * max(n, BLOCK_ELEMENTS))
+    return words[:n].reshape(shape), words[n : 2 * n].reshape(shape)
+
+
+def _words(n: int) -> np.ndarray:
+    """This thread's scratch: at least ``n`` float32 words, grown on
+    demand and reused by every later block or band it runs."""
+    words = getattr(_BUFFERS, "words", None)
+    if words is None or words.size < n:
+        words = _BUFFERS.words = np.empty(n, np.float32)
+    return words
 
 
 def kernel_array_names(pattern: StencilPattern) -> Tuple[str, ...]:
@@ -327,6 +357,346 @@ def values_equal(a: np.ndarray, b: np.ndarray) -> bool:
         np.array_equal(a[..., row, :, :, :], b[..., row, :, :, :])
         for row in range(a.shape[-4])
     )
+
+
+# ---------------------------------------------------------------------------
+# the band schedule
+
+#: Words of scratch one worker holds for a band: its source tile, the
+#: tile's ping-pong partner and the product buffer, and one tile per
+#: ARRAY coefficient (3 MiB).  Each tap of a sub-iteration is one
+#: multiply and one add over a whole source tile, and such a call must
+#: outlast the interpreter-lock handoff around it on a helper thread;
+#: the scratch stays resident on every worker for the run.
+BAND_ELEMENTS = 3 << 18
+
+
+def band_shape(
+    pad: int, row_words: int, height: int, iterations: int
+) -> Tuple[int, int]:
+    """``(band, depth)``: global rows per band and iterations per sweep.
+
+    ``row_words`` is the scratch one tile row costs (every tile and
+    coefficient tile of a band, one row each).  The rows are cut into
+    as many bands as :data:`BAND_ELEMENTS` holds rows of tiles (rounded
+    down), then up to the same number per worker, of even height.  A
+    sweep runs as many iterations as keep the ghost rows within half the
+    band on each side, so their redundant work stays under half the
+    band's own.
+    """
+    fit = max(1, height // max(1, BAND_ELEMENTS // row_words))
+    bands = min(height, -(-fit // WORKERS) * WORKERS)
+    band = -(-height // bands)
+    depth = min(iterations, max(1, band // (2 * pad))) if pad else iterations
+    return band, depth
+
+
+def band_schedule(
+    patterns: Sequence[StencilPattern],
+    source: np.ndarray,
+    outs: Sequence[np.ndarray],
+    arrays: Dict[str, np.ndarray],
+    iterations: int,
+) -> None:
+    """``iterations`` applications of every pattern to ``source``, each
+    pattern's last iterate written into its slab of ``outs``: the host's
+    schedule for an unguarded fast run, bit-identical to one tap kernel
+    pass per iteration.
+
+    ``source`` is a node-layout stack with any leading axes; every slab
+    of ``outs`` has its shape; ``arrays`` maps the ARRAY coefficient
+    names the patterns read to their stacks (4-d, broadcast across the
+    leading axes, or with the same leading axes).  The patterns carry no
+    fused extra terms.
+
+    The global rows are cut into bands (:func:`band_shape`).  A sweep of
+    ``depth`` iterations hands the bands to the tap pool; a band copies
+    its rows plus a ``depth * pad`` ghost zone into thread-local tiles
+    in global row layout, ``(lead..., rows, width + 2 * P)`` with ``P``
+    the widest pad, where a node's east/west halo is its neighbour's
+    columns and every tap reads a long row.  It runs the sweep's
+    sub-iterations there -- each computes one ``pad`` fewer ghost rows
+    on each side, through :func:`tap_steps` and the kernel's float32
+    chain -- and writes its rows back.  A sweep whose input is its
+    output reads its ghost rows from a snapshot, taken before the sweep
+    starts, of the rows around each band boundary.
+    """
+    lead = source.shape[:-4]
+    grid_rows, grid_cols, rows, cols = source.shape[-4:]
+    height, width = grid_rows * rows, grid_cols * cols
+    pads = [pattern.border_widths().max_width for pattern in patterns]
+    tiles = 3 * math.prod(lead) + sum(
+        math.prod(stack.shape[:-4]) for stack in arrays.values()
+    )
+    band, depth = band_shape(
+        max(pads), tiles * (width + 2 * max(pads)), height, iterations
+    )
+    starts = list(range(0, height, band))
+    inputs = [source] * len(patterns)
+    live = list(range(len(patterns)))
+    done = 0
+    while done < iterations and live:
+        steps = min(depth, iterations - done)
+        last = done + steps == iterations
+        sweep = _Sweep(
+            [patterns[f] for f in live],
+            [pads[f] for f in live],
+            [inputs[f] for f in live],
+            [
+                _snapshot(inputs[f], starts, band, steps * pads[f])
+                if np.may_share_memory(inputs[f], outs[f])
+                else None
+                for f in live
+            ],
+            [outs[f] for f in live],
+            arrays,
+            band,
+            steps,
+            None if last else np.zeros((len(starts), len(live)), bool),
+        )
+        _share(
+            functools.partial(_run_bands, sweep), list(enumerate(starts))
+        )
+        if not last:
+            # A pattern whose first sub-iteration left every band's rows
+            # unchanged is at a fixed point: its slab already holds every
+            # later iterate.  NaNs compare unequal.
+            live = [f for j, f in enumerate(live) if not sweep.same[:, j].all()]
+        inputs = list(outs)
+        done += steps
+
+
+class _Sweep(NamedTuple):
+    """One sweep: per pattern its pad, input stack, ghost-row snapshot
+    (None when the input is not an output) and result slab; the
+    coefficient stacks; the band height and the sweep's iterations; and,
+    unless the sweep is the run's last, per band and pattern whether
+    the first sub-iteration left the band's rows unchanged."""
+
+    patterns: Sequence[StencilPattern]
+    pads: Sequence[int]
+    inputs: Sequence[np.ndarray]
+    snaps: Sequence[Optional[np.ndarray]]
+    outs: Sequence[np.ndarray]
+    arrays: Dict[str, np.ndarray]
+    band: int
+    steps: int
+    same: Optional[np.ndarray]
+
+
+def _snapshot(stack: np.ndarray, starts, band: int, ghost: int) -> np.ndarray:
+    """Each band's ghost rows of ``stack``: the ``ghost`` rows above it
+    and the ``ghost`` rows below it, per band."""
+    height = stack.shape[-4] * stack.shape[-2]
+    width = stack.shape[-3] * stack.shape[-1]
+    snap = np.empty(
+        (len(starts),) + stack.shape[:-4] + (2 * ghost, width), np.float32
+    )
+    for k, start in enumerate(starts):
+        stop = min(start + band, height)
+        _get_rows(stack, start - ghost, start, snap[k, ..., :ghost, :])
+        _get_rows(stack, stop, stop + ghost, snap[k, ..., ghost:, :])
+    return snap
+
+
+def _run_bands(sweep: _Sweep, claim: Iterable[Tuple[int, int]]) -> None:
+    """Run the bands ``claim`` hands out, as ``(index, first row)``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, start in claim:
+            _run_band(sweep, k, start)
+
+
+def _run_band(sweep: _Sweep, k: int, start: int) -> None:
+    """Band ``k`` of one sweep, every pattern and leading entry.
+
+    Every tile of the band is ``width + 2 * P`` words wide, ``P`` the
+    widest pad, so one coefficient tile serves every pattern.  A
+    sub-iteration computes its output rows as one run of words per
+    leading entry, pad columns included: a tap's window is then the
+    same run shifted by ``dy`` rows and ``dx`` words.  The pad columns'
+    words are junk until the column refresh that follows overwrites
+    them.
+    """
+    lead = sweep.inputs[0].shape[:-4]
+    grid_rows, grid_cols, rows, cols = sweep.inputs[0].shape[-4:]
+    height, width = grid_rows * rows, grid_cols * cols
+    stop = min(start + sweep.band, height)
+    size, steps, widest = stop - start, sweep.steps, max(sweep.pads)
+    wide = width + 2 * widest
+    # Coefficient tiles cover the first sub-iteration's output rows of
+    # the deepest pattern; every pattern reads a window of them.
+    reach = (steps - 1) * widest
+    shapes = {
+        name: stack.shape[:-4] + (size + 2 * reach, wide)
+        for name, stack in sweep.arrays.items()
+    }
+    big = math.prod(lead) * (size + 2 * steps * widest) * wide
+    words = _words(sum(map(math.prod, shapes.values())) + 3 * big)
+    tiles, at = {}, 0
+    for name, shape in shapes.items():
+        tile = words[at : at + math.prod(shape)].reshape(shape)
+        at += tile.size
+        tile[..., :widest] = 0.0
+        tile[..., widest + width :] = 0.0
+        _get_rows(
+            sweep.arrays[name], start - reach, stop + reach,
+            tile[..., widest : widest + width],
+        )
+        tiles[name] = _flat(tile)
+    for j, (pattern, pad, stack, snap, out) in enumerate(
+        zip(sweep.patterns, sweep.pads, sweep.inputs, sweep.snaps, sweep.outs)
+    ):
+        ghost = steps * pad
+        shape = lead + (size + 2 * ghost, wide)
+        n = math.prod(shape)
+        src = words[at : at + n].reshape(shape)
+        dst = words[at + n : at + 2 * n].reshape(shape)
+        middle = src[..., widest : widest + width]
+        if snap is None:
+            _get_rows(stack, start - ghost, stop + ghost, middle)
+        else:
+            middle[..., :ghost, :] = snap[k, ..., :ghost, :]
+            _get_rows(stack, start, stop, middle[..., ghost : ghost + size, :])
+            middle[..., ghost + size :, :] = snap[k, ..., ghost:, :]
+        edges = _Edges(pattern, start - ghost, height, width, widest)
+        edges.columns(src, 0, shape[-2])
+        edges.rows(src, 0, shape[-2])
+        for t in range(steps):
+            first, count = (t + 1) * pad, size + 2 * (ghost - (t + 1) * pad)
+            # The output run: row ``first``'s first real word to row
+            # ``first + count - 1``'s last, as (first word, length).
+            run = (first * wide + widest, (count - 1) * wide + width)
+            offset = (reach - ghost) * wide + run[0]
+            windows = {
+                name: tile[..., None, offset : offset + run[1]]
+                for name, tile in tiles.items()
+            }
+            target = _flat(dst)[..., None, run[0] : run[0] + run[1]]
+            prod = words[at + 2 * n : at + 2 * n + target.size]
+            _chain(
+                tap_steps(
+                    pattern, _rows_view(src, run, pad), pad, (1, run[1]), windows
+                ),
+                target,
+                prod.reshape(target.shape),
+                target,
+            )
+            edges.columns(dst, first, first + count)
+            edges.rows(dst, first, first + count)
+            if t == 0 and sweep.same is not None:
+                own = (..., slice(ghost, ghost + size), slice(widest, widest + width))
+                # One row first: an iterate still moving costs one row.
+                sweep.same[k, j] = np.array_equal(
+                    dst[own][..., :1, :], src[own][..., :1, :]
+                ) and np.array_equal(dst[own], src[own])
+            src, dst = dst, src
+        _copy_rows(
+            out, start, src[..., ghost : ghost + size, widest : widest + width],
+            read=False,
+        )
+
+
+def _flat(tile: np.ndarray) -> np.ndarray:
+    """A ``(..., rows, wide)`` tile as one run of words per leading
+    entry."""
+    return tile.reshape(tile.shape[:-2] + (tile.shape[-2] * tile.shape[-1],))
+
+
+def _rows_view(tile: np.ndarray, run: Tuple[int, int], pad: int) -> np.ndarray:
+    """Overlapping rows of ``tile``'s words for :func:`tap_steps`: row
+    ``pad + dy``, columns ``pad + dx`` on, is the output ``run``
+    (``(first word, length)``) shifted by ``dy`` tile rows and ``dx``
+    words, for every ``|dy|, |dx| <= pad``."""
+    flat = _flat(tile)
+    wide = tile.shape[-1]
+    base = run[0] - pad * wide - pad
+    return np.lib.stride_tricks.as_strided(
+        flat[..., base:],
+        shape=flat.shape[:-1] + (2 * pad + 1, run[1] + 2 * pad),
+        strides=flat.strides[:-1] + (wide * flat.itemsize, flat.itemsize),
+        writeable=False,
+    )
+
+
+class _Edges:
+    """A tile's boundary treatment: wrapped or filled pad columns, and
+    the fill value in every row past a FILL edge of the global array."""
+
+    def __init__(self, pattern, top: int, height: int, width: int, pad: int):
+        dim_row, dim_col = pattern.plane_dims
+        self.row_fills = pattern.boundary[dim_row] is BoundaryMode.FILL
+        self.col_fills = pattern.boundary[dim_col] is BoundaryMode.FILL
+        self.fill = np.float32(pattern.fill_value)
+        self.top, self.height, self.width, self.pad = top, height, width, pad
+
+    def columns(self, tile, first: int, stop: int) -> None:
+        """Refresh the pad columns of tile rows ``first:stop``."""
+        pad, width = self.pad, self.width
+        if not pad:
+            return
+        rows = tile[..., first:stop, :]
+        if self.col_fills:
+            rows[..., :pad] = self.fill
+            rows[..., width + pad :] = self.fill
+        else:
+            rows[..., :pad] = rows[..., width : width + pad]
+            rows[..., width + pad :] = rows[..., pad : 2 * pad]
+
+    def rows(self, tile, first: int, stop: int) -> None:
+        """Fill tile rows ``first:stop`` that lie past a FILL edge."""
+        if not self.row_fills:
+            return
+        above = min(stop, -self.top)
+        if first < above:
+            tile[..., first:above, :] = self.fill
+        below = max(first, self.height - self.top)
+        if below < stop:
+            tile[..., below:stop, :] = self.fill
+
+
+def _get_rows(stack: np.ndarray, start: int, stop: int, into: np.ndarray) -> None:
+    """Copy global rows ``start:stop`` of a node-layout ``stack``,
+    wrapped around the global array, into ``into`` (``(..., stop -
+    start, width)``)."""
+    height = stack.shape[-4] * stack.shape[-2]
+    at = start
+    while at < stop:
+        first = at % height
+        n = min(height - first, stop - at)
+        _copy_rows(
+            stack, first, into[..., at - start : at - start + n, :], read=True
+        )
+        at += n
+
+
+def _copy_rows(
+    stack: np.ndarray, start: int, rows: np.ndarray, *, read: bool
+) -> None:
+    """Copy a node-layout ``stack``'s global rows ``start:start + n``
+    into global-layout ``rows`` (``(..., n, width)``), or ``rows`` into
+    them when not ``read``: one copy per partial node row and one for
+    the whole node rows between.  The rows lie inside the array."""
+    sub_rows, sub_cols = stack.shape[-2:]
+    stop = start + rows.shape[-2]
+    at = start
+    while at < stop:
+        node, row = divmod(at, sub_rows)
+        if row or stop - at < sub_rows:
+            nodes, n = 1, min(sub_rows - row, stop - at)
+        else:
+            nodes = (stop - at) // sub_rows
+            n = nodes * sub_rows
+        tiles = stack[..., node : node + nodes, :, row : row + n // nodes, :]
+        view = rows[..., at - start : at - start + n, :].view()
+        # (..., node rows, rows, grid cols, cols): unit-stride rows split.
+        view.shape = view.shape[:-2] + (
+            nodes, n // nodes, view.shape[-1] // sub_cols, sub_cols,
+        )
+        if read:
+            view[...] = tiles.swapaxes(-3, -2)
+        else:
+            tiles.swapaxes(-3, -2)[...] = view
+        at += n
 
 
 # ---------------------------------------------------------------------------

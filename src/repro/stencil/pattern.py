@@ -341,8 +341,16 @@ class StencilPattern:
         )
 
     def array_names(self) -> Tuple[str, ...]:
-        """All array names the statement references (result, source, coeffs)."""
-        return (self.result, self.source) + self.coefficient_names()
+        """All array names the statement references, each once: result,
+        source, coefficients, then fused extra sources in statement
+        order."""
+        return tuple(
+            dict.fromkeys(
+                (self.result, self.source)
+                + self.coefficient_names()
+                + tuple(term.source for term in self.extra_terms)
+            )
+        )
 
     # ------------------------------------------------------------------
     # Presentation

@@ -153,6 +153,13 @@ class TestDefstencilErrors:
         with pytest.raises(DefstencilError):
             parse_defstencil("(defstencil s (r x) (single-float))")
 
+    @pytest.mark.parametrize(
+        "shift", ["(cshift x 0 1)", "(cshift (cshift x 1 1) -2 1)"]
+    )
+    def test_dimension_below_one_rejected(self, shift):
+        with pytest.raises(DefstencilError, match="1-based"):
+            parse_defstencil(f"(defstencil s (r x c) (:= r (* c {shift})))")
+
 
 class TestEoshiftBoundary:
     """The EOSHIFT boundary value becomes the pattern's ``fill_value``,

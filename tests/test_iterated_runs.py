@@ -17,6 +17,7 @@ from repro.machine.machine import CM2
 from repro.machine.params import MachineParams
 from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import ExecutionSetupError
+from repro.runtime.faults import ResiliencePolicy
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import cross, square
 from repro.stencil.offsets import BoundaryMode
@@ -245,7 +246,9 @@ class TestExtraTermValidation:
 class TestFixedPointCheck:
     """The fixed-point check compares node row by node row and stops at
     the first row that differs; only an iterate equal to its input in
-    every row short-circuits the run."""
+    every row short-circuits the run.  The short-circuit is the guarded
+    loop's (an unguarded run takes the band schedule, which computes
+    every iteration), so these runs are guarded, with no faults."""
 
     @staticmethod
     def _identity_run(c1_host, monkeypatch, iterations=4):
@@ -269,7 +272,8 @@ class TestFixedPointCheck:
 
         monkeypatch.setattr(batch, "machine_execute_fast_stack", counted)
         run = apply_stencil(
-            compiled, x, {"C1": c1}, "R", iterations=iterations
+            compiled, x, {"C1": c1}, "R", iterations=iterations,
+            resilience=ResiliencePolicy(),
         )
         expected = x_host
         for _ in range(iterations):

@@ -13,6 +13,7 @@ from repro.stencil.gallery import (
 from repro.stencil.pattern import (
     Coefficient,
     CoeffKind,
+    ExtraTerm,
     StencilPattern,
     Tap,
     pattern_from_offsets,
@@ -194,6 +195,22 @@ class TestNamesAndRendering:
         names = cross5().array_names()
         assert names[0] == "R"
         assert names[1] == "X"
+
+    def test_array_names_include_fused_sources(self):
+        base = cross5()
+        fused = StencilPattern(
+            base.taps,
+            result="U",
+            extra_terms=[
+                ExtraTerm(source="Y", coeff=Coefficient.array("CY")),
+                ExtraTerm(source="U", coeff=Coefficient.scalar(0.5)),
+                ExtraTerm(source="Y", coeff=Coefficient.unit()),
+                ExtraTerm(source="Z", coeff=Coefficient.array("C1")),
+            ],
+        )
+        assert fused.array_names() == (
+            "U", "X", "C1", "C2", "C3", "C4", "C5", "CY", "Y", "Z",
+        )
 
     def test_pictogram_cross5(self):
         expected = ". # .\n# @ #\n. # ."

@@ -187,6 +187,22 @@ class TestRejections:
                 "R = C1 * EOSHIFT(X, 1, -1, 1.0) + C2 * EOSHIFT(X, 1, +1, 2.0)"
             )
 
+    @pytest.mark.parametrize(
+        "source, dim",
+        [
+            ("R = C1 * CSHIFT(X, DIM=0, SHIFT=1)", "0"),
+            # Standard Fortran's (shift, dim) order read the paper's way.
+            ("R = C1 * CSHIFT(X, -1, 1)", "-1"),
+            ("R = C1 * EOSHIFT(CSHIFT(X, 1, 1), DIM=-2, SHIFT=1)", "-2"),
+        ],
+    )
+    def test_dimension_below_one_names_the_dim_argument(self, source, dim):
+        with pytest.raises(NotAStencilError, match="1-based") as caught:
+            recognize(source)
+        span = caught.value.span
+        assert span.start.line == span.end.line == 1
+        assert source[span.start.column - 1 : span.end.column - 1] == dim
+
 
 class TestBoundaryModes:
     def test_cshift_gives_circular(self):

@@ -324,39 +324,62 @@ class TestDepthSelection:
 
 
 class TestPingPongReuse:
+    """The guarded loop's blocked rung keeps its ping-pong pair in
+    machine storage (an unguarded run allocates none: it takes the band
+    schedule), so these runs are guarded, with no faults."""
+
+    GUARDED = dict(resilience=ResiliencePolicy())
+
     def test_no_new_allocations_after_warm_up(self):
         pattern = square(1)
         machine, compiled, x, coeffs = make_problem(pattern, seed=11)
         apply_stencil(
-            compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=3
+            compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=3,
+            **self.GUARDED,
         )
         warm = machine.storage.scratch_allocations
         assert warm > 0
         for seed in range(3):
             apply_stencil(
-                compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=3
+                compiled, x, coeffs, "R", iterations=ITERATIONS,
+                block_depth=3, **self.GUARDED,
             )
         assert machine.storage.scratch_allocations == warm
 
     def test_ping_pong_pair_is_stable_across_calls(self):
         pattern = cross(1)
         machine, compiled, x, coeffs = make_problem(pattern, seed=12)
-        apply_stencil(compiled, x, coeffs, "R", iterations=4, block_depth=2)
+        apply_stencil(
+            compiled, x, coeffs, "R", iterations=4, block_depth=2,
+            **self.GUARDED,
+        )
         from repro.runtime.halo import halo_buffer_name
 
         shape = tuple(s + 4 for s in x.subgrid_shape)
         ping, pong = machine.storage.pingpong(halo_buffer_name("X"), shape)
-        apply_stencil(compiled, x, coeffs, "R", iterations=4, block_depth=2)
+        apply_stencil(
+            compiled, x, coeffs, "R", iterations=4, block_depth=2,
+            **self.GUARDED,
+        )
         ping2, pong2 = machine.storage.pingpong(halo_buffer_name("X"), shape)
         assert ping is ping2 and pong is pong2
 
     def test_depth_change_reallocates_then_stabilizes(self):
         pattern = cross(1)
         machine, compiled, x, coeffs = make_problem(pattern, seed=13)
-        apply_stencil(compiled, x, coeffs, "R", iterations=8, block_depth=2)
+        apply_stencil(
+            compiled, x, coeffs, "R", iterations=8, block_depth=2,
+            **self.GUARDED,
+        )
         after_d2 = machine.storage.scratch_allocations
-        apply_stencil(compiled, x, coeffs, "R", iterations=8, block_depth=4)
+        apply_stencil(
+            compiled, x, coeffs, "R", iterations=8, block_depth=4,
+            **self.GUARDED,
+        )
         after_d4 = machine.storage.scratch_allocations
         assert after_d4 > after_d2  # deeper halo -> bigger buffers
-        apply_stencil(compiled, x, coeffs, "R", iterations=8, block_depth=4)
+        apply_stencil(
+            compiled, x, coeffs, "R", iterations=8, block_depth=4,
+            **self.GUARDED,
+        )
         assert machine.storage.scratch_allocations == after_d4
