@@ -583,17 +583,40 @@ def _run_band(sweep: _Sweep, k: int, start: int) -> None:
             )
             edges.columns(dst, first, first + count)
             edges.rows(dst, first, first + count)
-            if t == 0 and sweep.same is not None:
-                own = (..., slice(ghost, ghost + size), slice(widest, widest + width))
-                # One row first: an iterate still moving costs one row.
-                sweep.same[k, j] = np.array_equal(
-                    dst[own][..., :1, :], src[own][..., :1, :]
-                ) and np.array_equal(dst[own], src[own])
+            if t == 0:
+                real = slice(widest, widest + width)
+                if steps > 1 and _unchanged(
+                    dst[..., first : first + count, real],
+                    src[..., first : first + count, real],
+                ):
+                    # Every later sub-iteration reads only rows this one
+                    # left as they were, so it would leave them too: this
+                    # output is the sweep's last iterate.  (Equal values
+                    # may still differ in the sign of a zero, which no
+                    # chain's result depends on; the chain never rounds
+                    # to -0.0, so this output's bits are the later ones.)
+                    if sweep.same is not None:
+                        sweep.same[k, j] = True
+                    src = dst
+                    break
+                if sweep.same is not None:
+                    sweep.same[k, j] = _unchanged(
+                        dst[..., ghost : ghost + size, real],
+                        src[..., ghost : ghost + size, real],
+                    )
             src, dst = dst, src
         _copy_rows(
             out, start, src[..., ghost : ghost + size, widest : widest + width],
             read=False,
         )
+
+
+def _unchanged(new: np.ndarray, old: np.ndarray) -> bool:
+    """Whether ``new`` equals ``old`` (NaNs compare unequal), one row
+    first: an iterate still moving costs one row."""
+    return np.array_equal(new[..., :1, :], old[..., :1, :]) and np.array_equal(
+        new, old
+    )
 
 
 def _flat(tile: np.ndarray) -> np.ndarray:

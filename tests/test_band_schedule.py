@@ -259,19 +259,27 @@ class TestSoloRuns:
 
 
 class TestFixedPoints:
-    """A sweep that is not the run's last stops a filter whose first
-    sub-iteration left every band's rows unchanged."""
+    """A band whose first sub-iteration leaves every row it computed
+    unchanged skips the sweep's other sub-iterations, and a sweep that
+    is not the run's last stops a filter that left every band's rows
+    unchanged."""
 
     @staticmethod
     def bands_run(monkeypatch, c1_last, iterations=6):
-        calls = []
-        real = executor._run_band
+        """Returns the bands run and the sub-iterations computed."""
+        calls, chains = [], []
+        real_band, real_chain = executor._run_band, executor._chain
 
         def counted(sweep, k, start):
             calls.append(k)
-            return real(sweep, k, start)
+            return real_band(sweep, k, start)
+
+        def chain(*args):
+            chains.append(1)
+            return real_chain(*args)
 
         monkeypatch.setattr(executor, "_run_band", counted)
+        monkeypatch.setattr(executor, "_chain", chain)
         monkeypatch.setattr(executor, "band_shape", lambda *args: (4, 2))
         pattern = StencilPattern(
             [
@@ -281,6 +289,9 @@ class TestFixedPoints:
             name="identity",
         )
         problem = Problem([pattern], seed=15)
+        # 0.0 + 1.0 * -0.0 is +0.0: the first iterate differs from the
+        # source in bits, not in value.
+        problem.x[2, 3] = -0.0
         problem.coefficients["C1"][...] = 1.0
         problem.coefficients["C1"][-1, -1] = c1_last
         problem.coefficients["C2"][...] = 0.0
@@ -290,14 +301,19 @@ class TestFixedPoints:
         assert_bits_equal(
             got, iterate(pattern, problem.x, problem.coefficients, iterations)
         )
-        return len(calls)
+        return len(calls), len(chains)
 
-    def test_a_fixed_point_stops_after_its_first_sweep(self, monkeypatch):
-        # 16 global rows in bands of 4: one sweep of 2 iterations.
-        assert self.bands_run(monkeypatch, 1.0) == 4
+    def test_a_fixed_point_stops_after_its_first_sub_iteration(
+        self, monkeypatch
+    ):
+        # 16 global rows in bands of 4: one sweep, one sub-iteration each.
+        assert self.bands_run(monkeypatch, 1.0) == (4, 4)
 
     def test_a_change_in_the_last_row_is_not_a_fixed_point(self, monkeypatch):
-        assert self.bands_run(monkeypatch, 0.5) == 3 * 4
+        # Three sweeps of 2.  Bands 1 and 2 (ghost rows included) stay
+        # unchanged and skip their second sub-iteration; bands 0 and 3
+        # see the last row, band 0 through its wrapped ghost rows.
+        assert self.bands_run(monkeypatch, 0.5) == (3 * 4, 3 * (2 + 1 + 1 + 2))
 
 
 class TestBatchedRuns:
