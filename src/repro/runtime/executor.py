@@ -315,10 +315,14 @@ def _block_buffers(shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
 
 def _words(n: int) -> np.ndarray:
     """This thread's scratch: at least ``n`` float32 words, grown on
-    demand and reused by every later block or band it runs."""
+    demand up to :data:`KEPT_WORDS` and reused by every later block or
+    band it runs; a larger request gets words of its own, dropped when
+    its band is done."""
     words = getattr(_BUFFERS, "words", None)
     if words is None or words.size < n:
-        words = _BUFFERS.words = np.empty(n, np.float32)
+        words = np.empty(n, np.float32)
+        if n <= KEPT_WORDS:
+            _BUFFERS.words = words
     return words
 
 
@@ -370,25 +374,38 @@ def values_equal(a: np.ndarray, b: np.ndarray) -> bool:
 #: the scratch stays resident on every worker for the run.
 BAND_ELEMENTS = 3 << 18
 
+#: The most scratch words a thread keeps between blocks and bands: a
+#: band's tiles with their ghost rows, which :func:`band_shape` keeps
+#: within half a band on each side (6 MiB).
+KEPT_WORDS = 2 * BAND_ELEMENTS
+
 
 def band_shape(
     pad: int, row_words: int, height: int, iterations: int
 ) -> Tuple[int, int]:
-    """``(band, depth)``: global rows per band and iterations per sweep.
+    """``(bands, depth)``: bands per sweep and iterations per sweep.
 
     ``row_words`` is the scratch one tile row costs (every tile and
     coefficient tile of a band, one row each).  The rows are cut into
     as many bands as :data:`BAND_ELEMENTS` holds rows of tiles (rounded
-    down), then up to the same number per worker, of even height.  A
+    down), then up to the same number per worker (or one row each), of
+    heights that differ by at most one row (:func:`band_bounds`).  A
     sweep runs as many iterations as keep the ghost rows within half the
-    band on each side, so their redundant work stays under half the
-    band's own.
+    shortest band on each side, so their redundant work stays under
+    half the band's own.
     """
     fit = max(1, height // max(1, BAND_ELEMENTS // row_words))
     bands = min(height, -(-fit // WORKERS) * WORKERS)
-    band = -(-height // bands)
-    depth = min(iterations, max(1, band // (2 * pad))) if pad else iterations
-    return band, depth
+    shortest = height // bands
+    depth = min(iterations, max(1, shortest // (2 * pad))) if pad else iterations
+    return bands, depth
+
+
+def band_bounds(bands: int, height: int) -> List[Tuple[int, int]]:
+    """``(first row, stop row)`` of each of ``bands`` bands over
+    ``height`` global rows: the remainder rows spread one per band."""
+    cuts = [height * k // bands for k in range(bands + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def band_schedule(
@@ -428,10 +445,10 @@ def band_schedule(
     tiles = 3 * math.prod(lead) + sum(
         math.prod(stack.shape[:-4]) for stack in arrays.values()
     )
-    band, depth = band_shape(
+    bands, depth = band_shape(
         max(pads), tiles * (width + 2 * max(pads)), height, iterations
     )
-    starts = list(range(0, height, band))
+    bounds = band_bounds(bands, height)
     inputs = [source] * len(patterns)
     live = list(range(len(patterns)))
     done = 0
@@ -443,20 +460,17 @@ def band_schedule(
             [pads[f] for f in live],
             [inputs[f] for f in live],
             [
-                _snapshot(inputs[f], starts, band, steps * pads[f])
+                _snapshot(inputs[f], bounds, steps * pads[f])
                 if np.may_share_memory(inputs[f], outs[f])
                 else None
                 for f in live
             ],
             [outs[f] for f in live],
             arrays,
-            band,
             steps,
-            None if last else np.zeros((len(starts), len(live)), bool),
+            None if last else np.zeros((bands, len(live)), bool),
         )
-        _share(
-            functools.partial(_run_bands, sweep), list(enumerate(starts))
-        )
+        _share(functools.partial(_run_bands, sweep), list(enumerate(bounds)))
         if not last:
             # A pattern whose first sub-iteration left every band's rows
             # unchanged is at a fixed point: its slab already holds every
@@ -469,9 +483,9 @@ def band_schedule(
 class _Sweep(NamedTuple):
     """One sweep: per pattern its pad, input stack, ghost-row snapshot
     (None when the input is not an output) and result slab; the
-    coefficient stacks; the band height and the sweep's iterations; and,
-    unless the sweep is the run's last, per band and pattern whether
-    the first sub-iteration left the band's rows unchanged."""
+    coefficient stacks; the sweep's iterations; and, unless the sweep is
+    the run's last, per band and pattern whether the first sub-iteration
+    left the band's rows unchanged."""
 
     patterns: Sequence[StencilPattern]
     pads: Sequence[int]
@@ -479,34 +493,32 @@ class _Sweep(NamedTuple):
     snaps: Sequence[Optional[np.ndarray]]
     outs: Sequence[np.ndarray]
     arrays: Dict[str, np.ndarray]
-    band: int
     steps: int
     same: Optional[np.ndarray]
 
 
-def _snapshot(stack: np.ndarray, starts, band: int, ghost: int) -> np.ndarray:
+def _snapshot(stack: np.ndarray, bounds, ghost: int) -> np.ndarray:
     """Each band's ghost rows of ``stack``: the ``ghost`` rows above it
     and the ``ghost`` rows below it, per band."""
-    height = stack.shape[-4] * stack.shape[-2]
     width = stack.shape[-3] * stack.shape[-1]
     snap = np.empty(
-        (len(starts),) + stack.shape[:-4] + (2 * ghost, width), np.float32
+        (len(bounds),) + stack.shape[:-4] + (2 * ghost, width), np.float32
     )
-    for k, start in enumerate(starts):
-        stop = min(start + band, height)
+    for k, (start, stop) in enumerate(bounds):
         _get_rows(stack, start - ghost, start, snap[k, ..., :ghost, :])
         _get_rows(stack, stop, stop + ghost, snap[k, ..., ghost:, :])
     return snap
 
 
-def _run_bands(sweep: _Sweep, claim: Iterable[Tuple[int, int]]) -> None:
-    """Run the bands ``claim`` hands out, as ``(index, first row)``."""
+def _run_bands(sweep: _Sweep, claim: Iterable[tuple]) -> None:
+    """Run the bands ``claim`` hands out, as ``(index, (first row, stop
+    row))``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, start in claim:
-            _run_band(sweep, k, start)
+        for k, (start, stop) in claim:
+            _run_band(sweep, k, start, stop)
 
 
-def _run_band(sweep: _Sweep, k: int, start: int) -> None:
+def _run_band(sweep: _Sweep, k: int, start: int, stop: int) -> None:
     """Band ``k`` of one sweep, every pattern and leading entry.
 
     Every tile of the band is ``width + 2 * P`` words wide, ``P`` the
@@ -520,7 +532,6 @@ def _run_band(sweep: _Sweep, k: int, start: int) -> None:
     lead = sweep.inputs[0].shape[:-4]
     grid_rows, grid_cols, rows, cols = sweep.inputs[0].shape[-4:]
     height, width = grid_rows * rows, grid_cols * cols
-    stop = min(start + sweep.band, height)
     size, steps, widest = stop - start, sweep.steps, max(sweep.pads)
     wide = width + 2 * widest
     # Coefficient tiles cover the first sub-iteration's output rows of
@@ -583,27 +594,21 @@ def _run_band(sweep: _Sweep, k: int, start: int) -> None:
             )
             edges.columns(dst, first, first + count)
             edges.rows(dst, first, first + count)
-            if t == 0:
-                real = slice(widest, widest + width)
-                if steps > 1 and _unchanged(
-                    dst[..., first : first + count, real],
-                    src[..., first : first + count, real],
-                ):
-                    # Every later sub-iteration reads only rows this one
-                    # left as they were, so it would leave them too: this
-                    # output is the sweep's last iterate.  (Equal values
-                    # may still differ in the sign of a zero, which no
-                    # chain's result depends on; the chain never rounds
-                    # to -0.0, so this output's bits are the later ones.)
-                    if sweep.same is not None:
-                        sweep.same[k, j] = True
-                    src = dst
-                    break
+            real = slice(widest, widest + width)
+            if t == 0 and _unchanged(
+                dst[..., first : first + count, real],
+                src[..., first : first + count, real],
+            ):
+                # Every later sub-iteration reads only rows this one left
+                # as they were, so it would leave them too: this output
+                # is the sweep's last iterate.  (Equal values may still
+                # differ in the sign of a zero, which no chain's result
+                # depends on; the chain never rounds to -0.0, so this
+                # output's bits are the later ones.)
                 if sweep.same is not None:
-                    sweep.same[k, j] = _unchanged(
-                        dst[..., ghost : ghost + size, real],
-                        src[..., ghost : ghost + size, real],
-                    )
+                    sweep.same[k, j] = True
+                src = dst
+                break
             src, dst = dst, src
         _copy_rows(
             out, start, src[..., ghost : ghost + size, widest : widest + width],

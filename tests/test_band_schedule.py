@@ -157,10 +157,10 @@ def workers(monkeypatch, request):
 
 @pytest.fixture
 def band_shape(monkeypatch):
-    """Force ``(band, depth)``; returns the setter."""
+    """Force ``(bands, depth)``; returns the setter."""
 
-    def force(band, depth):
-        monkeypatch.setattr(executor, "band_shape", lambda *args: (band, depth))
+    def force(bands, depth):
+        monkeypatch.setattr(executor, "band_shape", lambda *args: (bands, depth))
 
     return force
 
@@ -203,17 +203,18 @@ class TestSoloRuns:
         assert_bits_equal(got, iterate(pattern, problem.x, problem.coefficients, 4))
 
     @pytest.mark.parametrize(
-        "band, depth",
-        [(1, 1), (2, 3), (3, 2), (5, 4), (1, 7), (64, 3)],
+        "bands, depth",
+        [(8, 1), (4, 3), (3, 2), (2, 4), (8, 7), (1, 3)],
         ids=lambda v: str(v),
     )
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_forced_bands_and_sweeps(self, workers, band_shape, band, depth, mode):
-        """Ghost zones deeper than a subgrid and than a band, a band
-        taller than the array, one-row bands, and 7 iterations -- not a
-        multiple of the sweep depth -- so later sweeps read their ghost
-        rows from the pre-sweep snapshot."""
-        band_shape(band, depth)
+    def test_forced_bands_and_sweeps(self, workers, band_shape, bands, depth, mode):
+        """On 8 global rows: ghost zones deeper than a subgrid and than
+        a band, bands of unequal height, one band for the whole array,
+        one-row bands, and 7 iterations -- not a multiple of the sweep
+        depth -- so later sweeps read their ghost rows from the
+        pre-sweep snapshot."""
+        band_shape(bands, depth)
         pattern = variant(gallery.cross9(), mode)
         problem = Problem([pattern], shape=(2, 2), subgrid=(4, 6), seed=depth)
         _, got = problem.solo(pattern, 7)
@@ -237,10 +238,13 @@ class TestSoloRuns:
         assert_bits_equal(got, want)
         assert_bits_equal(got, oracle)
 
-    def test_band_shape_rule(self):
-        """The closed-form rule: bands of even height, the same number
-        per worker, each within about twice the rows the scratch budget
-        holds, ghost rows at most half a band on each side."""
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 6, 12])
+    def test_band_shape_rule(self, monkeypatch, workers):
+        """The closed-form rule: bands whose heights differ by at most a
+        row, the same number per worker (or one row each), each within
+        about twice the rows the scratch budget holds, ghost rows at
+        most half a band on each side."""
+        monkeypatch.setattr(executor, "WORKERS", workers)
         for pad, row_words, height, iterations in [
             (2, 12 * 516, 512, 4),
             (2, 37 * 260, 256, 4),
@@ -248,14 +252,19 @@ class TestSoloRuns:
             (3, 200 * 518, 16, 5),
             (0, 5 * 8, 8, 9),
             (1, 3 * 10, 3, 2),
+            (1, 3 * 10, 37, 6),
         ]:
-            band, depth = executor.band_shape(pad, row_words, height, iterations)
-            bands = -(-height // band)
-            assert 1 <= band <= height
-            assert bands % executor.WORKERS == 0 or bands == height
-            assert band <= 2 * max(1, executor.BAND_ELEMENTS // row_words) + 1
+            bands, depth = executor.band_shape(pad, row_words, height, iterations)
+            bounds = executor.band_bounds(bands, height)
+            sizes = [stop - start for start, stop in bounds]
+            assert len(bounds) == bands and 1 <= bands <= height
+            assert bounds[0][0] == 0 and bounds[-1][1] == height
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
+            assert bands % workers == 0 or bands == height
+            assert max(sizes) <= 2 * max(1, executor.BAND_ELEMENTS // row_words) + 1
             assert 1 <= depth <= iterations
-            assert depth == 1 or 2 * depth * pad <= band
+            assert depth == 1 or 2 * depth * pad <= min(sizes)
 
 
 class TestFixedPoints:
@@ -270,9 +279,9 @@ class TestFixedPoints:
         calls, chains = [], []
         real_band, real_chain = executor._run_band, executor._chain
 
-        def counted(sweep, k, start):
+        def counted(sweep, k, start, stop):
             calls.append(k)
-            return real_band(sweep, k, start)
+            return real_band(sweep, k, start, stop)
 
         def chain(*args):
             chains.append(1)
@@ -493,3 +502,19 @@ class TestStorage:
         apply_laplacian27_reference(volume)
         names = {name for name, _ in machine.storage.distinct(scratch=True)}
         assert names == {"V", "LAP27", "__lap27_ref__"}
+
+    def test_a_thread_keeps_at_most_kept_words(self, monkeypatch):
+        """A band larger than the cap runs on words of its own, which
+        the thread drops; a smaller one keeps its scratch for reuse."""
+        pattern = gallery.cross9()
+        problem = Problem([pattern], seed=16)
+        monkeypatch.setattr(executor, "WORKERS", 1)
+        monkeypatch.setattr(executor._BUFFERS, "words", None, raising=False)
+        monkeypatch.setattr(executor, "KEPT_WORDS", 64)
+        _, got = problem.solo(pattern, 3)
+        assert executor._BUFFERS.words is None
+        monkeypatch.setattr(executor, "KEPT_WORDS", 1 << 20)
+        _, again = problem.solo(pattern, 3)
+        assert 64 < executor._BUFFERS.words.size <= 1 << 20
+        assert_bits_equal(got, again)
+        assert_bits_equal(got, iterate(pattern, problem.x, problem.coefficients, 3))

@@ -256,14 +256,17 @@ class TestBitIdentity:
     @pytest.mark.parametrize("depth", [2, 3, "auto"])
     def test_temporal_blocking(self, depth):
         """Blocked batched runs match blocked solo runs bit for bit at
-        every filter's resolved depth."""
+        every filter's resolved depth.  The batched run is guarded with
+        no faults, so its bits come from the loop's blocked rung (an
+        unguarded one takes the band schedule, as the solo runs do)."""
         machine = make_machine()
         patterns = [gallery.cross5(), gallery.diamond13()]
         filters = [compile_stencil(p, machine.params) for p in patterns]
         coeffs = make_coeffs(machine, patterns)
         source, data = make_batch(machine, 2)
         run = apply_stencil_batch(
-            filters, source, coeffs, iterations=5, block_depth=depth
+            filters, source, coeffs, iterations=5, block_depth=depth,
+            resilience=ResiliencePolicy(),
         )
         batch = data.shape[0]
         expected = np.zeros((batch, len(filters)) + GRID, dtype=np.float32)
@@ -283,6 +286,8 @@ class TestBitIdentity:
         assert np.array_equal(run.result.to_numpy(), expected)
 
     def test_blocked_fill_boundary(self):
+        """The loop's blocked rung (guarded, no faults) against the
+        unguarded solo runs."""
         machine = make_machine()
         patterns = [
             boundary_variant(gallery.cross5(), "fill"),
@@ -292,7 +297,8 @@ class TestBitIdentity:
         coeffs = make_coeffs(machine, patterns)
         source, data = make_batch(machine, 2)
         run = apply_stencil_batch(
-            filters, source, coeffs, iterations=4, block_depth=2
+            filters, source, coeffs, iterations=4, block_depth=2,
+            resilience=ResiliencePolicy(),
         )
         expected = solo_results(
             machine, filters, coeffs, data, GRID,

@@ -374,7 +374,8 @@ class TestDegenerateGrids:
     @pytest.mark.parametrize("mode", ["torus", "fill"])
     def test_blocked_equals_unblocked(self, shape, mode):
         """exchange_halo_deep bit-identity on degenerate grids, checked
-        end to end through the blocked executor."""
+        end to end through the blocked executor (the guarded loop's
+        first rung at depth 2) against the unguarded run."""
         from repro.compiler.driver import compile_stencil
         from repro.runtime.stencil_op import apply_stencil
 
@@ -391,9 +392,10 @@ class TestDegenerateGrids:
                 )
                 for name in pattern.coefficient_names()
             }
+            guard = dict(resilience=ResiliencePolicy()) if block_depth > 1 else {}
             return apply_stencil(
                 compiled, x, coeffs, "R",
-                iterations=5, block_depth=block_depth,
+                iterations=5, block_depth=block_depth, **guard,
             ).result.to_numpy()
 
         np.testing.assert_array_equal(run(1), run(2))

@@ -25,6 +25,7 @@ from repro.machine.params import MachineParams
 from repro.runtime import executor
 from repro.runtime.cm_array import CMArray
 from repro.runtime.executor import tap_kernel, tap_steps
+from repro.runtime.faults import ResiliencePolicy
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import cross5, square9
 from repro.stencil.pattern import Coefficient, StencilPattern, Tap
@@ -183,7 +184,9 @@ def scatter(machine, name, data):
 class TestRunsThroughTheKernel:
     """Whole runs under forced one-row blocks against the numpy
     reference: solo, fused in place, degenerate grids, and a depth-3
-    temporally blocked run."""
+    temporally blocked run.  Only the guarded loop and fused calls run
+    the tap kernel (an unguarded run takes the band schedule), so the
+    other runs are guarded, with no faults."""
 
     @pytest.mark.parametrize("shape", [(1, 16), (16, 1), (4, 4)])
     def test_solo_runs(self, kernel, shape):
@@ -202,6 +205,7 @@ class TestRunsThroughTheKernel:
             {n: scatter(machine, n, c) for n, c in coeffs.items()},
             "R",
             iterations=3,
+            resilience=ResiliencePolicy(),
         )
         want = x
         for _ in range(3):
@@ -250,6 +254,7 @@ class TestRunsThroughTheKernel:
             "R",
             iterations=7,
             block_depth=3,
+            resilience=ResiliencePolicy(),
         )
         assert run.block_depths[0] == 3
         want = x
@@ -281,6 +286,7 @@ class TestRunsThroughTheKernel:
             {n: scatter(machine, n, c) for n, c in coeffs.items()},
             iterations=4,
             block_depth=block_depth,
+            resilience=ResiliencePolicy(),
         )
         assert tuple(run.block_depths) == (block_depth, block_depth)
         got = run.result.to_numpy()

@@ -70,6 +70,13 @@ GALLERY = [
 ]
 
 
+#: An unguarded run computes its bits in the band schedule whatever its
+#: block depth; the guarded loop's blocked rung (deep exchanges,
+#: ping-pong stacks, tail blocks, fixed points) runs only guarded, so
+#: the blocked side of these tests runs guarded, with no faults.
+GUARDED = dict(resilience=ResiliencePolicy())
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("patname,make", GALLERY)
     @pytest.mark.parametrize("mode", ["torus", "fill", "mixed"])
@@ -90,6 +97,7 @@ class TestBitIdentity:
             "R_BLK",
             iterations=ITERATIONS,
             block_depth=depth,
+            **GUARDED,
         )
         np.testing.assert_array_equal(
             blocked.result.to_numpy(), reference.result.to_numpy()
@@ -103,7 +111,8 @@ class TestBitIdentity:
         reference = apply_stencil(compiled, x, coeffs, "R_REF", iterations=12)
         _, compiled2, x2, coeffs2 = make_problem(pattern, seed=9)
         auto = apply_stencil(
-            compiled2, x2, coeffs2, "R_AUTO", iterations=12, block_depth="auto"
+            compiled2, x2, coeffs2, "R_AUTO", iterations=12, block_depth="auto",
+            **GUARDED,
         )
         np.testing.assert_array_equal(
             auto.result.to_numpy(), reference.result.to_numpy()
@@ -114,8 +123,11 @@ class TestBitIdentity:
         pattern = square(1)
         _, compiled, x, coeffs = make_problem(pattern, seed=4)
         before = x.to_numpy().copy()
-        apply_stencil(compiled, x, coeffs, "R", iterations=6, block_depth=3)
-        np.testing.assert_array_equal(x.to_numpy(), before)
+        for guard in ({}, GUARDED):
+            apply_stencil(
+                compiled, x, coeffs, "R", iterations=6, block_depth=3, **guard
+            )
+            np.testing.assert_array_equal(x.to_numpy(), before)
 
     def test_invalid_depth_rejected(self):
         pattern = cross(1)
@@ -194,10 +206,18 @@ class TestExchangeAccounting:
         assert blocked.num_exchanges == 8
         assert blocked.total_comm_cycles < unblocked.total_comm_cycles
 
-    def test_blocked_fixed_point_still_charges_whole_run(self):
+    @pytest.mark.parametrize(
+        "guard",
+        [{}, dict(resilience=ResiliencePolicy(checkpoint_interval=0))],
+        ids=["unguarded", "guarded"],
+    )
+    def test_blocked_fixed_point_still_charges_whole_run(self, guard):
         """An all-zero iterate is a fixed point; the blocked loop stops
         computing but the accounting still covers every block, exactly
-        as a run of the same geometry that never converges."""
+        as a run of the same geometry that never converges (and so does
+        the band schedule, which an unguarded run takes).  The guarded
+        run takes no checkpoints: one at a fixed point skips the
+        checkpoints a moving run of its geometry is charged for."""
         pattern = cross(1)
         params = MachineParams(num_nodes=4)
         machine = CM2(params)
@@ -213,7 +233,7 @@ class TestExchangeAccounting:
             for name in pattern.coefficient_names()
         }
         run = apply_stencil(
-            compiled, x, coeffs, "R", iterations=8, block_depth=2
+            compiled, x, coeffs, "R", iterations=8, block_depth=2, **guard
         )
         np.testing.assert_array_equal(
             run.result.to_numpy(), np.zeros(SHAPE, dtype=np.float32)
@@ -223,7 +243,8 @@ class TestExchangeAccounting:
             "N", machine, rng.standard_normal(SHAPE).astype(np.float32)
         )
         moving = apply_stencil(
-            compiled, noise, coeffs, "RN", iterations=8, block_depth=2
+            compiled, noise, coeffs, "RN", iterations=8, block_depth=2,
+            **guard,
         )
         assert not np.array_equal(
             moving.result.to_numpy(), noise.to_numpy()
@@ -328,21 +349,19 @@ class TestPingPongReuse:
     machine storage (an unguarded run allocates none: it takes the band
     schedule), so these runs are guarded, with no faults."""
 
-    GUARDED = dict(resilience=ResiliencePolicy())
-
     def test_no_new_allocations_after_warm_up(self):
         pattern = square(1)
         machine, compiled, x, coeffs = make_problem(pattern, seed=11)
         apply_stencil(
             compiled, x, coeffs, "R", iterations=ITERATIONS, block_depth=3,
-            **self.GUARDED,
+            **GUARDED,
         )
         warm = machine.storage.scratch_allocations
         assert warm > 0
         for seed in range(3):
             apply_stencil(
                 compiled, x, coeffs, "R", iterations=ITERATIONS,
-                block_depth=3, **self.GUARDED,
+                block_depth=3, **GUARDED,
             )
         assert machine.storage.scratch_allocations == warm
 
@@ -351,7 +370,7 @@ class TestPingPongReuse:
         machine, compiled, x, coeffs = make_problem(pattern, seed=12)
         apply_stencil(
             compiled, x, coeffs, "R", iterations=4, block_depth=2,
-            **self.GUARDED,
+            **GUARDED,
         )
         from repro.runtime.halo import halo_buffer_name
 
@@ -359,7 +378,7 @@ class TestPingPongReuse:
         ping, pong = machine.storage.pingpong(halo_buffer_name("X"), shape)
         apply_stencil(
             compiled, x, coeffs, "R", iterations=4, block_depth=2,
-            **self.GUARDED,
+            **GUARDED,
         )
         ping2, pong2 = machine.storage.pingpong(halo_buffer_name("X"), shape)
         assert ping is ping2 and pong is pong2
@@ -369,17 +388,17 @@ class TestPingPongReuse:
         machine, compiled, x, coeffs = make_problem(pattern, seed=13)
         apply_stencil(
             compiled, x, coeffs, "R", iterations=8, block_depth=2,
-            **self.GUARDED,
+            **GUARDED,
         )
         after_d2 = machine.storage.scratch_allocations
         apply_stencil(
             compiled, x, coeffs, "R", iterations=8, block_depth=4,
-            **self.GUARDED,
+            **GUARDED,
         )
         after_d4 = machine.storage.scratch_allocations
         assert after_d4 > after_d2  # deeper halo -> bigger buffers
         apply_stencil(
             compiled, x, coeffs, "R", iterations=8, block_depth=4,
-            **self.GUARDED,
+            **GUARDED,
         )
         assert machine.storage.scratch_allocations == after_d4
