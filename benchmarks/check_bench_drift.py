@@ -6,9 +6,10 @@ Run it after regenerating the benchmark files::
     python benchmarks/bench_batched_conv.py
     python benchmarks/bench_hard_faults.py
     python benchmarks/bench_abft.py
+    python benchmarks/bench_records.py
     python benchmarks/check_bench_drift.py
 
-Each of the four files is compared with ``git show HEAD:<file>``,
+Each of the five files is compared with ``git show HEAD:<file>``,
 ignoring the wall-clock fields every run changes.  Any other difference -- a
 modeled figure, a trial, a fault event -- means the committed file is
 stale: the script lists where and exits 1.  The service benches are
@@ -28,6 +29,7 @@ DETERMINISTIC = (
     "BENCH_batched_conv.json",
     "BENCH_hard_faults.json",
     "BENCH_abft.json",
+    "BENCH_records.json",
 )
 
 #: Wall-clock fields, which differ on every run.

@@ -272,6 +272,10 @@ class CoordinateMap:
         self._map: Dict[Tuple[int, int], int] = {
             (r, c): r * cols + c for r in range(rows) for c in range(cols)
         }
+        #: The inverse: each in-service physical id's logical coordinate.
+        self._logical: Dict[int, Tuple[int, int]] = {
+            phys: coord for coord, phys in self._map.items()
+        }
         first_spare = rows * cols
         self._spare_pool: List[int] = list(
             range(first_spare, first_spare + self.num_spares)
@@ -291,10 +295,7 @@ class CoordinateMap:
     def logical(self, physical_id: int) -> Optional[Tuple[int, int]]:
         """The logical coordinate a physical node currently backs, or
         None for spares and retired nodes."""
-        for coord, phys in self._map.items():
-            if phys == physical_id:
-                return coord
-        return None
+        return self._logical.get(physical_id)
 
     @property
     def spares_remaining(self) -> int:
@@ -319,6 +320,8 @@ class CoordinateMap:
             )
         new = self._spare_pool.pop(0)
         self._map[(row, col)] = new
+        del self._logical[old]
+        self._logical[new] = (row, col)
         self.retired[old] = (row, col)
         return new
 

@@ -34,12 +34,11 @@ from .params import MachineParams
 class CM2:
     """A machine instance: parameters plus the 2-D torus of nodes.
 
-    Distributed arrays are backed by one stacked ``(grid_rows,
-    grid_cols, rows, cols)`` float32 array per name (see
-    :class:`~repro.machine.memory.MachineStorage`), the only copy of the
-    name-to-data map; each node's memory reads its own ``[row, col]``
-    tile of it, so per-node and whole-machine access observe the same
-    data.
+    Distributed arrays are backed by one global-row float32 array per
+    name (see :class:`~repro.machine.memory.MachineStorage`), the only
+    copy of the name-to-data map; each node's memory reads its own
+    ``[row, col]`` tile of its node view, so per-node and whole-machine
+    access observe the same data.
     """
 
     def __init__(
@@ -160,23 +159,18 @@ class CM2:
     def lost_coords(self) -> Tuple[NodeCoord, ...]:
         """Logical coordinates currently backed by a dead physical node
         (i.e. in need of a remap before any exchange can complete)."""
-        return tuple(
-            coord
-            for coord in all_coords(self.shape)
-            if self.health.node_dead(
-                self.coord_map.physical(coord.row, coord.col)
-            )
-        )
+        return self._backing(self.health.dead_nodes)
 
     def slow_coords(self) -> Tuple[NodeCoord, ...]:
         """Logical coordinates backed by a degraded (slow) physical node."""
-        return tuple(
-            coord
-            for coord in all_coords(self.shape)
-            if self.health.node_slow(
-                self.coord_map.physical(coord.row, coord.col)
-            )
-        )
+        return self._backing(self.health.slow_nodes)
+
+    def _backing(self, physical_ids) -> Tuple[NodeCoord, ...]:
+        """The logical coordinates ``physical_ids`` back, row-major: a
+        walk of the health ledger, not of the grid."""
+        found = (self.coord_map.logical(phys) for phys in physical_ids)
+        coords = sorted(coord for coord in found if coord is not None)
+        return tuple(NodeCoord(*coord) for coord in coords)
 
     def remap_node(self, row: int, col: int) -> Node:
         """Migrate logical ``(row, col)`` onto the next spare node.
@@ -212,8 +206,9 @@ class CM2:
         return sum(stack.size // self.num_nodes for _, stack in stacks)
 
     def stacked(self, name: str) -> Optional[np.ndarray]:
-        """The machine-wide stack behind distributed buffer ``name``,
-        or None when the storage holds no such name."""
+        """The node view, ``(..., grid_rows, grid_cols, rows, cols)``,
+        of distributed buffer ``name``, or None when the storage holds
+        no such name."""
         return self.storage.get(name)
 
     def peak_gflops(self) -> float:

@@ -201,20 +201,49 @@ class StorageCheckpoint:
         return sum(stack.size for stack in self.stacks.values())
 
 
+def node_view(array: np.ndarray, grid_shape: Tuple[int, int]) -> np.ndarray:
+    """A global-row ``lead + (height, width)`` array's node view, ``lead
+    + (grid_rows, grid_cols, rows, cols)``: tile ``[..., r, c, :, :]``
+    is node ``(r, c)``'s subgrid, a view of its rows and columns."""
+    grid_rows, grid_cols = grid_shape
+    *lead, height, width = array.shape
+    split = (grid_rows, height // grid_rows, grid_cols, width // grid_cols)
+    return _view(array, tuple(lead) + split).swapaxes(-3, -2)
+
+
+def global_view(stack: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`node_view`: a node view's global rows."""
+    *lead, grid_rows, grid_cols, rows, cols = stack.shape
+    merged = (grid_rows * rows, grid_cols * cols)
+    return _view(stack.swapaxes(-3, -2), tuple(lead) + merged)
+
+
+def _view(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``array`` reshaped to ``shape`` as a view: raises
+    :class:`MemoryError_` where ``reshape`` would silently copy."""
+    view = array.view()
+    try:
+        view.shape = shape
+    except AttributeError:
+        raise MemoryError_(
+            f"an array of strides {array.strides} has no {shape} view"
+        ) from None
+    return view
+
+
 class MachineStorage:
-    """Whole-machine stacked backing store for distributed buffers.
+    """Whole-machine backing store for distributed buffers.
 
-    The only map from a distributed array name to its data: one
-    ``(grid_rows, grid_cols, rows, cols)`` float32 stack per name,
-    holding every node's subgrid contiguously.  A node's
-    :class:`NodeMemory` resolves the name to its ``[row, col]`` tile of
-    that stack on each access, so a node's view and the whole-machine
-    paths -- the fast and exact executors, the halo exchange -- read the
-    same storage, and a name re-allocated or re-bound here is seen by
-    every node at once.
-
-    Aliases (:meth:`alias`, :meth:`bind`) share the target's stack under
-    a second name, the machine-wide analogue of :meth:`NodeMemory.alias`.
+    The only map from a distributed array name to its data.  Every
+    array -- distributed, batched, 3-D, halo, scratch and ping-pong
+    alike -- is one float32 array in global row order, handed out as its
+    node view (:func:`node_view`), made once when it is allocated;
+    :meth:`global_array` (:func:`global_view`) gives the rows back.  A
+    node's :class:`NodeMemory` resolves a name to its ``[row, col]``
+    tile of that view on each access, so every path reads the same
+    storage, and a name re-allocated here is seen by every node at
+    once.  Aliases (:meth:`alias`) share the target's array under a
+    second name.
 
     Scratch stacks (:meth:`scratch`, :meth:`pingpong`) are machine-wide
     work buffers that no node memory resolves -- the temporal-blocking
@@ -231,39 +260,46 @@ class MachineStorage:
         #: Number of scratch stacks actually allocated (cache misses).
         self.scratch_allocations = 0
 
+    def _zeros(
+        self, buffer_shape: Tuple[int, int], lead_shape: Tuple[int, ...]
+    ) -> np.ndarray:
+        """The node view of a new zero-filled global-row array whose
+        nodes each hold ``buffer_shape``."""
+        (grid_rows, grid_cols), (rows, cols) = self.grid_shape, buffer_shape
+        lead = tuple(int(n) for n in lead_shape)
+        array = np.zeros(lead + (grid_rows * rows, grid_cols * cols), np.float32)
+        return node_view(array, self.grid_shape)
+
     def allocate(
         self,
         name: str,
         subgrid_shape: Tuple[int, int],
         lead_shape: Tuple[int, ...] = (),
     ) -> np.ndarray:
-        """Allocate (or replace) a zero-filled stack for ``name``, with
+        """Allocate (or replace) a zero-filled array for ``name``, with
         any ``lead_shape`` axes (batch, filter, ...) ahead of the
-        node-grid pair.
+        global rows; returns its node view.
 
         Batched stacks live in the distributed-array namespace -- they
         checkpoint and NaN out with their node tile on a node death
         like any 4-d stack -- but a node's memory does not resolve
         them; exact mode streams them whole, one lane per entry.
         """
-        rows, cols = subgrid_shape
-        stack = np.zeros(
-            tuple(int(n) for n in lead_shape)
-            + (self.grid_shape[0], self.grid_shape[1], rows, cols),
-            dtype=np.float32,
-        )
+        stack = self._zeros(subgrid_shape, lead_shape)
         self._stacks[name] = stack
         return stack
 
     def get(self, name: str) -> Optional[np.ndarray]:
+        """The node view of the array held under ``name``, or None."""
         return self._stacks.get(name)
 
-    def bind(self, name: str, stack: np.ndarray) -> None:
-        """Register an existing stack under (another) name."""
-        self._stacks[name] = stack
+    def global_array(self, name: str) -> Optional[np.ndarray]:
+        """The global-row array held under ``name``, or None."""
+        stack = self._stacks.get(name)
+        return None if stack is None else global_view(stack)
 
     def alias(self, name: str, target: str) -> None:
-        """Point ``name`` at the stack held under ``target``."""
+        """Point ``name`` at the array held under ``target``."""
         stack = self._stacks.get(target)
         if stack is None:
             raise MemoryError_(
@@ -275,10 +311,10 @@ class MachineStorage:
         self._stacks.pop(name, None)
 
     def distinct(self, *, scratch: bool = False):
-        """Every distinct stack as ``(name, stack)`` pairs, an aliased
-        one once: the distributed arrays, then with ``scratch`` the work
-        stacks.  Their tiles are a node's state -- what a dead node
-        loses, a spare receives, a genesis checkpoint saves."""
+        """Every distinct stack as ``(name, node view)`` pairs, an
+        aliased one once: the distributed arrays, then with ``scratch``
+        the work stacks.  Their tiles are a node's state -- what a dead
+        node loses, a spare receives, a genesis checkpoint saves."""
         seen = set()
         items = list(self._stacks.items())
         if scratch:
@@ -309,16 +345,10 @@ class MachineStorage:
         steady-state iterated runs perform no allocation.  Contents are
         *not* cleared between calls; callers overwrite what they read.
         """
-        rows, cols = buffer_shape
-        shape = tuple(int(n) for n in lead_shape) + (
-            self.grid_shape[0],
-            self.grid_shape[1],
-            rows,
-            cols,
-        )
+        shape = tuple(int(n) for n in (*lead_shape, *self.grid_shape, *buffer_shape))
         stack = self._scratch.get(name)
         if stack is None or stack.shape != shape:
-            stack = np.zeros(shape, dtype=np.float32)
+            stack = self._zeros(buffer_shape, lead_shape)
             self._scratch[name] = stack
             self.scratch_allocations += 1
         return stack
@@ -359,7 +389,8 @@ class MachineStorage:
                 raise MemoryError_(
                     f"cannot checkpoint unknown buffer {name!r}"
                 )
-            copies[name] = stack.copy()
+            # In the stack's own memory order: one run of words.
+            copies[name] = stack.copy(order="K")
         return StorageCheckpoint(stacks=copies)
 
     def restore(self, checkpoint: StorageCheckpoint) -> None:

@@ -62,6 +62,7 @@ import numpy as np
 from ..compiler import driver
 from ..compiler.plan import CompiledStencil
 from ..machine.machine import CM2
+from ..machine.memory import global_view
 from ..machine.params import MachineParams
 from ..stencil.offsets import BoundaryMode
 from ..verify.aliasing import AliasingError, check_aliasing
@@ -155,7 +156,7 @@ class CMBatch(NamedStack):
     def from_numpy(cls, name: str, machine: CM2, array: np.ndarray) -> "CMBatch":
         """Create a batch from host data: the last two axes are the
         global array extents, everything ahead of them is the lead
-        shape (scatter)."""
+        shape (a copy)."""
         array = np.asarray(array, dtype=np.float32)
         if array.ndim < 3:
             raise ValueError(
@@ -167,22 +168,6 @@ class CMBatch(NamedStack):
         )
         batch.set(array)
         return batch
-
-    def set(self, array: np.ndarray) -> None:
-        """Scatter host data into every entry's node subgrids."""
-        array = np.asarray(array, dtype=np.float32)
-        want = self.lead_shape + self.global_shape
-        if tuple(array.shape) != want:
-            raise ValueError(
-                f"array shape {array.shape} does not match the batch "
-                f"shape {want}"
-            )
-        self.stacked[...] = self.decomposition.scatter(array)
-
-    def to_numpy(self) -> np.ndarray:
-        """Gather every entry into one host array of shape
-        ``lead_shape + global_shape``."""
-        return self.decomposition.gather(self.stacked)
 
     def like(self, name: str, lead_shape: Optional[Tuple[int, ...]] = None) -> "CMBatch":
         """A new zero-filled batch on the same machine and global shape."""
@@ -661,8 +646,10 @@ def _run_ladder(
         # The record prices the resolved block list whatever order the
         # host computes the bits in: run the band schedule.
         band_schedule(
-            [f.pattern for f in plan.filters], plan.source, plan.outs,
-            plan.arrays, plan.iterations,
+            [f.pattern for f in plan.filters], global_view(plan.source),
+            [global_view(out) for out in plan.outs],
+            {name: global_view(a) for name, a in plan.arrays.items()},
+            plan.iterations,
         )
         blocks = BlockList(plan.filters, plan.subgrid, plan.iterations, depths)
         return _record(plan, blocks, False, [None] * len(depths), None)
@@ -810,8 +797,11 @@ class _Loop:
                 for fi in done:
                     seals.append(seal_checksums(plan.outs[fi]))
                     guard.charge_abft(plan.slab_words(), seals=1)
-            if k in marks and len(self.fixed) < len(plan.filters):
-                self.checkpoint = (k, [out.copy() for out in plan.outs])
+            if k in marks:
+                # Charged whatever the data; once every filter is fixed,
+                # nothing changes or rolls back, so the copy is skipped.
+                if len(self.fixed) < len(plan.filters):
+                    self.checkpoint = (k, [out.copy() for out in plan.outs])
                 guard.charge_checkpoint(len(plan.outs) * plan.slab_words())
             if not (abft and done):
                 continue

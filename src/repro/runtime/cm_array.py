@@ -3,14 +3,15 @@
 A :class:`CMArray` is a named, 2-D, single-precision array block-divided
 over the machine's node grid; a :class:`CMArray3D` stacks such planes
 along a node-local depth axis.  The machine storage holds the whole
-array under its name as one stacked ``(grid_rows, grid_cols, rows,
-cols)`` float32 buffer, and the :class:`CMArray` keeps only the name:
-every access looks the stack up, and each node's
+array under its name as one float32 array in global row order, and the
+:class:`CMArray` keeps only the name: every access looks the array up,
+as the node view ``stacked`` (``(grid_rows, grid_cols, rows, cols)``)
+or the global rows ``global_array``, and each node's
 :class:`~repro.machine.memory.NodeMemory` resolves the name to its own
 ``[row, col]`` tile.  A node's view and whole-machine access (host
-scatter/gather, the fast and exact executors, the halo exchange)
-therefore observe the same storage, and two arrays created under one
-name are one array.
+copies, the fast and exact executors, the halo exchange, the band
+schedule) therefore observe the same storage, and two arrays created
+under one name are one array.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..machine.machine import CM2
+from ..machine.memory import global_view
 from ..verify.aliasing import ExecutionSetupError
 from .decomposition import Decomposition
 
@@ -40,8 +42,8 @@ def stack_of(machine: CM2, name: str) -> np.ndarray:
 
 class NamedStack:
     """The storage side of every distributed array: a name the machine
-    storage holds one ``lead_shape + (grid_rows, grid_cols, rows, cols)``
-    stack under, its planes block-divided over the node grid."""
+    storage holds one ``lead_shape + global plane`` array under, its
+    planes block-divided over the node grid."""
 
     def __init__(
         self,
@@ -64,14 +66,34 @@ class NamedStack:
 
     @property
     def stacked(self) -> np.ndarray:
-        """The whole-machine stack the machine storage holds under this
-        array's name now."""
+        """The node view (``lead_shape + (grid_rows, grid_cols, rows,
+        cols)``) of the array the storage holds under this name now."""
         stack = self.machine.storage.get(self.name)
         if stack is None:
             raise ExecutionSetupError(
                 f"array {self.name!r} has been freed from machine storage"
             )
         return stack
+
+    @property
+    def global_array(self) -> np.ndarray:
+        """The same array in global row order."""
+        return global_view(self.stacked)
+
+    def set(self, array: np.ndarray) -> None:
+        """Copy ``lead_shape + global plane`` host data into the array."""
+        array = np.asarray(array, dtype=np.float32)
+        want = self.lead_shape + self.decomposition.global_shape
+        if tuple(array.shape) != want:
+            raise ValueError(
+                f"array shape {array.shape} does not match the shape "
+                f"{want} of {self.name!r}"
+            )
+        self.global_array[...] = array
+
+    def to_numpy(self) -> np.ndarray:
+        """A host copy of the array (the inverse of :meth:`set`)."""
+        return self.global_array.copy()
 
     def fill(self, value: float) -> None:
         self.stacked[...] = np.float32(value)
@@ -100,25 +122,10 @@ class CMArray(NamedStack):
     def from_numpy(
         cls, name: str, machine: CM2, array: np.ndarray
     ) -> "CMArray":
-        """Create a distributed array from host data (scatter)."""
+        """Create a distributed array from host data (a copy)."""
         cm_array = cls(name, machine, tuple(array.shape))
         cm_array.set(array)
         return cm_array
-
-    def set(self, array: np.ndarray) -> None:
-        """Scatter host data into the node subgrids."""
-        array = np.asarray(array, dtype=np.float32)
-        if tuple(array.shape) != self.global_shape:
-            raise ValueError(
-                f"array shape {array.shape} does not match the "
-                f"decomposition's global shape {self.global_shape}"
-            )
-        self.stacked[...] = self.decomposition.scatter(array)
-
-    def to_numpy(self) -> np.ndarray:
-        """Gather the node subgrids into a host array (the inverse of
-        :meth:`set`)."""
-        return self.decomposition.gather(self.stacked)
 
     # ------------------------------------------------------------------
     # Node-local views
@@ -193,18 +200,17 @@ class CMArray3D(NamedStack):
         return out
 
     def set(self, array: np.ndarray) -> None:
-        """Scatter ``(rows, cols, depth)`` host data into the stack."""
+        """Copy ``(rows, cols, depth)`` host data into the array."""
         array = np.asarray(array, dtype=np.float32)
         if tuple(array.shape) != self.global_shape:
             raise ValueError(
                 f"array shape {array.shape} != {self.global_shape}"
             )
-        self.stacked[...] = self.decomposition.scatter(np.moveaxis(array, 2, 0))
+        self.global_array[...] = np.moveaxis(array, 2, 0)
 
     def to_numpy(self) -> np.ndarray:
-        """Gather the stack into ``(rows, cols, depth)`` host data."""
-        planes = self.decomposition.gather(self.stacked)
-        return np.ascontiguousarray(np.moveaxis(planes, 0, 2))
+        """A ``(rows, cols, depth)`` host copy of the array."""
+        return np.ascontiguousarray(np.moveaxis(self.global_array, 0, 2))
 
     def slab(self, k: int) -> CMArray:
         """Plane ``k``: a :class:`CMArray` over that plane of the stack,

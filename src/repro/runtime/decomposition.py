@@ -15,6 +15,7 @@ import numpy as np
 
 from ..machine.geometry import NodeCoord
 from ..machine.machine import CM2
+from ..machine.memory import node_view
 
 
 @dataclass(frozen=True)
@@ -90,20 +91,15 @@ class Decomposition:
         )
 
     def scatter(self, array: np.ndarray) -> np.ndarray:
-        """Split ``lead + global_shape`` host data into the machine's
-        ``lead + (grid_rows, grid_cols, rows, cols)`` stack layout (a
-        view where numpy can make one): tile ``[..., r, c, :, :]`` is
-        node ``(r, c)``'s subgrid."""
+        """``lead + global_shape`` host data as the machine's node view,
+        ``lead + (grid_rows, grid_cols, rows, cols)``
+        (:func:`~repro.machine.memory.node_view`)."""
         if tuple(array.shape[-2:]) != self.global_shape:
             raise ValueError(
                 f"array shape {array.shape} does not match the "
                 f"decomposition's global shape {self.global_shape}"
             )
-        grid_rows, grid_cols = self.machine.shape
-        rows, cols = self.subgrid_shape
-        return array.reshape(
-            array.shape[:-2] + (grid_rows, rows, grid_cols, cols)
-        ).swapaxes(-3, -2)
+        return node_view(array, self.machine.shape)
 
     def gather(self, stack: np.ndarray) -> np.ndarray:
         """The inverse of :meth:`scatter`, as a new host array."""

@@ -366,35 +366,38 @@ def values_equal(a: np.ndarray, b: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 # the band schedule
 
-#: Words of scratch one worker holds for a band: its source tile, the
-#: tile's ping-pong partner and the product buffer, and one tile per
-#: ARRAY coefficient (3 MiB).  Each tap of a sub-iteration is one
-#: multiply and one add over a whole source tile, and such a call must
-#: outlast the interpreter-lock handoff around it on a helper thread;
-#: the scratch stays resident on every worker for the run.
-BAND_ELEMENTS = 3 << 18
+#: Words one chain call may touch in each operand (640 KiB): the rows
+#: a sweep's first sub-iteration computes -- a band's own rows and its
+#: ghost rows -- of every leading entry, ``width + 2 * P`` words a row.
+#: A multiply's three operands then fit one core's 2 MiB L2, and the
+#: call is long enough to outlast the interpreter-lock handoff around it
+#: on a helper thread.
+CALL_WORDS = 5 << 15
 
-#: The most scratch words a thread keeps between blocks and bands: a
-#: band's tiles with their ghost rows, which :func:`band_shape` keeps
-#: within half a band on each side (6 MiB).
-KEPT_WORDS = 2 * BAND_ELEMENTS
+#: The most scratch words a thread keeps between blocks and bands
+#: (8 MiB): :func:`band_shape` holds every band of more than one row,
+#: coefficient tiles included, within it.
+KEPT_WORDS = 1 << 21
 
 
 def band_shape(
-    pad: int, row_words: int, height: int, iterations: int
+    pad: int, row_words: int, tile_words: int, height: int, iterations: int
 ) -> Tuple[int, int]:
     """``(bands, depth)``: bands per sweep and iterations per sweep.
 
-    ``row_words`` is the scratch one tile row costs (every tile and
-    coefficient tile of a band, one row each).  The rows are cut into
-    as many bands as :data:`BAND_ELEMENTS` holds rows of tiles (rounded
-    down), then up to the same number per worker (or one row each), of
-    heights that differ by at most one row (:func:`band_bounds`).  A
-    sweep runs as many iterations as keep the ghost rows within half the
-    shortest band on each side, so their redundant work stays under
-    half the band's own.
+    ``row_words`` is one padded row of every leading entry, ``tile_words``
+    one row of every tile a band holds.  A band of ``b`` rows keeps its
+    first sub-iteration's calls within :data:`CALL_WORDS` and its tiles
+    within :data:`KEPT_WORDS` when ``b + 2 (depth - 1) pad`` fits
+    ``budget`` rows; as ``depth`` is at most ``iterations`` and keeps the
+    ghost rows within half the shortest band, the larger of ``budget - 2
+    (iterations - 1) pad`` and about half the budget is tall enough.
+    The rows are cut into as few bands as that (one row each when no row
+    fits), then up to the same number per worker (:func:`band_bounds`).
     """
-    fit = max(1, height // max(1, BAND_ELEMENTS // row_words))
+    budget = min(CALL_WORDS // row_words, KEPT_WORDS // tile_words - 2 * pad)
+    tallest = max(budget - 2 * (iterations - 1) * pad, (budget + 2 * pad) // 2)
+    fit = -(-height // max(1, min(budget, tallest)))
     bands = min(height, -(-fit // WORKERS) * WORKERS)
     shortest = height // bands
     depth = min(iterations, max(1, shortest // (2 * pad))) if pad else iterations
@@ -416,37 +419,39 @@ def band_schedule(
     iterations: int,
 ) -> None:
     """``iterations`` applications of every pattern to ``source``, each
-    pattern's last iterate written into its slab of ``outs``: the host's
-    schedule for an unguarded fast run, bit-identical to one tap kernel
-    pass per iteration.
+    pattern's last iterate written into its array of ``outs``: the
+    host's schedule for an unguarded fast run, bit-identical to one tap
+    kernel pass per iteration.
 
-    ``source`` is a node-layout stack with any leading axes; every slab
-    of ``outs`` has its shape; ``arrays`` maps the ARRAY coefficient
-    names the patterns read to their stacks (4-d, broadcast across the
-    leading axes, or with the same leading axes).  The patterns carry no
-    fused extra terms.
+    Every array is in global row order
+    (:func:`~repro.machine.memory.global_view`):
+    ``source`` is ``lead + (height, width)`` with any leading axes,
+    every array of ``outs`` has its shape, and ``arrays`` maps the ARRAY
+    coefficient names the patterns read to theirs (2-d, broadcast across
+    the leading axes, or with the same leading axes).  The patterns
+    carry no fused extra terms.
 
-    The global rows are cut into bands (:func:`band_shape`).  A sweep of
+    The rows are cut into bands (:func:`band_shape`).  A sweep of
     ``depth`` iterations hands the bands to the tap pool; a band copies
-    its rows plus a ``depth * pad`` ghost zone into thread-local tiles
-    in global row layout, ``(lead..., rows, width + 2 * P)`` with ``P``
-    the widest pad, where a node's east/west halo is its neighbour's
-    columns and every tap reads a long row.  It runs the sweep's
-    sub-iterations there -- each computes one ``pad`` fewer ghost rows
-    on each side, through :func:`tap_steps` and the kernel's float32
-    chain -- and writes its rows back.  A sweep whose input is its
-    output reads its ghost rows from a snapshot, taken before the sweep
-    starts, of the rows around each band boundary.
+    its rows plus a ``depth * pad`` ghost zone, as plain row slices,
+    into thread-local tiles ``(lead..., rows, width + 2 * P)`` with
+    ``P`` the widest pad, where a node's east/west halo is its
+    neighbour's columns and every tap reads a long row.  It runs the
+    sweep's sub-iterations there -- each computes one ``pad`` fewer
+    ghost rows on each side, through :func:`tap_steps` and the kernel's
+    float32 chain -- and writes its rows back.  A sweep whose input is
+    its output reads its ghost rows from a snapshot, taken before the
+    sweep starts, of the rows around each band boundary.
     """
-    lead = source.shape[:-4]
-    grid_rows, grid_cols, rows, cols = source.shape[-4:]
-    height, width = grid_rows * rows, grid_cols * cols
+    lead = source.shape[:-2]
+    height, width = source.shape[-2:]
     pads = [pattern.border_widths().max_width for pattern in patterns]
-    tiles = 3 * math.prod(lead) + sum(
-        math.prod(stack.shape[:-4]) for stack in arrays.values()
-    )
+    wide = width + 2 * max(pads)
+    entries = math.prod(lead)
+    coefficients = sum(math.prod(array.shape[:-2]) for array in arrays.values())
     bands, depth = band_shape(
-        max(pads), tiles * (width + 2 * max(pads)), height, iterations
+        max(pads), entries * wide, (3 * entries + coefficients) * wide,
+        height, iterations,
     )
     bounds = band_bounds(bands, height)
     inputs = [source] * len(patterns)
@@ -481,9 +486,9 @@ def band_schedule(
 
 
 class _Sweep(NamedTuple):
-    """One sweep: per pattern its pad, input stack, ghost-row snapshot
-    (None when the input is not an output) and result slab; the
-    coefficient stacks; the sweep's iterations; and, unless the sweep is
+    """One sweep: per pattern its pad, input array, ghost-row snapshot
+    (None when the input is not an output) and result array; the
+    coefficient arrays; the sweep's iterations; and, unless the sweep is
     the run's last, per band and pattern whether the first sub-iteration
     left the band's rows unchanged."""
 
@@ -497,16 +502,16 @@ class _Sweep(NamedTuple):
     same: Optional[np.ndarray]
 
 
-def _snapshot(stack: np.ndarray, bounds, ghost: int) -> np.ndarray:
-    """Each band's ghost rows of ``stack``: the ``ghost`` rows above it
+def _snapshot(array: np.ndarray, bounds, ghost: int) -> np.ndarray:
+    """Each band's ghost rows of ``array``: the ``ghost`` rows above it
     and the ``ghost`` rows below it, per band."""
-    width = stack.shape[-3] * stack.shape[-1]
     snap = np.empty(
-        (len(bounds),) + stack.shape[:-4] + (2 * ghost, width), np.float32
+        (len(bounds),) + array.shape[:-2] + (2 * ghost, array.shape[-1]),
+        np.float32,
     )
     for k, (start, stop) in enumerate(bounds):
-        _get_rows(stack, start - ghost, start, snap[k, ..., :ghost, :])
-        _get_rows(stack, stop, stop + ghost, snap[k, ..., ghost:, :])
+        _get_rows(array, start - ghost, start, snap[k, ..., :ghost, :])
+        _get_rows(array, stop, stop + ghost, snap[k, ..., ghost:, :])
     return snap
 
 
@@ -529,17 +534,16 @@ def _run_band(sweep: _Sweep, k: int, start: int, stop: int) -> None:
     words are junk until the column refresh that follows overwrites
     them.
     """
-    lead = sweep.inputs[0].shape[:-4]
-    grid_rows, grid_cols, rows, cols = sweep.inputs[0].shape[-4:]
-    height, width = grid_rows * rows, grid_cols * cols
+    lead = sweep.inputs[0].shape[:-2]
+    height, width = sweep.inputs[0].shape[-2:]
     size, steps, widest = stop - start, sweep.steps, max(sweep.pads)
     wide = width + 2 * widest
     # Coefficient tiles cover the first sub-iteration's output rows of
     # the deepest pattern; every pattern reads a window of them.
     reach = (steps - 1) * widest
     shapes = {
-        name: stack.shape[:-4] + (size + 2 * reach, wide)
-        for name, stack in sweep.arrays.items()
+        name: array.shape[:-2] + (size + 2 * reach, wide)
+        for name, array in sweep.arrays.items()
     }
     big = math.prod(lead) * (size + 2 * steps * widest) * wide
     words = _words(sum(map(math.prod, shapes.values())) + 3 * big)
@@ -554,7 +558,7 @@ def _run_band(sweep: _Sweep, k: int, start: int, stop: int) -> None:
             tile[..., widest : widest + width],
         )
         tiles[name] = _flat(tile)
-    for j, (pattern, pad, stack, snap, out) in enumerate(
+    for j, (pattern, pad, array, snap, out) in enumerate(
         zip(sweep.patterns, sweep.pads, sweep.inputs, sweep.snaps, sweep.outs)
     ):
         ghost = steps * pad
@@ -564,10 +568,10 @@ def _run_band(sweep: _Sweep, k: int, start: int, stop: int) -> None:
         dst = words[at + n : at + 2 * n].reshape(shape)
         middle = src[..., widest : widest + width]
         if snap is None:
-            _get_rows(stack, start - ghost, stop + ghost, middle)
+            _get_rows(array, start - ghost, stop + ghost, middle)
         else:
             middle[..., :ghost, :] = snap[k, ..., :ghost, :]
-            _get_rows(stack, start, stop, middle[..., ghost : ghost + size, :])
+            middle[..., ghost : ghost + size, :] = array[..., start:stop, :]
             middle[..., ghost + size :, :] = snap[k, ..., ghost:, :]
         edges = _Edges(pattern, start - ghost, height, width, widest)
         edges.columns(src, 0, shape[-2])
@@ -610,10 +614,9 @@ def _run_band(sweep: _Sweep, k: int, start: int, stop: int) -> None:
                 src = dst
                 break
             src, dst = dst, src
-        _copy_rows(
-            out, start, src[..., ghost : ghost + size, widest : widest + width],
-            read=False,
-        )
+        out[..., start:stop, :] = src[
+            ..., ghost : ghost + size, widest : widest + width
+        ]
 
 
 def _unchanged(new: np.ndarray, old: np.ndarray) -> bool:
@@ -682,48 +685,15 @@ class _Edges:
             tile[..., below:stop, :] = self.fill
 
 
-def _get_rows(stack: np.ndarray, start: int, stop: int, into: np.ndarray) -> None:
-    """Copy global rows ``start:stop`` of a node-layout ``stack``,
-    wrapped around the global array, into ``into`` (``(..., stop -
-    start, width)``)."""
-    height = stack.shape[-4] * stack.shape[-2]
+def _get_rows(array: np.ndarray, start: int, stop: int, into: np.ndarray) -> None:
+    """Copy rows ``start:stop`` of a global-row ``array``, wrapped around
+    its height, into ``into`` (``(..., stop - start, width)``)."""
+    height = array.shape[-2]
     at = start
     while at < stop:
         first = at % height
         n = min(height - first, stop - at)
-        _copy_rows(
-            stack, first, into[..., at - start : at - start + n, :], read=True
-        )
-        at += n
-
-
-def _copy_rows(
-    stack: np.ndarray, start: int, rows: np.ndarray, *, read: bool
-) -> None:
-    """Copy a node-layout ``stack``'s global rows ``start:start + n``
-    into global-layout ``rows`` (``(..., n, width)``), or ``rows`` into
-    them when not ``read``: one copy per partial node row and one for
-    the whole node rows between.  The rows lie inside the array."""
-    sub_rows, sub_cols = stack.shape[-2:]
-    stop = start + rows.shape[-2]
-    at = start
-    while at < stop:
-        node, row = divmod(at, sub_rows)
-        if row or stop - at < sub_rows:
-            nodes, n = 1, min(sub_rows - row, stop - at)
-        else:
-            nodes = (stop - at) // sub_rows
-            n = nodes * sub_rows
-        tiles = stack[..., node : node + nodes, :, row : row + n // nodes, :]
-        view = rows[..., at - start : at - start + n, :].view()
-        # (..., node rows, rows, grid cols, cols): unit-stride rows split.
-        view.shape = view.shape[:-2] + (
-            nodes, n // nodes, view.shape[-1] // sub_cols, sub_cols,
-        )
-        if read:
-            view[...] = tiles.swapaxes(-3, -2)
-        else:
-            tiles.swapaxes(-3, -2)[...] = view
+        into[..., at - start : at - start + n, :] = array[..., first : first + n, :]
         at += n
 
 

@@ -241,20 +241,33 @@ class TestSoloRuns:
     @pytest.mark.parametrize("workers", [1, 2, 3, 5, 6, 12])
     def test_band_shape_rule(self, monkeypatch, workers):
         """The closed-form rule: bands whose heights differ by at most a
-        row, the same number per worker (or one row each), each within
-        about twice the rows the scratch budget holds, ghost rows at
-        most half a band on each side."""
+        row, the same number per worker (or one row each), ghost rows at
+        most half a band on each side, and every band of more than one
+        row within both budgets: its first sub-iteration's rows, ghost
+        rows included, within ``CALL_WORDS`` a call, and its tiles,
+        ``depth`` pads of ghost rows included, within ``KEPT_WORDS``.
+        A row past the call budget gets bands of one row."""
         monkeypatch.setattr(executor, "WORKERS", workers)
-        for pad, row_words, height, iterations in [
-            (2, 12 * 516, 512, 4),
-            (2, 37 * 260, 256, 4),
-            (2, 12 * 1028, 1024, 32),
-            (3, 200 * 518, 16, 5),
-            (0, 5 * 8, 8, 9),
-            (1, 3 * 10, 3, 2),
-            (1, 3 * 10, 37, 6),
+        call_words = executor.CALL_WORDS
+        perfbench = {
+            # iterate-256: cross9 ARRAY, 256 nodes of 32x32.
+            (2, 516, 12 * 516, 512, 4): (2, 4),
+            # batch-groups: 8 grids, 6 filters, 13 coefficients, 16x16.
+            (2, 8 * 260, 37 * 260, 256, 4): (4, 4),
+        }
+        for pad, row_words, tile_words, height, iterations in [
+            *perfbench,
+            (2, 1028, 12 * 1028, 1024, 32),
+            (2, 2052, 12 * 2052, 1024, 32),
+            (3, 200 * 518, 600 * 518, 16, 5),
+            (1, call_words + 1, 3 * (call_words + 1), 40, 3),
+            (0, 5 * 8, 5 * 8, 8, 9),
+            (1, 3 * 10, 3 * 10, 3, 2),
+            (1, 3 * 10, 3 * 10, 37, 6),
         ]:
-            bands, depth = executor.band_shape(pad, row_words, height, iterations)
+            bands, depth = executor.band_shape(
+                pad, row_words, tile_words, height, iterations
+            )
             bounds = executor.band_bounds(bands, height)
             sizes = [stop - start for start, stop in bounds]
             assert len(bounds) == bands and 1 <= bands <= height
@@ -262,9 +275,18 @@ class TestSoloRuns:
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
             assert 1 <= min(sizes) and max(sizes) - min(sizes) <= 1
             assert bands % workers == 0 or bands == height
-            assert max(sizes) <= 2 * max(1, executor.BAND_ELEMENTS // row_words) + 1
+            call = (max(sizes) + 2 * (depth - 1) * pad) * row_words
+            held = (max(sizes) + 2 * depth * pad) * tile_words
+            assert max(sizes) == 1 or (
+                call <= call_words and held <= executor.KEPT_WORDS
+            )
+            if row_words > call_words:
+                assert max(sizes) == 1
             assert 1 <= depth <= iterations
             assert depth == 1 or 2 * depth * pad <= min(sizes)
+            shape = perfbench.get((pad, row_words, tile_words, height, iterations))
+            if shape is not None and workers <= 2:
+                assert (bands, depth) == shape
 
 
 class TestFixedPoints:
@@ -502,6 +524,31 @@ class TestStorage:
         apply_laplacian27_reference(volume)
         names = {name for name, _ in machine.storage.distinct(scratch=True)}
         assert names == {"V", "LAP27", "__lap27_ref__"}
+
+    def test_band_scratch_holds_coefficient_tiles_within_kept_words(
+        self, monkeypatch
+    ):
+        """A band's tiles, coefficient tiles included, stay within
+        ``KEPT_WORDS``: a pattern that reads 25 ARRAY coefficients gets
+        shorter bands, not larger tiles."""
+        pattern = gallery.box(5, 5)
+        problem = Problem([pattern], subgrid=(16, 16), seed=17)
+        wide = 32 + 2 * 2
+        kept = 16 * (3 + 25) * wide
+        monkeypatch.setattr(executor, "WORKERS", 1)
+        monkeypatch.setattr(executor, "KEPT_WORDS", kept)
+        sizes, real = [], executor._words
+
+        def words(n):
+            sizes.append(n)
+            return real(n)
+
+        monkeypatch.setattr(executor, "_words", words)
+        _, got = problem.solo(pattern, 3)
+        # Two sweeps (depth 2, then 1) of four 8-row bands.
+        assert len(sizes) == 8
+        assert max(sizes) <= kept
+        assert_bits_equal(got, iterate(pattern, problem.x, problem.coefficients, 3))
 
     def test_a_thread_keeps_at_most_kept_words(self, monkeypatch):
         """A band larger than the cap runs on words of its own, which

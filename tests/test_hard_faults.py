@@ -26,9 +26,11 @@ from repro.machine.geometry import (
 )
 from repro.machine.health import MachineHealth, link_key
 from repro.machine.machine import CM2
+from repro.machine.memory import global_view
 from repro.machine.params import MachineParams
+from repro.runtime.batch import CMBatch
 from repro.runtime.blocking import best_block_depth
-from repro.runtime.cm_array import CMArray
+from repro.runtime.cm_array import CMArray, CMArray3D
 from repro.runtime.faults import (
     FaultInjector,
     FaultKind,
@@ -38,7 +40,7 @@ from repro.runtime.faults import (
     NoSpareError,
     ResiliencePolicy,
 )
-from repro.runtime.halo import detour_cycles
+from repro.runtime.halo import detour_cycles, halo_buffer_name
 from repro.runtime.stencil_op import apply_stencil
 from repro.stencil.gallery import cross, cross5, square, square9
 from repro.stencil.offsets import BoundaryMode
@@ -301,6 +303,40 @@ class TestKillAnyNode:
             )
             assert run.fault_stats.remaps == 1
             assert run.fault_stats.migrated_words == words, f"killed at {at}"
+
+
+class TestDeadNodeMemory:
+    def test_a_death_nans_exactly_its_tile_of_every_global_array(self):
+        """A dead node's memory is its tile of every array the storage
+        holds: in global rows, exactly its block of rows and columns
+        turns NaN, in every leading entry, and nothing else does."""
+        machine = CM2(MachineParams(num_nodes=8), spares=1)
+        grid_rows, grid_cols = machine.shape
+        shape = (grid_rows * 4, grid_cols * 6)
+        rng = np.random.default_rng(CHAOS_SEED)
+        row, col = int(rng.integers(grid_rows)), int(rng.integers(grid_cols))
+        CMArray.from_numpy("X", machine, rng.standard_normal(shape))
+        CMBatch.from_numpy("B", machine, rng.standard_normal((2, 3) + shape))
+        CMArray3D.from_numpy("V", machine, rng.standard_normal(shape + (2,)))
+        machine.storage.allocate(halo_buffer_name("X"), (8, 10))
+        machine.storage.pingpong("X", (6, 8), (2,))
+        injector = FaultInjector(
+            seed=CHAOS_SEED,
+            schedule=[HardFaultSpec(FaultKind.NODE_DEAD, 0, row, col)],
+        )
+        events = injector.inject_hard(machine, "exchange")
+        assert [event.kind for event in events] == ["node_dead"]
+        arrays = dict(machine.storage.distinct(scratch=True))
+        assert len(arrays) == 6
+        for name, stack in arrays.items():
+            rows, cols = stack.shape[-2:]
+            lost = np.zeros(global_view(stack).shape, dtype=bool)
+            lost[
+                ..., row * rows : (row + 1) * rows, col * cols : (col + 1) * cols
+            ] = True
+            np.testing.assert_array_equal(
+                np.isnan(global_view(stack)), lost, err_msg=name
+            )
 
 
 class TestKillAnyLink:

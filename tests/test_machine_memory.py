@@ -5,7 +5,12 @@ import pytest
 
 from repro.machine.isa import ONES_BUFFER, MemRef, const_buffer_name
 from repro.machine.machine import CM2
-from repro.machine.memory import MemoryError_, NodeMemory
+from repro.machine.memory import (
+    MemoryError_,
+    NodeMemory,
+    global_view,
+    node_view,
+)
 from repro.machine.microcode import (
     MICROCODE_MEMORY_WORDS,
     full_strip_routine,
@@ -14,7 +19,8 @@ from repro.machine.microcode import (
 )
 from repro.machine.params import FULL_CM2, SIXTEEN_NODE, MachineParams
 from repro.runtime.batch import CMBatch
-from repro.runtime.cm_array import CMArray
+from repro.runtime.cm_array import CMArray, CMArray3D
+from repro.runtime.halo import halo_buffer_name
 
 
 class TestNodeMemory:
@@ -194,6 +200,100 @@ class TestOneStorage:
             host = distributed.to_numpy()
             host[...] = 7.0
             assert (distributed.to_numpy() == 1.0).all()
+
+
+class TestGlobalRowLayout:
+    """Every array the storage holds is one float32 array in global row
+    order; the stacks it hands out are node views of it."""
+
+    @staticmethod
+    def held_stacks(machine):
+        """A stack of every kind the storage hands out, by label."""
+        rng = np.random.default_rng(3)
+        volume = CMArray3D.from_numpy(
+            "V", machine, rng.standard_normal((8, 12, 3)).astype(np.float32)
+        )
+        storage = machine.storage
+        ping, pong = storage.pingpong("X", (6, 8), (2,))
+        return {
+            "distributed": CMArray("A", machine, (8, 12)).stacked,
+            "batched": CMBatch("B", machine, (2, 3), (8, 12)).stacked,
+            "3-D": volume.stacked,
+            "plane view": volume.slab(1).stacked,
+            "halo": storage.allocate(halo_buffer_name("A"), (6, 8)),
+            "scratch": storage.scratch("S", (4, 6), (5,)),
+            "ping": ping,
+            "pong": pong,
+        }
+
+    def test_every_stack_is_a_view_of_its_global_array(self):
+        machine = CM2(MachineParams(num_nodes=4))
+        for label, stack in self.held_stacks(machine).items():
+            rows = global_view(stack)
+            *lead, grid_rows, grid_cols, sub_rows, sub_cols = stack.shape
+            assert rows.shape == tuple(lead) + (
+                grid_rows * sub_rows, grid_cols * sub_cols
+            ), label
+            assert np.shares_memory(stack, rows), label
+            assert rows.flags.c_contiguous, label
+        for name in ("A", "B", "V"):
+            assert np.shares_memory(
+                machine.storage.global_array(name), machine.stacked(name)
+            )
+            assert machine.storage.global_array(name).flags.c_contiguous
+
+    def test_a_node_tile_write_lands_at_its_global_rows_and_columns(self):
+        machine = CM2(MachineParams(num_nodes=8))
+        array = CMArray("A", machine, (8, 16))
+        rows, cols = array.subgrid_shape
+        for node in machine.nodes():
+            r, c = node.coord.row, node.coord.col
+            node.memory.write(MemRef("A", 1, 2), float(10 * r + c + 1))
+        host = array.to_numpy()
+        for node in machine.nodes():
+            r, c = node.coord.row, node.coord.col
+            assert host[r * rows + 1, c * cols + 2] == 10 * r + c + 1
+        assert np.count_nonzero(host) == machine.num_nodes
+        array.subgrid(1, 3)[...] = -1.0
+        block = array.global_array[rows : 2 * rows, 3 * cols : 4 * cols]
+        assert (block == -1.0).all()
+        assert np.count_nonzero(array.global_array == -1.0) == rows * cols
+
+    def test_the_view_helper_raises_rather_than_copy(self):
+        # A node-layout stack of its own has no global-row view: the
+        # rows of two node columns are not one run of words.
+        with pytest.raises(MemoryError_, match="no .* view"):
+            global_view(np.zeros((2, 2, 4, 6), dtype=np.float32))
+        with pytest.raises(MemoryError_, match="no .* view"):
+            global_view(node_view(np.zeros((8, 12), np.float32), (2, 2)).copy())
+        rows = np.arange(96, dtype=np.float32).reshape(8, 12)
+        tiles = node_view(rows, (2, 2))
+        assert np.shares_memory(tiles, rows) and tiles.shape == (2, 2, 4, 6)
+        np.testing.assert_array_equal(tiles[1, 0], rows[4:8, 0:6])
+        assert np.shares_memory(global_view(tiles), rows)
+
+    def test_set_and_to_numpy_round_trip(self):
+        machine = CM2(MachineParams(num_nodes=4))
+        rng = np.random.default_rng(5)
+        for array, data in [
+            (CMArray("A", machine, (8, 12)), rng.standard_normal((8, 12))),
+            (
+                CMBatch("B", machine, (2, 3), (8, 12)),
+                rng.standard_normal((2, 3, 8, 12)),
+            ),
+            (CMArray3D("V", machine, (8, 12, 3)), rng.standard_normal((8, 12, 3))),
+        ]:
+            data = data.astype(np.float32)
+            array.set(data)
+            host = array.to_numpy()
+            np.testing.assert_array_equal(host, data)
+            assert not np.shares_memory(host, array.stacked)
+            host[...] = 0.0
+            np.testing.assert_array_equal(array.to_numpy(), data)
+        # Node (1, 0) holds the grid's second band of rows.
+        np.testing.assert_array_equal(
+            machine.stacked("A")[1, 0], machine.storage.global_array("A")[4:8, 0:6]
+        )
 
 
 class TestMachineParams:

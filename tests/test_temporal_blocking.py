@@ -208,16 +208,15 @@ class TestExchangeAccounting:
 
     @pytest.mark.parametrize(
         "guard",
-        [{}, dict(resilience=ResiliencePolicy(checkpoint_interval=0))],
+        [{}, dict(resilience=ResiliencePolicy())],
         ids=["unguarded", "guarded"],
     )
     def test_blocked_fixed_point_still_charges_whole_run(self, guard):
         """An all-zero iterate is a fixed point; the blocked loop stops
         computing but the accounting still covers every block, exactly
         as a run of the same geometry that never converges (and so does
-        the band schedule, which an unguarded run takes).  The guarded
-        run takes no checkpoints: one at a fixed point skips the
-        checkpoints a moving run of its geometry is charged for."""
+        the band schedule, which an unguarded run takes).  A guarded
+        run is charged every checkpoint mark either way."""
         pattern = cross(1)
         params = MachineParams(num_nodes=4)
         machine = CM2(params)
@@ -251,6 +250,47 @@ class TestExchangeAccounting:
         )
         assert run.total_comm_cycles == moving.total_comm_cycles
         assert run.total_compute_cycles == moving.total_compute_cycles
+
+    def test_guarded_price_does_not_depend_on_the_data(self):
+        """A guarded run is charged every checkpoint mark of its block
+        list: a zero source, at a fixed point from its first block, costs
+        what noise that never settles costs, checkpoints on."""
+        pattern = cross(1)
+        params = MachineParams(num_nodes=4)
+        machine = CM2(params)
+        compiled = compile_stencil(pattern, params)
+        rng = np.random.default_rng(1)
+        coeffs = {
+            name: CMArray.from_numpy(
+                name, machine, rng.standard_normal(SHAPE).astype(np.float32)
+            )
+            for name in pattern.coefficient_names()
+        }
+        runs = []
+        for name, data in [
+            ("Z", np.zeros(SHAPE, dtype=np.float32)),
+            ("N", rng.standard_normal(SHAPE).astype(np.float32)),
+        ]:
+            source = CMArray.from_numpy(name, machine, data)
+            runs.append(
+                apply_stencil(
+                    compiled, source, coeffs, f"R{name}", iterations=8,
+                    block_depth=2, resilience=ResiliencePolicy(),
+                )
+            )
+        zero, noise = runs
+        np.testing.assert_array_equal(
+            zero.result.to_numpy(), np.zeros(SHAPE, dtype=np.float32)
+        )
+        assert zero.fault_stats.checkpoints == noise.fault_stats.checkpoints == 1
+        assert (
+            zero.fault_stats.checkpoint_cycles
+            == noise.fault_stats.checkpoint_cycles
+            > 0
+        )
+        assert zero.total_compute_cycles == noise.total_compute_cycles == 21_856
+        assert zero.total_comm_cycles == noise.total_comm_cycles
+        assert zero.reconciled and noise.reconciled
 
 
 class TestDepthSelection:
