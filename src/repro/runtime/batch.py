@@ -91,7 +91,6 @@ from .executor import (
     machine_execute_blocked,
     machine_execute_exact,
     machine_execute_fast_stack,
-    values_equal,
 )
 from .faults import (
     FaultError,
@@ -697,10 +696,9 @@ class _Loop:
 
     It walks the list (:class:`~repro.runtime.blocking.BlockList`)
     iteration by iteration: each pass is one machine pass
-    (:meth:`_exchange`), then one block per member (:meth:`_block`).  A
-    filter whose block output bit-equals its input -- a fixed point;
-    NaNs compare unequal -- stops computing, and its remaining blocks
-    are charged at their price.
+    (:meth:`_exchange`), then one block per member (:meth:`_block`).
+    Every block is computed, whatever the data, so a guarded run's
+    charges depend only on its block list and its faults.
 
     Under guard every exchange is checksummed and retried by the
     exchange itself, and a fault in a block climbs three rungs:
@@ -735,8 +733,6 @@ class _Loop:
         self.exact = exact
         self.guard = guard
         self.measured: List[Optional[int]] = [None] * len(plan.filters)
-        #: Filters at a fixed point, and the iteration it begins at.
-        self.fixed: Dict[int, int] = {}
         #: Coefficient deep halos by (group, name, width), while intact.
         self.coeffs: Dict[Tuple[int, str, int], np.ndarray] = {}
         #: Coefficient halos charged canonically; exchanging one again
@@ -798,10 +794,7 @@ class _Loop:
                     seals.append(seal_checksums(plan.outs[fi]))
                     guard.charge_abft(plan.slab_words(), seals=1)
             if k in marks:
-                # Charged whatever the data; once every filter is fixed,
-                # nothing changes or rolls back, so the copy is skipped.
-                if len(self.fixed) < len(plan.filters):
-                    self.checkpoint = (k, [out.copy() for out in plan.outs])
+                self.checkpoint = (k, [out.copy() for out in plan.outs])
                 guard.charge_checkpoint(len(plan.outs) * plan.slab_words())
             if not (abft and done):
                 continue
@@ -839,35 +832,24 @@ class _Loop:
     def _iteration(self, passes: List[Pass], ledger: list):
         """Run the passes one iteration starts; returns the filters whose
         blocks ran, in order, and a block's error and steps if its
-        retries ran out.  Fixed filters' blocks, and a pass of only
-        those, are charged without running (once: not on a replay)."""
-        guard = self.guard
-        canonical = guard is not None and not guard.replaying
+        retries ran out."""
         done = []
         for p in passes:
             self._coefficients(p.group)
-            views = None
-            if any(fi not in self.fixed for fi, _ in p.blocks):
-                views = self._exchange(p, ledger)
-            elif canonical:
-                messages = p.messages(self.plan.batch)
-                guard.charge_skipped_exchanges(messages, p.cost.cycles)
-                ledger += [lambda c=p.cost.cycles: guard.reclaim_exchange(c)] * messages
-            for j, (fi, steps) in enumerate(p.blocks):
-                if fi not in self.fixed:
-                    error = self._block(p, fi, steps, views[j], ledger)
-                    if error is not None:
-                        return sorted(done), (error, steps)
-                    done.append(fi)
-                elif canonical:
-                    self._charge(fi, steps, ledger)
+            views = self._exchange(p, ledger)
+            for (fi, steps), padded in zip(p.blocks, views):
+                error = self._block(p, fi, steps, padded, ledger)
+                if error is not None:
+                    return sorted(done), (error, steps)
+                done.append(fi)
         return sorted(done), None
 
     def _coefficients(self, gi: int) -> None:
         """Deep-exchange group ``gi``'s coefficient halos unless they
         are intact: once per (name, width), for the whole batch, since a
         deeper block's halo ring needs its neighbors' coefficients to
-        reproduce their bits."""
+        reproduce their bits.  Only a blocked rung has them, and it runs
+        only under guard."""
         plan, guard = self.plan, self.guard
         for group, fi, name, width in self.blocks.coefficients:
             key = (group, name, width)
@@ -876,18 +858,16 @@ class _Loop:
             buf = plan.machine.storage.scratch(
                 f"{name}__deep{width}__{group}", plan.padded(width)
             )
-            if guard is not None:
-                replaying, guard.replaying = guard.replaying, key in self.charged
-                guard.role = "coeff"
+            replaying, guard.replaying = guard.replaying, key in self.charged
+            guard.role = "coeff"
             try:
                 self._exchange_into(
                     plan.arrays[name], buf, plan.filters[fi].pattern, width,
                     True, 1, f"deep exchange (depth {self.blocks.depths[fi]})",
                 )
             finally:
-                if guard is not None:
-                    guard.role = "source"
-                    guard.replaying = replaying
+                guard.role = "source"
+                guard.replaying = replaying
             self.charged.add(key)
             self.coeffs[key] = buf
 
@@ -992,21 +972,13 @@ class _Loop:
         )
         return plan.batch * cycles, plan.batch * strips
 
-    def _charge(self, fi: int, steps: int, ledger: list) -> None:
-        """Charge filter ``fi``'s block at its price; a canonical charge
-        is undone if the iteration rolls back."""
-        guard = self.guard
-        cycles, strips = self._price(fi, steps)
-        guard.charge_compute(cycles, strips)
-        if not guard.replaying:
-            ledger.append(lambda: guard.reclaim_compute(cycles, strips))
-
     def _block(
         self, p: Pass, fi: int, steps: int, padded: np.ndarray, ledger: list
     ) -> Optional[FaultError]:
-        """Filter ``fi``'s block, every attempt charged at its price;
-        returns the error when it still fails after
-        ``policy.max_retries`` re-runs, and notes a fixed point."""
+        """Filter ``fi``'s block, every attempt charged at its price (a
+        canonical charge is undone if the iteration rolls back); returns
+        the error when it still fails after ``policy.max_retries``
+        re-runs."""
         plan, guard = self.plan, self.guard
         attempt = 0
         while True:
@@ -1023,7 +995,7 @@ class _Loop:
                 )
                 guard.replaying = replaying
             try:
-                fixed = self._compute(p, fi, steps, padded)
+                self._compute(p, fi, steps, padded)
             except FaultError as error:
                 # guard is not None here: only its checks raise.
                 guard.charge_compute(*self._price(fi, steps), recovery=True)
@@ -1032,54 +1004,50 @@ class _Loop:
                 guard.note_recompute()
                 continue
             if guard is not None:
-                self._charge(fi, steps, ledger)
-            if fixed and p.start + steps < plan.iterations:
-                self.fixed[fi] = p.start
+                cycles, strips = self._price(fi, steps)
+                guard.charge_compute(cycles, strips)
+                if not guard.replaying:
+                    ledger.append(lambda: guard.reclaim_compute(cycles, strips))
             return None
 
     def _compute(
         self, p: Pass, fi: int, steps: int, padded: np.ndarray
-    ) -> bool:
-        """One attempt at filter ``fi``'s block; returns whether its
-        output equals its input.  Under guard a fast one-step pass may be
-        poisoned and is verified finite, and a deeper block runs
-        parity-sealed (see :func:`machine_execute_blocked`)."""
+    ) -> None:
+        """One attempt at filter ``fi``'s block.  Under guard a fast
+        one-step pass may be poisoned and is verified finite, and a
+        deeper block runs parity-sealed (see
+        :func:`machine_execute_blocked`)."""
         plan, guard = self.plan, self.guard
         pattern = plan.filters[fi].pattern
         out = plan.outs[fi]
-        rows, cols = plan.subgrid
         if steps > 1:
             ping, pong, coeffs = self._deep(p.group, fi, steps)
             pad = self.blocks.comms[fi].pad
-            final, fixed = machine_execute_blocked(
+            final = machine_execute_blocked(
                 pattern, ping=ping, pong=pong, deep_coeffs=coeffs,
                 subgrid_shape=plan.subgrid, pad=pad, steps=steps,
                 guard=guard,
             )
+            rows, cols = plan.subgrid
             deep = steps * pad
             out[...] = final[..., deep : deep + rows, deep : deep + cols]
-            return fixed
-        width = p.width
-        if self.exact:
+        elif self.exact:
             source, result = plan.halo_name(p.group), plan.out_names[fi]
             self.measured[fi] = machine_execute_exact(
                 plan.filters[fi], plan.schedules[fi],
                 {**plan.arrays, source: padded, result: out},
-                source_buffer=source, result_buffer=result, halo=width,
+                source_buffer=source, result_buffer=result, halo=p.width,
             )
         else:
             machine_execute_fast_stack(
                 pattern, padded=padded, coeff_stacks=plan.arrays,
-                halo=width, out=out,
+                halo=p.width, out=out,
             )
             if guard is not None:
                 guard.inject_poison(out)
                 guard.verify_finite(
                     out, f"fast executor result {plan.out_names[fi]!r}"
                 )
-        return p.start + 1 < plan.iterations and values_equal(
-            out, padded[..., width : width + rows, width : width + cols]
-        )
 
     def _rewind(self, k: int, lost: int, ledger) -> int:
         """Undo iteration ``k``'s canonical charges (``ledger``), restore
@@ -1095,7 +1063,6 @@ class _Loop:
                 out[...] = copy
         self.guard.note_rollback(k - resume + lost)
         self.high = max(self.high, k)
-        self.fixed = {fi: at for fi, at in self.fixed.items() if at < resume}
         return resume
 
 

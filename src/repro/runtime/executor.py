@@ -350,19 +350,6 @@ def _factor(coeff, arrays: Dict[str, np.ndarray]):
     return _ONE
 
 
-def values_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """``np.array_equal`` of two stacks, one node row at a time.
-
-    Returns at the first node row (axis ``-4``) that differs, so the
-    common not-yet-converged case costs one row, not the whole stack.
-    NaNs compare unequal, so a diverging run never reads as converged.
-    """
-    return all(
-        np.array_equal(a[..., row, :, :, :], b[..., row, :, :, :])
-        for row in range(a.shape[-4])
-    )
-
-
 # ---------------------------------------------------------------------------
 # the band schedule
 
@@ -791,9 +778,10 @@ def machine_execute_blocked(
     subgrid_shape,
     pad: int,
     steps: int,
-    guard: Optional[FaultGuard] = None,
-):
-    """Run one temporal block: ``steps`` locally fused sub-iterations.
+    guard: FaultGuard,
+) -> np.ndarray:
+    """Run one guarded temporal block: ``steps`` locally fused
+    sub-iterations.
 
     ``ping`` holds the block input with a valid ``steps * pad``-deep
     halo (filled by a composed-band exchange, :mod:`repro.runtime.halo`);
@@ -810,20 +798,17 @@ def machine_execute_blocked(
     bands after every sub-iteration, exactly the state a fresh exchange
     would restore.
 
-    Returns ``(final, fixed)``: the buffer holding the last iterate
-    (its subgrid at ``[deep : deep + rows, deep : deep + cols]``) and
-    whether a machine-wide fixed point was detected after the first
-    sub-iteration (in which case ``final`` already equals every later
-    iterate and the caller may stop computing).
+    Returns the buffer holding the last iterate (its subgrid at
+    ``[deep : deep + rows, deep : deep + cols]``).
 
-    Under ``guard`` (chaos runs), each sub-iteration's valid output
-    region is parity-sealed after the FILL re-application and verified
-    before the next sub-iteration reads it -- the read window of
-    sub-iteration ``t + 1`` is exactly the sealed region of ``t`` -- and
-    the injector may flip bits in the just-sealed region between
-    sub-iterations.  The final region is parity- and finiteness-checked
-    before the block returns, so corruption injected after the last
-    seal cannot escape.
+    Each sub-iteration's valid output region is parity-sealed after the
+    FILL re-application and verified before the next sub-iteration
+    reads it -- the read window of sub-iteration ``t + 1`` is exactly
+    the sealed region of ``t`` -- and ``guard``'s injector may flip bits
+    in the just-sealed region between sub-iterations.  The final region
+    is parity- and finiteness-checked before the block returns, so
+    corruption injected after the last seal cannot escape.  (An
+    unguarded run at depth above 1 takes the band schedule instead.)
     """
     rows, cols = subgrid_shape
     deep = steps * pad
@@ -840,8 +825,7 @@ def machine_execute_blocked(
     fill = np.float32(pattern.fill_value)
 
     src, dst = ping, pong
-    sealed: Optional[int] = None
-    sealed_view: Optional[np.ndarray] = None
+    sealed = sealed_view = None
     for t in range(steps):
         ghost = (steps - 1 - t) * pad
         out_rows = rows + 2 * ghost
@@ -852,14 +836,10 @@ def machine_execute_blocked(
             slice(base, base + out_rows),
             slice(base, base + out_cols),
         )
-        if guard is not None and sealed is not None:
+        if sealed is not None:
             # sealed_view (the previous sub-iteration's valid output
             # region) is exactly the window this sub-iteration reads.
-            guard.verify_parity(
-                sealed_view,
-                sealed,
-                f"block sub-iteration {t} input",
-            )
+            guard.verify_parity(sealed_view, sealed, f"block sub-iteration {t} input")
         # Leading batch axes (if any) ride along: the subgrid axes sit
         # at -2/-1 and 4-d coefficient stacks broadcast across the
         # batch, so the per-element float32 chain is unchanged.
@@ -874,30 +854,15 @@ def machine_execute_blocked(
         if col_fills:
             dst[..., :, 0, :, :deep] = fill
             dst[..., :, -1, :, deep + cols :] = fill
-        if guard is not None:
-            sealed_view = dst[region]
-            sealed = parity_word(sealed_view)
-        if t == 0 and steps > 1:
-            # The subgrids alone tile the global array, so
-            # machine-wide interior equality means a true fixed
-            # point: every later iterate reproduces this one.
-            if values_equal(dst[interior], src[interior]):
-                if guard is not None:
-                    guard.verify_finite(
-                        dst[interior], "temporal block fixed-point output"
-                    )
-                return dst, True
-        if guard is not None:
-            # The strike window: the region just sealed, which the next
-            # sub-iteration (or the final check) reads.
-            guard.inject_scratch(
-                [(f"block sub-iteration {t} output", sealed_view)]
-            )
+        sealed_view = dst[region]
+        sealed = parity_word(sealed_view)
+        # The strike window: the region just sealed, which the next
+        # sub-iteration (or the final check) reads.
+        guard.inject_scratch([(f"block sub-iteration {t} output", sealed_view)])
         src, dst = dst, src
-    if guard is not None:
-        # The last seal covers exactly the final subgrid region; verify
-        # it so a flip injected after the last sub-iteration (or a NaN
-        # produced inside the block) cannot escape the block.
-        guard.verify_parity(sealed_view, sealed, "temporal block output")
-        guard.verify_finite(src[interior], "temporal block output")
-    return src, False
+    # The last seal covers exactly the final subgrid region; verify it so
+    # a flip injected after the last sub-iteration (or a NaN produced
+    # inside the block) cannot escape the block.
+    guard.verify_parity(sealed_view, sealed, "temporal block output")
+    guard.verify_finite(src[interior], "temporal block output")
+    return src

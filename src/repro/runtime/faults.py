@@ -1198,13 +1198,6 @@ class FaultGuard:
         if recovery or self.replaying:
             self.stats.recovery_half_strips += half_strips
 
-    def charge_skipped_exchanges(self, count: int, cycles_each: int) -> None:
-        """Fixed-point short-circuit: the accounting still charges the
-        remaining iterations' exchanges, exactly like the unguarded
-        path."""
-        self.exchanges += count
-        self.comm_cycles += count * cycles_each
-
     def charge_checkpoint(self, words_per_node: int) -> None:
         cycles = int(words_per_node * CHECKPOINT_CYCLES_PER_WORD)
         self.stats.checkpoints += 1

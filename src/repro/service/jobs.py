@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -32,6 +33,7 @@ from ..runtime.cm_array import CMArray
 from ..runtime.faults import (
     FaultError,
     FaultInjector,
+    FaultKind,
     FaultStats,
     ResiliencePolicy,
 )
@@ -42,9 +44,35 @@ from .errors import JobFaultError
 #: Boundary modes a job may name.
 BOUNDARIES = ("torus", "fill")
 
+#: Fault kinds a job's ``fault_rates`` may name.
+FAULT_KINDS = tuple(kind.value for kind in FaultKind)
+
 
 class JobSpecError(ValueError):
     """A job description that can never run (bad pattern, geometry...)."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+#: The scalar fields, by the type each must have.
+_SCALARS = {
+    str: ("tenant", "pattern", "boundary", "label"),
+    int: ("iterations", "priority", "seed", "spares", "fault_seed", "batch"),
+    bool: ("exact", "abft"),
+}
+
+
+def _shape(name: str, value) -> Tuple[int, int]:
+    """``value`` as two positive ints, or :class:`JobSpecError`."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_int(n) and n >= 1 for n in value)
+    ):
+        raise JobSpecError(f"{name} must be two positive ints, got {value!r}")
+    return int(value[0]), int(value[1])
 
 
 @dataclass(frozen=True)
@@ -69,7 +97,9 @@ class StencilJob:
         spares: spare nodes the job's machine is armed with (lent from
             the pool's reservation for the job's lifetime).
         fault_rates: per-exchange fault-injection rates for chaos jobs
-            (a mapping, stored canonically); empty/None runs unguarded.
+            (a mapping of :data:`FAULT_KINDS` to rates, or its
+            ``(kind, rate)`` pairs, stored as sorted pairs); empty/None
+            runs unguarded.
         fault_seed: the injector seed for chaos jobs.
         abft: arm algorithm-based fault tolerance: row/column checksum
             seals over the job's result stack, verified every iteration
@@ -105,6 +135,14 @@ class StencilJob:
     filters: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        for kind, names in _SCALARS.items():
+            for name in names:
+                value = getattr(self, name)
+                if not (_is_int(value) if kind is int else isinstance(value, kind)):
+                    raise JobSpecError(
+                        f"{name} must be {kind.__name__}, got {value!r}"
+                    )
+                object.__setattr__(self, name, kind(value))
         if not self.tenant:
             raise JobSpecError("a job needs a tenant id")
         if not hasattr(gallery, self.pattern):
@@ -120,19 +158,34 @@ class StencilJob:
             raise JobSpecError("iterations must be positive")
         if self.spares < 0:
             raise JobSpecError("spares must be non-negative")
-        rows, cols = self.grid_shape
-        if rows < 1 or cols < 1:
-            raise JobSpecError(f"bad grid shape {self.grid_shape}")
-        object.__setattr__(self, "grid_shape", (int(rows), int(cols)))
+        if self.block_depth != "auto" and not (
+            _is_int(self.block_depth) and self.block_depth >= 1
+        ):
+            raise JobSpecError(
+                "block_depth must be a positive int or 'auto', "
+                f"got {self.block_depth!r}"
+            )
+        object.__setattr__(
+            self, "grid_shape", _shape("grid_shape", self.grid_shape)
+        )
         if self.partition_shape is not None:
-            pr, pc = self.partition_shape
-            object.__setattr__(self, "partition_shape", (int(pr), int(pc)))
+            object.__setattr__(
+                self, "partition_shape",
+                _shape("partition_shape", self.partition_shape),
+            )
         if self.batch < 1:
             raise JobSpecError(
                 f"batch must be >= 1, got {self.batch}"
             )
         if self.filters is not None:
-            names = tuple(str(name) for name in self.filters)
+            names = self.filters
+            if not isinstance(names, (list, tuple)) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise JobSpecError(
+                    f"filters must be a list of gallery pattern names, "
+                    f"got {names!r}"
+                )
             if not names:
                 raise JobSpecError(
                     "filters must name at least one gallery pattern "
@@ -144,12 +197,27 @@ class StencilJob:
                         f"unknown gallery pattern {name!r} in filters "
                         f"(try `python -m repro gallery`)"
                     )
-            object.__setattr__(self, "filters", names)
-        if isinstance(self.fault_rates, Mapping):
+            object.__setattr__(self, "filters", tuple(names))
+        rates = self.fault_rates
+        if isinstance(rates, Mapping):
+            rates = list(rates.items())
+        if rates is not None:
+            if not isinstance(rates, (list, tuple)) or not all(
+                isinstance(pair, (list, tuple))
+                and len(pair) == 2
+                and pair[0] in FAULT_KINDS
+                and isinstance(pair[1], numbers.Real)
+                and not isinstance(pair[1], bool)
+                for pair in rates
+            ):
+                raise JobSpecError(
+                    f"fault_rates must map fault kinds {FAULT_KINDS} to "
+                    f"rates, got {self.fault_rates!r}"
+                )
             object.__setattr__(
                 self,
                 "fault_rates",
-                tuple(sorted((str(k), float(v)) for k, v in self.fault_rates.items())),
+                tuple(sorted((k, float(v)) for k, v in dict(rates).items())),
             )
         if not self.abft and any(
             kind == "sdc" and rate > 0
@@ -235,20 +303,15 @@ class StencilJob:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "StencilJob":
-        """Build a job from a ``jobs.json`` entry (unknown keys rejected)."""
+        """Build a job from a ``jobs.json`` entry (unknown keys rejected;
+        lists stand for tuples)."""
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise JobSpecError(f"unknown job fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("grid_shape", "partition_shape", "filters"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        if kwargs.get("fault_rates") is not None and not isinstance(
-            kwargs["fault_rates"], Mapping
-        ):
-            kwargs["fault_rates"] = dict(kwargs["fault_rates"])
-        return cls(**kwargs)
+        if "tenant" not in data:
+            raise JobSpecError("a job needs a tenant id")
+        return cls(**data)
 
 
 @dataclass

@@ -7,8 +7,11 @@ campaigns included -- and the per-tenant cycle accounting reconciles
 exactly against the job records.
 """
 
+import json
 import threading
 import time
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from repro.service import (
 )
 
 PARAMS = MachineParams(num_nodes=16)  # a 4x4 node grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -237,6 +242,53 @@ class TestStencilJob:
     def test_solo_run_needs_a_shape(self):
         with pytest.raises(JobSpecError, match="shape"):
             solo_run(StencilJob(tenant="t"))
+
+    @staticmethod
+    def _specs(path):
+        return json.loads((ROOT / path).read_text(encoding="utf-8"))["jobs"]
+
+    @staticmethod
+    def _conforms(value, hint) -> bool:
+        """Whether ``value`` has the declared type ``hint`` (an int is
+        not a bool, and a tuple has the declared items)."""
+        args = typing.get_args(hint)
+        origin = typing.get_origin(hint)
+        if origin is typing.Union:
+            return any(TestStencilJob._conforms(value, arg) for arg in args)
+        if origin is tuple:
+            if not isinstance(value, tuple):
+                return False
+            if args[-1] is Ellipsis:
+                args = args[:1] * len(value)
+            return len(value) == len(args) and all(
+                map(TestStencilJob._conforms, value, args)
+            )
+        if hint is int:
+            return isinstance(value, int) and not isinstance(value, bool)
+        return isinstance(value, hint)
+
+    def test_every_field_is_typed(self):
+        """Each field of each example spec, replaced by a value of the
+        wrong type, raises JobSpecError or builds a job whose fields all
+        have their declared types."""
+        hints = typing.get_type_hints(StencilJob)
+        for spec in self._specs("examples/jobs.json"):
+            for name in hints:
+                for value in (None, "", "x", 2.5, True, [], {}, float("inf")):
+                    try:
+                        job = StencilJob.from_dict({**spec, name: value})
+                    except JobSpecError:
+                        continue
+                    for field, hint in hints.items():
+                        assert self._conforms(getattr(job, field), hint), (
+                            name, value, field,
+                        )
+
+    @pytest.mark.parametrize("path", ["examples/jobs.json", "perfbench/jobs.json"])
+    def test_shipped_specs_build(self, path):
+        for spec in self._specs(path):
+            job = StencilJob.from_dict(spec)
+            assert StencilJob.from_dict(job.to_dict()) == job
 
 
 # ---------------------------------------------------------------------------

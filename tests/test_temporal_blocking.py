@@ -72,8 +72,8 @@ GALLERY = [
 
 #: An unguarded run computes its bits in the band schedule whatever its
 #: block depth; the guarded loop's blocked rung (deep exchanges,
-#: ping-pong stacks, tail blocks, fixed points) runs only guarded, so
-#: the blocked side of these tests runs guarded, with no faults.
+#: ping-pong stacks, tail blocks) runs only guarded, so the blocked
+#: side of these tests runs guarded, with no faults.
 GUARDED = dict(resilience=ResiliencePolicy())
 
 
@@ -212,11 +212,11 @@ class TestExchangeAccounting:
         ids=["unguarded", "guarded"],
     )
     def test_blocked_fixed_point_still_charges_whole_run(self, guard):
-        """An all-zero iterate is a fixed point; the blocked loop stops
-        computing but the accounting still covers every block, exactly
-        as a run of the same geometry that never converges (and so does
-        the band schedule, which an unguarded run takes).  A guarded
-        run is charged every checkpoint mark either way."""
+        """An all-zero iterate is a fixed point.  The accounting covers
+        every block, exactly as a run of the same geometry that never
+        converges: the guarded loop computes every block, and the band
+        schedule, which an unguarded run takes, stops computing early
+        but the record still prices the whole block list."""
         pattern = cross(1)
         params = MachineParams(num_nodes=4)
         machine = CM2(params)
@@ -251,10 +251,16 @@ class TestExchangeAccounting:
         assert run.total_comm_cycles == moving.total_comm_cycles
         assert run.total_compute_cycles == moving.total_compute_cycles
 
-    def test_guarded_price_does_not_depend_on_the_data(self):
-        """A guarded run is charged every checkpoint mark of its block
-        list: a zero source, at a fixed point from its first block, costs
-        what noise that never settles costs, checkpoints on."""
+    @pytest.mark.parametrize(
+        "policy, cycles",
+        [(ResiliencePolicy(), 21_856), (ResiliencePolicy(abft=True), 22_048)],
+        ids=["checkpoints", "abft"],
+    )
+    def test_guarded_price_does_not_depend_on_the_data(self, policy, cycles):
+        """A guarded run computes and is charged every block, checkpoint
+        mark and ABFT seal of its block list: a zero source, at a fixed
+        point from its first block, costs what noise that never settles
+        costs, with checkpoints and with ABFT on."""
         pattern = cross(1)
         params = MachineParams(num_nodes=4)
         machine = CM2(params)
@@ -275,7 +281,7 @@ class TestExchangeAccounting:
             runs.append(
                 apply_stencil(
                     compiled, source, coeffs, f"R{name}", iterations=8,
-                    block_depth=2, resilience=ResiliencePolicy(),
+                    block_depth=2, resilience=policy,
                 )
             )
         zero, noise = runs
@@ -288,8 +294,12 @@ class TestExchangeAccounting:
             == noise.fault_stats.checkpoint_cycles
             > 0
         )
-        assert zero.total_compute_cycles == noise.total_compute_cycles == 21_856
+        assert zero.total_compute_cycles == noise.total_compute_cycles == cycles
         assert zero.total_comm_cycles == noise.total_comm_cycles
+        for field in ("abft_seals", "abft_verifies", "abft_cycles"):
+            assert getattr(zero.fault_stats, field) == getattr(
+                noise.fault_stats, field
+            )
         assert zero.reconciled and noise.reconciled
 
 
